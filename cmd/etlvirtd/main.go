@@ -35,7 +35,6 @@ func main() {
 	gz := flag.Bool("gzip", false, "gzip intermediate files before upload")
 	gzLevel := flag.Int("gzip-level", 0, "static gzip level 1..9 for intermediate files (0 = default)")
 	copyFiles := flag.Int("copy-batch-files", 0, "uploaded files folded into each incremental COPY manifest (0 = 4)")
-	serializedCopy := flag.Bool("serialized-copy", false, "disable the copy scheduler: one monolithic COPY after acquisition drains")
 	adaptive := flag.Bool("adaptive-staging", false, "enable the staging-lane tuner (uploaders, spool size, gzip level, files per COPY)")
 	tunerInterval := flag.Duration("tuner-interval", 0, "staging-lane tuner tick (0 = 200ms)")
 	schemaMap := flag.String("schema-map", "", "legacy->CDW schema renames, e.g. PROD=analytics,DW=warehouse")
@@ -79,7 +78,6 @@ func main() {
 		Gzip:                *gz,
 		GzipLevel:           *gzLevel,
 		CopyBatchFiles:      *copyFiles,
-		SerializedCopy:      *serializedCopy,
 		AdaptiveStaging:     *adaptive,
 		TunerInterval:       *tunerInterval,
 		MaxErrors:           *maxErrors,

@@ -10,20 +10,18 @@ import (
 )
 
 // StagingLaneRow is one configuration of the staging-lane comparison: the
-// serialized baseline (one monolithic COPY after acquisition drains), the
-// overlapped copy scheduler (incremental manifest COPYs while acquisition
-// runs), and the overlapped lane with the adaptive tuner closed over its
-// knobs.
+// copy scheduler (incremental manifest COPYs while acquisition runs) with
+// static knobs, and the same lane with the adaptive tuner closed over them.
 type StagingLaneRow struct {
-	Name        string
-	Times       PhaseTimes
-	CopyBatches int64
+	Name  string
+	Times PhaseTimes
 }
 
 // stagingLaneConfig is the shared shape of the comparison runs: enough rows
 // and a small-enough spool threshold to produce a stream of intermediate
 // files, gzip so COPY decompression is real work, and a per-statement CDW
-// overhead standing in for the cloud round trip — the cost the overlap hides.
+// overhead standing in for the cloud round trip — the cost the lane hides
+// inside acquisition.
 func stagingLaneConfig(scale int, node core.Config) RunConfig {
 	node.Gzip = true
 	node.FileSizeThreshold = 32 << 10
@@ -41,9 +39,8 @@ func stagingLaneConfig(scale int, node core.Config) RunConfig {
 	}
 }
 
-// StagingLane runs the overlapped-vs-serialized comparison behind the
-// staging-lane optimization: identical workload and stack, with only the
-// copy-scheduler and tuner toggles varied.
+// StagingLane runs the static-vs-adaptive staging-lane comparison: identical
+// workload and stack, with only the tuner toggle varied.
 func StagingLane(scale int) ([]StagingLaneRow, error) {
 	if scale <= 0 {
 		scale = RowsPerPaperMillion
@@ -52,9 +49,8 @@ func StagingLane(scale int) ([]StagingLaneRow, error) {
 		name string
 		node core.Config
 	}{
-		{"serialized COPY after drain (baseline)", core.Config{SerializedCopy: true}},
-		{"overlapped incremental COPY", core.Config{}},
-		{"overlapped + adaptive tuner", core.Config{AdaptiveStaging: true, TunerInterval: 50 * time.Millisecond}},
+		{"static knobs", core.Config{}},
+		{"adaptive tuner", core.Config{AdaptiveStaging: true, TunerInterval: 50 * time.Millisecond}},
 	}
 	var out []StagingLaneRow
 	for _, m := range modes {
@@ -62,7 +58,7 @@ func StagingLane(scale int) ([]StagingLaneRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("staging lane %q: %w", m.name, err)
 		}
-		out = append(out, StagingLaneRow{Name: m.name, Times: p, CopyBatches: p.CopyBatches})
+		out = append(out, StagingLaneRow{Name: m.name, Times: p})
 	}
 	return out, nil
 }
@@ -70,18 +66,14 @@ func StagingLane(scale int) ([]StagingLaneRow, error) {
 // FormatStagingLane renders the comparison.
 func FormatStagingLane(rows []StagingLaneRow) string {
 	var sb strings.Builder
-	sb.WriteString("Staging lane: overlapped incremental COPY vs serialized baseline\n")
+	sb.WriteString("Staging lane: incremental manifest COPY, static knobs vs adaptive tuner\n")
 	fmt.Fprintf(&sb, "%-42s %14s %14s %12s %8s %8s\n",
 		"configuration", "acquisition", "total", "rate MB/s", "files", "batches")
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "%-42s %14v %14v %12.1f %8d %8d\n",
 			r.Name, r.Times.Acquisition.Round(time.Millisecond),
 			r.Times.Total.Round(time.Millisecond),
-			r.Times.AcquireRateMBs(), r.Times.Files, r.CopyBatches)
-	}
-	if len(rows) >= 2 && rows[0].Times.Total > 0 {
-		delta := (1 - float64(rows[1].Times.Total)/float64(rows[0].Times.Total)) * 100
-		fmt.Fprintf(&sb, "overlap saves %.0f%% of serialized wall-clock\n", delta)
+			r.Times.AcquireRateMBs(), r.Times.Files, r.Times.CopyBatches)
 	}
 	return sb.String()
 }

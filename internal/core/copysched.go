@@ -8,12 +8,12 @@ import (
 	"etlvirt/internal/tune"
 )
 
-// This file is the self-tuning pipelined staging lane: the copy scheduler
-// that lands already-uploaded files in incremental manifest COPY batches
-// while acquisition is still producing more (overlapping COPY latency with
-// conversion, spooling and upload), and the adaptive tuner loop that retunes
-// the lane's knobs — uploader parallelism, spool rotation threshold, gzip
-// level, files-per-COPY — from live per-stage observations.
+// This file drives an import's stagingLane (staginglane.go): the copy
+// scheduler that lands already-uploaded files in incremental manifest COPY
+// batches while acquisition is still producing more (overlapping COPY latency
+// with conversion, spooling and upload), and the adaptive tuner loop that
+// retunes the lane's knobs — uploader parallelism, spool rotation threshold,
+// gzip level, files-per-COPY — from live per-stage observations.
 
 // staticGzipLevel maps the node config to the knob/tuner gzip convention:
 // 0 means uncompressed, 1..9 an explicit level. A configured Gzip with no
@@ -48,47 +48,47 @@ func takeBatch(pending []string, n int) (batch, rest []string) {
 // files-per-COPY knob, issued while the rest of the pipeline keeps running.
 // When the channel closes (all uploads landed) it sweeps whatever remains as
 // the final barrier COPY, so finishAcquisition only has to verify totals.
+//
+// Once the job is aborted or poisoned (a COPY failed permanently, another
+// stage called fail, the client went away) nothing more is issued — finish
+// drops the staging table anyway — but the channel is still drained so
+// uploaders never block.
 func (j *importJob) runCopyScheduler() {
 	defer j.schedWG.Done()
 	var pending []string
-	dead := false // a COPY failed permanently; drain without issuing more
-	issue := func(batch []string) {
-		if err := j.issueCopyBatch(batch); err != nil {
-			dead = true
-			j.fail(fmt.Errorf("incremental COPY into staging failed: %w", err))
-		}
-	}
+	halted := func() bool { return j.aborted.Load() || j.failed() != nil }
 	for name := range j.copyableCh {
 		pending = append(pending, name)
-		for !dead {
+		for !halted() {
 			n := int(j.copyFilesN.Load())
-			if len(pending) < n || n < 1 {
+			if n < 1 || len(pending) < n {
 				break
 			}
-			var batch []string
-			batch, pending = takeBatch(pending, n)
-			issue(batch)
+			pending = j.issueCopyBatch(pending, n)
 		}
 	}
-	for len(pending) > 0 && !dead {
-		var batch []string
-		batch, pending = takeBatch(pending, int(j.copyFilesN.Load()))
-		issue(batch)
+	for len(pending) > 0 && !halted() {
+		pending = j.issueCopyBatch(pending, int(j.copyFilesN.Load()))
 	}
 }
 
-// issueCopyBatch lands one manifest batch and keeps the live bookkeeping the
-// tuner and debug view read.
-func (j *importJob) issueCopyBatch(batch []string) error {
-	if _, err := j.copyWithRecovery(batch); err != nil {
-		return err
+// issueCopyBatch lands the next n pending files as one manifest batch, keeps
+// the live bookkeeping the tuner and debug view read, and returns the files
+// still pending. A failed batch poisons the job.
+func (j *importJob) issueCopyBatch(pending []string, n int) []string {
+	batch, rest := takeBatch(pending, n)
+	staged, err := j.lane.land(batch)
+	if err != nil {
+		j.fail(fmt.Errorf("incremental COPY into staging failed: %w", err))
+		return rest
 	}
+	j.stagedN += staged
 	j.copyQueue.Add(int64(-len(batch)))
 	j.batchesN.Add(1)
 	nm := j.node.nm
 	nm.copyBatches.Inc()
 	nm.copyBatchFiles.Observe(float64(len(batch)))
-	return nil
+	return rest
 }
 
 // resizeUploaders steers the live uploader pool toward n workers: missing

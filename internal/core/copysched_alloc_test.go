@@ -2,22 +2,8 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"testing"
-
-	"etlvirt/internal/sqlparse"
 )
-
-// allocJob builds the minimal importJob shape copySQL reads: the staging
-// table name, the object-store prefix, and the node config the gzip option
-// comes from.
-func allocJob() *importJob {
-	return &importJob{
-		stage:  sqlparse.TableName{Schema: "etlvirt_stage", Name: "job42"},
-		keyPfx: "job42/",
-		node:   &Node{cfg: Config{}.withDefaults()},
-	}
-}
 
 func manifestFiles(n int) []string {
 	files := make([]string, n)
@@ -65,50 +51,6 @@ func TestTakeBatchClamping(t *testing.T) {
 	_ = rest
 }
 
-// TestCopyManifestSQLAllocBound bounds the allocations of building one
-// manifest COPY statement — the per-batch cost the scheduler pays on every
-// issue while acquisition is running.
-func TestCopyManifestSQLAllocBound(t *testing.T) {
-	j := allocJob()
-	files := manifestFiles(16)
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := j.copySQL(files); err != nil {
-			t.Fatal(err)
-		}
-	})
-	const bound = 64
-	if allocs > bound {
-		t.Errorf("copySQL(16 files) allocates %.1f times, want <= %d", allocs, bound)
-	}
-}
-
-// TestCopySQLManifestShape pins the statement the scheduler issues: explicit
-// FILES manifest, ordered format options, and no statement-level gzip (the
-// engine sniffs per-file .gz suffixes on manifest COPYs).
-func TestCopySQLManifestShape(t *testing.T) {
-	j := allocJob()
-	j.node.cfg.Gzip = true
-	sql, err := j.copySQL([]string{"a.csv.gz", "b.csv.gz"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"FILES", "'a.csv.gz'", "'b.csv.gz'", "store://job42/"} {
-		if !strings.Contains(sql, want) {
-			t.Errorf("manifest COPY %q missing %q", sql, want)
-		}
-	}
-	if strings.Contains(strings.ToLower(sql), "gzip") {
-		t.Errorf("manifest COPY %q should rely on per-file suffixes, not a gzip option", sql)
-	}
-	sweep, err := j.copySQL(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(strings.ToLower(sweep), "gzip") {
-		t.Errorf("prefix COPY %q should keep the statement-level gzip option", sweep)
-	}
-}
-
 // BenchmarkTakeBatch measures the scheduler's batch-split hot path.
 func BenchmarkTakeBatch(b *testing.B) {
 	pending := manifestFiles(64)
@@ -117,19 +59,6 @@ func BenchmarkTakeBatch(b *testing.B) {
 		rest := pending
 		for len(rest) > 0 {
 			_, rest = takeBatch(rest, 4)
-		}
-	}
-}
-
-// BenchmarkCopyManifestSQL measures building the incremental COPY statement
-// for one 16-file batch.
-func BenchmarkCopyManifestSQL(b *testing.B) {
-	j := allocJob()
-	files := manifestFiles(16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := j.copySQL(files); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -44,11 +44,13 @@ type exportJob struct {
 	trace      *obs.JobTrace
 }
 
-func (n *Node) newExportJob(m *wire.BeginExport) (*exportJob, error) {
+func (n *Node) newExportJob(m *wire.BeginExport, tc obs.TraceContext) (*exportJob, error) {
 	cdwSQL, err := n.translator().Translate(m.SQL)
 	if err != nil {
 		return nil, fmt.Errorf("cross-compiling export query: %w", err)
 	}
+	id := n.nextJob.Add(1)
+	trace := n.tracer.StartCtx(id, "export", tc)
 	// Opening an export pins a pooled connection for the cursor's lifetime,
 	// so the pool's internal round-trip retry does not apply; re-drive the
 	// open (fresh Get + Query) under the node retry policy instead.
@@ -60,7 +62,11 @@ func (n *Node) newExportJob(m *wire.BeginExport) (*exportJob, error) {
 		if err != nil {
 			return err
 		}
-		q, err := c.Query(cdwSQL, n.cfg.ExportChunkRows)
+		rtStart := time.Now()
+		q, err := c.QueryT(cdwSQL, n.cfg.ExportChunkRows, trace.ChildContext())
+		// The pinned connection bypasses the pool's round-trip hook; report
+		// the open ourselves so the CDW's side of it joins the trace.
+		n.traceRoundTrip("query", trace.ChildContext(), rtStart, time.Since(rtStart), c.EngineNanos(), err)
 		if err != nil {
 			n.pool.Put(c) // discards if the fault poisoned it
 			return err
@@ -68,13 +74,12 @@ func (n *Node) newExportJob(m *wire.BeginExport) (*exportJob, error) {
 		client, cur = c, q
 		return nil
 	})
+	trace.Span("export_open", "tdfcursor", openStart, 0, 0, err)
 	if err != nil {
+		n.tracer.Finish(id)
 		return nil, err
 	}
-	id := n.nextJob.Add(1)
 	n.nm.exportsStarted.Inc()
-	trace := n.tracer.Start(id, "export")
-	trace.Span("export_open", "tdfcursor", openStart, 0, 0, nil)
 	j := &exportJob{
 		id:         id,
 		node:       n,

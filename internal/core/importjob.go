@@ -46,8 +46,8 @@ type writeTask struct {
 // importJob is the state of one virtualized import. Its pipeline mirrors
 // Figure 2(a): session handlers feed DataConverter workers through convCh,
 // converters feed FileWriter goroutines, writers hand finished files to
-// upload workers, and the final COPY moves everything into the staging
-// table.
+// upload workers, and the copy scheduler lands uploaded files in the staging
+// table through the job's stagingLane.
 type importJob struct {
 	id   uint64
 	node *Node
@@ -58,7 +58,7 @@ type importJob struct {
 	uvName  sqlparse.TableName
 	tr      *sqlxlate.Translator
 	conv    *convert.Converter
-	keyPfx  string // object-store prefix for this job's files
+	lane    *stagingLane
 	targets string // rendered target table name for error messages
 
 	convCh   chan convTask
@@ -69,10 +69,9 @@ type importJob struct {
 	uploadWG sync.WaitGroup
 
 	// copy scheduler (incremental manifest COPY while acquisition runs)
-	copyableCh chan string // uploaded object names ready to COPY; nil = serialized
+	copyableCh chan string // uploaded object names ready to COPY
 	schedWG    sync.WaitGroup
-	landed     []copyBatch // manifest batches COPYed into staging; scheduler-then-finisher owned
-	stagedN    int64       // rows landed across batches; same ownership as landed
+	stagedN    int64 // rows landed across batches; scheduler-then-finisher owned
 	copyQueue  atomic.Int64
 	batchesN   atomic.Int64 // incremental COPY batches issued (live, for debug)
 
@@ -157,12 +156,13 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 		stage:   sqlparse.TableName{Schema: n.cfg.StagingSchema, Name: fmt.Sprintf("job_%d", id)},
 		etName:  parseQualifiedName(m.ErrTableET),
 		uvName:  parseQualifiedName(m.ErrTableUV),
-		keyPfx:  fmt.Sprintf("%s%d/", n.cfg.UploadPrefix, id),
 		targets: target.String(),
 	}
 	j.watch.start = time.Now()
 	n.nm.jobsStarted.Inc()
 	j.trace = n.tracer.StartCtx(id, "import "+j.targets, tc)
+	j.lane = newStagingLane(n, j.trace, j.stage, m.Layout,
+		fmt.Sprintf("%s%d/", n.cfg.UploadPrefix, id), "copy", "stage")
 	n.events.Add(obs.Event{
 		Type: "job_start", Job: id, TraceID: j.traceID(),
 		Msg: "import " + j.targets,
@@ -175,37 +175,15 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 		SchemaMap:  n.cfg.SchemaMap,
 	}
 
-	// create staging and error tables
-	ddl, err := sqlxlate.StagingDDL(j.stage, m.Layout)
-	if err != nil {
+	if err := j.prepareTables(); err != nil {
+		n.events.Add(obs.Event{
+			Type: "job_fail", Job: id, TraceID: j.traceID(),
+			Msg: "preparing job tables", Attrs: map[string]any{"err": err.Error()},
+		})
 		// The job trace is already open; settle it or the span leaks and
 		// the SLO report under-counts failed setups forever.
 		n.tracer.Finish(id)
-		return nil, err
-	}
-	stmts := []string{
-		dropIfExists(j.stage), ddl,
-	}
-	for _, et := range []sqlparse.TableName{j.etName, j.uvName} {
-		if et.Name == "" {
-			continue
-		}
-		etDDL, err := sqlxlate.ErrorTableDDL(et)
-		if err != nil {
-			n.tracer.Finish(id)
-			return nil, err
-		}
-		stmts = append(stmts, dropIfExists(et), etDDL)
-	}
-	for _, s := range stmts {
-		if _, err := n.pool.ExecT(s, j.trace.ChildContext()); err != nil {
-			n.events.Add(obs.Event{
-				Type: "job_fail", Job: id, TraceID: j.traceID(),
-				Msg: "preparing job tables", Attrs: map[string]any{"err": err.Error()},
-			})
-			n.tracer.Finish(id)
-			return nil, fmt.Errorf("preparing job tables: %w", err)
-		}
+		return nil, fmt.Errorf("preparing job tables: %w", err)
 	}
 	j.trace.Span("setup", "session", setupStart, 0, 0, nil)
 
@@ -231,13 +209,11 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 	j.gzipLevelN.Store(int64(staticGzipLevel(cfg)))
 	j.copyFilesN.Store(int64(cfg.CopyBatchFiles))
 	j.upQuit = make(chan struct{}, 64)
-	if !cfg.SerializedCopy {
-		j.copyableCh = make(chan string, cfg.FileWriters*4)
-		j.schedWG.Add(1)
-		// Bounded by the upload stage: drainPipeline closes copyableCh after
-		// the uploaders exit, which ends the scheduler loop.
-		go j.runCopyScheduler() //nolint:goroleak // job-bounded; drainPipeline closes copyableCh
-	}
+	j.copyableCh = make(chan string, cfg.FileWriters*4)
+	j.schedWG.Add(1)
+	// Bounded by the upload stage: drainPipeline closes copyableCh after
+	// the uploaders exit, which ends the scheduler loop.
+	go j.runCopyScheduler() //nolint:goroleak // job-bounded; drainPipeline closes copyableCh
 	if cfg.AdaptiveStaging {
 		j.tuner = tune.NewImportTuner(tune.ImportConfig{
 			InitialWorkers:    cfg.UploadParallelism,
@@ -272,6 +248,29 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 	n.imports[id] = j
 	n.mu.Unlock()
 	return j, nil
+}
+
+// prepareTables creates the job's staging table and recreates its error
+// tables.
+func (j *importJob) prepareTables() error {
+	if err := j.lane.recreate(); err != nil {
+		return err
+	}
+	for _, et := range []sqlparse.TableName{j.etName, j.uvName} {
+		if et.Name == "" {
+			continue
+		}
+		ddl, err := sqlxlate.ErrorTableDDL(et)
+		if err != nil {
+			return err
+		}
+		for _, s := range []string{dropIfExists(et), ddl} {
+			if _, err := j.node.pool.ExecT(s, j.trace.ChildContext()); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func dropIfExists(tn sqlparse.TableName) string {
@@ -485,7 +484,6 @@ func (j *importJob) runFileWriter(idx int, ch chan writeTask) {
 
 func (j *importJob) runUploader(idx int) {
 	defer j.uploadWG.Done()
-	nm := j.node.nm
 	lane := fmt.Sprintf("upload-%d", idx)
 	for {
 		var f fwriter.FinishedFile
@@ -513,7 +511,6 @@ func (j *importJob) runUploader(idx int) {
 			}
 			f = got
 		}
-		key := j.keyPfx + f.Name
 		upStart := time.Now()
 		var err error
 		var n int64
@@ -523,49 +520,32 @@ func (j *importJob) runUploader(idx int) {
 				j.fail(fmt.Errorf("finished file %s missing from spool", f.Name))
 				continue
 			}
-			// Puts are idempotent (same key, same bytes), so transient store
-			// failures are retried whole-file.
-			err = j.node.retry.Do(j.node.ctx, "upload", func() error {
-				var uerr error
-				n, uerr = j.node.loader.UploadBytes(data, key)
-				return uerr
-			})
+			n, err = j.lane.upload(lane, f.Name, data, int64(f.Rows))
 			j.memfs.Remove(f.Name)
 		} else {
-			path := j.osDir + "/" + f.Name
-			err = j.node.retry.Do(j.node.ctx, "upload", func() error {
-				var uerr error
-				n, uerr = j.node.loader.UploadFile(path, key)
-				return uerr
-			})
+			n, err = j.lane.uploadFile(lane, f.Name, j.osDir+"/"+f.Name, int64(f.Rows))
 		}
 		upDur := time.Since(upStart)
-		nm.uploadLat.ObserveDuration(upDur)
 		j.upBusyNs.Add(int64(upDur))
 		j.fileLatNs.Add(int64(upDur))
 		j.fileLatCount.Add(1)
-		j.trace.Span("upload", lane, upStart, int64(f.Rows), n, err)
 		if err != nil {
-			j.fail(fmt.Errorf("uploading %s: %w", f.Name, err))
+			j.fail(err)
 			continue
 		}
 		j.files.Add(1)
 		j.upBytes.Add(n)
-		nm.filesUploaded.Inc()
-		nm.bytesUploaded.Add(n)
-		if j.copyableCh != nil {
-			// Hand the landed object to the copy scheduler; the send blocks
-			// only while a COPY batch is in flight, which is the lane's
-			// natural back-pressure.
-			landed := f.Name
-			j.copyQueue.Add(1)
-			j.copyableCh <- landed
-		}
+		// Hand the uploaded object to the copy scheduler; the send blocks
+		// only while a COPY batch is in flight, which is the lane's natural
+		// back-pressure.
+		landed := f.Name
+		j.copyQueue.Add(1)
+		j.copyableCh <- landed
 	}
 }
 
-// finishAcquisition drains the pipeline, uploads remaining files, COPYs the
-// staged data into the staging table, and records acquisition data errors.
+// finishAcquisition drains the pipeline (uploading and COPYing whatever
+// remains), verifies the staged total, and records acquisition data errors.
 func (j *importJob) finishAcquisition() (*wire.AcquireDone, error) {
 	j.acquireMu.Lock()
 	defer j.acquireMu.Unlock()
@@ -577,16 +557,9 @@ func (j *importJob) finishAcquisition() (*wire.AcquireDone, error) {
 		return nil, err
 	}
 
-	if j.copyableCh == nil {
-		// Serialized ablation: everything lands in one monolithic prefix COPY
-		// now that the pipeline has drained.
-		if _, err := j.copyWithRecovery(nil); err != nil {
-			return nil, fmt.Errorf("COPY into staging failed: %w", err)
-		}
-	}
-	// In scheduler mode every uploaded file has passed through the copy
-	// scheduler by now (drainPipeline joins it after the uploaders), so
-	// stagedN already covers the barrier sweep.
+	// Every uploaded file has passed through the copy scheduler by now
+	// (drainPipeline joins it after the uploaders), so stagedN already covers
+	// the barrier sweep.
 	if staged := j.stagedN; staged != j.rowsConv.Load() {
 		return nil, fmt.Errorf("staging row count %d does not match converted %d", staged, j.rowsConv.Load())
 	}
@@ -602,114 +575,6 @@ func (j *importJob) finishAcquisition() (*wire.AcquireDone, error) {
 	j.acquired = true
 	j.acqDone.Store(true)
 	return j.acquireReply(), nil
-}
-
-// copyBatch is one landed staging COPY: the manifest (object names relative
-// to the job's upload prefix; nil for a whole-prefix COPY) and the row count
-// the COPY reported.
-type copyBatch struct {
-	files []string
-	rows  int64
-}
-
-// copySQL renders the staging COPY for one manifest. A nil manifest copies
-// the whole upload prefix (the serialized path); manifest COPYs rely on the
-// engine's per-file .gz suffix detection, since a manifest may mix
-// compression levels when the tuner moves the gzip ladder mid-job.
-func (j *importJob) copySQL(files []string) (string, error) {
-	st := &sqlparse.CopyStmt{
-		Table:   j.stage,
-		From:    "store://" + j.keyPfx,
-		Files:   files,
-		Options: map[string]string{"format": "csv", "order": sqlxlate.SeqColumn},
-	}
-	if files == nil && j.node.cfg.Gzip {
-		st.Options["gzip"] = "true"
-	}
-	return sqlparse.Print(st, sqlparse.DialectCDW)
-}
-
-// copyWithRecovery lands one COPY batch (a file manifest, or the whole
-// prefix when files is nil) under the node's retry policy. Transient
-// transport failures are already retried inside the pool; this layer
-// additionally recovers engine-side COPY failures (the CDW reading a faulted
-// object store) by recreating the staging table before re-running the
-// statement — and, with incremental batches, replaying every batch that
-// already landed so the recreated table holds exactly what it held before
-// the failing attempt. Each landed batch is recorded once, so recovery
-// replays are exactly-once regardless of how many attempts it takes. Engine
-// errors other than CodeCopyFailed surface immediately.
-//
-// Only one goroutine issues COPYs at a time (the scheduler during
-// acquisition, finishAcquisition after it joins), so landed/stagedN need no
-// lock.
-func (j *importJob) copyWithRecovery(files []string) (int64, error) {
-	nm := j.node.nm
-	var staged int64
-	attempt := 0
-	r := *j.node.retry // shares Budget/observers; only Retryable differs
-	r.Retryable = func(err error) bool {
-		if retrier.IsTransient(err) {
-			return true
-		}
-		var ce *cdw.Error
-		return errors.As(err, &ce) && ce.Code == cdw.CodeCopyFailed
-	}
-	// COPY is made idempotent by the recovery step above each re-attempt
-	// (drop + recreate staging + replay landed batches), so retrying Exec
-	// here cannot double-apply.
-	err := r.Do(j.node.ctx, "copy", func() error { //nolint:retrysafe // COPY re-runs against a recreated staging table
-		attempt++
-		if attempt > 1 {
-			// recovery point: wipe any partial staging state, then rebuild it
-			// from the landed-batch log before re-running this batch
-			recStart := time.Now()
-			nm.copyRecoveries.Inc()
-			if _, err := j.node.pool.ExecT(dropIfExists(j.stage), j.trace.ChildContext()); err != nil {
-				return err
-			}
-			ddl, err := sqlxlate.StagingDDL(j.stage, j.req.Layout)
-			if err != nil {
-				return err
-			}
-			if _, err := j.node.pool.ExecT(ddl, j.trace.ChildContext()); err != nil {
-				return err
-			}
-			for i := range j.landed {
-				b := &j.landed[i]
-				sql, err := j.copySQL(b.files)
-				if err != nil {
-					return err
-				}
-				rows, err := j.node.pool.ExecT(sql, j.trace.ChildContext())
-				if err != nil {
-					return err
-				}
-				nm.copyReplays.Inc()
-				if rows != b.rows {
-					return fmt.Errorf("replaying COPY batch landed %d rows, originally %d", rows, b.rows)
-				}
-			}
-			j.trace.Span("copy_retry", "stage", recStart, 0, 0, nil)
-		}
-		sql, err := j.copySQL(files)
-		if err != nil {
-			return err
-		}
-		copyStart := time.Now()
-		staged, err = j.node.pool.ExecT(sql, j.trace.ChildContext())
-		nm.copyStatements.Inc()
-		j.trace.Span("copy", "stage", copyStart, staged, j.upBytes.Load(), err)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	if files != nil {
-		j.landed = append(j.landed, copyBatch{files: files, rows: staged})
-	}
-	j.stagedN += staged
-	return staged, err
 }
 
 func (j *importJob) acquireReply() *wire.AcquireDone {
@@ -742,12 +607,10 @@ func (j *importJob) drainPipeline() {
 		j.upMu.Unlock()
 		close(j.uploadCh)
 		j.uploadWG.Wait()
-		if j.copyableCh != nil {
-			// Every upload has landed; closing the channel makes the
-			// scheduler sweep its remaining manifest as the barrier COPY.
-			close(j.copyableCh)
-			j.schedWG.Wait()
-		}
+		// Every upload has landed; closing the channel makes the scheduler
+		// sweep its remaining manifest as the barrier COPY.
+		close(j.copyableCh)
+		j.schedWG.Wait()
 	})
 }
 
@@ -784,40 +647,90 @@ func errorRow(lo, hi int64, code int, field, msg string) []sqlparse.Expr {
 // import path and the streaming path. tc ties the insert's CDW round trip to
 // the owning job's trace; a zero context records untraced.
 func recordError(n *Node, table sqlparse.TableName, tc obs.TraceContext, lo, hi int64, code int, field, msg string) error {
-	ins := &sqlparse.InsertStmt{
-		Table: table,
-		Rows:  [][]sqlparse.Expr{errorRow(lo, hi, code, field, msg)},
-	}
-	sql, err := sqlparse.Print(ins, sqlparse.DialectCDW)
-	if err != nil {
-		return err
-	}
-	_, err = n.pool.ExecT(sql, tc)
-	return err
+	return insertErrorRows(n, table, tc, [][]sqlparse.Expr{errorRow(lo, hi, code, field, msg)})
 }
 
-// recordDataErrors inserts acquisition data errors into an error table in
-// multi-row batches of errInsertBatch, one round trip per batch.
+// recordDataErrors inserts acquisition data errors into an error table.
 func recordDataErrors(n *Node, table sqlparse.TableName, tc obs.TraceContext, errs []convert.DataError) error {
-	for len(errs) > 0 {
-		take := len(errs)
-		if take > errInsertBatch {
-			take = errInsertBatch
-		}
-		ins := &sqlparse.InsertStmt{Table: table}
-		for _, de := range errs[:take] {
-			ins.Rows = append(ins.Rows, errorRow(de.Row, de.Row, de.Code, de.Field, de.Msg))
-		}
-		sql, err := sqlparse.Print(ins, sqlparse.DialectCDW)
+	rows := make([][]sqlparse.Expr, len(errs))
+	for i, de := range errs {
+		rows[i] = errorRow(de.Row, de.Row, de.Code, de.Field, de.Msg)
+	}
+	return insertErrorRows(n, table, tc, rows)
+}
+
+// insertErrorRows writes error-table tuples in multi-row INSERTs of
+// errInsertBatch, one round trip per batch.
+func insertErrorRows(n *Node, table sqlparse.TableName, tc obs.TraceContext, rows [][]sqlparse.Expr) error {
+	for len(rows) > 0 {
+		take := min(len(rows), errInsertBatch)
+		sql, err := sqlparse.Print(&sqlparse.InsertStmt{Table: table, Rows: rows[:take]}, sqlparse.DialectCDW)
 		if err != nil {
 			return err
 		}
 		if _, err := n.pool.ExecT(sql, tc); err != nil {
 			return err
 		}
-		errs = errs[take:]
+		rows = rows[take:]
 	}
 	return nil
+}
+
+// classifyCDWError maps an apply-phase failure onto the adaptive error
+// handler's verdicts. Shared by the discrete import path and the streaming
+// path.
+func classifyCDWError(err error) errhandle.Classified {
+	var ex *retrier.Exhausted
+	if errors.As(err, &ex) {
+		// Retries gave up on an infrastructure failure: poison the job
+		// instead of splitting — adaptive splitting is for per-tuple data
+		// errors, and re-driving a dead CDW would burn the whole budget.
+		return errhandle.Classified{Fatal: true, Msg: err.Error()}
+	}
+	ce, ok := err.(*cdw.Error)
+	if !ok {
+		return errhandle.Classified{Fatal: true, Msg: err.Error()}
+	}
+	switch ce.Code {
+	case cdw.CodeUniqueness:
+		return errhandle.Classified{Code: ce.Code, Field: ce.Field, Msg: ce.Msg, Unique: true}
+	case cdw.CodeNoSuchObject, cdw.CodeNoSuchColumn, cdw.CodeSyntax,
+		cdw.CodeUnsupported, cdw.CodeCopyFailed, cdw.CodeInternal:
+		return errhandle.Classified{Fatal: true, Code: ce.Code, Msg: ce.Msg}
+	default:
+		return errhandle.Classified{Code: ce.Code, Field: ce.Field, Msg: ce.Msg}
+	}
+}
+
+// errhandleConfig builds the adaptive error handler's config for one apply
+// phase: zero limits fall back to the node defaults, and every attempted
+// statement feeds the DML metrics and lands as a "dml" span on the job's
+// worker lane. onStmt, when non-nil, additionally observes each statement.
+func (n *Node) errhandleConfig(maxErrors, maxRetries int, trace *obs.JobTrace, worker string, onStmt func()) errhandle.Config {
+	if maxErrors == 0 {
+		maxErrors = n.cfg.MaxErrors
+	}
+	if maxRetries == 0 {
+		maxRetries = n.cfg.MaxRetries
+	}
+	nm := n.nm
+	return errhandle.Config{
+		MaxErrors:  maxErrors,
+		MaxRetries: maxRetries,
+		Observe: func(depth int, lo, hi int64, d time.Duration, err error) {
+			nm.dmlStatements.Inc()
+			nm.dmlLat.ObserveDuration(d)
+			if onStmt != nil {
+				onStmt()
+			}
+			if err != nil {
+				nm.splitDepth.Observe(float64(depth))
+			}
+			trace.Add(obs.Span{Stage: "dml", Worker: worker,
+				Start: time.Now().Add(-d), Dur: d, Rows: hi - lo + 1, Depth: depth,
+				Err: errString(err)})
+		},
+	}
 }
 
 // applyDML runs the application phase: translate the legacy DML, set up
@@ -907,29 +820,6 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 		return a1 + a2, nil
 	}
 
-	classify := func(err error) errhandle.Classified {
-		var ex *retrier.Exhausted
-		if errors.As(err, &ex) {
-			// Retries gave up on an infrastructure failure: poison the job
-			// instead of splitting — adaptive splitting is for per-tuple data
-			// errors, and re-driving a dead CDW would burn the whole budget.
-			return errhandle.Classified{Fatal: true, Msg: err.Error()}
-		}
-		ce, ok := err.(*cdw.Error)
-		if !ok {
-			return errhandle.Classified{Fatal: true, Msg: err.Error()}
-		}
-		switch ce.Code {
-		case cdw.CodeUniqueness:
-			return errhandle.Classified{Code: ce.Code, Field: ce.Field, Msg: ce.Msg, Unique: true}
-		case cdw.CodeNoSuchObject, cdw.CodeNoSuchColumn, cdw.CodeSyntax,
-			cdw.CodeUnsupported, cdw.CodeCopyFailed, cdw.CodeInternal:
-			return errhandle.Classified{Fatal: true, Code: ce.Code, Msg: ce.Msg}
-		default:
-			return errhandle.Classified{Code: ce.Code, Field: ce.Field, Msg: ce.Msg}
-		}
-	}
-
 	nm := j.node.nm
 	var errsET, errsUV int64
 	record := func(lo, hi int64, c errhandle.Classified) error {
@@ -964,28 +854,9 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 		return recordError(j.node, table, j.trace.ChildContext(), lo, hi, c.Code, c.Field, msg)
 	}
 
-	cfg := errhandle.Config{
-		MaxErrors:  int(j.req.MaxErrors),
-		MaxRetries: int(j.req.MaxRetries),
-		Observe: func(depth int, lo, hi int64, d time.Duration, err error) {
-			nm.dmlStatements.Inc()
-			nm.dmlLat.ObserveDuration(d)
-			j.stmts.Add(1)
-			if err != nil {
-				nm.splitDepth.Observe(float64(depth))
-			}
-			j.trace.Add(obs.Span{Stage: "dml", Worker: "beta",
-				Start: time.Now().Add(-d), Dur: d, Rows: hi - lo + 1, Depth: depth,
-				Err: errString(err)})
-		},
-	}
-	if cfg.MaxErrors == 0 {
-		cfg.MaxErrors = j.node.cfg.MaxErrors
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = j.node.cfg.MaxRetries
-	}
-	h := errhandle.New(cfg, apply, classify, record)
+	cfg := j.node.errhandleConfig(int(j.req.MaxErrors), int(j.req.MaxRetries), j.trace, "beta",
+		func() { j.stmts.Add(1) })
+	h := errhandle.New(cfg, apply, classifyCDWError, record)
 	maxSeq := j.maxSeq.Load()
 	// The adaptive run derives from the node lifetime so Close aborts the
 	// application phase between statements instead of letting it drive a
@@ -1128,12 +999,7 @@ func keyExprsFor(dml *sqlxlate.DML, meta *cdwnet.TableMeta) ([]sqlparse.Expr, []
 // report.
 func (j *importJob) finish() *JobReport {
 	j.finishSeq.Do(func() {
-		_, _ = j.node.pool.ExecT(dropIfExists(j.stage), j.trace.ChildContext())
-		if keys, err := j.node.store.List(j.keyPfx); err == nil {
-			for _, k := range keys {
-				_ = j.node.store.Delete(k)
-			}
-		}
+		j.lane.close()
 		j.report.JobID = j.id
 		j.report.Target = j.targets
 		j.report.Chunks = j.chunks.Load()

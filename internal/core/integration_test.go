@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -682,10 +684,17 @@ func TestSyncAcquisitionCorrectness(t *testing.T) {
 }
 
 // TestJobAbortOnDisconnect verifies that a client vanishing mid-job does not
-// leak the job: the staging table is dropped, uploads are deleted and the
-// job is deregistered.
+// leak the job: the staging table is dropped, uploads are deleted, the job is
+// deregistered and its goroutines and credits are gone. The client dies with
+// uploaded files still waiting in the copy scheduler (a manifest size no job
+// this small reaches), and the abort must not COPY them into a staging table
+// it is about to drop.
 func TestJobAbortOnDisconnect(t *testing.T) {
-	st := startStack(t, core.Config{})
+	st := startStack(t, core.Config{
+		FileSizeThreshold: 64, // a spool file per chunk or so
+		FileWriters:       1,
+		CopyBatchFiles:    1000,
+	})
 	mustEng(t, st.eng, customerDDL)
 
 	conn, err := wire.Dial(st.addr)
@@ -714,32 +723,58 @@ func TestJobAbortOnDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobID := m.(*wire.LoadOK).JobID
-	// push one chunk, then vanish without EndAcquire/EndLoad
-	if err := conn.Send(0, &wire.DataChunk{
-		JobID: jobID, Seq: 0, FirstRow: 1, Count: 1, Payload: []byte("1|x|2020-01-01\n"),
-	}); err != nil {
-		t.Fatal(err)
+	// push a few chunks, then vanish without EndAcquire/EndLoad
+	for i := 0; i < 6; i++ {
+		var payload strings.Builder
+		for r := 1; r <= 4; r++ {
+			fmt.Fprintf(&payload, "%d|some customer name %d|2020-01-01\n", i*4+r, i*4+r)
+		}
+		if err := conn.Send(0, &wire.DataChunk{
+			JobID: jobID, Seq: uint64(i), FirstRow: uint64(i*4 + 1), Count: 4, Payload: []byte(payload.String()),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Expect(wire.KindChunkAck); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := conn.Expect(wire.KindChunkAck); err != nil {
-		t.Fatal(err)
-	}
+	waitFor(t, "uploads pending in the copy scheduler", func() bool {
+		jobs := st.node.ActiveJobs()
+		return len(jobs) == 1 && jobs[0].FilesUploaded >= 2 && jobs[0].CopyQueue >= 2
+	})
 	conn.Close()
 
 	// the node must clean the job up: staging table gone, job deregistered
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitFor(t, "staging table dropped and abort reported", func() bool {
 		_, stagingErr := st.eng.ExecSQL(fmt.Sprintf("SELECT count(*) FROM etl_stage.job_%d", jobID))
-		if stagingErr != nil && len(st.node.Reports()) == 1 {
-			break // dropped and reported
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job not cleaned up: stagingErr=%v reports=%d", stagingErr, len(st.node.Reports()))
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		return stagingErr != nil && len(st.node.Reports()) == 1
+	})
 	keys, _ := st.store.List("jobs/")
 	if len(keys) != 0 {
 		t.Errorf("leaked objects: %v", keys)
+	}
+	if v := metricValue(t, metricsDump(t, st.node), "etlvirt_copy_statements_total"); v != 0 {
+		t.Errorf("aborted job issued %v COPY statement(s) into a staging table it then dropped", v)
+	}
+	if cs := st.node.Credits(); cs.InFlight != 0 || cs.Available != cs.Total {
+		t.Errorf("credits leaked by the aborted job: %+v", cs)
+	}
+	waitFor(t, "job goroutines to exit", func() bool {
+		stacks := make([]byte, 1<<20)
+		stacks = stacks[:runtime.Stack(stacks, true)]
+		return !bytes.Contains(stacks, []byte("(*importJob)"))
+	})
+}
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -783,6 +818,47 @@ func TestProtocolRobustness(t *testing.T) {
 		etlclient.Options{})
 	if res.Imports[0].Inserted != 1 {
 		t.Errorf("node unhealthy after abuse: %+v", res.Imports[0])
+	}
+}
+
+// TestUnknownJobReplies pins the reply to every job-addressed message that
+// names a job the node does not know: failure 3005, and the session stays
+// usable for the next request.
+func TestUnknownJobReplies(t *testing.T) {
+	st := startStack(t, core.Config{})
+	conn, err := wire.Dial(st.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.Send(0, &wire.Logon{User: "u"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Expect(wire.KindLogonOK); err != nil {
+		t.Fatal(err)
+	}
+	const ghost = 424242
+	for _, m := range []wire.Message{
+		&wire.AttachLoad{JobID: ghost},
+		&wire.DataChunk{JobID: ghost, Count: 1, FirstRow: 1, Payload: []byte("x\n")},
+		&wire.EndAcquire{JobID: ghost},
+		&wire.ApplyDML{JobID: ghost, SQL: "insert into T values (:A)"},
+		&wire.EndLoad{JobID: ghost},
+		&wire.ExportChunkRq{JobID: ghost},
+		&wire.DeltaFrame{StreamID: ghost, FirstSeq: 1, Count: 1, Payload: []byte("Ix\n")},
+		&wire.EndStream{StreamID: ghost},
+	} {
+		if err := conn.Send(0, m); err != nil {
+			t.Fatalf("%s: %v", m.Kind(), err)
+		}
+		got, _, err := conn.Recv()
+		if err != nil {
+			t.Fatalf("%s: no reply: %v", m.Kind(), err)
+		}
+		f, ok := got.(*wire.Failure)
+		if !ok || f.Code != 3005 || f.Message != "no such job 424242" {
+			t.Errorf("%s for an unknown job answered %#v, want failure 3005", m.Kind(), got)
+		}
 	}
 }
 

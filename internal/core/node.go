@@ -71,11 +71,6 @@ type Config struct {
 	// one incremental manifest COPY. Zero defaults to 4. When AdaptiveStaging
 	// is on this only seeds the tuner's files-per-COPY knob.
 	CopyBatchFiles int
-	// SerializedCopy is the ablation of the pipelined staging lane: when set,
-	// no COPY is issued until acquisition fully drains, and the staged data
-	// lands in one monolithic prefix COPY — the pre-scheduler behavior the
-	// overlap benchmark compares against.
-	SerializedCopy bool
 	// AdaptiveStaging closes the control loop over the staging lane: a
 	// per-job tuner picks uploader parallelism, the spool rotation threshold,
 	// the gzip level, and the files-per-COPY manifest size from live
@@ -321,45 +316,47 @@ func NewNode(cfg Config, store cloudstore.Store) *Node {
 			}})
 		})
 	}
-	// Every traced CDW round trip becomes two spans on the owning job's
-	// timeline: the virtualizer-side round trip parented under the caller's
-	// span, and a cdwd-side engine span nested inside it, so the stitched
-	// timeline splits wire time from engine time across processes.
-	n.pool.SetTraceHook(func(op string, tc obs.TraceContext, start time.Time, d time.Duration, engineNS int64, err error) {
-		jobs := n.tracer.JobsByTrace(tc.TraceID)
-		if len(jobs) == 0 {
-			return
-		}
-		// Several jobs can share one client trace; bucket the span under the
-		// job whose root span the caller parented it to, falling back to the
-		// first participant.
-		jt := jobs[0]
-		for _, cand := range jobs {
-			if cand.ChildContext().SpanID == tc.SpanID {
-				jt = cand
-				break
-			}
-		}
-		rt := obs.Span{ID: obs.NewSpanID(), Parent: tc.SpanID, Stage: "cdw_" + op, Worker: "cdw", Start: start, Dur: d}
-		if err != nil {
-			rt.Err = err.Error()
-		}
-		jt.Add(rt)
-		if engineNS > 0 && engineNS <= d.Nanoseconds() {
-			// Engine time sits somewhere inside the round trip; center it so
-			// the nested span renders inside its parent without claiming
-			// per-direction wire asymmetry we cannot measure.
-			jt.Add(obs.Span{
-				ID: obs.NewSpanID(), Parent: rt.ID, Proc: "cdwd",
-				Stage: "engine", Worker: "engine",
-				Start: start.Add((d - time.Duration(engineNS)) / 2),
-				Dur:   time.Duration(engineNS),
-			})
-		}
-	})
+	n.pool.SetTraceHook(n.traceRoundTrip)
 	n.reports.setCap(cfg.ReportLogSize)
 	n.nm = newNodeMetrics(n)
 	return n
+}
+
+// traceRoundTrip turns one traced CDW round trip into two spans on the owning
+// job's timeline: the virtualizer-side round trip parented under the
+// caller's span, and a cdwd-side engine span nested inside it, so the
+// stitched timeline splits wire time from engine time across processes.
+func (n *Node) traceRoundTrip(op string, tc obs.TraceContext, start time.Time, d time.Duration, engineNS int64, err error) {
+	jobs := n.tracer.JobsByTrace(tc.TraceID)
+	if len(jobs) == 0 {
+		return
+	}
+	// Several jobs can share one client trace; bucket the span under the
+	// job whose root span the caller parented it to, falling back to the
+	// first participant.
+	jt := jobs[0]
+	for _, cand := range jobs {
+		if cand.ChildContext().SpanID == tc.SpanID {
+			jt = cand
+			break
+		}
+	}
+	rt := obs.Span{ID: obs.NewSpanID(), Parent: tc.SpanID, Stage: "cdw_" + op, Worker: "cdw", Start: start, Dur: d}
+	if err != nil {
+		rt.Err = err.Error()
+	}
+	jt.Add(rt)
+	if engineNS > 0 && engineNS <= d.Nanoseconds() {
+		// Engine time sits somewhere inside the round trip; center it so
+		// the nested span renders inside its parent without claiming
+		// per-direction wire asymmetry we cannot measure.
+		jt.Add(obs.Span{
+			ID: obs.NewSpanID(), Parent: rt.ID, Proc: "cdwd",
+			Stage: "engine", Worker: "engine",
+			Start: start.Add((d - time.Duration(engineNS)) / 2),
+			Dur:   time.Duration(engineNS),
+		})
+	}
 }
 
 // Credits exposes the node's CreditManager statistics.

@@ -65,6 +65,10 @@ func (n *Node) serveConn(nc net.Conn) {
 		if err != nil {
 			return
 		}
+		// Each case leaves its answer in reply (a *wire.Failure for a
+		// request-level error, which keeps the session open); cases that
+		// answer on their own leave it nil.
+		var reply wire.Message
 		// Logon is consumed by the handshake before this loop starts, so it
 		// is exempt from the dispatch-coverage check here.
 		//etlvirt:dispatch server -KindLogon
@@ -80,34 +84,24 @@ func (n *Node) serveConn(nc net.Conn) {
 		case *wire.BeginLoad:
 			job, err := n.newImportJob(msg, tc)
 			if err != nil {
-				if e := c.Send(session, &wire.Failure{Code: 3004, Message: err.Error()}); e != nil {
-					return
-				}
-				continue
+				reply = &wire.Failure{Code: 3004, Message: err.Error()}
+				break
 			}
 			ownedImports[job.id] = true
-			if err := c.Send(session, &wire.LoadOK{JobID: job.id}); err != nil {
-				return
-			}
+			reply = &wire.LoadOK{JobID: job.id}
 
 		case *wire.AttachLoad:
 			if _, ok := n.importJob(msg.JobID); !ok {
-				if e := c.Send(session, &wire.Failure{Code: 3005, Message: jobErr(msg.JobID)}); e != nil {
-					return
-				}
-				continue
+				reply = noSuchJob(msg.JobID)
+				break
 			}
-			if err := c.Send(session, &wire.AttachOK{}); err != nil {
-				return
-			}
+			reply = &wire.AttachOK{}
 
 		case *wire.DataChunk:
 			job, ok := n.importJob(msg.JobID)
 			if !ok {
-				if e := c.Send(session, &wire.Failure{Code: 3005, Message: jobErr(msg.JobID)}); e != nil {
-					return
-				}
-				continue
+				reply = noSuchJob(msg.JobID)
+				break
 			}
 			job.pending.Add(1)
 			if n.cfg.SyncAcquisition {
@@ -119,10 +113,8 @@ func (n *Node) serveConn(nc net.Conn) {
 				} else {
 					<-done
 				}
-				if err := c.Send(session, &wire.ChunkAck{Seq: msg.Seq}); err != nil {
-					return
-				}
-				continue
+				reply = &wire.ChunkAck{Seq: msg.Seq}
+				break
 			}
 			// Minimal validation, then acknowledge immediately (§5); the
 			// credit acquisition below is the only back-pressure.
@@ -138,121 +130,86 @@ func (n *Node) serveConn(nc net.Conn) {
 		case *wire.EndAcquire:
 			job, ok := n.importJob(msg.JobID)
 			if !ok {
-				if e := c.Send(session, &wire.Failure{Code: 3005, Message: jobErr(msg.JobID)}); e != nil {
-					return
-				}
-				continue
+				reply = noSuchJob(msg.JobID)
+				break
 			}
 			done, err := job.finishAcquisition()
 			if err != nil {
-				if e := c.Send(session, &wire.Failure{Code: 3006, Message: err.Error()}); e != nil {
-					return
-				}
-				continue
+				reply = &wire.Failure{Code: 3006, Message: err.Error()}
+				break
 			}
-			if err := c.Send(session, done); err != nil {
-				return
-			}
+			reply = done
 
 		case *wire.ApplyDML:
 			job, ok := n.importJob(msg.JobID)
 			if !ok {
-				if e := c.Send(session, &wire.Failure{Code: 3005, Message: jobErr(msg.JobID)}); e != nil {
-					return
-				}
-				continue
+				reply = noSuchJob(msg.JobID)
+				break
 			}
 			res, err := job.applyDML(msg)
 			if err != nil {
-				if e := c.Send(session, &wire.Failure{Code: 3007, Message: err.Error()}); e != nil {
-					return
-				}
-				continue
+				reply = &wire.Failure{Code: 3007, Message: err.Error()}
+				break
 			}
-			if err := c.Send(session, res); err != nil {
-				return
-			}
+			reply = res
 
 		case *wire.EndLoad:
 			job, ok := n.importJob(msg.JobID)
 			if !ok {
-				if e := c.Send(session, &wire.Failure{Code: 3005, Message: jobErr(msg.JobID)}); e != nil {
-					return
-				}
-				continue
+				reply = noSuchJob(msg.JobID)
+				break
 			}
 			job.finish()
 			delete(ownedImports, job.id)
-			if err := c.Send(session, &wire.LoadDone{JobID: job.id}); err != nil {
-				return
-			}
+			reply = &wire.LoadDone{JobID: job.id}
 
 		case *wire.BeginExport:
-			job, err := n.newExportJob(msg)
+			job, err := n.newExportJob(msg, tc)
 			if err != nil {
-				if e := c.Send(session, &wire.Failure{Code: 3008, Message: err.Error()}); e != nil {
-					return
-				}
-				continue
+				reply = &wire.Failure{Code: 3008, Message: err.Error()}
+				break
 			}
 			ownedExports[job.id] = true
-			if err := c.Send(session, &wire.ExportOK{JobID: job.id, Layout: job.layout}); err != nil {
-				return
-			}
+			reply = &wire.ExportOK{JobID: job.id, Layout: job.layout}
 
 		case *wire.ExportChunkRq:
 			job, ok := n.exportJob(msg.JobID)
 			if !ok {
-				if e := c.Send(session, &wire.Failure{Code: 3005, Message: jobErr(msg.JobID)}); e != nil {
-					return
-				}
-				continue
+				reply = noSuchJob(msg.JobID)
+				break
 			}
 			chunk, err := job.chunk(msg.Seq)
 			if err != nil {
-				if e := c.Send(session, &wire.Failure{Code: 3009, Message: err.Error()}); e != nil {
-					return
-				}
-				continue
+				reply = &wire.Failure{Code: 3009, Message: err.Error()}
+				break
 			}
-			if err := c.Send(session, chunk); err != nil {
-				return
-			}
+			reply = chunk
 
 		case *wire.EndExport:
-			job, ok := n.exportJob(msg.JobID)
-			if ok {
+			if job, ok := n.exportJob(msg.JobID); ok {
 				job.finish()
 				delete(ownedExports, msg.JobID)
 			}
-			if err := c.Send(session, &wire.LoadDone{JobID: msg.JobID}); err != nil {
-				return
-			}
+			reply = &wire.LoadDone{JobID: msg.JobID}
 
 		case *wire.BeginStream:
 			job, err := n.newStreamJob(msg, tc)
 			if err != nil {
-				if e := c.Send(session, &wire.Failure{Code: 3010, Message: err.Error()}); e != nil {
-					return
-				}
-				continue
+				reply = &wire.Failure{Code: 3010, Message: err.Error()}
+				break
 			}
 			ownedStreams[job.id] = true
-			if err := c.Send(session, &wire.StreamOK{
+			reply = &wire.StreamOK{
 				StreamID:  job.id,
 				ResumeSeq: uint64(job.watermark),
 				BatchHint: uint32(job.ctrl.Hint().BatchRows),
-			}); err != nil {
-				return
 			}
 
 		case *wire.DeltaFrame:
 			job, ok := n.streamJob(msg.StreamID)
 			if !ok {
-				if e := c.Send(session, &wire.Failure{Code: 3005, Message: jobErr(msg.StreamID)}); e != nil {
-					return
-				}
-				continue
+				reply = noSuchJob(msg.StreamID)
+				break
 			}
 			ack, err := job.handleFrame(msg)
 			if err != nil {
@@ -260,48 +217,36 @@ func (n *Node) serveConn(nc net.Conn) {
 				// reconnect resumes from the durable watermark.
 				job.abort()
 				delete(ownedStreams, msg.StreamID)
-				if e := c.Send(session, &wire.Failure{Code: 3011, Message: err.Error()}); e != nil {
-					return
-				}
-				continue
+				reply = &wire.Failure{Code: 3011, Message: err.Error()}
+				break
 			}
-			if err := c.Send(session, ack); err != nil {
-				return
-			}
+			reply = ack
 
 		case *wire.EndStream:
 			job, ok := n.streamJob(msg.StreamID)
 			if !ok {
-				if e := c.Send(session, &wire.Failure{Code: 3005, Message: jobErr(msg.StreamID)}); e != nil {
-					return
-				}
-				continue
+				reply = noSuchJob(msg.StreamID)
+				break
 			}
 			done, err := job.finishStream()
+			delete(ownedStreams, msg.StreamID)
 			if err != nil {
 				job.abort()
-				delete(ownedStreams, msg.StreamID)
-				if e := c.Send(session, &wire.Failure{Code: 3011, Message: err.Error()}); e != nil {
-					return
-				}
-				continue
+				reply = &wire.Failure{Code: 3011, Message: err.Error()}
+				break
 			}
-			delete(ownedStreams, msg.StreamID)
-			if err := c.Send(session, done); err != nil {
-				return
-			}
+			reply = done
 
 		case *wire.TraceSpans:
 			// Client-side spans for one of this trace's jobs: fold them into
 			// the job's timeline so /traces/{id} stitches both processes.
-			added := n.foldTraceSpans(msg)
-			if err := c.Send(session, &wire.TraceAck{JobID: msg.JobID, Added: added}); err != nil {
-				return
-			}
+			reply = &wire.TraceAck{JobID: msg.JobID, Added: n.foldTraceSpans(msg)}
 
 		default:
-			if e := c.Send(session, &wire.Failure{Code: 3003,
-				Message: fmt.Sprintf("unexpected message %s", m.Kind())}); e != nil {
+			reply = &wire.Failure{Code: 3003, Message: fmt.Sprintf("unexpected message %s", m.Kind())}
+		}
+		if reply != nil {
+			if err := c.Send(session, reply); err != nil {
 				return
 			}
 		}
@@ -329,8 +274,8 @@ func (n *Node) streamJob(id uint64) (*streamJob, bool) {
 	return j, ok
 }
 
-func jobErr(id uint64) string {
-	return fmt.Sprintf("no such job %d", id)
+func noSuchJob(id uint64) *wire.Failure {
+	return &wire.Failure{Code: 3005, Message: fmt.Sprintf("no such job %d", id)}
 }
 
 // foldTraceSpans merges client-recorded spans into a job's trace timeline.

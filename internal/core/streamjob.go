@@ -8,12 +8,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"etlvirt/internal/cdw"
 	"etlvirt/internal/convert"
 	"etlvirt/internal/credit"
 	"etlvirt/internal/errhandle"
 	"etlvirt/internal/obs"
-	"etlvirt/internal/retrier"
 	"etlvirt/internal/sqlparse"
 	"etlvirt/internal/sqlxlate"
 	"etlvirt/internal/stream"
@@ -54,8 +52,6 @@ type streamJob struct {
 	node *Node
 	req  *wire.BeginStream
 
-	upsStage sqlparse.TableName // staged insert/update images
-	delStage sqlparse.TableName // staged delete images
 	ckpt     sqlparse.TableName // durable watermark table (shared, one row per stream)
 	etName   sqlparse.TableName
 	tr       *sqlxlate.Translator
@@ -63,7 +59,6 @@ type streamJob struct {
 	sd       *sqlxlate.StreamDML
 	intraDup *sqlxlate.RangeStmt // duplicate-key probe over the upsert stage
 	ctrl     *stream.Controller
-	keyPfx   string
 	targets  string
 	started  time.Time
 
@@ -72,15 +67,10 @@ type streamJob struct {
 	watermark int64
 
 	// Current micro-batch accumulation. Only the session goroutine touches
-	// these; a stream has exactly one connection. The CSV spools are pooled
-	// buffers owned by the job from their getBuf in bufferDelta until
-	// finish's putBuf — field-held, so bufown sees the stores through
-	// bufferDelta's pointer as hand-offs to the job.
+	// these; a stream has exactly one connection. ups stages insert/update
+	// images, del stages delete images.
 	credits          credit.Batch
-	upsCSV, delCSV   []byte //etlvirt:owns
-	upsRows, delRows int
-	upsFiles         int // spool objects rotated out for this batch
-	delFiles         int
+	ups, del         streamHalf
 	runs             []opRun
 	dataErrs         []convert.DataError
 	batchLo, batchHi int64 // fresh delta range buffered; batchLo == 0 means empty
@@ -126,6 +116,19 @@ type streamJob struct {
 	trace     *obs.JobTrace
 }
 
+// streamHalf is one delta class of the current micro-batch: its staging
+// lane, the CSV spool being filled, and the manifest of spool objects already
+// rotated out. The spool is a pooled buffer owned by the job from its getBuf
+// in bufferDelta until finish's putBuf — field-held, so bufown sees the
+// stores through bufferDelta's pointer as hand-offs to the job.
+type streamHalf struct {
+	lane    *stagingLane
+	csv     []byte   //etlvirt:owns
+	rows    int      // rows staged this batch
+	spooled int      // rows sitting in csv, not yet uploaded
+	files   []string // spool objects uploaded for this batch
+}
+
 // streamCommitStat is the last committed micro-batch's controller view,
 // snapshotted for the /streams debug endpoint.
 type streamCommitStat struct {
@@ -163,19 +166,18 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 	}
 	id := n.nextJob.Add(1)
 	j := &streamJob{
-		id:       id,
-		node:     n,
-		req:      m,
-		conv:     conv,
-		upsStage: sqlparse.TableName{Schema: n.cfg.StagingSchema, Name: fmt.Sprintf("stream_%d_ups", id)},
-		delStage: sqlparse.TableName{Schema: n.cfg.StagingSchema, Name: fmt.Sprintf("stream_%d_del", id)},
-		ckpt:     sqlparse.TableName{Schema: n.cfg.StagingSchema, Name: "stream_checkpoints"},
-		etName:   parseQualifiedName(m.ErrTableET),
-		keyPfx:   fmt.Sprintf("%sstream%d/", n.cfg.UploadPrefix, id),
-		started:  time.Now(),
+		id:      id,
+		node:    n,
+		req:     m,
+		conv:    conv,
+		ckpt:    sqlparse.TableName{Schema: n.cfg.StagingSchema, Name: "stream_checkpoints"},
+		etName:  parseQualifiedName(m.ErrTableET),
+		started: time.Now(),
 	}
+	upsStage := sqlparse.TableName{Schema: n.cfg.StagingSchema, Name: fmt.Sprintf("stream_%d_ups", id)}
+	delStage := sqlparse.TableName{Schema: n.cfg.StagingSchema, Name: fmt.Sprintf("stream_%d_del", id)}
 	j.tr = &sqlxlate.Translator{
-		Stage:      j.upsStage,
+		Stage:      upsStage,
 		StageAlias: "s",
 		Layout:     m.Layout,
 		SchemaMap:  n.cfg.SchemaMap,
@@ -202,7 +204,7 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 	for i, c := range meta.Columns {
 		targetCols[i] = c.Name
 	}
-	j.sd, err = j.tr.TranslateStreamDML(m.SQL, j.delStage, targetCols, meta.PrimaryKey)
+	j.sd, err = j.tr.TranslateStreamDML(m.SQL, delStage, targetCols, meta.PrimaryKey)
 	if err != nil {
 		return nil, err
 	}
@@ -272,6 +274,9 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 	j.hintLive.Store(int64(j.ctrl.Hint().BatchRows))
 	n.nm.streamsOpened.Inc()
 	j.trace = n.tracer.StartCtx(id, "stream "+m.Name, tc)
+	keyPfx := fmt.Sprintf("%sstream%d/", n.cfg.UploadPrefix, id)
+	j.ups.lane = newStagingLane(n, j.trace, upsStage, m.Layout, keyPfx+"ups/", "stream_copy", "stream")
+	j.del.lane = newStagingLane(n, j.trace, delStage, m.Layout, keyPfx+"del/", "stream_copy", "stream")
 	n.events.Add(obs.Event{
 		Type: "stream_open", Job: id, TraceID: j.traceID(), Msg: m.Name,
 		Attrs: map[string]any{
@@ -379,7 +384,7 @@ func (j *streamJob) handleFrame(m *wire.DeltaFrame) (*wire.DeltaAck, error) {
 
 	// Cut the batch when it reaches the controller's row target, or when
 	// spool rotation has already produced the COPY fan-in it wants.
-	if j.upsRows+j.delRows >= hint.BatchRows || j.upsFiles+j.delFiles >= hint.CopyFiles {
+	if j.ups.rows+j.del.rows >= hint.BatchRows || len(j.ups.files)+len(j.del.files) >= hint.CopyFiles {
 		if err := j.commitBatch(); err != nil {
 			return nil, err
 		}
@@ -396,38 +401,34 @@ func (j *streamJob) handleFrame(m *wire.DeltaFrame) (*wire.DeltaAck, error) {
 // op-run structure. Conversion failures become data errors recorded at the
 // batch commit, exactly like acquisition-phase rejects of a discrete import.
 func (j *streamJob) bufferDelta(op stream.Op, rec []byte, seq int64, spoolBytes int) error {
-	dst := &j.upsCSV
-	if op == stream.OpDelete {
-		dst = &j.delCSV
+	del := op == stream.OpDelete
+	h := &j.ups
+	if del {
+		h = &j.del
 	}
-	if *dst == nil {
-		*dst = getBuf(spoolBytes + spoolBytes/8)
+	if h.csv == nil {
+		h.csv = getBuf(spoolBytes + spoolBytes/8)
 	}
 	// Converting per record with firstRow=seq stages the delta under its
 	// global sequence — the __seq the MERGE triple ranges over and the SEQNO
 	// error tables report.
 	spoolStart := time.Now()
-	res, err := j.conv.ConvertInto(*dst, rec, seq)
+	res, err := j.conv.ConvertInto(h.csv, rec, seq)
 	j.stageAcc.Spool += time.Since(spoolStart)
+	// The conversion may have grown (and therefore moved) the spool buffer,
+	// even before failing; keep the Result's buffer or the field would hold
+	// a stale header and the grown one would leak.
+	h.csv = res.CSV
 	if err != nil {
-		// The conversion may have grown (and therefore moved) the spool
-		// buffer before failing; keep the Result's buffer or the field
-		// would hold a stale header and the grown one would leak.
-		*dst = res.CSV
 		return err
 	}
-	*dst = res.CSV
 	if len(res.Errors) > 0 {
 		j.dataErrs = append(j.dataErrs, res.Errors...)
 		j.node.nm.dataErrors.Add(int64(len(res.Errors)))
 		return nil
 	}
-	if op == stream.OpDelete {
-		j.delRows++
-	} else {
-		j.upsRows++
-	}
-	del := op == stream.OpDelete
+	h.rows++
+	h.spooled++
 	if n := len(j.runs); n > 0 && j.runs[n-1].del == del {
 		j.runs[n-1].hi = seq
 	} else {
@@ -435,102 +436,47 @@ func (j *streamJob) bufferDelta(op stream.Op, rec []byte, seq int64, spoolBytes 
 	}
 	// Rotate the spool once it crosses the controller's threshold so one
 	// oversized batch never buffers unbounded CSV.
-	if len(*dst) >= spoolBytes {
-		kind := "ups"
-		files := &j.upsFiles
-		if op == stream.OpDelete {
-			kind = "del"
-			files = &j.delFiles
-		}
-		if err := j.uploadSpool(kind, *dst, *files); err != nil {
-			return err
-		}
-		*files++
-		*dst = (*dst)[:0]
+	if len(h.csv) >= spoolBytes {
+		return j.rotateSpool(h)
 	}
 	return nil
 }
 
-// uploadSpool puts one rotated spool object under the batch's prefix. Puts
-// are idempotent (same key, same bytes), so transient store failures retry
-// whole-object.
-func (j *streamJob) uploadSpool(kind string, csv []byte, fileNo int) error {
-	key := fmt.Sprintf("%sb%d/%s/%06d", j.keyPfx, j.batchNo, kind, fileNo)
+// rotateSpool uploads the half's spool as the batch's next staging object
+// and appends it to the half's manifest.
+func (j *streamJob) rotateSpool(h *streamHalf) error {
+	name := fmt.Sprintf("b%d-%06d", j.batchNo, len(h.files))
 	upStart := time.Now()
-	var n int64
-	err := j.node.retry.Do(j.node.ctx, "upload", func() error {
-		var uerr error
-		n, uerr = j.node.loader.UploadBytes(csv, key)
-		return uerr
-	})
-	nm := j.node.nm
+	_, err := h.lane.upload("stream", name, h.csv, int64(h.spooled))
 	j.stageAcc.Upload += time.Since(upStart)
-	nm.uploadLat.ObserveDuration(time.Since(upStart))
-	j.trace.Span("upload", "stream", upStart, 0, n, err)
 	if err != nil {
-		return fmt.Errorf("uploading stream spool %s: %w", key, err)
+		return err
 	}
-	nm.filesUploaded.Inc()
-	nm.bytesUploaded.Add(n)
+	h.files = append(h.files, name)
+	h.spooled = 0
+	h.csv = h.csv[:0]
 	return nil
 }
 
-// copyStage recreates a staging table and COPYs the batch's spool objects
-// into it. Recreate-then-COPY on every attempt is the batch's recovery
-// point: a replayed batch after a crash (and an engine-side COPY failure
-// mid-batch) both rebuild identical staging state from the durable objects.
-func (j *streamJob) copyStage(stage sqlparse.TableName, prefix string, want int64) error {
-	ddl, err := sqlxlate.StagingDDL(stage, j.req.Layout)
-	if err != nil {
+// stageHalf rebuilds the half's staging table from the batch's manifest.
+// Reset-then-land on every commit is the batch's recovery point: a replayed
+// batch after a crash and an engine-side COPY failure mid-batch both rebuild
+// identical staging state from the durable objects.
+func (j *streamJob) stageHalf(h *streamHalf) error {
+	if err := h.lane.reset(); err != nil {
 		return err
 	}
-	copyStmt := &sqlparse.CopyStmt{
-		Table:   stage,
-		From:    "store://" + prefix,
-		Options: map[string]string{"format": "csv", "order": sqlxlate.SeqColumn},
-	}
-	copySQL, err := sqlparse.Print(copyStmt, sqlparse.DialectCDW)
-	if err != nil {
-		return err
-	}
-	nm := j.node.nm
-	attempt := 0
-	r := *j.node.retry // shares Budget/observers; only Retryable differs
-	r.Retryable = func(err error) bool {
-		if retrier.IsTransient(err) {
-			return true
-		}
-		var ce *cdw.Error
-		return errors.As(err, &ce) && ce.Code == cdw.CodeCopyFailed
-	}
-	stageStart := time.Now()
-	defer func() { j.stageAcc.Copy += time.Since(stageStart) }()
-	return r.Do(j.node.ctx, "stream_copy", func() error { //nolint:retrysafe // each attempt recreates the staging table first
-		attempt++
-		if attempt > 1 {
-			nm.copyRecoveries.Inc()
-		}
-		if _, err := j.node.pool.ExecT(dropIfExists(stage), j.trace.ChildContext()); err != nil {
-			return err
-		}
-		if _, err := j.node.pool.ExecT(ddl, j.trace.ChildContext()); err != nil {
-			return err
-		}
-		if want == 0 {
-			return nil
-		}
-		copyStart := time.Now()
-		staged, err := j.node.pool.ExecT(copySQL, j.trace.ChildContext())
-		nm.copyStatements.Inc()
-		j.trace.Span("copy", "stream", copyStart, staged, 0, err)
-		if err != nil {
-			return err
-		}
-		if staged != want {
-			return fmt.Errorf("stream staging %s holds %d rows, want %d", stage.Name, staged, want)
-		}
+	if len(h.files) == 0 {
 		return nil
-	})
+	}
+	staged, err := h.lane.land(h.files)
+	if err != nil {
+		return err
+	}
+	if want := int64(h.rows); staged != want {
+		return fmt.Errorf("stream staging %s holds %d rows, want %d", h.lane.stage.Name, staged, want)
+	}
+	return nil
 }
 
 // commitBatch drives one micro-batch through stage -> apply -> checkpoint.
@@ -545,31 +491,25 @@ func (j *streamJob) commitBatch() error {
 	}
 	nm := j.node.nm
 	lo, hi := j.batchLo, j.batchHi
-	rows := j.upsRows + j.delRows
+	rows := j.ups.rows + j.del.rows
 	commitStart := j.batchStart
+	halves := [...]*streamHalf{&j.ups, &j.del}
 
 	// Flush spool remainders for both halves.
-	if len(j.upsCSV) > 0 {
-		if err := j.uploadSpool("ups", j.upsCSV, j.upsFiles); err != nil {
+	for _, h := range halves {
+		if len(h.csv) > 0 {
+			if err := j.rotateSpool(h); err != nil {
+				return err
+			}
+		}
+	}
+	copyStart := time.Now()
+	for _, h := range halves {
+		if err := j.stageHalf(h); err != nil {
 			return err
 		}
-		j.upsFiles++
-		j.upsCSV = j.upsCSV[:0]
 	}
-	if len(j.delCSV) > 0 {
-		if err := j.uploadSpool("del", j.delCSV, j.delFiles); err != nil {
-			return err
-		}
-		j.delFiles++
-		j.delCSV = j.delCSV[:0]
-	}
-
-	if err := j.copyStage(j.upsStage, fmt.Sprintf("%sb%d/ups/", j.keyPfx, j.batchNo), int64(j.upsRows)); err != nil {
-		return err
-	}
-	if err := j.copyStage(j.delStage, fmt.Sprintf("%sb%d/del/", j.keyPfx, j.batchNo), int64(j.delRows)); err != nil {
-		return err
-	}
+	j.stageAcc.Copy += time.Since(copyStart)
 
 	// Idempotent error recording: a crashed attempt may have recorded rows
 	// for sequences the watermark never covered; wipe them before this
@@ -616,9 +556,9 @@ func (j *streamJob) commitBatch() error {
 	j.credits.ReleaseAll()
 	j.heldBytes.Store(0)
 	j.heldCreds.Store(0)
-	if keys, err := j.node.store.List(fmt.Sprintf("%sb%d/", j.keyPfx, j.batchNo)); err == nil {
-		for _, k := range keys {
-			_ = j.node.store.Delete(k)
+	for _, h := range halves {
+		if len(h.files) > 0 { // an empty half uploaded nothing; skip its List
+			h.lane.purge()
 		}
 	}
 
@@ -679,8 +619,11 @@ func (j *streamJob) commitBatch() error {
 		"dominant", d.Dominant)
 
 	j.batchLo, j.batchHi = 0, 0
-	j.upsRows, j.delRows = 0, 0
-	j.upsFiles, j.delFiles = 0, 0
+	for _, h := range halves {
+		// The lane's landed log keeps the manifest until its next reset, so
+		// the next batch starts a fresh one instead of truncating in place.
+		h.rows, h.files = 0, nil
+	}
 	j.batchBytes = 0
 	j.runs = j.runs[:0]
 	j.dataErrs = j.dataErrs[:0]
@@ -759,21 +702,7 @@ func (j *streamJob) applyRuns() error {
 			// ranges. Never reaches a singleton, so never recorded.
 			return errhandle.Classified{Msg: err.Error()}
 		}
-		var ex *retrier.Exhausted
-		if errors.As(err, &ex) {
-			return errhandle.Classified{Fatal: true, Msg: err.Error()}
-		}
-		ce, ok := err.(*cdw.Error)
-		if !ok {
-			return errhandle.Classified{Fatal: true, Msg: err.Error()}
-		}
-		switch ce.Code {
-		case cdw.CodeNoSuchObject, cdw.CodeNoSuchColumn, cdw.CodeSyntax,
-			cdw.CodeUnsupported, cdw.CodeCopyFailed, cdw.CodeInternal:
-			return errhandle.Classified{Fatal: true, Code: ce.Code, Msg: ce.Msg}
-		default:
-			return errhandle.Classified{Code: ce.Code, Field: ce.Field, Msg: ce.Msg}
-		}
+		return classifyCDWError(err)
 	}
 
 	record := func(lo, hi int64, c errhandle.Classified) error {
@@ -791,23 +720,7 @@ func (j *streamJob) applyRuns() error {
 		return recordError(j.node, j.etName, j.trace.ChildContext(), lo, hi, c.Code, c.Field, msg)
 	}
 
-	cfg := errhandle.Config{
-		MaxErrors:  int(j.req.MaxErrors),
-		MaxRetries: j.node.cfg.MaxRetries,
-		Observe: func(depth int, lo, hi int64, d time.Duration, err error) {
-			nm.dmlStatements.Inc()
-			nm.dmlLat.ObserveDuration(d)
-			if err != nil {
-				nm.splitDepth.Observe(float64(depth))
-			}
-			j.trace.Add(obs.Span{Stage: "dml", Worker: "stream",
-				Start: time.Now().Add(-d), Dur: d, Rows: hi - lo + 1, Depth: depth,
-				Err: errString(err)})
-		},
-	}
-	if cfg.MaxErrors == 0 {
-		cfg.MaxErrors = j.node.cfg.MaxErrors
-	}
+	cfg := j.node.errhandleConfig(int(j.req.MaxErrors), 0, j.trace, "stream", nil)
 	h := errhandle.New(cfg, apply, classify, record)
 	for _, run := range j.runs {
 		cur = run
@@ -871,16 +784,11 @@ func (j *streamJob) abort() {
 // batch objects, registry entry. Checkpoint and error tables stay.
 func (j *streamJob) finish() {
 	j.finishSeq.Do(func() {
-		_, _ = j.node.pool.ExecT(dropIfExists(j.upsStage), j.trace.ChildContext())
-		_, _ = j.node.pool.ExecT(dropIfExists(j.delStage), j.trace.ChildContext())
-		if keys, err := j.node.store.List(j.keyPfx); err == nil {
-			for _, k := range keys {
-				_ = j.node.store.Delete(k)
-			}
+		for _, h := range [...]*streamHalf{&j.ups, &j.del} {
+			h.lane.close()
+			putBuf(h.csv)
+			h.csv = nil
 		}
-		putBuf(j.upsCSV)
-		putBuf(j.delCSV)
-		j.upsCSV, j.delCSV = nil, nil
 		j.node.tracer.Finish(j.id)
 		j.node.mu.Lock()
 		delete(j.node.streams, j.id)

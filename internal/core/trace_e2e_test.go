@@ -44,20 +44,41 @@ func cdcDeltas(n int) string {
 	return sb.String()
 }
 
-// TestDistributedTraceStitched is the PR's acceptance pin: a traced
-// cdcstream-style run must leave one stitched trace whose spans come from
-// all three processes — etlclient, etlvirtd and cdwd — causally linked into
-// a single tree under the client's root span.
+// exportScript reads back what a prior load left in PROD.ACCOUNT.
+const exportScript = `
+.logon host/user,pass;
+.begin export outfile out.txt format vartext '|' sessions 2;
+SEL ACCT_ID, OWNER FROM PROD.ACCOUNT ORDER BY ACCT_ID;
+.end export;
+`
+
+// TestDistributedTraceStitched is the tracing acceptance pin: a traced run —
+// a cdcstream-style stream, and an export — must leave one stitched trace
+// whose spans come from all three processes — etlclient, etlvirtd and cdwd —
+// causally linked into a single tree under the client's root span.
 func TestDistributedTraceStitched(t *testing.T) {
+	for _, tc := range []struct {
+		name, script string
+		stages       []string // virtualizer stage attribution expected in the trace
+	}{
+		{"stream", cdcScript, []string{"frame_recv", "spool", "apply", "checkpoint"}},
+		{"export", exportScript, []string{"export_open", "export_fetch", "export_encode"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testTraceStitched(t, tc.script, tc.stages) })
+	}
+}
+
+func testTraceStitched(t *testing.T, script string, wantStages []string) {
 	st := startStack(t, core.Config{})
 	mustEng(t, st.eng, accountDDL)
+	mustEng(t, st.eng, "INSERT INTO PROD.ACCOUNT VALUES ('Z0000001', 'Preloaded')")
 	dbgAddr, err := st.node.ServeDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	res := runScript(t, st.addr, cdcScript, map[string]string{"deltas.txt": cdcDeltas(60)},
-		etlclient.Options{Trace: true})
+	res := runScript(t, st.addr, script, map[string]string{"deltas.txt": cdcDeltas(60)},
+		etlclient.Options{Trace: true, WriteFile: func(string, []byte) error { return nil }})
 	if len(res.TraceID) != 16 {
 		t.Fatalf("client trace ID: %q", res.TraceID)
 	}
@@ -145,12 +166,12 @@ func TestDistributedTraceStitched(t *testing.T) {
 		t.Error("no cdwd engine spans in the stitched trace")
 	}
 
-	// The stream's per-stage attribution made it into the same trace.
+	// The job's per-stage attribution made it into the same trace.
 	stages := map[string]int{}
 	for _, sp := range snap.Spans {
 		stages[sp.Stage]++
 	}
-	for _, want := range []string{"frame_recv", "spool", "apply", "checkpoint"} {
+	for _, want := range wantStages {
 		if stages[want] == 0 {
 			t.Errorf("stage %q missing from stitched trace; have %v", want, stages)
 		}

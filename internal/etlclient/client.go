@@ -142,7 +142,7 @@ func Run(script *etlscript.Script, opts Options) (*Result, error) {
 			}
 			res.Imports = append(res.Imports, *ir)
 		case step.Export != nil:
-			er, err := runExport(ctl, addr, script.Logon, step.Export, opts)
+			er, err := runExport(ctl, addr, script.Logon, step.Export, opts, traceID)
 			if err != nil {
 				return res, err
 			}
@@ -598,7 +598,7 @@ func runImport(ctl *wire.Conn, addr string, script *etlscript.Script, blk *etlsc
 	return res, nil
 }
 
-func runExport(ctl *wire.Conn, addr string, lg etlscript.Logon, blk *etlscript.ExportBlock, opts Options) (*ExportResult, error) {
+func runExport(ctl *wire.Conn, addr string, lg etlscript.Logon, blk *etlscript.ExportBlock, opts Options, traceID uint64) (*ExportResult, error) {
 	start := time.Now()
 	sessions := blk.Sessions
 	if opts.Sessions > 0 {
@@ -611,7 +611,8 @@ func runExport(ctl *wire.Conn, addr string, lg etlscript.Logon, blk *etlscript.E
 		SQL: blk.Query, Sessions: uint16(sessions),
 		Format: blk.Format, Delim: blk.Delim,
 	}
-	if err := ctl.Send(0, begin); err != nil {
+	tr := newClientTrace(traceID, "export "+blk.Outfile)
+	if err := ctl.SendT(0, begin, tr.ctx()); err != nil {
 		return nil, err
 	}
 	m, err := ctl.Expect(wire.KindExportOK)
@@ -696,7 +697,11 @@ func runExport(ctl *wire.Conn, addr string, lg etlscript.Logon, blk *etlscript.E
 			rows += int64(g.rows)
 		}
 	}
+	tr.span("fetch_chunks", "control", start, rows, int64(len(out)), nil)
 	if err := opts.WriteFile(blk.Outfile, out); err != nil {
+		return nil, err
+	}
+	if err := tr.ship(ctl, jobID); err != nil {
 		return nil, err
 	}
 	if err := ctl.Send(0, &wire.EndExport{JobID: jobID}); err != nil {
