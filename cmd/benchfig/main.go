@@ -23,25 +23,8 @@ func main() {
 	fig := flag.Int("fig", 0, "figure to regenerate (7-11); 0 = all")
 	scale := flag.Int("scale", 0, "simulation rows per paper-million (0 = default)")
 	ablations := flag.Bool("ablations", false, "run the design-choice ablations instead of the figures")
-	staging := flag.Bool("staging", false, "run the staging-lane static-vs-adaptive comparison instead of the figures")
 	traceOut := flag.String("trace-out", "", "run one traced Figure 7 import and write its Chrome trace JSON here instead of the figures")
-	jsonOut := flag.String("json-out", "", "write the machine-readable benchmark report (Figure 7 + staging lane + alloc probes) here instead of the figures")
 	flag.Parse()
-
-	if *jsonOut != "" {
-		data, err := bench.BuildJSONReport(*scale)
-		check(err)
-		check(os.WriteFile(*jsonOut, data, 0o644))
-		fmt.Printf("wrote benchmark report (%d bytes) to %s\n", len(data), *jsonOut)
-		return
-	}
-
-	if *staging {
-		rows, err := bench.StagingLane(*scale)
-		check(err)
-		fmt.Println(bench.FormatStagingLane(rows))
-		return
-	}
 
 	if *traceOut != "" {
 		data, err := bench.Fig7Trace(*scale)

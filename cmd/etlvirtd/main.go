@@ -33,10 +33,7 @@ func main() {
 	writers := flag.Int("filewriters", 0, "parallel FileWriter goroutines per job (0 = default)")
 	fileSize := flag.Int("filesize", 0, "intermediate file size threshold in bytes (0 = 4MiB)")
 	gz := flag.Bool("gzip", false, "gzip intermediate files before upload")
-	gzLevel := flag.Int("gzip-level", 0, "static gzip level 1..9 for intermediate files (0 = default)")
 	copyFiles := flag.Int("copy-batch-files", 0, "uploaded files folded into each incremental COPY manifest (0 = 4)")
-	adaptive := flag.Bool("adaptive-staging", false, "enable the staging-lane tuner (uploaders, spool size, gzip level, files per COPY)")
-	tunerInterval := flag.Duration("tuner-interval", 0, "staging-lane tuner tick (0 = 200ms)")
 	schemaMap := flag.String("schema-map", "", "legacy->CDW schema renames, e.g. PROD=analytics,DW=warehouse")
 	maxErrors := flag.Int("maxerrors", 0, "default max_errors for jobs that do not set one")
 	maxRetries := flag.Int("maxretries", 0, "default max_retries for jobs that do not set one")
@@ -76,10 +73,7 @@ func main() {
 		FileWriters:         *writers,
 		FileSizeThreshold:   *fileSize,
 		Gzip:                *gz,
-		GzipLevel:           *gzLevel,
 		CopyBatchFiles:      *copyFiles,
-		AdaptiveStaging:     *adaptive,
-		TunerInterval:       *tunerInterval,
 		MaxErrors:           *maxErrors,
 		MaxRetries:          *maxRetries,
 		ReportLogSize:       *reportLog,

@@ -39,14 +39,13 @@ type PhaseTimes struct {
 	Other       time.Duration
 	Total       time.Duration
 
-	Rows        int64
-	Bytes       int64
-	Inserted    int64
-	ErrorsET    int64
-	ErrorsUV    int64
-	ApplyStmts  int64
-	Files       int64
-	CopyBatches int64 // incremental COPY manifests landed during acquisition
+	Rows       int64
+	Bytes      int64
+	Inserted   int64
+	ErrorsET   int64
+	ErrorsUV   int64
+	ApplyStmts int64
+	Files      int64
 
 	// Stages summarizes the node registry's per-stage latency histograms
 	// accumulated over the run — the stage-level attribution behind the
@@ -177,7 +176,6 @@ func RunImport(cfg RunConfig) (PhaseTimes, error) {
 		ErrorsUV:    r.ErrorsUV,
 		ApplyStmts:  r.ApplyStmts,
 		Files:       r.FilesWritten,
-		CopyBatches: r.CopyBatches,
 		Stages:      stageSummaries(node),
 		ChromeTrace: chromeTrace,
 	}, nil

@@ -182,6 +182,21 @@ func (e *Engine) execInsert(s *sqlparse.InsertStmt) (*Result, error) {
 	return &Result{Activity: int64(len(newRows))}, nil
 }
 
+// joinFrame builds the one frame an UPDATE ... FROM or DELETE ... USING
+// reuses for every target x source pair: the joined column list is the same
+// for all pairs, and bind overwrites the row in place. Evaluation copies
+// Datums out of the frame, so nothing outlives the pair it was bound for.
+func joinFrame(target, source []frameCol) *frame {
+	cols := make([]frameCol, 0, len(target)+len(source))
+	cols = append(append(cols, target...), source...)
+	return &frame{cols: cols, row: make([]Datum, len(cols))}
+}
+
+// bind points the frame at one target row joined with one source row.
+func (f *frame) bind(target, source []Datum) {
+	copy(f.row[copy(f.row, target):], source)
+}
+
 func (e *Engine) execUpdate(s *sqlparse.UpdateStmt) (*Result, error) {
 	t, err := e.Catalog.Lookup(s.Table)
 	if err != nil {
@@ -205,10 +220,12 @@ func (e *Engine) execUpdate(s *sqlparse.UpdateStmt) (*Result, error) {
 	}
 
 	var src *rowSource
+	var jf *frame
 	if len(s.From) > 0 {
 		if src, err = e.buildFrom(s.From, nil); err != nil {
 			return nil, err
 		}
+		jf = joinFrame(targetCols, src.cols)
 	}
 	ctx := &evalCtx{eng: e}
 
@@ -247,13 +264,9 @@ func (e *Engine) execUpdate(s *sqlparse.UpdateStmt) (*Result, error) {
 		newRow := row
 		matched := false
 		for _, srow := range src.rows {
-			cols := append(append([]frameCol{}, targetCols...), src.cols...)
-			joined := make([]Datum, 0, len(newRow)+len(srow))
-			joined = append(joined, newRow...)
-			joined = append(joined, srow...)
-			f := &frame{cols: cols, row: joined}
+			jf.bind(newRow, srow)
 			if s.Where != nil {
-				d, err := e.eval(ctx, s.Where, f)
+				d, err := e.eval(ctx, s.Where, jf)
 				if err != nil {
 					return nil, err
 				}
@@ -263,7 +276,7 @@ func (e *Engine) execUpdate(s *sqlparse.UpdateStmt) (*Result, error) {
 			}
 			matched = true
 			updated++
-			updatedRow, err := e.applyAssignments(ctx, t, s.Set, setIdx, newRow, f)
+			updatedRow, err := e.applyAssignments(ctx, t, s.Set, setIdx, newRow, jf)
 			if err != nil {
 				return nil, err
 			}
@@ -326,10 +339,12 @@ func (e *Engine) execDelete(s *sqlparse.DeleteStmt) (*Result, error) {
 		targetCols[i] = frameCol{qual: tQual, name: strings.ToLower(c.Name)}
 	}
 	var src *rowSource
+	var jf *frame
 	if len(s.Using) > 0 {
 		if src, err = e.buildFrom(s.Using, nil); err != nil {
 			return nil, err
 		}
+		jf = joinFrame(targetCols, src.cols)
 	}
 	ctx := &evalCtx{eng: e}
 
@@ -352,16 +367,12 @@ func (e *Engine) execDelete(s *sqlparse.DeleteStmt) (*Result, error) {
 			}
 		} else {
 			for _, srow := range src.rows {
-				cols := append(append([]frameCol{}, targetCols...), src.cols...)
-				joined := make([]Datum, 0, len(row)+len(srow))
-				joined = append(joined, row...)
-				joined = append(joined, srow...)
-				f := &frame{cols: cols, row: joined}
 				if s.Where == nil {
 					match = true
 					break
 				}
-				d, err := e.eval(ctx, s.Where, f)
+				jf.bind(row, srow)
+				d, err := e.eval(ctx, s.Where, jf)
 				if err != nil {
 					return nil, err
 				}

@@ -261,6 +261,37 @@ func TestDeleteUsing(t *testing.T) {
 	}
 }
 
+// TestJoinedDMLAllocBound pins that UPDATE ... FROM and DELETE ... USING
+// reuse one joined frame for the nested loop instead of allocating per
+// target x source pair: the stream apply runs these against a growing
+// target every micro-batch, and per-pair garbage drove the in-process GC.
+func TestJoinedDMLAllocBound(t *testing.T) {
+	e := newTestEngine(t)
+	mustExec(t, e, "CREATE TABLE tgt (k VARCHAR(8) NOT NULL, v VARCHAR(8), PRIMARY KEY (k))")
+	mustExec(t, e, "CREATE TABLE src (k VARCHAR(8), v VARCHAR(8))")
+	const n = 40
+	var tv, sv []string
+	for i := 0; i < n; i++ {
+		tv = append(tv, fmt.Sprintf("('t%d', 'a')", i))
+		sv = append(sv, fmt.Sprintf("('s%d', 'b')", i)) // no key matches: the tables never change
+	}
+	mustExec(t, e, "INSERT INTO tgt VALUES "+strings.Join(tv, ", "))
+	mustExec(t, e, "INSERT INTO src VALUES "+strings.Join(sv, ", "))
+	for _, sql := range []string{
+		"UPDATE tgt t SET v = s.v FROM src s WHERE t.k = s.k",
+		"DELETE FROM tgt t USING src s WHERE t.k = s.k",
+	} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if res := mustExec(t, e, sql); res.Activity != 0 {
+				t.Fatalf("%s touched %d rows", sql, res.Activity)
+			}
+		})
+		if pairs := float64(n * n); allocs >= pairs/4 {
+			t.Errorf("%s: %.0f allocs for %.0f target x source pairs, want < %.0f", sql, allocs, pairs, pairs/4)
+		}
+	}
+}
+
 func TestTruncate(t *testing.T) {
 	e := newTestEngine(t)
 	seedCustomers(t, e)

@@ -62,15 +62,3 @@ func BenchmarkTakeBatch(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkStaticGzipLevel keeps the knob mapping on the scheduler's control
-// path honest — it runs on every tuner tick.
-func BenchmarkStaticGzipLevel(b *testing.B) {
-	cfgs := []Config{{}, {Gzip: true}, {Gzip: true, GzipLevel: 9}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, c := range cfgs {
-			_ = staticGzipLevel(c)
-		}
-	}
-}

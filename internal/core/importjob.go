@@ -19,7 +19,6 @@ import (
 	"etlvirt/internal/retrier"
 	"etlvirt/internal/sqlparse"
 	"etlvirt/internal/sqlxlate"
-	"etlvirt/internal/tune"
 	"etlvirt/internal/wire"
 )
 
@@ -74,28 +73,6 @@ type importJob struct {
 	stagedN    int64 // rows landed across batches; scheduler-then-finisher owned
 	copyQueue  atomic.Int64
 	batchesN   atomic.Int64 // incremental COPY batches issued (live, for debug)
-
-	// dynamic uploader pool
-	upMu     sync.Mutex
-	upLive   int  // uploader goroutines currently running
-	upClosed bool // uploadCh closed; no more resizing
-	upQuit   chan struct{}
-	upSeq    atomic.Int64
-
-	// adaptive staging-lane tuner; nil when AdaptiveStaging is off. The knob
-	// atomics are the tuner's outputs, polled by writers and the scheduler.
-	tuner        *tune.ImportTuner
-	tunerStop    chan struct{}
-	tunerWG      sync.WaitGroup
-	tuneMu       sync.Mutex
-	tuneSnap     tune.ImportSnapshot
-	spoolBytesN  atomic.Int64
-	gzipLevelN   atomic.Int64 // 0 = uncompressed
-	copyFilesN   atomic.Int64
-	spoolBusyNs  atomic.Int64 // FileWriter busy time (append + rotate + gzip)
-	upBusyNs     atomic.Int64 // uploader busy time
-	fileLatNs    atomic.Int64 // summed per-file upload latency
-	fileLatCount atomic.Int64
 
 	// pending counts chunks acknowledged but not yet handed to convCh.
 	pending sync.WaitGroup
@@ -203,30 +180,11 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 	} else {
 		j.osDir = cfg.SpoolDir
 	}
-	// Knob atomics seed from the static config; the tuner (when on) retunes
-	// them each tick and the stage goroutines poll them.
-	j.spoolBytesN.Store(int64(cfg.FileSizeThreshold))
-	j.gzipLevelN.Store(int64(staticGzipLevel(cfg)))
-	j.copyFilesN.Store(int64(cfg.CopyBatchFiles))
-	j.upQuit = make(chan struct{}, 64)
 	j.copyableCh = make(chan string, cfg.FileWriters*4)
 	j.schedWG.Add(1)
 	// Bounded by the upload stage: drainPipeline closes copyableCh after
 	// the uploaders exit, which ends the scheduler loop.
 	go j.runCopyScheduler() //nolint:goroleak // job-bounded; drainPipeline closes copyableCh
-	if cfg.AdaptiveStaging {
-		j.tuner = tune.NewImportTuner(tune.ImportConfig{
-			InitialWorkers:    cfg.UploadParallelism,
-			InitialSpoolBytes: cfg.FileSizeThreshold,
-			InitialCopyFiles:  cfg.CopyBatchFiles,
-			InitialGzipLevel:  staticGzipLevel(cfg),
-		})
-		j.tuneSnap = j.tuner.Snapshot()
-		j.tunerStop = make(chan struct{})
-		j.tunerWG.Add(1)
-		// Bounded by the job: drainPipeline closes tunerStop first.
-		go j.runTuner(cfg.TunerInterval) //nolint:goroleak // job-bounded; drainPipeline closes tunerStop
-	}
 	for w := 0; w < cfg.FileWriters; w++ {
 		ch := make(chan writeTask, 2)
 		j.writeChs = append(j.writeChs, ch)
@@ -238,8 +196,6 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 		go j.runConverter(i)
 	}
 	for u := 0; u < cfg.UploadParallelism; u++ {
-		j.upLive++
-		j.upSeq.Store(int64(u))
 		j.uploadWG.Add(1)
 		go j.runUploader(u)
 	}
@@ -428,7 +384,6 @@ func (j *importJob) runFileWriter(idx int, ch chan writeTask) {
 	w := fwriter.NewWriter(fs, fwriter.Config{
 		SizeThreshold: j.node.cfg.FileSizeThreshold,
 		Gzip:          j.node.cfg.Gzip,
-		GzipLevel:     j.node.cfg.GzipLevel,
 		NamePrefix:    fmt.Sprintf("job%d-w%d-", j.id, idx),
 		OnRotate: func(f fwriter.FinishedFile, d time.Duration) {
 			nm.rotateLat.ObserveDuration(d)
@@ -439,15 +394,6 @@ func (j *importJob) runFileWriter(idx int, ch chan writeTask) {
 		},
 	})
 	for task := range ch {
-		if j.tuner != nil {
-			// Adopt the tuner's current spool geometry; threshold changes act
-			// on the in-progress file, codec changes at its next open.
-			if v := int(j.spoolBytesN.Load()); v > 0 {
-				w.SetSizeThreshold(v)
-			}
-			lvl := int(j.gzipLevelN.Load())
-			w.SetGzip(lvl > 0, lvl)
-		}
 		// The credit returns to the pool just before the data is written to
 		// disk (§5, Figure 4).
 		j.releaseCredit(task.credit)
@@ -459,7 +405,6 @@ func (j *importJob) runFileWriter(idx int, ch chan writeTask) {
 		// captured above: after putBuf the pool may recycle the buffer into
 		// another chunk, so task.csv must not be touched again.
 		putBuf(task.csv)
-		j.spoolBusyNs.Add(int64(time.Since(writeStart)))
 		j.trace.Span("write", lane, writeStart, int64(task.rows), csvBytes, err)
 		if task.done != nil {
 			close(task.done)
@@ -485,33 +430,7 @@ func (j *importJob) runFileWriter(idx int, ch chan writeTask) {
 func (j *importJob) runUploader(idx int) {
 	defer j.uploadWG.Done()
 	lane := fmt.Sprintf("upload-%d", idx)
-	for {
-		var f fwriter.FinishedFile
-		select {
-		case <-j.upQuit:
-			// Tuner-driven shrink: retire this worker unless it is the last
-			// one (the pool never drops below one live uploader). The
-			// decrement happens under the same lock as the decision so two
-			// workers racing on stale tokens cannot both retire past the
-			// floor.
-			j.upMu.Lock()
-			if j.upLive > 1 {
-				j.upLive--
-				j.upMu.Unlock()
-				return
-			}
-			j.upMu.Unlock()
-			continue
-		case got, ok := <-j.uploadCh:
-			if !ok {
-				j.upMu.Lock()
-				j.upLive--
-				j.upMu.Unlock()
-				return
-			}
-			f = got
-		}
-		upStart := time.Now()
+	for f := range j.uploadCh {
 		var err error
 		var n int64
 		if j.memfs != nil {
@@ -525,10 +444,6 @@ func (j *importJob) runUploader(idx int) {
 		} else {
 			n, err = j.lane.uploadFile(lane, f.Name, j.osDir+"/"+f.Name, int64(f.Rows))
 		}
-		upDur := time.Since(upStart)
-		j.upBusyNs.Add(int64(upDur))
-		j.fileLatNs.Add(int64(upDur))
-		j.fileLatCount.Add(1)
 		if err != nil {
 			j.fail(err)
 			continue
@@ -589,12 +504,6 @@ func (j *importJob) acquireReply() *wire.AcquireDone {
 // them to exit. Idempotent; safe after a client disconnect.
 func (j *importJob) drainPipeline() {
 	j.drain.Do(func() {
-		// Stop the tuner first so nothing resizes the uploader pool or moves
-		// knobs while the stages wind down.
-		if j.tunerStop != nil {
-			close(j.tunerStop)
-			j.tunerWG.Wait()
-		}
 		j.pending.Wait()
 		close(j.convCh)
 		j.convWG.Wait()
@@ -602,9 +511,6 @@ func (j *importJob) drainPipeline() {
 			close(ch)
 		}
 		j.writeWG.Wait()
-		j.upMu.Lock()
-		j.upClosed = true
-		j.upMu.Unlock()
 		close(j.uploadCh)
 		j.uploadWG.Wait()
 		// Every upload has landed; closing the channel makes the scheduler

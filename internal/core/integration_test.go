@@ -20,6 +20,7 @@ import (
 	"etlvirt/internal/etlclient"
 	"etlvirt/internal/etlscript"
 	"etlvirt/internal/ltype"
+	"etlvirt/internal/stream"
 	"etlvirt/internal/wire"
 )
 
@@ -764,6 +765,82 @@ func TestJobAbortOnDisconnect(t *testing.T) {
 		stacks = stacks[:runtime.Stack(stacks, true)]
 		return !bytes.Contains(stacks, []byte("(*importJob)"))
 	})
+}
+
+// TestNodeCloseReapsJobs is the node-shutdown counterpart of
+// TestJobAbortOnDisconnect: Close on a node holding an import mid-acquisition
+// (chunks acked, uploads waiting in the copy scheduler) and a stream with
+// buffered, uncommitted deltas must return promptly, leave no job goroutine
+// behind and hand every credit back.
+func TestNodeCloseReapsJobs(t *testing.T) {
+	st := startStack(t, core.Config{
+		FileSizeThreshold: 64,
+		FileWriters:       1,
+		CopyBatchFiles:    1000,
+	})
+	mustEng(t, st.eng, customerDDL)
+
+	imp := dialStream(t, st.addr)
+	defer imp.Close()
+	if err := imp.Send(0, &wire.BeginLoad{
+		Table: "PROD.CUSTOMER", Layout: custLayout(),
+		Format: wire.FormatVartext, Delim: '|', Sessions: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := imp.Expect(wire.KindLoadOK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobID := m.(*wire.LoadOK).JobID
+	for i := 0; i < 6; i++ {
+		var payload strings.Builder
+		for r := 1; r <= 4; r++ {
+			fmt.Fprintf(&payload, "%d|some customer name %d|2020-01-01\n", i*4+r, i*4+r)
+		}
+		if err := imp.Send(0, &wire.DataChunk{
+			JobID: jobID, Seq: uint64(i), FirstRow: uint64(i*4 + 1), Count: 4, Payload: []byte(payload.String()),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := imp.Expect(wire.KindChunkAck); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "uploads pending in the copy scheduler", func() bool {
+		jobs := st.node.ActiveJobs()
+		return len(jobs) == 1 && jobs[0].CopyQueue >= 2
+	})
+
+	cdc := dialStream(t, st.addr)
+	defer cdc.Close()
+	ok := beginStream(t, cdc, "close_reap", "")
+	p := vtDelta(nil, stream.OpInsert, "00001", "Name", "2024-01-01")
+	if ack := sendFrame(t, cdc, ok.StreamID, 1, 1, p); ack.CommittedSeq != 0 {
+		t.Fatalf("unexpected commit %d", ack.CommittedSeq)
+	}
+	if cs := st.node.Credits(); cs.InFlight == 0 {
+		t.Fatalf("stream holds no credit before Close: %+v", cs)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		st.node.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Node.Close did not return within 5s")
+	}
+	waitFor(t, "job goroutines to exit", func() bool {
+		stacks := make([]byte, 1<<20)
+		stacks = stacks[:runtime.Stack(stacks, true)]
+		return !bytes.Contains(stacks, []byte("(*importJob)")) && !bytes.Contains(stacks, []byte("(*streamJob)"))
+	})
+	if cs := st.node.Credits(); cs.InFlight != 0 || cs.Available != cs.Total {
+		t.Errorf("credits not returned by Close: %+v", cs)
+	}
 }
 
 // waitFor polls cond until it holds, failing the test after five seconds.

@@ -26,10 +26,9 @@ type nodeMetrics struct {
 	creditWait, convertLat, rotateLat *obs.Histogram
 	uploadLat, linkLat                *obs.Histogram
 
-	// pipelined staging lane (incremental COPY scheduler + adaptive tuner)
-	copyBatches, copyReplays             *obs.Counter
-	tunerGrows, tunerShrinks, tunerHolds *obs.Counter
-	copyBatchFiles                       *obs.Histogram
+	// pipelined staging lane (incremental COPY scheduler)
+	copyBatches, copyReplays *obs.Counter
+	copyBatchFiles           *obs.Histogram
 
 	// application (Beta DML with adaptive splitting)
 	rowsInserted, rowsUpdated, rowsDeleted *obs.Counter
@@ -115,12 +114,6 @@ func newNodeMetrics(n *Node) *nodeMetrics {
 		"Landed manifest batches re-COPYed while recovering a failed staging COPY.")
 	m.copyBatchFiles = r.Histogram("etlvirt_copy_batch_files",
 		"Files folded into one manifest COPY statement.", obs.SizeBuckets)
-	m.tunerGrows = r.Counter("etlvirt_import_tuner_grow_total",
-		"Staging-lane tuner decisions growing the uploader pool.")
-	m.tunerShrinks = r.Counter("etlvirt_import_tuner_shrink_total",
-		"Staging-lane tuner decisions shrinking the uploader pool.")
-	m.tunerHolds = r.Counter("etlvirt_import_tuner_hold_total",
-		"Staging-lane tuner decisions holding the uploader pool size.")
 	m.linkLat = r.Histogram("etlvirt_link_transfer_seconds",
 		"Simulated cloud-link transfer time per object.", nil)
 

@@ -57,29 +57,16 @@ type Config struct {
 	// FileSizeThreshold rotates intermediate files (bytes). Zero defaults to
 	// 4 MiB.
 	FileSizeThreshold int
-	// Gzip compresses intermediate files before upload.
+	// Gzip compresses intermediate files before upload, at the codec's
+	// default level.
 	Gzip bool
-	// GzipLevel selects the gzip compression level (1..9) when Gzip is set;
-	// values outside that range select the codec default. When
-	// AdaptiveStaging is on this is the tuner's starting rung.
-	GzipLevel int
 	// SpoolDir, when set, writes intermediate files to disk instead of
 	// memory.
 	SpoolDir string
 
 	// CopyBatchFiles is how many uploaded files the copy scheduler folds into
-	// one incremental manifest COPY. Zero defaults to 4. When AdaptiveStaging
-	// is on this only seeds the tuner's files-per-COPY knob.
+	// one incremental manifest COPY. Zero defaults to 4.
 	CopyBatchFiles int
-	// AdaptiveStaging closes the control loop over the staging lane: a
-	// per-job tuner picks uploader parallelism, the spool rotation threshold,
-	// the gzip level, and the files-per-COPY manifest size from live
-	// per-stage observations. Off by default so deterministic tests keep a
-	// fixed upload order.
-	AdaptiveStaging bool
-	// TunerInterval is the adaptive tuner's observation tick. Zero defaults
-	// to 200ms.
-	TunerInterval time.Duration
 
 	// StagingSchema is the CDW schema for per-job staging tables.
 	StagingSchema string
@@ -187,9 +174,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CopyBatchFiles <= 0 {
 		c.CopyBatchFiles = 4
-	}
-	if c.TunerInterval <= 0 {
-		c.TunerInterval = 200 * time.Millisecond
 	}
 	if c.StagingSchema == "" {
 		c.StagingSchema = "etl_stage"

@@ -143,9 +143,8 @@ func (l *stagingLane) reset() error {
 	return l.do(func(int) error { return l.recreate() })
 }
 
-// copySQL renders the staging COPY for one manifest. Manifest COPYs rely on
-// the engine's per-file .gz suffix detection, since a manifest may mix
-// compression levels when the tuner moves the gzip ladder mid-job.
+// copySQL renders the staging COPY for one manifest. The engine sniffs
+// compression per file from its .gz suffix.
 func (l *stagingLane) copySQL(files []string) (string, error) {
 	return sqlparse.Print(&sqlparse.CopyStmt{
 		Table:   l.stage,

@@ -100,12 +100,8 @@ type Config struct {
 	// SizeThreshold rotates the current file once it holds at least this
 	// many uncompressed bytes. Values below 1 default to 4 MiB.
 	SizeThreshold int
-	// Gzip compresses finalized files.
+	// Gzip compresses finalized files at gzip.DefaultCompression.
 	Gzip bool
-	// GzipLevel selects the compression level (gzip.BestSpeed=1 ..
-	// gzip.BestCompression=9) when Gzip is set. Values outside that range
-	// select gzip.DefaultCompression.
-	GzipLevel int
 	// NamePrefix distinguishes files from parallel writers.
 	NamePrefix string
 	// OnRotate, when non-nil, is called each time a file is finalized with
@@ -132,7 +128,6 @@ type Writer struct {
 	seq     int
 	cur     io.WriteCloser
 	gz      *gzip.Writer
-	gzLevel int // level of the gz writer currently checked out of its pool
 	curName string
 	curRaw  int
 	curComp *countWriter
@@ -141,37 +136,10 @@ type Writer struct {
 	finished []FinishedFile
 }
 
-// gzPools recycles gzip.Writers across file rotations and Writer instances:
+// gzPool recycles gzip.Writers across file rotations and Writer instances:
 // a gzip.Writer carries several hundred KB of compressor state, so building
-// one per rotated file would dominate the writer stage's allocations. A
-// gzip.Writer keeps its compression level across Reset, so the pools are
-// per-level: index 0 holds gzip.DefaultCompression writers, 1..9 the
-// explicit levels.
-var gzPools [gzip.BestCompression + 1]sync.Pool
-
-// normGzipLevel maps a configured level to a pool index.
-func normGzipLevel(level int) int {
-	if level < gzip.BestSpeed || level > gzip.BestCompression {
-		return 0 // gzip.DefaultCompression
-	}
-	return level
-}
-
-func getGzip(level int) *gzip.Writer {
-	level = normGzipLevel(level)
-	if w, ok := gzPools[level].Get().(*gzip.Writer); ok {
-		return w
-	}
-	if level == 0 {
-		return gzip.NewWriter(io.Discard)
-	}
-	w, _ := gzip.NewWriterLevel(io.Discard, level) // level already validated
-	return w
-}
-
-func putGzip(level int, w *gzip.Writer) {
-	gzPools[normGzipLevel(level)].Put(w)
-}
+// one per rotated file would dominate the writer stage's allocations.
+var gzPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
 
 type countWriter struct {
 	w io.Writer
@@ -231,33 +199,11 @@ func (w *Writer) open() error {
 	w.curRows = 0
 	w.curComp = &countWriter{w: f}
 	if w.cfg.Gzip {
-		w.gz = getGzip(w.cfg.GzipLevel)
-		w.gzLevel = w.cfg.GzipLevel
+		w.gz = gzPool.Get().(*gzip.Writer)
 		w.gz.Reset(w.curComp)
 	}
 	return nil
 }
-
-// SetSizeThreshold retunes the rotation threshold. Values below 1 are
-// ignored. The in-progress file rotates against the new threshold on its
-// next Write, so a shrink takes effect without waiting for a rotation.
-func (w *Writer) SetSizeThreshold(n int) {
-	if n >= 1 {
-		w.cfg.SizeThreshold = n
-	}
-}
-
-// SetGzip retunes compression. The change applies from the next opened file:
-// the in-progress file keeps the codec and level it was opened with, since a
-// file's .gz suffix (and the loader's decompression decision) is fixed at
-// open time.
-func (w *Writer) SetGzip(enabled bool, level int) {
-	w.cfg.Gzip = enabled
-	w.cfg.GzipLevel = level
-}
-
-// SizeThreshold reports the current rotation threshold.
-func (w *Writer) SizeThreshold() int { return w.cfg.SizeThreshold }
 
 func (w *Writer) rotate() error {
 	if w.cur == nil {
@@ -268,7 +214,7 @@ func (w *Writer) rotate() error {
 		if err := w.gz.Close(); err != nil {
 			return fmt.Errorf("fwriter: finalizing %s: %w", w.curName, err)
 		}
-		putGzip(w.gzLevel, w.gz)
+		gzPool.Put(w.gz)
 		w.gz = nil
 	}
 	if err := w.cur.Close(); err != nil {
@@ -300,7 +246,7 @@ func (w *Writer) Flush() ([]FinishedFile, error) {
 		// empty open file: discard
 		if w.gz != nil {
 			w.gz.Close()
-			putGzip(w.gzLevel, w.gz)
+			gzPool.Put(w.gz)
 			w.gz = nil
 		}
 		w.cur.Close()

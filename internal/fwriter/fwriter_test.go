@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -77,120 +78,64 @@ func TestWriterGzip(t *testing.T) {
 	}
 }
 
-func TestWriterGzipLevels(t *testing.T) {
-	// Highly compressible payload: BestCompression must beat BestSpeed on
-	// size, and every level must decompress back to the original bytes.
-	payload := bytes.Repeat([]byte("abcdefgh,12345678,abcdefgh\n"), 4000)
-	sizes := map[int]int{}
-	for _, level := range []int{gzip.BestSpeed, gzip.BestCompression} {
-		fs := NewMemFS()
-		w := NewWriter(fs, Config{SizeThreshold: 1 << 24, Gzip: true, GzipLevel: level})
-		if err := w.Write(payload, 4000); err != nil {
-			t.Fatal(err)
-		}
-		files, err := w.Flush()
-		if err != nil || len(files) != 1 {
-			t.Fatalf("level %d: files=%+v err=%v", level, files, err)
-		}
-		data, _ := fs.Bytes(files[0].Name)
-		zr, err := gzip.NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := io.ReadAll(zr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out, payload) {
-			t.Fatalf("level %d: content mismatch", level)
-		}
-		sizes[level] = files[0].Bytes
+// bytesPerRun is testing.AllocsPerRun measured in heap bytes instead of
+// allocation count: a fresh gzip.Writer and a pooled rotation differ by a
+// few allocations but by hundreds of KB of compressor state.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
 	}
-	if sizes[gzip.BestCompression] >= sizes[gzip.BestSpeed] {
-		t.Errorf("best compression (%d bytes) not smaller than best speed (%d bytes)",
-			sizes[gzip.BestCompression], sizes[gzip.BestSpeed])
-	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-func TestWriterPoolReuseAcrossLevels(t *testing.T) {
-	// Rotating at one level, retuning, and rotating again must not hand back
-	// a pooled writer stuck at the old level: a level-9 file of repetitive
-	// text is measurably smaller than the same payload at level 1.
-	payload := bytes.Repeat([]byte("abcdefgh,12345678,abcdefgh\n"), 4000)
+// TestWriterGzipRotateAllocBound gates the reason gzPool exists: after a
+// warm-up rotation, each further gzip rotation through one Writer reuses a
+// pooled compressor, so it allocates far less than building a fresh
+// gzip.Writer would. The bound leaves room for the race detector, under
+// which sync.Pool drops a quarter of its Puts. The rotated files still
+// round-trip through gzip.
+func TestWriterGzipRotateAllocBound(t *testing.T) {
+	payload := bytes.Repeat([]byte("abcdefgh,12345678,abcdefgh\n"), 64)
+	fresh := bytesPerRun(20, func() {
+		zw := gzip.NewWriter(io.Discard)
+		zw.Write(payload)
+		zw.Close()
+	})
 	fs := NewMemFS()
-	w := NewWriter(fs, Config{SizeThreshold: 1 << 24, Gzip: true, GzipLevel: gzip.BestSpeed})
-	w.Write(payload, 4000)
-	first, err := w.Flush()
-	if err != nil || len(first) != 1 {
-		t.Fatalf("first flush: %+v %v", first, err)
+	w := NewWriter(fs, Config{SizeThreshold: len(payload), Gzip: true})
+	var last FinishedFile
+	rotate := func() {
+		if err := w.Write(payload, 64); err != nil {
+			t.Fatal(err)
+		}
+		got := w.TakeFinished()
+		if len(got) != 1 {
+			t.Fatalf("write did not rotate exactly one file: %+v", got)
+		}
+		last = got[0]
 	}
-	w.SetGzip(true, gzip.BestCompression)
-	w.Write(payload, 4000)
-	second, err := w.Flush()
-	if err != nil || len(second) != 1 {
-		t.Fatalf("second flush: %+v %v", second, err)
+	pooled := bytesPerRun(100, rotate) // the warm-up call builds the pool's compressor
+	t.Logf("heap bytes per gzip rotation: pooled %.0f, fresh gzip.Writer %.0f", pooled, fresh)
+	if pooled > fresh/2 {
+		t.Errorf("gzip rotation allocates %.0f B, want well under a fresh gzip.Writer's %.0f B",
+			pooled, fresh)
 	}
-	if second[0].Bytes >= first[0].Bytes {
-		t.Errorf("retuned level ignored: level-9 file %d bytes vs level-1 file %d bytes",
-			second[0].Bytes, first[0].Bytes)
-	}
-}
-
-func TestWriterSetGzipAppliesAtNextOpen(t *testing.T) {
-	fs := NewMemFS()
-	w := NewWriter(fs, Config{SizeThreshold: 1 << 20})
-	w.Write([]byte("plain\n"), 1) // opens an uncompressed file
-	w.SetGzip(true, gzip.BestSpeed)
-	w.Write([]byte("still plain\n"), 1) // same open file: codec fixed at open
-	files, err := w.Flush()
-	if err != nil || len(files) != 1 {
-		t.Fatalf("flush: %+v %v", files, err)
-	}
-	if strings.HasSuffix(files[0].Name, ".gz") {
-		t.Errorf("in-progress file switched codec: %q", files[0].Name)
-	}
-	w.Write([]byte("compressed\n"), 1)
-	files, err = w.Flush()
-	if err != nil || len(files) != 1 {
-		t.Fatalf("second flush: %+v %v", files, err)
-	}
-	if !strings.HasSuffix(files[0].Name, ".csv.gz") {
-		t.Errorf("next file not compressed: %q", files[0].Name)
-	}
-	data, _ := fs.Bytes(files[0].Name)
+	data, _ := fs.Bytes(last.Name)
 	zr, err := gzip.NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _ := io.ReadAll(zr)
-	if string(out) != "compressed\n" {
-		t.Errorf("content %q", out)
+	out, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestWriterSetSizeThreshold(t *testing.T) {
-	fs := NewMemFS()
-	w := NewWriter(fs, Config{SizeThreshold: 1 << 20})
-	w.Write(bytes.Repeat([]byte("x"), 100), 1)
-	w.SetSizeThreshold(64) // shrink below what is already buffered
-	if got := w.SizeThreshold(); got != 64 {
-		t.Fatalf("SizeThreshold() = %d", got)
-	}
-	w.Write([]byte("y"), 1) // next write rotates against the new threshold
-	if got := w.TakeFinished(); len(got) != 1 {
-		t.Errorf("shrunk threshold did not rotate: %+v", got)
-	}
-	w.SetSizeThreshold(0) // ignored
-	if got := w.SizeThreshold(); got != 64 {
-		t.Errorf("invalid threshold accepted: %d", got)
-	}
-}
-
-func TestNormGzipLevel(t *testing.T) {
-	for in, want := range map[int]int{-1: 0, 0: 0, 1: 1, 9: 9, 10: 0, 42: 0} {
-		if got := normGzipLevel(in); got != want {
-			t.Errorf("normGzipLevel(%d) = %d, want %d", in, got, want)
-		}
+	if !bytes.Equal(out, payload) {
+		t.Error("gunzipped content mismatch")
 	}
 }
 

@@ -1,10 +1,6 @@
 package stream
 
-import (
-	"time"
-
-	"etlvirt/internal/tune"
-)
+import "time"
 
 // Config tunes the adaptive controller. Zero values select defaults.
 type Config struct {
@@ -78,17 +74,93 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Action classifies a controller decision. It is the shared tune.Action so
-// decisions from the streaming controller and the import-lane tuner read the
-// same everywhere they are counted or labeled.
-type Action = tune.Action
+// Action classifies a controller decision.
+type Action uint8
 
 // Controller decisions: hold the current batch size, grow it, or shrink it.
 const (
-	ActionHold   = tune.ActionHold
-	ActionGrow   = tune.ActionGrow
-	ActionShrink = tune.ActionShrink
+	ActionHold Action = iota
+	ActionGrow
+	ActionShrink
 )
+
+// String returns the metric-label spelling of the action.
+func (a Action) String() string {
+	switch a {
+	case ActionGrow:
+		return "grow"
+	case ActionShrink:
+		return "shrink"
+	default:
+		return "hold"
+	}
+}
+
+// ewma is an exponentially weighted moving average. The zero value is
+// unseeded: the first observation becomes the average outright, so start-up
+// transients are not dragged toward zero.
+type ewma struct {
+	v      float64
+	seeded bool
+}
+
+// observe folds one sample in with smoothing factor alpha in (0, 1] and
+// returns the updated average.
+func (e *ewma) observe(alpha, x float64) float64 {
+	if !e.seeded {
+		e.v = x
+		e.seeded = true
+		return e.v
+	}
+	e.v += alpha * (x - e.v)
+	return e.v
+}
+
+// stepToTarget is the damped multiplicative-adjust law: when the smoothed
+// observation sits outside the fractional deadband around target, cur is
+// scaled by target/smoothed — clamped to [1/2, 3/2] per step so one outlier
+// cannot collapse or explode the knob — then clamped to [min, max]. A step
+// is guaranteed to make progress (integer truncation cannot stall it), and
+// a step pinned at a clamp reports ActionHold. Grow means the observation is
+// below target (the knob can afford to increase); shrink means above.
+func stepToTarget(cur int, smoothed, target, deadband float64, min, max int) (int, Action) {
+	action := ActionHold
+	switch {
+	case smoothed > target*(1+deadband):
+		action = ActionShrink
+	case smoothed < target*(1-deadband):
+		action = ActionGrow
+	}
+	if action == ActionHold {
+		return cur, ActionHold
+	}
+	ratio := target / smoothed
+	if ratio < 0.5 {
+		ratio = 0.5
+	}
+	if ratio > 1.5 {
+		ratio = 1.5
+	}
+	next := int(float64(cur) * ratio)
+	// Guarantee progress: a ratio step on a tiny knob can truncate to the
+	// same value and stall short of the target.
+	if action == ActionGrow && next <= cur {
+		next = cur + 1
+	}
+	if action == ActionShrink && next >= cur {
+		next = cur - 1
+	}
+	if next < min {
+		next = min
+	}
+	if next > max {
+		next = max
+	}
+	if next == cur {
+		action = ActionHold // pinned at a clamp
+	}
+	return next, action
+}
 
 // Decision is the controller's current preferred micro-batch geometry.
 type Decision struct {
@@ -135,7 +207,7 @@ type Stats struct {
 // feeds it to Observe, which returns the geometry for the next batch. It is
 // not safe for concurrent use; the streaming job serializes batch commits.
 //
-// The control law is tune.StepToTarget — a damped multiplicative-adjust
+// The control law is stepToTarget — a damped multiplicative-adjust
 // loop: smoothed latency outside the deadband moves the batch size by the
 // ratio target/latency, clamped to [1/2, 3/2] per step so a single outlier
 // cannot collapse or explode the batch, then clamped to [MinBatch,
@@ -147,10 +219,10 @@ type Controller struct {
 	cfg Config
 
 	batch       int
-	lat         tune.EWMA // smoothed commit latency, seconds
-	bytesPerRow tune.EWMA // smoothed record width
+	lat         ewma // smoothed commit latency, seconds
+	bytesPerRow ewma // smoothed record width
 
-	stageSec    [len(stageNames)]tune.EWMA // smoothed per-stage latency, seconds
+	stageSec    [len(stageNames)]ewma // smoothed per-stage latency, seconds
 	stageSeeded bool
 
 	stats Stats
@@ -193,7 +265,7 @@ func (c *Controller) StageEWMA() map[string]time.Duration {
 	}
 	out := make(map[string]time.Duration, len(stageNames))
 	for i, name := range stageNames {
-		out[name] = time.Duration(c.stageSec[i].Value() * float64(time.Second))
+		out[name] = time.Duration(c.stageSec[i].v * float64(time.Second))
 	}
 	return out
 }
@@ -205,8 +277,8 @@ func (c *Controller) dominant() string {
 	}
 	best, bestSec := "", 0.0
 	for i, name := range stageNames {
-		if c.stageSec[i].Value() > bestSec {
-			best, bestSec = name, c.stageSec[i].Value()
+		if c.stageSec[i].v > bestSec {
+			best, bestSec = name, c.stageSec[i].v
 		}
 	}
 	return best
@@ -219,7 +291,7 @@ func (c *Controller) ObserveStages(rows, bytes int, latency time.Duration, st St
 	if st != (Stages{}) {
 		sec := st.seconds()
 		for i := range sec {
-			c.stageSec[i].Observe(c.cfg.Alpha, sec[i])
+			c.stageSec[i].observe(c.cfg.Alpha, sec[i])
 		}
 		c.stageSeeded = true
 	}
@@ -229,13 +301,13 @@ func (c *Controller) ObserveStages(rows, bytes int, latency time.Duration, st St
 		c.stats.Holds++
 		return d
 	}
-	smoothed := c.lat.Observe(c.cfg.Alpha, latency.Seconds())
-	if width := float64(bytes) / float64(rows); !c.bytesPerRow.Seeded() || bytes > 0 {
-		c.bytesPerRow.Observe(c.cfg.Alpha, width)
+	smoothed := c.lat.observe(c.cfg.Alpha, latency.Seconds())
+	if width := float64(bytes) / float64(rows); !c.bytesPerRow.seeded || bytes > 0 {
+		c.bytesPerRow.observe(c.cfg.Alpha, width)
 	}
 
 	var action Action
-	c.batch, action = tune.StepToTarget(c.batch, smoothed, c.cfg.Target.Seconds(), c.cfg.Deadband,
+	c.batch, action = stepToTarget(c.batch, smoothed, c.cfg.Target.Seconds(), c.cfg.Deadband,
 		c.cfg.MinBatch, c.cfg.MaxBatch)
 	switch action {
 	case ActionGrow:
@@ -258,7 +330,7 @@ func (c *Controller) ObserveStages(rows, bytes int, latency time.Duration, st St
 // micro-batch in a single file when records are narrow, clamped so wide
 // records still rotate before unbounded buffering.
 func (c *Controller) spoolBytes() int {
-	width := c.bytesPerRow.Value()
+	width := c.bytesPerRow.v
 	if width <= 0 {
 		width = 128 // prior before any observation
 	}
