@@ -197,18 +197,37 @@ func (f *frame) bind(target, source []Datum) {
 	copy(f.row[copy(f.row, target):], source)
 }
 
+// dmlScope is what an UPDATE or DELETE evaluates against: the target table
+// under its alias and, for UPDATE ... FROM / DELETE ... USING, the
+// materialized source (nil otherwise).
+type dmlScope struct {
+	t     *Table
+	cols  []frameCol
+	src   *rowSource
+	where sqlparse.Expr
+}
+
+func (e *Engine) newDMLScope(t *Table, alias string, from []sqlparse.TableExpr, where sqlparse.Expr) (*dmlScope, error) {
+	sc := &dmlScope{t: t, cols: tableFrameCols(t, alias), where: where}
+	if len(from) > 0 {
+		var err error
+		if sc.src, err = e.buildFrom(from, nil); err != nil {
+			return nil, err
+		}
+	}
+	return sc, nil
+}
+
+// rowUpdate is one target row an UPDATE rewrites: its index and new image.
+type rowUpdate struct {
+	i   int
+	row []Datum
+}
+
 func (e *Engine) execUpdate(s *sqlparse.UpdateStmt) (*Result, error) {
 	t, err := e.Catalog.Lookup(s.Table)
 	if err != nil {
 		return nil, err
-	}
-	tQual := strings.ToLower(s.Alias)
-	if tQual == "" {
-		tQual = strings.ToLower(s.Table.Name)
-	}
-	targetCols := make([]frameCol, len(t.Columns))
-	for i, c := range t.Columns {
-		targetCols[i] = frameCol{qual: tQual, name: strings.ToLower(c.Name)}
 	}
 	setIdx := make([]int, len(s.Set))
 	for i, a := range s.Set {
@@ -218,75 +237,26 @@ func (e *Engine) execUpdate(s *sqlparse.UpdateStmt) (*Result, error) {
 		}
 		setIdx[i] = j
 	}
-
-	var src *rowSource
-	var jf *frame
-	if len(s.From) > 0 {
-		if src, err = e.buildFrom(s.From, nil); err != nil {
-			return nil, err
-		}
-		jf = joinFrame(targetCols, src.cols)
+	sc, err := e.newDMLScope(t, s.Alias, s.From, s.Where)
+	if err != nil {
+		return nil, err
 	}
 	ctx := &evalCtx{eng: e}
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	updated := int64(0)
-	newRows := make([][]Datum, len(t.rows))
-	for ri, row := range t.rows {
-		newRows[ri] = row
-		var matchFrame *frame
-		if src == nil {
-			f := &frame{cols: targetCols, row: row}
-			if s.Where != nil {
-				d, err := e.eval(ctx, s.Where, f)
-				if err != nil {
-					return nil, err
-				}
-				if d.IsNull() || d.Kind != KBool || !d.Bool {
-					continue
-				}
-			}
-			matchFrame = f
-			newRow, err := e.applyAssignments(ctx, t, s.Set, setIdx, row, matchFrame)
-			if err != nil {
-				return nil, err
-			}
-			newRows[ri] = newRow
-			updated++
-			continue
-		}
-		// Target row joined with each source row; every match applies, in
-		// source order, so the last matching source row wins — the semantics
-		// a tuple-at-a-time legacy apply would produce for ordered input.
-		// Activity counts each match application (one per driving source
-		// row), again matching the tuple-at-a-time accounting.
-		newRow := row
-		matched := false
-		for _, srow := range src.rows {
-			jf.bind(newRow, srow)
-			if s.Where != nil {
-				d, err := e.eval(ctx, s.Where, jf)
-				if err != nil {
-					return nil, err
-				}
-				if d.IsNull() || d.Kind != KBool || !d.Bool {
-					continue
-				}
-			}
-			matched = true
-			updated++
-			updatedRow, err := e.applyAssignments(ctx, t, s.Set, setIdx, newRow, jf)
-			if err != nil {
-				return nil, err
-			}
-			newRow = updatedRow
-		}
-		if matched {
-			newRows[ri] = newRow
-		}
+	ups, updated, hashed, err := e.updateHashed(ctx, sc, s.Set, setIdx)
+	if !hashed {
+		ups, updated, err = e.updateNested(ctx, sc, s.Set, setIdx)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if e.opts.EnforceUniqueness && updated > 0 {
+		newRows := append([][]Datum(nil), t.rows...)
+		for _, u := range ups {
+			newRows[u.i] = u.row
+		}
 		saved := t.rows
 		t.rows = nil
 		err := e.checkUniqueness(t, newRows, nil)
@@ -295,8 +265,149 @@ func (e *Engine) execUpdate(s *sqlparse.UpdateStmt) (*Result, error) {
 			return nil, err
 		}
 	}
-	t.rows = newRows
+	// Scans copy the row slice under the read lock, so rewriting it in
+	// place under the write lock is invisible to them.
+	for _, u := range ups {
+		t.rows[u.i] = u.row
+	}
 	return &Result{Activity: updated}, nil
+}
+
+// updateNested is the tuple-at-a-time reference for UPDATE: every target
+// row, joined with every source row when there is a FROM. Caller holds
+// sc.t.mu; nothing is mutated.
+func (e *Engine) updateNested(ctx *evalCtx, sc *dmlScope, set []sqlparse.Assignment, setIdx []int) ([]rowUpdate, int64, error) {
+	var ups []rowUpdate
+	updated := int64(0)
+	if sc.src == nil {
+		for ri, row := range sc.t.rows {
+			f := &frame{cols: sc.cols, row: row}
+			if sc.where != nil {
+				d, err := e.eval(ctx, sc.where, f)
+				if err != nil {
+					return nil, 0, err
+				}
+				if d.IsNull() || d.Kind != KBool || !d.Bool {
+					continue
+				}
+			}
+			newRow, err := e.applyAssignments(ctx, sc.t, set, setIdx, row, f)
+			if err != nil {
+				return nil, 0, err
+			}
+			ups = append(ups, rowUpdate{ri, newRow})
+			updated++
+		}
+		return ups, updated, nil
+	}
+	jf := joinFrame(sc.cols, sc.src.cols)
+	for ri, row := range sc.t.rows {
+		// Target row joined with each source row; every match applies, in
+		// source order, so the last matching source row wins — the semantics
+		// a tuple-at-a-time legacy apply would produce for ordered input.
+		// Activity counts each match application (one per driving source
+		// row), again matching the tuple-at-a-time accounting.
+		newRow := row
+		matched := false
+		for _, srow := range sc.src.rows {
+			jf.bind(newRow, srow)
+			if sc.where != nil {
+				d, err := e.eval(ctx, sc.where, jf)
+				if err != nil {
+					return nil, 0, err
+				}
+				if d.IsNull() || d.Kind != KBool || !d.Bool {
+					continue
+				}
+			}
+			matched = true
+			updated++
+			updatedRow, err := e.applyAssignments(ctx, sc.t, set, setIdx, newRow, jf)
+			if err != nil {
+				return nil, 0, err
+			}
+			newRow = updatedRow
+		}
+		if matched {
+			ups = append(ups, rowUpdate{ri, newRow})
+		}
+	}
+	return ups, updated, nil
+}
+
+// updateHashed is UPDATE ... FROM as a hash join: the filtered source (the
+// staged batch, the small side) is indexed on the WHERE's equality conjuncts
+// and the target streamed through it, so the statement costs O(target +
+// source) rather than O(target x source). Matches apply in source order, the
+// WHERE re-checked on each, with the nested loop's last-match-wins result,
+// Activity count and first error. hashed is false — nothing evaluated that
+// the caller keeps — when only the nested loop can promise that; beyond
+// planEquiJoin's conditions, when the WHERE reads a column SET assigns
+// (the nested loop re-tests later matches against the updated row).
+// Caller holds sc.t.mu; nothing is mutated.
+func (e *Engine) updateHashed(ctx *evalCtx, sc *dmlScope, set []sqlparse.Assignment, setIdx []int) (ups []rowUpdate, updated int64, hashed bool, err error) {
+	if readsAssigned(sc.where, sc.cols, setIdx) {
+		return nil, 0, false, nil
+	}
+	p, ok := e.hashSource(sc)
+	if !ok {
+		return nil, 0, false, nil
+	}
+	tf := &frame{cols: sc.cols}
+	jf := joinFrame(sc.cols, sc.src.cols)
+	for ri, row := range sc.t.rows {
+		tf.row = row
+		cand, ok := e.hashProbe(ctx, p, tf)
+		if !ok {
+			return nil, 0, false, nil
+		}
+		newRow := row
+		matched := false
+		for _, si := range cand {
+			jf.bind(newRow, sc.src.rows[si])
+			match, err := e.isTrue(ctx, sc.where, jf)
+			if err != nil {
+				return nil, 0, false, nil
+			}
+			if !match {
+				continue
+			}
+			matched = true
+			updated++
+			if newRow, err = e.applyAssignments(ctx, sc.t, set, setIdx, newRow, jf); err != nil {
+				return nil, 0, true, err
+			}
+		}
+		if matched {
+			ups = append(ups, rowUpdate{ri, newRow})
+		}
+	}
+	return ups, updated, true, nil
+}
+
+// hashSource plans a joined UPDATE or DELETE for hashing — target probed,
+// source built — and indexes the source. false sends the statement to the
+// nested loop.
+func (e *Engine) hashSource(sc *dmlScope) (*equiJoin, bool) {
+	if sc.src == nil || sc.where == nil {
+		return nil, false
+	}
+	p, ok := planEquiJoin(sc.where, sc.cols, sc.src.cols, false)
+	return p, ok && e.hashBuild(p, sc.src.cols, sc.src.rows, nil)
+}
+
+// readsAssigned reports whether pred may read a target column that setIdx
+// assigns.
+func readsAssigned(pred sqlparse.Expr, cols []frameCol, setIdx []int) bool {
+	read := false
+	sqlparse.WalkExprs(&sqlparse.SelectStmt{Where: pred}, func(x sqlparse.Expr) {
+		if c, ok := x.(*sqlparse.ColRef); ok {
+			for _, j := range setIdx {
+				read = read || cols[j].matches(c.Qualifier, c.Name)
+			}
+		}
+	})
+	return read
 }
 
 // applyAssignments evaluates the SET clause in frame f and returns a copy of
@@ -330,49 +441,69 @@ func (e *Engine) execDelete(s *sqlparse.DeleteStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tQual := strings.ToLower(s.Alias)
-	if tQual == "" {
-		tQual = strings.ToLower(s.Table.Name)
-	}
-	targetCols := make([]frameCol, len(t.Columns))
-	for i, c := range t.Columns {
-		targetCols[i] = frameCol{qual: tQual, name: strings.ToLower(c.Name)}
-	}
-	var src *rowSource
-	var jf *frame
-	if len(s.Using) > 0 {
-		if src, err = e.buildFrom(s.Using, nil); err != nil {
-			return nil, err
-		}
-		jf = joinFrame(targetCols, src.cols)
+	sc, err := e.newDMLScope(t, s.Alias, s.Using, s.Where)
+	if err != nil {
+		return nil, err
 	}
 	ctx := &evalCtx{eng: e}
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var kept [][]Datum
-	deleted := int64(0)
-	for _, row := range t.rows {
+	doomed, hashed := e.deleteHashed(ctx, sc)
+	if !hashed {
+		if doomed, err = e.deleteNested(ctx, sc); err != nil {
+			return nil, err
+		}
+	}
+	if len(doomed) > 0 {
+		// In place, as in execUpdate.
+		kept := t.rows[:0]
+		for ri, row := range t.rows {
+			if len(doomed) > 0 && doomed[0] == ri {
+				doomed = doomed[1:]
+				continue
+			}
+			kept = append(kept, row)
+		}
+		deleted := len(t.rows) - len(kept)
+		clear(t.rows[len(kept):])
+		t.rows = kept
+		return &Result{Activity: int64(deleted)}, nil
+	}
+	return &Result{}, nil
+}
+
+// deleteNested is the tuple-at-a-time reference for DELETE: it returns the
+// indexes, ascending, of the target rows the WHERE matches — against any
+// source row when there is a USING. Caller holds sc.t.mu; nothing is
+// mutated.
+func (e *Engine) deleteNested(ctx *evalCtx, sc *dmlScope) ([]int, error) {
+	var doomed []int
+	var jf *frame
+	if sc.src != nil {
+		jf = joinFrame(sc.cols, sc.src.cols)
+	}
+	for ri, row := range sc.t.rows {
 		match := false
-		if src == nil {
-			if s.Where == nil {
+		if sc.src == nil {
+			if sc.where == nil {
 				match = true
 			} else {
-				f := &frame{cols: targetCols, row: row}
-				d, err := e.eval(ctx, s.Where, f)
+				f := &frame{cols: sc.cols, row: row}
+				d, err := e.eval(ctx, sc.where, f)
 				if err != nil {
 					return nil, err
 				}
 				match = !d.IsNull() && d.Kind == KBool && d.Bool
 			}
 		} else {
-			for _, srow := range src.rows {
-				if s.Where == nil {
+			for _, srow := range sc.src.rows {
+				if sc.where == nil {
 					match = true
 					break
 				}
 				jf.bind(row, srow)
-				d, err := e.eval(ctx, s.Where, jf)
+				d, err := e.eval(ctx, sc.where, jf)
 				if err != nil {
 					return nil, err
 				}
@@ -383,11 +514,40 @@ func (e *Engine) execDelete(s *sqlparse.DeleteStmt) (*Result, error) {
 			}
 		}
 		if match {
-			deleted++
-		} else {
-			kept = append(kept, row)
+			doomed = append(doomed, ri)
 		}
 	}
-	t.rows = kept
-	return &Result{Activity: deleted}, nil
+	return doomed, nil
+}
+
+// deleteHashed is DELETE ... USING as a hash join, the counterpart of
+// updateHashed: a target row goes when some indexed source row with its key
+// passes the WHERE. It returns deleteNested's answer, or hashed=false when
+// only the nested loop can promise that (see planEquiJoin).
+func (e *Engine) deleteHashed(ctx *evalCtx, sc *dmlScope) (doomed []int, hashed bool) {
+	p, ok := e.hashSource(sc)
+	if !ok {
+		return nil, false
+	}
+	tf := &frame{cols: sc.cols}
+	jf := joinFrame(sc.cols, sc.src.cols)
+	for ri, row := range sc.t.rows {
+		tf.row = row
+		cand, ok := e.hashProbe(ctx, p, tf)
+		if !ok {
+			return nil, false
+		}
+		for _, si := range cand {
+			jf.bind(row, sc.src.rows[si])
+			match, err := e.isTrue(ctx, sc.where, jf)
+			if err != nil {
+				return nil, false
+			}
+			if match {
+				doomed = append(doomed, ri)
+				break
+			}
+		}
+	}
+	return doomed, true
 }

@@ -261,33 +261,54 @@ func TestDeleteUsing(t *testing.T) {
 	}
 }
 
-// TestJoinedDMLAllocBound pins that UPDATE ... FROM and DELETE ... USING
-// reuse one joined frame for the nested loop instead of allocating per
-// target x source pair: the stream apply runs these against a growing
-// target every micro-batch, and per-pair garbage drove the in-process GC.
+// TestJoinedDMLAllocBound pins that the stream's statements — UPDATE ...
+// FROM, DELETE ... USING and the NOT EXISTS-guarded INSERT ... SELECT — cost
+// what the staged batch costs, not what the target holds: the stream applies
+// them against a growing target every micro-batch. For the same 50-row
+// batch, doubling the target at most doubles the allocations (linear in the
+// table, not in pairs), and they stay far below one per target x source
+// pair. Every statement leaves the tables as it found them.
 func TestJoinedDMLAllocBound(t *testing.T) {
-	e := newTestEngine(t)
-	mustExec(t, e, "CREATE TABLE tgt (k VARCHAR(8) NOT NULL, v VARCHAR(8), PRIMARY KEY (k))")
-	mustExec(t, e, "CREATE TABLE src (k VARCHAR(8), v VARCHAR(8))")
-	const n = 40
-	var tv, sv []string
-	for i := 0; i < n; i++ {
-		tv = append(tv, fmt.Sprintf("('t%d', 'a')", i))
-		sv = append(sv, fmt.Sprintf("('s%d', 'b')", i)) // no key matches: the tables never change
+	const batch = 50
+	stmts := []struct {
+		sql      string
+		activity int64
+	}{
+		{"UPDATE tgt t SET v = s.v FROM src s WHERE t.k = TRIM(s.k) AND s.__seq BETWEEN 1 AND 50", 0},
+		{"DELETE FROM tgt t USING src s WHERE t.k = TRIM(s.k) AND s.__seq BETWEEN 1 AND 50", 0},
+		{"UPDATE tgt t SET v = h.v FROM hit h WHERE t.k = TRIM(h.k) AND h.__seq BETWEEN 1 AND 50", batch},
+		{"INSERT INTO tgt SELECT TRIM(h.k), h.v FROM hit h WHERE h.__seq BETWEEN 1 AND 50 AND NOT EXISTS (SELECT 1 FROM tgt t WHERE t.k = TRIM(h.k))", 0},
 	}
-	mustExec(t, e, "INSERT INTO tgt VALUES "+strings.Join(tv, ", "))
-	mustExec(t, e, "INSERT INTO src VALUES "+strings.Join(sv, ", "))
-	for _, sql := range []string{
-		"UPDATE tgt t SET v = s.v FROM src s WHERE t.k = s.k",
-		"DELETE FROM tgt t USING src s WHERE t.k = s.k",
-	} {
-		allocs := testing.AllocsPerRun(5, func() {
-			if res := mustExec(t, e, sql); res.Activity != 0 {
-				t.Fatalf("%s touched %d rows", sql, res.Activity)
+	allocs := func(targetRows int, sql string, activity int64) float64 {
+		e := newTestEngine(t)
+		mustExec(t, e, "CREATE TABLE tgt (k VARCHAR(8) NOT NULL, v VARCHAR(8), PRIMARY KEY (k))")
+		mustExec(t, e, "CREATE TABLE src (__seq BIGINT, k VARCHAR(8), v VARCHAR(8))")
+		mustExec(t, e, "CREATE TABLE hit (__seq BIGINT, k VARCHAR(8), v VARCHAR(8))")
+		var tv, sv, hv []string
+		for i := 0; i < targetRows; i++ {
+			tv = append(tv, fmt.Sprintf("('t%d', 'a')", i))
+		}
+		for i := 0; i < batch; i++ {
+			sv = append(sv, fmt.Sprintf("(%d, ' s%d', 'b')", i+1, i)) // matches no target key
+			hv = append(hv, fmt.Sprintf("(%d, ' t%d', 'a')", i+1, i)) // matches, rewriting the same value
+		}
+		mustExec(t, e, "INSERT INTO tgt VALUES "+strings.Join(tv, ", "))
+		mustExec(t, e, "INSERT INTO src VALUES "+strings.Join(sv, ", "))
+		mustExec(t, e, "INSERT INTO hit VALUES "+strings.Join(hv, ", "))
+		return testing.AllocsPerRun(3, func() {
+			if res := mustExec(t, e, sql); res.Activity != activity {
+				t.Fatalf("%s touched %d rows, want %d", sql, res.Activity, activity)
 			}
 		})
-		if pairs := float64(n * n); allocs >= pairs/4 {
-			t.Errorf("%s: %.0f allocs for %.0f target x source pairs, want < %.0f", sql, allocs, pairs, pairs/4)
+	}
+	for _, s := range stmts {
+		small, large := allocs(1000, s.sql, s.activity), allocs(2000, s.sql, s.activity)
+		t.Logf("%s: %.0f allocs at 1000 target rows, %.0f at 2000", s.sql, small, large)
+		if large > 2.2*small {
+			t.Errorf("%s: %.0f allocs at 2000 target rows vs %.0f at 1000, want <= 2.2x", s.sql, large, small)
+		}
+		if pairs := float64(batch * 2000); large >= pairs/4 {
+			t.Errorf("%s: %.0f allocs for %.0f target x source pairs, want < %.0f", s.sql, large, pairs, pairs/4)
 		}
 	}
 }

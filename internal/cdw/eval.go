@@ -26,20 +26,22 @@ type frame struct {
 	parent *frame
 }
 
+// matches reports whether a reference qual.name (either case; qual may be
+// empty) names this column. It compares without lower-casing the reference,
+// so resolving a column allocates nothing.
+func (c frameCol) matches(qual, name string) bool {
+	return strings.EqualFold(c.name, name) && (qual == "" || strings.EqualFold(c.qual, qual))
+}
+
 func (f *frame) lookup(qual, name string) (Datum, bool, error) {
-	qual = strings.ToLower(qual)
-	name = strings.ToLower(name)
 	for fr := f; fr != nil; fr = fr.parent {
 		found := -1
 		for i, c := range fr.cols {
-			if c.name != name {
-				continue
-			}
-			if qual != "" && c.qual != qual {
+			if !c.matches(qual, name) {
 				continue
 			}
 			if found >= 0 {
-				return Datum{}, false, errf(CodeNoSuchColumn, "ambiguous column reference %s", name)
+				return Datum{}, false, errf(CodeNoSuchColumn, "ambiguous column reference %s", strings.ToLower(name))
 			}
 			found = i
 		}
@@ -55,6 +57,10 @@ func (f *frame) lookup(qual, name string) (Datum, bool, error) {
 type evalCtx struct {
 	eng *Engine
 	agg map[sqlparse.Expr]Datum // aggregate call -> value for current group
+	// semi holds hashed EXISTS answers for every row of the relation a
+	// WHERE is filtering (see semiJoins); row is the row being evaluated.
+	semi map[*sqlparse.ExistsExpr][]bool
+	row  int
 }
 
 func (e *Engine) eval(ctx *evalCtx, x sqlparse.Expr, f *frame) (Datum, error) {
@@ -168,6 +174,9 @@ func (e *Engine) eval(ctx *evalCtx, x sqlparse.Expr, f *frame) (Datum, error) {
 		return BoolD(re.MatchString(d.S) != v.Not), nil
 
 	case *sqlparse.ExistsExpr:
+		if hit, ok := ctx.semi[v]; ok {
+			return BoolD(hit[ctx.row] != v.Not), nil
+		}
 		rows, _, err := e.execSelect(v.Sub, f, 1)
 		if err != nil {
 			return Datum{}, err

@@ -37,13 +37,16 @@ func hash64(d Datum) int64 {
 
 // evalFunc evaluates a scalar function call.
 func (e *Engine) evalFunc(ctx *evalCtx, v *sqlparse.FuncCall, f *frame) (Datum, error) {
-	args := make([]Datum, len(v.Args))
-	for i, a := range v.Args {
+	// Scalar calls rarely take more than four arguments; keeping them on the
+	// stack keeps per-row key and predicate evaluation allocation-free.
+	var argBuf [4]Datum
+	args := argBuf[:0]
+	for _, a := range v.Args {
 		d, err := e.eval(ctx, a, f)
 		if err != nil {
 			return Datum{}, err
 		}
-		args[i] = d
+		args = append(args, d)
 	}
 	want := func(n int) error {
 		if len(args) != n {

@@ -1,9 +1,10 @@
 package cdw
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"etlvirt/internal/sqlparse"
@@ -45,22 +46,14 @@ func (e *Engine) execSelectCols(s *sqlparse.SelectStmt, outer *frame, maxRows in
 	}
 	ctx := &evalCtx{eng: e}
 
-	// WHERE
 	if s.Where != nil {
-		filtered := src.rows[:0:0]
-		for _, row := range src.rows {
-			f := &frame{cols: src.cols, row: row, parent: outer}
-			d, err := e.eval(ctx, s.Where, f)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !d.IsNull() && d.Kind == KBool && d.Bool {
-				filtered = append(filtered, row)
-			} else if !d.IsNull() && d.Kind != KBool {
-				return nil, nil, errf(CodeTypeMismatch, "WHERE must be a boolean")
-			}
+		var semi map[*sqlparse.ExistsExpr][]bool
+		if outer == nil {
+			semi = e.semiJoins(s.Where, src)
 		}
-		src.rows = filtered
+		if src.rows, err = e.whereFilter(s.Where, src, outer, semi); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	// aggregate detection
@@ -219,6 +212,28 @@ func (e *Engine) execSelectCols(s *sqlparse.SelectStmt, outer *frame, maxRows in
 		}
 	}
 	return rows, outCols, nil
+}
+
+// whereFilter returns the rows of src for which where is TRUE. semi answers
+// hashed EXISTS subqueries for each row of src; without an entry an EXISTS
+// runs as a correlated subquery per row.
+func (e *Engine) whereFilter(where sqlparse.Expr, src *rowSource, outer *frame, semi map[*sqlparse.ExistsExpr][]bool) ([][]Datum, error) {
+	ctx := &evalCtx{eng: e, semi: semi}
+	f := &frame{cols: src.cols, parent: outer}
+	filtered := src.rows[:0:0]
+	for i, row := range src.rows {
+		ctx.row, f.row = i, row
+		d, err := e.eval(ctx, where, f)
+		if err != nil {
+			return nil, err
+		}
+		if !d.IsNull() && d.Kind == KBool && d.Bool {
+			filtered = append(filtered, row)
+		} else if !d.IsNull() && d.Kind != KBool {
+			return nil, errf(CodeTypeMismatch, "WHERE must be a boolean")
+		}
+	}
+	return filtered, nil
 }
 
 // execUnion evaluates a UNION ALL chain: each branch runs independently,
@@ -426,13 +441,8 @@ func (e *Engine) buildTableExpr(te sqlparse.TableExpr, outer *frame) (*rowSource
 		if err != nil {
 			return nil, err
 		}
-		qual := strings.ToLower(t.Alias)
-		if qual == "" {
-			qual = strings.ToLower(t.Table.Name)
-		}
-		src := &rowSource{}
+		src := &rowSource{cols: tableFrameCols(tbl, t.Alias)}
 		for i := range tbl.Columns {
-			src.cols = append(src.cols, frameCol{qual: qual, name: strings.ToLower(tbl.Columns[i].Name)})
 			ct := tbl.Columns[i].Type
 			src.colTypes = append(src.colTypes, &ct)
 		}
@@ -493,8 +503,8 @@ func (e *Engine) joinSources(j *sqlparse.Join, l, r *rowSource, outer *frame) (*
 	if j.Type == sqlparse.JoinCross {
 		return crossProduct(l, r), nil
 	}
-	if done, err := e.hashJoin(j, l, r, out, outer); done || err != nil {
-		return out, err
+	if e.hashJoin(j, l, r, out, outer) {
+		return out, nil
 	}
 	ctx := &evalCtx{eng: e}
 	nullsRight := make([]Datum, len(r.cols))
@@ -524,117 +534,328 @@ func (e *Engine) joinSources(j *sqlparse.Join, l, r *rowSource, outer *frame) (*
 	return out, nil
 }
 
-// hashJoin executes an equi-join by hashing the right side when the ON
-// clause is a conjunction containing at least one classifiable equality
-// (one side referencing only left columns, the other only right columns).
-// Remaining conjuncts run as a residual filter. It reports done=false when
-// the ON shape does not qualify, leaving the nested-loop path to handle it.
-func (e *Engine) hashJoin(j *sqlparse.Join, l, r *rowSource, out *rowSource, outer *frame) (bool, error) {
-	conjuncts := splitConjuncts(j.On)
-	var keys []keyPair
-	var residual []sqlparse.Expr
-	for _, c := range conjuncts {
-		eq, ok := c.(*sqlparse.BinaryExpr)
-		if !ok || eq.Op != "=" {
-			residual = append(residual, c)
-			continue
-		}
-		lSide, rSide := classifySide(eq.L, l, r), classifySide(eq.R, l, r)
-		switch {
-		case lSide == sideLeft && rSide == sideRight:
-			keys = append(keys, keyPair{left: eq.L, right: eq.R})
-		case lSide == sideRight && rSide == sideLeft:
-			keys = append(keys, keyPair{left: eq.R, right: eq.L})
-		default:
-			residual = append(residual, c)
-		}
+// hashJoin executes an equi-join by hashing the right side (see equiJoin)
+// and streaming the left side through it, emitting pairs in the nested
+// loop's left-major, right-minor order. It reports false, having emitted
+// nothing, when the nested loop must run instead.
+func (e *Engine) hashJoin(j *sqlparse.Join, l, r *rowSource, out *rowSource, outer *frame) bool {
+	p, ok := planEquiJoin(j.On, l.cols, r.cols, false)
+	if !ok || !e.hashBuild(p, r.cols, r.rows, outer) {
+		return false
 	}
-	if len(keys) == 0 {
-		return false, nil
-	}
-
 	ctx := &evalCtx{eng: e}
-	// build: hash the right rows on their key expressions
-	table := make(map[string][][]Datum, len(r.rows))
-	for _, rr := range r.rows {
-		f := &frame{cols: r.cols, row: rr, parent: outer}
-		k, null, err := e.joinKey(ctx, f, keys, func(p keyPair) sqlparse.Expr { return p.right })
-		if err != nil {
-			return true, err
-		}
-		if null {
-			continue // NULL keys never join
-		}
-		table[k] = append(table[k], rr)
-	}
-	// probe
+	lf := &frame{cols: l.cols, parent: outer}
+	var rows [][]Datum
 	nullsRight := make([]Datum, len(r.cols))
 	for _, lr := range l.rows {
-		lf := &frame{cols: l.cols, row: lr, parent: outer}
-		matched := false
-		k, null, err := e.joinKey(ctx, lf, keys, func(p keyPair) sqlparse.Expr { return p.left })
-		if err != nil {
-			return true, err
+		lf.row = lr
+		cand, ok := e.hashProbe(ctx, p, lf)
+		if !ok {
+			return false
 		}
-		if !null {
-			for _, rr := range table[k] {
-				row := make([]Datum, 0, len(lr)+len(rr))
-				row = append(row, lr...)
-				row = append(row, rr...)
-				ok := true
-				if len(residual) > 0 {
-					f := &frame{cols: out.cols, row: row, parent: outer}
-					for _, c := range residual {
-						d, err := e.eval(ctx, c, f)
-						if err != nil {
-							return true, err
-						}
-						if d.IsNull() || d.Kind != KBool || !d.Bool {
-							ok = false
-							break
-						}
-					}
-				}
-				if ok {
-					matched = true
-					out.rows = append(out.rows, row)
-				}
+		matched := false
+		for _, ri := range cand {
+			row := make([]Datum, 0, len(lr)+len(r.cols))
+			row = append(append(row, lr...), r.rows[ri]...)
+			match, err := e.isTrue(ctx, j.On, &frame{cols: out.cols, row: row, parent: outer})
+			if err != nil {
+				return false
+			}
+			if match {
+				matched = true
+				rows = append(rows, row)
 			}
 		}
 		if !matched && j.Type == sqlparse.JoinLeft {
 			row := make([]Datum, 0, len(lr)+len(nullsRight))
-			row = append(row, lr...)
-			row = append(row, nullsRight...)
-			out.rows = append(out.rows, row)
+			rows = append(rows, append(append(row, lr...), nullsRight...))
 		}
 	}
-	return true, nil
+	out.rows = rows
+	return true
 }
 
-// keyPair is one classified equality of a hash join: left evaluates against
-// the left input, right against the right input.
-type keyPair struct{ left, right sqlparse.Expr }
+// An equiJoin is a conjunctive predicate over two row sources split for
+// hashing: the build side is indexed by its key expressions and the probe
+// side streamed through the index. Each key pairs a probe-side expression
+// with a build-side one; every other conjunct reads one side only and runs
+// as that side's filter. Hashing only selects candidate pairs — each
+// candidate is re-checked with the full predicate — so the hash paths stay
+// byte-identical to the nested loop as long as no pair the hash skips could
+// have raised an error there. That is what the plan and the pre-passes
+// prove, and why any doubt (no key, a conjunct reading both sides, a
+// subquery, an evaluation error, a key-class conflict) falls back.
+type equiJoin struct {
+	probeKeys, buildKeys     []sqlparse.Expr
+	probeFilter, buildFilter []sqlparse.Expr
+	enc                      keyEncoder
+	index                    map[string][]int // key encoding -> build rows, in order
+}
 
-// joinKey renders the concatenated group key of the key expressions for one
-// row, normalizing numeric kinds so BIGINT and DECIMAL keys hash alike.
-func (e *Engine) joinKey(ctx *evalCtx, f *frame, keys []keyPair, pick func(keyPair) sqlparse.Expr) (string, bool, error) {
-	var sb strings.Builder
-	for _, p := range keys {
-		d, err := e.eval(ctx, pick(p), f)
+// planEquiJoin splits pred for hashing, or reports false when it has no
+// equality between the two sides or a conjunct that reads both outside one.
+// nested says the probe side is the inner scope of a correlated subquery,
+// whose columns shadow the build side's; otherwise the sources share one
+// joined scope, where a name both sides have is ambiguous.
+func planEquiJoin(pred sqlparse.Expr, probe, build []frameCol, nested bool) (*equiJoin, bool) {
+	p := &equiJoin{}
+	for _, c := range splitConjuncts(pred) {
+		if eq, ok := c.(*sqlparse.BinaryExpr); ok && eq.Op == "=" {
+			l, r := classifySide(eq.L, probe, build, nested), classifySide(eq.R, probe, build, nested)
+			if l == sideProbe && r == sideBuild {
+				p.probeKeys, p.buildKeys = append(p.probeKeys, eq.L), append(p.buildKeys, eq.R)
+				continue
+			}
+			if l == sideBuild && r == sideProbe {
+				p.probeKeys, p.buildKeys = append(p.probeKeys, eq.R), append(p.buildKeys, eq.L)
+				continue
+			}
+		}
+		switch classifySide(c, probe, build, nested) {
+		case sideProbe:
+			p.probeFilter = append(p.probeFilter, c)
+		case sideBuild, sideNone:
+			p.buildFilter = append(p.buildFilter, c)
+		default:
+			return nil, false
+		}
+	}
+	return p, len(p.probeKeys) > 0
+}
+
+// hashBuild indexes the build rows that pass p's build filters under their
+// key encoding, in row order; rows with a NULL key part never match and are
+// left out. It reports false when the nested loop must run instead. Keys
+// and filters are evaluated on every row — filtered out or not — because
+// the nested loop may evaluate them there too.
+func (e *Engine) hashBuild(p *equiJoin, cols []frameCol, rows [][]Datum, parent *frame) bool {
+	ctx := &evalCtx{eng: e}
+	f := &frame{cols: cols, parent: parent}
+	p.index = make(map[string][]int)
+	for i, row := range rows {
+		f.row = row
+		pass, ok := e.filtersPass(ctx, p.buildFilter, f)
+		if !ok {
+			return false
+		}
+		null, ok := p.enc.encode(e, ctx, p.buildKeys, f)
+		if !ok {
+			return false
+		}
+		if pass && !null {
+			p.index[string(p.enc.buf)] = append(p.index[string(p.enc.buf)], i)
+		}
+	}
+	return true
+}
+
+// hashProbe evaluates p's probe filters and keys for the row bound in f and
+// returns the indexed build rows whose key matches, in build order. It
+// reports false when the nested loop must run instead. It allocates nothing.
+func (e *Engine) hashProbe(ctx *evalCtx, p *equiJoin, f *frame) ([]int, bool) {
+	pass, ok := e.filtersPass(ctx, p.probeFilter, f)
+	if !ok {
+		return nil, false
+	}
+	null, ok := p.enc.encode(e, ctx, p.probeKeys, f)
+	if !ok || !pass || null {
+		return nil, ok
+	}
+	return p.index[string(p.enc.buf)], true
+}
+
+// filtersPass reports whether every filter is TRUE in f. All are evaluated,
+// so an error any of them could raise in the nested loop is seen; ok is
+// false on an error or a non-boolean value (which AND rejects).
+func (e *Engine) filtersPass(ctx *evalCtx, filters []sqlparse.Expr, f *frame) (pass, ok bool) {
+	pass = true
+	for _, x := range filters {
+		d, err := e.eval(ctx, x, f)
+		if err != nil || (!d.IsNull() && d.Kind != KBool) {
+			return false, false
+		}
+		pass = pass && !d.IsNull() && d.Bool
+	}
+	return pass, true
+}
+
+// isTrue evaluates a predicate in f.
+func (e *Engine) isTrue(ctx *evalCtx, pred sqlparse.Expr, f *frame) (bool, error) {
+	d, err := e.eval(ctx, pred, f)
+	if err != nil {
+		return false, err
+	}
+	return !d.IsNull() && d.Kind == KBool && d.Bool, nil
+}
+
+// keyEncoder renders a row's equi-join key into one byte string. Each key
+// part is tagged with its kind class, and numerics are normalised through
+// float64 — as Compare equates mixed numeric kinds — with -0 folded into 0,
+// so values Compare calls equal always encode alike. The converse can fail
+// (BIGINTs beyond 2^53 share a float64), which the full-predicate re-check
+// of every candidate pair absorbs. classes pins the class each key position
+// has shown, across both sides: a second class is a comparison the nested
+// loop would coerce (DATE against VARCHAR) or fail on, so encode refuses it.
+type keyEncoder struct {
+	buf     []byte
+	classes []byte
+}
+
+// encode evaluates keys in f into enc.buf, reusing its storage. null reports
+// a NULL key part; ok is false on an evaluation error, a NaN or a class
+// conflict.
+func (enc *keyEncoder) encode(e *Engine, ctx *evalCtx, keys []sqlparse.Expr, f *frame) (null, ok bool) {
+	if enc.classes == nil {
+		enc.classes = make([]byte, len(keys))
+	}
+	enc.buf = enc.buf[:0]
+	for i, x := range keys {
+		d, err := e.eval(ctx, x, f)
 		if err != nil {
-			return "", false, err
+			return false, false
 		}
 		if d.IsNull() {
-			return "", true, nil
+			null = true
+			continue
 		}
-		if d.Kind.isNumeric() {
-			sb.WriteString("n" + strconv.FormatFloat(d.asFloat(), 'b', -1, 64))
-		} else {
-			sb.WriteString(d.GroupKey())
+		cls := keyClass(d)
+		if cls == 0 || (enc.classes[i] != 0 && enc.classes[i] != cls) {
+			return false, false
 		}
-		sb.WriteByte(0)
+		enc.classes[i] = cls
+		enc.buf = append(enc.buf, cls)
+		switch cls {
+		case 'n':
+			v := d.asFloat()
+			if v == 0 {
+				v = 0 // -0 == 0
+			}
+			enc.buf = binary.LittleEndian.AppendUint64(enc.buf, math.Float64bits(v))
+		case 's':
+			enc.buf = append(binary.AppendUvarint(enc.buf, uint64(len(d.S))), d.S...)
+		case 'b':
+			enc.buf = append(binary.AppendUvarint(enc.buf, uint64(len(d.B))), d.B...)
+		case 'B':
+			enc.buf = append(enc.buf, byte(boolToInt(d.Bool)))
+		default:
+			enc.buf = binary.LittleEndian.AppendUint64(enc.buf, uint64(d.I))
+		}
 	}
-	return sb.String(), false, nil
+	return null, true
+}
+
+// keyClass names the group of kinds Compare orders among themselves without
+// coercion, or 0 for a value no hash may stand in for (NaN, which Compare
+// calls equal to every number).
+func keyClass(d Datum) byte {
+	switch d.Kind {
+	case KInt, KDecimal:
+		return 'n'
+	case KFloat:
+		if math.IsNaN(d.F) {
+			return 0
+		}
+		return 'n'
+	case KString:
+		return 's'
+	case KBytes:
+		return 'b'
+	case KBool:
+		return 'B'
+	case KDate:
+		return 'd'
+	case KTime:
+		return 't'
+	case KTimestamp:
+		return 'T'
+	}
+	return 0
+}
+
+// semiJoins answers each hashable [NOT] EXISTS conjunct of a WHERE for all
+// of src's rows at once (see semiJoin). Conjuncts it cannot answer are left
+// to run as correlated subqueries.
+func (e *Engine) semiJoins(where sqlparse.Expr, src *rowSource) map[*sqlparse.ExistsExpr][]bool {
+	var out map[*sqlparse.ExistsExpr][]bool
+	for _, c := range splitConjuncts(where) {
+		for {
+			u, ok := c.(*sqlparse.UnaryExpr)
+			if !ok || u.Op != "NOT" {
+				break
+			}
+			c = u.X
+		}
+		ex, ok := c.(*sqlparse.ExistsExpr)
+		if !ok {
+			continue
+		}
+		if hit, ok := e.semiJoin(ex.Sub, src); ok {
+			if out == nil {
+				out = make(map[*sqlparse.ExistsExpr][]bool)
+			}
+			out[ex] = hit
+		}
+	}
+	return out
+}
+
+// semiJoin evaluates EXISTS (sub) for every row of src as a hash semi-join:
+// the outer rows are indexed on the subquery's equality conjuncts, then the
+// inner table is streamed once under its read lock — no snapshot copy — and
+// each inner row that hashes to an outer row still unanswered is re-checked
+// with the subquery's WHERE. Only a single-table subquery whose result can
+// be nothing but "some row passed WHERE" qualifies; it reports false when
+// the correlated rescan must run instead.
+func (e *Engine) semiJoin(sub *sqlparse.SelectStmt, src *rowSource) ([]bool, bool) {
+	if sub.Union != nil || len(sub.GroupBy) > 0 || sub.Having != nil || len(sub.OrderBy) > 0 ||
+		sub.Limit != nil || sub.Where == nil || len(sub.From) != 1 {
+		return nil, false
+	}
+	for _, it := range sub.Items {
+		// Only the first qualifying row is projected; a literal cannot fail there.
+		if lit, ok := it.Expr.(*sqlparse.Literal); it.Star || !ok || lit.Kind == sqlparse.LitDate {
+			return nil, false
+		}
+	}
+	ref, ok := sub.From[0].(*sqlparse.TableRef)
+	if !ok {
+		return nil, false
+	}
+	tbl, err := e.Catalog.Lookup(ref.Table)
+	if err != nil {
+		return nil, false
+	}
+	innerCols := tableFrameCols(tbl, ref.Alias)
+	p, ok := planEquiJoin(sub.Where, innerCols, src.cols, true)
+	if !ok || !e.hashBuild(p, src.cols, src.rows, nil) {
+		return nil, false
+	}
+	ctx := &evalCtx{eng: e}
+	of := &frame{cols: src.cols}
+	inner := &frame{cols: innerCols}
+	joined := &frame{cols: innerCols, parent: of}
+	hit := make([]bool, len(src.rows))
+	tbl.mu.RLock()
+	defer tbl.mu.RUnlock()
+	for _, row := range tbl.rows {
+		inner.row = row
+		cand, ok := e.hashProbe(ctx, p, inner)
+		if !ok {
+			return nil, false
+		}
+		for _, o := range cand {
+			if hit[o] {
+				continue
+			}
+			of.row, joined.row = src.rows[o], row
+			match, err := e.isTrue(ctx, sub.Where, joined)
+			if err != nil {
+				return nil, false
+			}
+			hit[o] = match
+		}
+	}
+	return hit, true
 }
 
 func splitConjuncts(x sqlparse.Expr) []sqlparse.Expr {
@@ -648,36 +869,44 @@ type exprSide int
 
 const (
 	sideNone exprSide = iota
-	sideLeft
-	sideRight
+	sideProbe
+	sideBuild
 	sideMixed
 )
 
-// classifySide determines which join input an expression's column
-// references resolve against. References resolving in neither side (outer
-// correlation) are neutral; a reference resolving in both is ambiguous and
-// forces the nested-loop path.
-func classifySide(x sqlparse.Expr, l, r *rowSource) exprSide {
+// classifySide determines which source of an equi-join an expression's
+// column references resolve against (see planEquiJoin for nested).
+// References resolving in neither (outer correlation, or a missing column
+// that evaluation will report) are neutral. A reference ambiguous between
+// the sides, or any subquery, whose references this walk cannot scope, is
+// mixed.
+func classifySide(x sqlparse.Expr, probe, build []frameCol, nested bool) exprSide {
 	side := sideNone
 	wrap := &sqlparse.SelectStmt{Items: []sqlparse.SelectItem{{Expr: x}}}
 	sqlparse.WalkExprs(wrap, func(e sqlparse.Expr) {
-		c, ok := e.(*sqlparse.ColRef)
-		if !ok || side == sideMixed {
-			return
-		}
-		inL := frameHasCol(l.cols, c)
-		inR := frameHasCol(r.cols, c)
 		var this exprSide
-		switch {
-		case inL && inR:
-			side = sideMixed
-			return
-		case inL:
-			this = sideLeft
-		case inR:
-			this = sideRight
+		switch c := e.(type) {
+		case *sqlparse.ExistsExpr, *sqlparse.SubqueryExpr:
+			this = sideMixed
+		case *sqlparse.InExpr:
+			if c.Sub == nil {
+				return
+			}
+			this = sideMixed
+		case *sqlparse.ColRef:
+			inP, inB := frameHasCol(probe, c), frameHasCol(build, c)
+			switch {
+			case inP && (nested || !inB):
+				this = sideProbe
+			case inB && !inP:
+				this = sideBuild
+			case inP && inB:
+				this = sideMixed
+			default:
+				return
+			}
 		default:
-			return // outer reference: neutral
+			return
 		}
 		if side == sideNone {
 			side = this
@@ -689,14 +918,26 @@ func classifySide(x sqlparse.Expr, l, r *rowSource) exprSide {
 }
 
 func frameHasCol(cols []frameCol, c *sqlparse.ColRef) bool {
-	qual := strings.ToLower(c.Qualifier)
-	name := strings.ToLower(c.Name)
 	for _, fc := range cols {
-		if fc.name == name && (qual == "" || fc.qual == qual) {
+		if fc.matches(c.Qualifier, c.Name) {
 			return true
 		}
 	}
 	return false
+}
+
+// tableFrameCols names a table's columns as a scope sees them: qualified by
+// the alias when there is one, else by the table name.
+func tableFrameCols(t *Table, alias string) []frameCol {
+	qual := strings.ToLower(alias)
+	if qual == "" {
+		qual = strings.ToLower(t.Name.Name)
+	}
+	cols := make([]frameCol, len(t.Columns))
+	for i, c := range t.Columns {
+		cols[i] = frameCol{qual: qual, name: strings.ToLower(c.Name)}
+	}
+	return cols
 }
 
 // collectAggregates finds aggregate calls in projections, HAVING and ORDER BY.
