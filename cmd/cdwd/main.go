@@ -73,6 +73,7 @@ func main() {
 		requests := reg.Counter("etlvirt_cdwd_requests_total", "Requests served by the CDW engine.")
 		errors := reg.Counter("etlvirt_cdwd_errors_total", "Requests that returned an engine error.")
 		lat := reg.Histogram("etlvirt_cdwd_request_seconds", "Engine latency per served request.", nil)
+		reg.CounterFunc("etlvirt_cdwd_rows_scanned_total", "Rows copied out of base tables by engine scans, after range pruning.", eng.RowsScanned)
 		srv.SetObserver(func(_ string, d time.Duration, errCode int) {
 			requests.Inc()
 			if errCode != 0 {

@@ -2,6 +2,8 @@ package etlvirt_test
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -34,6 +36,7 @@ func TestBinariesEndToEnd(t *testing.T) {
 
 	storeDir := filepath.Join(dir, "store")
 	cdwAddr := testhost.FreeAddr(t)
+	cdwDebug := testhost.FreeAddr(t)
 	nodeAddr := testhost.FreeAddr(t)
 
 	ddl := filepath.Join(dir, "init.sql")
@@ -46,7 +49,7 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 
 	cdwd := testhost.StartProc(t, filepath.Join(bin, "cdwd"),
-		"-listen", cdwAddr, "-store", storeDir, "-init", ddl)
+		"-listen", cdwAddr, "-store", storeDir, "-init", ddl, "-debug", cdwDebug)
 	defer cdwd.Process.Kill()
 	testhost.WaitListening(t, cdwAddr)
 
@@ -115,6 +118,24 @@ insert into PROD.CUSTOMER values (
 	}
 	if len(rows) != 2 || rows[0][0].S != "123" || rows[1][0].S != "157" {
 		t.Errorf("rows: %v", rows)
+	}
+
+	// The warehouse counts the rows its scans copied out of base tables.
+	resp, err := http.Get("http://" + cdwDebug + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scanned int64
+	for _, line := range strings.Split(string(metrics), "\n") {
+		fmt.Sscanf(line, "etlvirt_cdwd_rows_scanned_total %d", &scanned)
+	}
+	if scanned == 0 {
+		t.Errorf("cdwd /metrics reports no rows scanned:\n%s", metrics)
 	}
 
 	// The dedicated scrub binary verifies the same pair with an explicit

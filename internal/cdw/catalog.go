@@ -119,15 +119,6 @@ func (t *Table) RowCount() int {
 	return len(t.rows)
 }
 
-// snapshotRows returns a shallow copy of the row slice for scanning.
-func (t *Table) snapshotRows() [][]Datum {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([][]Datum, len(t.rows))
-	copy(out, t.rows)
-	return out
-}
-
 // Catalog maps names to tables. The default schema is used for unqualified
 // names.
 type Catalog struct {

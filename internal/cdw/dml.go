@@ -137,7 +137,7 @@ func (e *Engine) execInsert(s *sqlparse.InsertStmt) (*Result, error) {
 	var newRows [][]Datum
 	var seqs []int64
 	if s.Select != nil {
-		rows, _, err := e.execSelect(s.Select, nil, 0)
+		rows, _, err := e.execSelectCols(s.Select, nil, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -207,11 +207,12 @@ type dmlScope struct {
 	where sqlparse.Expr
 }
 
+// newDMLScope builds the scope, pruning the source's scans by the WHERE.
 func (e *Engine) newDMLScope(t *Table, alias string, from []sqlparse.TableExpr, where sqlparse.Expr) (*dmlScope, error) {
 	sc := &dmlScope{t: t, cols: tableFrameCols(t, alias), where: where}
 	if len(from) > 0 {
 		var err error
-		if sc.src, err = e.buildFrom(from, nil); err != nil {
+		if sc.src, err = e.buildFrom(from, nil, e.planScans(from, where)); err != nil {
 			return nil, err
 		}
 	}

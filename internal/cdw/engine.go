@@ -37,7 +37,8 @@ type Engine struct {
 	Store   cloudstore.Store // source for COPY INTO; may be nil
 	opts    Options
 
-	stmtCount atomic.Int64
+	stmtCount   atomic.Int64
+	rowsScanned atomic.Int64
 }
 
 // NewEngine returns an engine with the given options.
@@ -54,6 +55,10 @@ func (e *Engine) now() time.Time {
 
 // StmtCount returns the number of statements executed (benchmarking aid).
 func (e *Engine) StmtCount() int64 { return e.stmtCount.Load() }
+
+// RowsScanned returns the number of rows copied out of base tables by scans,
+// after range pruning (see planScans).
+func (e *Engine) RowsScanned() int64 { return e.rowsScanned.Load() }
 
 // ResultCol describes one output column.
 type ResultCol struct {

@@ -177,14 +177,14 @@ func (e *Engine) eval(ctx *evalCtx, x sqlparse.Expr, f *frame) (Datum, error) {
 		if hit, ok := ctx.semi[v]; ok {
 			return BoolD(hit[ctx.row] != v.Not), nil
 		}
-		rows, _, err := e.execSelect(v.Sub, f, 1)
+		rows, _, err := e.execSelectCols(v.Sub, f, 1)
 		if err != nil {
 			return Datum{}, err
 		}
 		return BoolD((len(rows) > 0) != v.Not), nil
 
 	case *sqlparse.SubqueryExpr:
-		rows, _, err := e.execSelect(v.Sub, f, 2)
+		rows, _, err := e.execSelectCols(v.Sub, f, 2)
 		if err != nil {
 			return Datum{}, err
 		}
@@ -479,7 +479,7 @@ func (e *Engine) evalIn(ctx *evalCtx, v *sqlparse.InExpr, f *frame) (Datum, erro
 	}
 	var items []Datum
 	if v.Sub != nil {
-		rows, _, err := e.execSelect(v.Sub, f, 0)
+		rows, _, err := e.execSelectCols(v.Sub, f, 0)
 		if err != nil {
 			return Datum{}, err
 		}

@@ -237,7 +237,7 @@ func diffJoinedDML(t *testing.T, e *Engine, sql string) bool {
 		}
 		return hashed
 	case *sqlparse.InsertStmt:
-		src, err := e.buildFrom(s.Select.From, nil)
+		src, err := e.buildFrom(s.Select.From, nil, e.planScans(s.Select.From, s.Select.Where))
 		if err != nil {
 			t.Fatal(err)
 		}

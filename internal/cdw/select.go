@@ -28,19 +28,15 @@ func (e *Engine) execSelectTop(s *sqlparse.SelectStmt) (*Result, error) {
 	return &Result{Columns: cols, Rows: rows, Activity: int64(len(rows))}, nil
 }
 
-// execSelect runs a (sub)query and returns its rows. maxRows > 0 stops early
-// once that many rows are produced (used by EXISTS and scalar subqueries);
-// it is only a shortcut when the query has no ORDER BY/aggregation.
-func (e *Engine) execSelect(s *sqlparse.SelectStmt, outer *frame, maxRows int) ([][]Datum, []ResultCol, error) {
-	rows, cols, err := e.execSelectCols(s, outer, maxRows)
-	return rows, cols, err
-}
-
+// execSelectCols runs a (sub)query and returns its rows. maxRows > 0 stops
+// early once that many rows are produced (used by EXISTS and scalar
+// subqueries); it is only a shortcut when the query has no ORDER
+// BY/aggregation.
 func (e *Engine) execSelectCols(s *sqlparse.SelectStmt, outer *frame, maxRows int) ([][]Datum, []ResultCol, error) {
 	if s.Union != nil {
 		return e.execUnion(s, outer)
 	}
-	src, err := e.buildFrom(s.From, outer)
+	src, err := e.buildFrom(s.From, outer, e.planScans(s.From, s.Where))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -112,9 +108,8 @@ func (e *Engine) execSelectCols(s *sqlparse.SelectStmt, outer *frame, maxRows in
 	}
 
 	aliasCols := make([]frameCol, len(items))
-	for i, it := range items {
+	for i := range items {
 		aliasCols[i] = frameCol{name: strings.ToLower(outCols[i].Name)}
-		_ = it
 	}
 
 	type sortableRow struct {
@@ -415,17 +410,18 @@ func expandStars(items []sqlparse.SelectItem, src *rowSource) ([]sqlparse.Select
 }
 
 // buildFrom materializes the FROM clause into a rowSource. Multiple items
-// combine as a cross product.
-func (e *Engine) buildFrom(from []sqlparse.TableExpr, outer *frame) (*rowSource, error) {
+// combine as a cross product. plan prunes the scans of the base tables it
+// names (see planScans); nil scans every table in full.
+func (e *Engine) buildFrom(from []sqlparse.TableExpr, outer *frame, plan scanPlan) (*rowSource, error) {
 	if len(from) == 0 {
 		return &rowSource{rows: [][]Datum{{}}}, nil
 	}
-	acc, err := e.buildTableExpr(from[0], outer)
+	acc, err := e.buildTableExpr(from[0], outer, plan)
 	if err != nil {
 		return nil, err
 	}
 	for _, te := range from[1:] {
-		right, err := e.buildTableExpr(te, outer)
+		right, err := e.buildTableExpr(te, outer, plan)
 		if err != nil {
 			return nil, err
 		}
@@ -434,23 +430,28 @@ func (e *Engine) buildFrom(from []sqlparse.TableExpr, outer *frame) (*rowSource,
 	return acc, nil
 }
 
-func (e *Engine) buildTableExpr(te sqlparse.TableExpr, outer *frame) (*rowSource, error) {
+func (e *Engine) buildTableExpr(te sqlparse.TableExpr, outer *frame, plan scanPlan) (*rowSource, error) {
 	switch t := te.(type) {
 	case *sqlparse.TableRef:
-		tbl, err := e.Catalog.Lookup(t.Table)
-		if err != nil {
-			return nil, err
+		ps := plan[t]
+		if ps == nil {
+			tbl, err := e.Catalog.Lookup(t.Table)
+			if err != nil {
+				return nil, err
+			}
+			ps = &prunedScan{tbl: tbl}
 		}
-		src := &rowSource{cols: tableFrameCols(tbl, t.Alias)}
-		for i := range tbl.Columns {
-			ct := tbl.Columns[i].Type
+		src := &rowSource{cols: tableFrameCols(ps.tbl, t.Alias)}
+		for i := range ps.tbl.Columns {
+			ct := ps.tbl.Columns[i].Type
 			src.colTypes = append(src.colTypes, &ct)
 		}
-		src.rows = tbl.snapshotRows()
+		src.rows = ps.tbl.scan(ps.ranges)
+		e.rowsScanned.Add(int64(len(src.rows)))
 		return src, nil
 
 	case *sqlparse.SubqueryTable:
-		rows, cols, err := e.execSelect(t.Select, outer, 0)
+		rows, cols, err := e.execSelectCols(t.Select, outer, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -464,11 +465,11 @@ func (e *Engine) buildTableExpr(te sqlparse.TableExpr, outer *frame) (*rowSource
 		return src, nil
 
 	case *sqlparse.Join:
-		left, err := e.buildTableExpr(t.Left, outer)
+		left, err := e.buildTableExpr(t.Left, outer, plan)
 		if err != nil {
 			return nil, err
 		}
-		right, err := e.buildTableExpr(t.Right, outer)
+		right, err := e.buildTableExpr(t.Right, outer, plan)
 		if err != nil {
 			return nil, err
 		}
