@@ -345,23 +345,23 @@ func (e *Engine) evalFunc(ctx *evalCtx, v *sqlparse.FuncCall, f *frame) (Datum, 
 		}
 		return arith("%", args[0], args[1])
 
-	case "TO_DATE":
+	case "TO_DATE", "TRY_TO_DATE", "TO_TIMESTAMP", "TRY_TO_TIMESTAMP":
 		if err := want(2); err != nil {
 			return Datum{}, err
 		}
 		if anyNull(args) {
 			return Null(), nil
 		}
-		return toDate(args[0].Render(), args[1].Render())
-
-	case "TO_TIMESTAMP":
-		if err := want(2); err != nil {
-			return Datum{}, err
+		conv := toDate
+		if strings.HasSuffix(v.Name, "TIMESTAMP") {
+			conv = toTimestamp
 		}
-		if anyNull(args) {
+		d, err := conv(args[0].Render(), args[1].Render())
+		if err != nil && strings.HasPrefix(v.Name, "TRY_") {
+			// The TRY_ forms answer NULL where the conversion would fail.
 			return Null(), nil
 		}
-		return toTimestamp(args[0].Render(), args[1].Render())
+		return d, err
 
 	case "TO_CHAR":
 		if len(args) == 1 {

@@ -1,6 +1,7 @@
 package cdw
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -39,6 +40,33 @@ func TestDatetimeFormatModel(t *testing.T) {
 		if _, err := e.ExecSQL("SELECT " + bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
+	}
+}
+
+// TestTryToDate: the TRY_ forms are TO_DATE/TO_TIMESTAMP with NULL in place
+// of a conversion error; arity errors still fail.
+func TestTryToDate(t *testing.T) {
+	e := newTestEngine(t)
+	for _, c := range []struct{ try, plain string }{
+		{"try_to_date('2023-06-30', 'YYYY-MM-DD')", "to_date('2023-06-30', 'YYYY-MM-DD')"},
+		{"try_to_timestamp('2023-06-30 13:04:05', 'YYYY-MM-DD HH24:MI:SS')", "to_timestamp('2023-06-30 13:04:05', 'YYYY-MM-DD HH24:MI:SS')"},
+		{"try_to_date(NULL, 'YYYY-MM-DD')", "to_date(NULL, 'YYYY-MM-DD')"},
+	} {
+		if got, want := evalScalar(t, e, c.try), evalScalar(t, e, c.plain); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s = %+v, want %+v", c.try, got, want)
+		}
+	}
+	for _, bad := range []string{
+		"try_to_date('9999-99-99', 'YYYY-MM-DD')",
+		"try_to_date('2023/06/30', 'YYYY-MM-DD')",
+		"try_to_timestamp('2023-06-30 25:00:00', 'YYYY-MM-DD HH24:MI:SS')",
+	} {
+		if d := evalScalar(t, e, bad); !d.IsNull() {
+			t.Errorf("%s = %+v, want NULL", bad, d)
+		}
+	}
+	if _, err := e.ExecSQL("SELECT try_to_date('2023-06-30')"); err == nil {
+		t.Error("try_to_date with one argument accepted")
 	}
 }
 

@@ -265,6 +265,15 @@ func FuzzRangePruneDifferential(f *testing.F) {
 	})
 }
 
+// The branches of the located-split probe (sqlxlate.LocateQuery) over rows
+// 2..3 of src: a failing date conversion, a collision with tgt, and a key
+// repeating an earlier row of the range.
+const (
+	locateConv   = "SELECT s.__seq FROM src s WHERE s.__seq BETWEEN 2 AND 3 AND s.v IS NOT NULL AND TRY_TO_DATE(s.v, 'YYYY-MM-DD') IS NULL"
+	locateTarget = "SELECT s.__seq FROM src s JOIN tgt t ON t.k = CAST(s.k AS INTEGER) WHERE s.__seq BETWEEN 2 AND 3"
+	locateSelf   = "SELECT s.__seq FROM src s JOIN (SELECT s.__seq, CAST(s.k AS INTEGER) AS k0 FROM src s WHERE s.__seq BETWEEN 2 AND 3) s2 ON s2.k0 = CAST(s.k AS INTEGER) WHERE s.__seq BETWEEN 2 AND 3 AND s2.__seq < s.__seq"
+)
+
 // TestRangePruneShapes pins which conjuncts prune a scan, by the rows the
 // statement copies out of a 6-row src and a 2-row tgt.
 func TestRangePruneShapes(t *testing.T) {
@@ -286,6 +295,11 @@ func TestRangePruneShapes(t *testing.T) {
 		{"UPDATE tgt t SET v = s.v FROM src s WHERE t.k = CAST(s.k AS INTEGER) AND s.__seq = 2", 1},
 		{"DELETE FROM tgt t USING src s WHERE t.k = CAST(s.k AS INTEGER) AND __seq = 2", 1},
 		{"INSERT INTO tgt (k, v) SELECT CAST(s.k AS INTEGER), s.v FROM src s WHERE s.__seq = 6 AND NOT EXISTS (SELECT 1 FROM tgt t WHERE t.k = CAST(s.k AS INTEGER))", 1},
+		// the three branches of sqlxlate.LocateQuery, alone and as one UNION ALL
+		{locateConv, 2},
+		{locateTarget, 2 + 2},
+		{locateSelf, 2 + 2},
+		{locateConv + " UNION ALL " + locateTarget + " UNION ALL " + locateSelf, 2 + 4 + 4},
 		// not qualifying: every row is scanned
 		{"SELECT * FROM src s WHERE s.__seq NOT BETWEEN 2 AND 3", 6},
 		{"SELECT * FROM src s WHERE s.__seq <> 2", 6},
@@ -389,5 +403,52 @@ func TestRangeScanAllocBound(t *testing.T) {
 		if large > 1.1*small {
 			t.Errorf("%s: %.0f B at 10000 staged rows vs %.0f B at 1000, want <= 1.1x", sql, large, small)
 		}
+	}
+}
+
+// TestLocateProbeScanBound: the located-split probe over a 10-row range
+// copies what the range holds (both sides of the self-join) plus the target,
+// not the stage: over a 10 000-row stage it scans at most 1.1x the rows it
+// scans over a 1 000-row stage, and it names the range's bad date, its
+// target collision and its repeated key.
+func TestLocateProbeScanBound(t *testing.T) {
+	probe := strings.NewReplacer("src", "stage", "2 AND 3", "501 AND 510").Replace(
+		locateConv + " UNION ALL " + locateTarget + " UNION ALL " + locateSelf)
+	measure := func(stageRows int) int64 {
+		e := newTestEngine(t)
+		mustExec(t, e, "CREATE TABLE tgt (k INTEGER NOT NULL, v VARCHAR(8), PRIMARY KEY (k))")
+		mustExec(t, e, "CREATE TABLE stage (__seq BIGINT NOT NULL, k VARCHAR(8), v VARCHAR(10))")
+		var tv, sv []string
+		for i := 0; i < 100; i++ {
+			tv = append(tv, fmt.Sprintf("(%d, 'a')", 10000+i))
+		}
+		for i := 1; i <= stageRows; i++ {
+			k, v := fmt.Sprint(i), "2020-01-01"
+			switch i {
+			case 503:
+				v = "9999-99-99"
+			case 505:
+				k = "10042" // in tgt
+			case 507:
+				k = "502"
+			}
+			sv = append(sv, fmt.Sprintf("(%d, '%s', '%s')", i, k, v))
+		}
+		mustExec(t, e, "INSERT INTO tgt VALUES "+strings.Join(tv, ", "))
+		mustExec(t, e, "INSERT INTO stage VALUES "+strings.Join(sv, ", "))
+		before := e.RowsScanned()
+		var got []int64
+		for _, row := range q(t, e, probe) {
+			got = append(got, row[0].I)
+		}
+		if want := []int64{503, 505, 507}; !reflect.DeepEqual(got, want) {
+			t.Errorf("probe over %d staged rows named %v, want %v", stageRows, got, want)
+		}
+		return e.RowsScanned() - before
+	}
+	small, large := measure(1000), measure(10000)
+	t.Logf("probe scanned %d rows at 1000 staged rows, %d at 10000", small, large)
+	if float64(large) > 1.1*float64(small) {
+		t.Errorf("probe scanned %d rows at 10000 staged rows vs %d at 1000, want <= 1.1x", large, small)
 	}
 }

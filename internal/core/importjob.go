@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -655,13 +656,15 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 	// Uniqueness emulation (§7): the CDW does not enforce the target's
 	// declared key, so collisions must be detected with queries.
 	var intraQ, targetQ *sqlxlate.RangeStmt
+	var keyExprs []sqlparse.Expr
+	var keyCols []string
 	if dml.Kind == sqlxlate.DMLInsert {
 		meta, err := j.node.pool.Describe(dml.Target.String())
 		if err != nil {
 			return nil, fmt.Errorf("describing target: %w", err)
 		}
 		if len(meta.PrimaryKey) > 0 {
-			keyExprs, keyCols := keyExprsFor(dml, meta)
+			keyExprs, keyCols = keyExprsFor(dml, meta)
 			if len(keyExprs) > 0 {
 				if intraQ, targetQ, err = j.tr.DupCheckQueries(dml, keyCols, keyExprs); err != nil {
 					return nil, err
@@ -673,8 +676,8 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 	var upsertUpdated, upsertInserted int64
 	apply := func(ctx context.Context, lo, hi int64) (int64, error) {
 		for _, q := range []*sqlxlate.RangeStmt{intraQ, targetQ} {
-			if q == nil {
-				continue
+			if q == nil || (q == intraQ && lo == hi) {
+				continue // a single staged row cannot duplicate itself
 			}
 			sql, err := q.SQL(lo, hi)
 			if err != nil {
@@ -762,6 +765,9 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 
 	cfg := j.node.errhandleConfig(int(j.req.MaxErrors), int(j.req.MaxRetries), j.trace, "beta",
 		func() { j.stmts.Add(1) })
+	if dml.Kind == sqlxlate.DMLInsert {
+		cfg.Locate = j.locator(dml, keyCols, keyExprs)
+	}
 	h := errhandle.New(cfg, apply, classifyCDWError, record)
 	maxSeq := j.maxSeq.Load()
 	// The adaptive run derives from the node lifetime so Close aborts the
@@ -773,6 +779,8 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 	j.trace.Span("apply", "beta", applyStart, st.Activity, 0, runErr)
 	nm.adaptiveSplits.Add(st.Splits)
 	nm.blockErrors.Add(st.BlockErrors)
+	nm.locates.Add(st.Locates)
+	nm.locateMisses.Add(st.LocateMisses)
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -797,12 +805,52 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 	j.report.BlockErrors = st.BlockErrors
 	j.report.Splits = st.Splits
 	j.report.MaxSplitDepth = st.MaxDepth
+	j.report.Locates = st.Locates
+	j.report.LocateMisses = st.LocateMisses
 	j.report.Inserted = int64(res.Inserted)
 	j.report.Updated = int64(res.Updated)
 	j.report.Deleted = int64(res.Deleted)
 	j.report.ErrorsET = errsET
 	j.report.ErrorsUV = errsUV
 	return res, nil
+}
+
+// locator returns the adaptive handler's Locate for an insert job. The
+// sqlxlate.LocateQuery probe is built on the first failure, so a clean job
+// pays nothing for it.
+func (j *importJob) locator(dml *sqlxlate.DML, keyCols []string, keyExprs []sqlparse.Expr) func(context.Context, int64, int64) ([]int64, error) {
+	var probe *sqlxlate.RangeStmt
+	return func(_ context.Context, lo, hi int64) ([]int64, error) {
+		if probe == nil {
+			var err error
+			if probe, err = j.tr.LocateQuery(dml, keyCols, keyExprs); err != nil || probe == nil {
+				return nil, err
+			}
+		}
+		start := time.Now()
+		seqs, err := j.locate(probe, lo, hi)
+		j.trace.Span("locate", "beta", start, int64(len(seqs)), 0, err)
+		return seqs, err
+	}
+}
+
+// locate runs the probe over rows lo..hi and returns the sorted, distinct
+// __seq values it names.
+func (j *importJob) locate(probe *sqlxlate.RangeStmt, lo, hi int64) ([]int64, error) {
+	sql, err := probe.SQL(lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	_, rows, err := j.node.pool.QueryAllT(sql, j.trace.ChildContext())
+	if err != nil {
+		return nil, err
+	}
+	seqs := make([]int64, len(rows))
+	for i, r := range rows {
+		seqs[i] = r[0].I
+	}
+	slices.Sort(seqs)
+	return slices.Compact(seqs), nil
 }
 
 func errString(err error) string {

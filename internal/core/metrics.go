@@ -34,6 +34,7 @@ type nodeMetrics struct {
 	rowsInserted, rowsUpdated, rowsDeleted *obs.Counter
 	errorsET, errorsUV, blockErrors        *obs.Counter
 	dmlStatements, adaptiveSplits          *obs.Counter
+	locates, locateMisses                  *obs.Counter
 	dmlLat                                 *obs.Histogram
 	splitDepth                             *obs.Histogram
 
@@ -127,6 +128,10 @@ func newNodeMetrics(n *Node) *nodeMetrics {
 		"Application DML statements issued, including adaptive retries (Figure 11).")
 	m.adaptiveSplits = r.Counter("etlvirt_adaptive_splits_total",
 		"Failing ranges split in half by the adaptive error handler (§7).")
+	m.locates = r.Counter("etlvirt_errhandle_locates_total",
+		"Probes asking the CDW which rows of a failing range fail, instead of bisecting blind (§7).")
+	m.locateMisses = r.Counter("etlvirt_errhandle_locate_misses_total",
+		"Locate probes that errored, plus located gaps that failed anyway and were bisected.")
 	m.dmlLat = r.Histogram("etlvirt_dml_statement_seconds",
 		"Per-statement application DML latency.", nil)
 	m.splitDepth = r.Histogram("etlvirt_split_depth",

@@ -39,6 +39,8 @@ type JobReport struct {
 	ApplyStmts    int64 // DML statements issued, incl. adaptive retries
 	Splits        int64 // failing ranges split by the adaptive handler
 	MaxSplitDepth int   // deepest adaptive-split level reached
+	Locates       int64 // probes asking which rows of a failing range fail
+	LocateMisses  int64 // probes that errored, plus located gaps that failed
 	ExportedRows  int64
 }
 

@@ -12,11 +12,20 @@
 // number of individually-recorded errors before the retry logic stops
 // isolating, and MaxRetries caps how many times any one input chunk is
 // split.
+//
+// Bisection is blind because the CDW does not name the failing row. A caller
+// that can predict which rows fail supplies Config.Locate: the first time a
+// Run's range fails, the handler asks it once and applies the range as
+// ordered pieces — each predicted row alone, each gap between them as a
+// range — instead of halving it. Every piece still goes through the same
+// apply and record path, so a wrong prediction costs statements, never
+// correctness: a gap that fails anyway is bisected as before.
 package errhandle
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -44,6 +53,11 @@ type Config struct {
 	// latency, and the error (nil on success). The virtualizer wires this
 	// into its DML-latency histogram and the per-job span timeline.
 	Observe func(depth int, lo, hi int64, d time.Duration, err error)
+	// Locate, when non-nil, is asked once per Run, when its range first
+	// fails, for the sorted __seq values in lo..hi it predicts will fail.
+	// A nil or empty answer, an error, or an answer that does not fit the
+	// budgets (see locate) means bisecting as if Locate were nil.
+	Locate func(ctx context.Context, lo, hi int64) ([]int64, error)
 }
 
 // Default budgets applied when Config fields are zero.
@@ -71,8 +85,10 @@ type Stats struct {
 	IndividualErrors int64 // tuples recorded one-by-one
 	BlockErrors      int64 // range entries recorded after budget exhaustion
 	BlockedRows      int64 // rows covered by block entries
-	Splits           int64 // failing ranges that were split in half
+	Splits           int64 // failing ranges split in half or at located rows
 	MaxDepth         int   // deepest split level reached
+	Locates          int64 // Locate calls
+	LocateMisses     int64 // Locate calls that errored, plus located gaps that failed
 }
 
 // Handler drives adaptive application for one job. Not safe for concurrent
@@ -113,8 +129,18 @@ func (h *Handler) Run(ctx context.Context, lo, hi int64) error {
 }
 
 func (h *Handler) run(ctx context.Context, lo, hi int64, depth int) error {
-	if err := ctx.Err(); err != nil {
+	c, failed, err := h.attempt(ctx, lo, hi, depth)
+	if err != nil || !failed {
 		return err
+	}
+	return h.isolate(ctx, lo, hi, depth, c)
+}
+
+// attempt applies rows lo..hi once and reports whether the statement failed
+// with a data error, classified as c.
+func (h *Handler) attempt(ctx context.Context, lo, hi int64, depth int) (c Classified, failed bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return c, false, err
 	}
 	h.stats.Attempts++
 	if depth > h.stats.MaxDepth {
@@ -127,13 +153,16 @@ func (h *Handler) run(ctx context.Context, lo, hi int64, depth int) error {
 	}
 	if err == nil {
 		h.stats.Activity += n
-		return nil
+		return c, false, nil
 	}
-	c := h.classify(err)
-	if c.Fatal {
-		return fmt.Errorf("errhandle: fatal failure applying rows %d-%d: %w", lo, hi, err)
+	if c = h.classify(err); c.Fatal {
+		return c, true, fmt.Errorf("errhandle: fatal failure applying rows %d-%d: %w", lo, hi, err)
 	}
+	return c, true, nil
+}
 
+// isolate handles the failure c of rows lo..hi, applied at depth.
+func (h *Handler) isolate(ctx context.Context, lo, hi int64, depth int, c Classified) error {
 	// Single tuple isolated: record it individually.
 	if lo == hi {
 		if h.stats.IndividualErrors >= int64(h.cfg.MaxErrors) {
@@ -149,11 +178,86 @@ func (h *Handler) run(ctx context.Context, lo, hi int64, depth int) error {
 	}
 
 	h.stats.Splits++
+	if depth == 0 && h.cfg.Locate != nil {
+		if pieces := h.locate(ctx, lo, hi); pieces != nil {
+			return h.runPieces(ctx, pieces, depth+1)
+		}
+	}
 	mid := lo + (hi-lo)/2
 	if err := h.run(ctx, lo, mid, depth+1); err != nil {
 		return err
 	}
 	return h.run(ctx, mid+1, hi, depth+1)
+}
+
+// piece is one part of a located split: a predicted bad row, or a gap of
+// rows predicted clean.
+type piece struct {
+	lo, hi  int64
+	suspect bool
+}
+
+// locate asks cfg.Locate which rows of the failing range lo..hi will fail
+// and returns the pieces to apply in order, or nil to bisect. The answer is
+// used only if it fits both budgets, so that a located split never records
+// a block that bisection would not have: the suspects fit the individual
+// errors MaxErrors still allows, and every gap could be bisected down to
+// single rows before a failing part of it reached depth MaxRetries.
+func (h *Handler) locate(ctx context.Context, lo, hi int64) []piece {
+	h.stats.Locates++
+	seqs, err := h.cfg.Locate(ctx, lo, hi)
+	if err != nil {
+		h.stats.LocateMisses++
+		return nil
+	}
+	if len(seqs) == 0 || int64(len(seqs)) > int64(h.cfg.MaxErrors)-h.stats.IndividualErrors {
+		return nil
+	}
+	pieces := make([]piece, 0, 2*len(seqs)+1)
+	next := lo
+	for _, s := range seqs {
+		if s < next || s > hi {
+			return nil // unsorted, repeated or out of range: not an answer
+		}
+		if s > next {
+			pieces = append(pieces, piece{lo: next, hi: s - 1})
+		}
+		pieces = append(pieces, piece{lo: s, hi: s, suspect: true})
+		next = s + 1
+	}
+	if next <= hi {
+		pieces = append(pieces, piece{lo: next, hi: hi})
+	}
+	for _, p := range pieces {
+		// A gap of m rows bisected from depth 1 has failing multi-row parts
+		// down to depth ceil(log2 m).
+		if !p.suspect && bits.Len64(uint64(p.hi-p.lo)) >= h.cfg.MaxRetries {
+			return nil
+		}
+	}
+	return pieces
+}
+
+// runPieces applies a located split in ascending row order. A suspect that
+// fails is recorded like any isolated row; a gap that fails is a miss and is
+// bisected without asking Locate again.
+func (h *Handler) runPieces(ctx context.Context, pieces []piece, depth int) error {
+	for _, p := range pieces {
+		c, failed, err := h.attempt(ctx, p.lo, p.hi, depth)
+		if err != nil {
+			return err
+		}
+		if !failed {
+			continue
+		}
+		if !p.suspect {
+			h.stats.LocateMisses++
+		}
+		if err := h.isolate(ctx, p.lo, p.hi, depth, c); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (h *Handler) recordBlock(lo, hi int64, c Classified) error {

@@ -16,6 +16,7 @@ import (
 type fakeTarget struct {
 	bad      map[int64]bool
 	applied  map[int64]bool
+	order    []int64 // applied rows, in application order, repeats included
 	attempts int
 }
 
@@ -36,6 +37,7 @@ func (f *fakeTarget) apply(_ context.Context, lo, hi int64) (int64, error) {
 	}
 	for r := lo; r <= hi; r++ {
 		f.applied[r] = true
+		f.order = append(f.order, r)
 	}
 	return hi - lo + 1, nil
 }

@@ -326,28 +326,124 @@ func (tr *Translator) DupCheckQueries(d *DML, keyCols []string, keyExprs []sqlpa
 
 	// target: SELECT count(*) FROM stage s JOIN tgt t ON t.k1 = e1 ... WHERE range
 	predT, loT, hiT := tr.rangePredicate()
+	targetSel := &sqlparse.SelectStmt{
+		Items: []sqlparse.SelectItem{{Expr: countStar()}},
+		From:  []sqlparse.TableExpr{tr.targetJoin(d, keyCols, keyExprs)},
+		Where: predT,
+	}
+	target = &RangeStmt{stmt: targetSel, lo: loT, hi: hiT}
+	return intra, target, nil
+}
+
+// targetJoin joins the stage to the insert's target t on its key columns.
+func (tr *Translator) targetJoin(d *DML, keyCols []string, keyExprs []sqlparse.Expr) *sqlparse.Join {
 	var on sqlparse.Expr
 	for i, kc := range keyCols {
-		eq := &sqlparse.BinaryExpr{Op: "=",
-			L: &sqlparse.ColRef{Qualifier: "t", Name: kc},
-			R: keyExprs[i]}
-		if on == nil {
-			on = eq
-		} else {
-			on = &sqlparse.BinaryExpr{Op: "AND", L: on, R: eq}
-		}
+		on = conjoin(on, &sqlparse.BinaryExpr{Op: "=", L: &sqlparse.ColRef{Qualifier: "t", Name: kc}, R: keyExprs[i]})
 	}
-	join := &sqlparse.Join{
+	return &sqlparse.Join{
 		Type:  sqlparse.JoinInner,
 		Left:  tr.stageRef(),
 		Right: &sqlparse.TableRef{Table: d.Target, Alias: "t"},
 		On:    on,
 	}
-	targetSel := &sqlparse.SelectStmt{
-		Items: []sqlparse.SelectItem{{Expr: countStar()}},
-		From:  []sqlparse.TableExpr{join},
-		Where: predT,
+}
+
+// conjoin returns l AND r, or the other when one is nil.
+func conjoin(l, r sqlparse.Expr) sqlparse.Expr {
+	switch {
+	case l == nil:
+		return r
+	case r == nil:
+		return l
 	}
-	target = &RangeStmt{stmt: targetSel, lo: loT, hi: hiT}
-	return intra, target, nil
+	return &sqlparse.BinaryExpr{Op: "AND", L: l, R: r}
+}
+
+// LocateQuery builds the probe the adaptive error handler sends when a range
+// of an insert DML fails (§7): one UNION ALL statement returning the __seq of
+// every staged row in the range it predicts will fail. Its branches are
+//
+//	(a) rows on which a TO_DATE/TO_TIMESTAMP of the insert fails: its column
+//	    arguments are non-NULL and its TRY_ form is NULL;
+//	(b) rows whose key collides with a target row;
+//	(c) rows whose key repeats an earlier row of the range: the stage joined
+//	    to its own key projection s2 on s2.__seq < s.__seq.
+//
+// keyCols/keyExprs are as for DupCheckQueries; when empty, (b) and (c) are
+// left out. Every scan of the stage carries the __seq range. The result is a
+// prediction, not a verdict: a branch can name a row that applies (a
+// conversion under a CASE arm not taken, a duplicate of a row that itself
+// fails) and miss a row that does not (other error classes, NULL keys). It
+// returns nil when the insert has nothing to check.
+func (tr *Translator) LocateQuery(d *DML, keyCols []string, keyExprs []sqlparse.Expr) (*RangeStmt, error) {
+	if len(keyCols) != len(keyExprs) {
+		return nil, fmt.Errorf("sqlxlate: bad uniqueness key specification")
+	}
+	lo := &sqlparse.Literal{Kind: sqlparse.LitInt}
+	hi := &sqlparse.Literal{Kind: sqlparse.LitInt}
+	seqOf := func(alias string) *sqlparse.ColRef {
+		return &sqlparse.ColRef{Qualifier: alias, Name: SeqColumn}
+	}
+	inRange := func(alias string) sqlparse.Expr {
+		return &sqlparse.BetweenExpr{X: seqOf(alias), Lo: lo, Hi: hi}
+	}
+	branch := func(from sqlparse.TableExpr, where sqlparse.Expr) *sqlparse.SelectStmt {
+		return &sqlparse.SelectStmt{
+			Items: []sqlparse.SelectItem{{Expr: seqOf(tr.StageAlias)}},
+			From:  []sqlparse.TableExpr{from},
+			Where: conjoin(inRange(tr.StageAlias), where),
+		}
+	}
+	var branches []*sqlparse.SelectStmt
+
+	// (a) date and timestamp conversions
+	var conv sqlparse.Expr
+	sqlparse.WalkExprs(&sqlparse.InsertStmt{Rows: [][]sqlparse.Expr{d.OrderedExprs}}, func(e sqlparse.Expr) {
+		fc, ok := e.(*sqlparse.FuncCall)
+		if !ok || (fc.Name != "TO_DATE" && fc.Name != "TO_TIMESTAMP") {
+			return
+		}
+		var fails sqlparse.Expr
+		for _, a := range fc.Args {
+			if lit, ok := a.(*sqlparse.Literal); ok && lit.Kind != sqlparse.LitNull {
+				continue // a constant format is never NULL
+			}
+			fails = conjoin(fails, &sqlparse.IsNullExpr{X: a, Not: true})
+		}
+		fails = conjoin(fails, &sqlparse.IsNullExpr{X: &sqlparse.FuncCall{Name: "TRY_" + fc.Name, Args: fc.Args}})
+		if conv == nil {
+			conv = fails
+		} else {
+			conv = &sqlparse.BinaryExpr{Op: "OR", L: conv, R: fails}
+		}
+	})
+	if conv != nil {
+		branches = append(branches, branch(tr.stageRef(), conv))
+	}
+
+	if len(keyExprs) > 0 {
+		// (b) collisions with the target
+		branches = append(branches, branch(tr.targetJoin(d, keyCols, keyExprs), nil))
+
+		// (c) repeats of an earlier key in the range
+		keys := branch(tr.stageRef(), nil)
+		var on sqlparse.Expr
+		for i, e := range keyExprs {
+			name := fmt.Sprintf("k%d", i)
+			keys.Items = append(keys.Items, sqlparse.SelectItem{Expr: e, Alias: name})
+			on = conjoin(on, &sqlparse.BinaryExpr{Op: "=", L: &sqlparse.ColRef{Qualifier: "s2", Name: name}, R: e})
+		}
+		branches = append(branches, branch(&sqlparse.Join{Type: sqlparse.JoinInner, Left: tr.stageRef(),
+			Right: &sqlparse.SubqueryTable{Select: keys, Alias: "s2"}, On: on},
+			&sqlparse.BinaryExpr{Op: "<", L: seqOf("s2"), R: seqOf(tr.StageAlias)}))
+	}
+
+	if len(branches) == 0 {
+		return nil, nil
+	}
+	for i := len(branches) - 1; i > 0; i-- {
+		branches[i-1].Union = branches[i]
+	}
+	return &RangeStmt{stmt: branches[0], lo: lo, hi: hi}, nil
 }

@@ -274,6 +274,57 @@ func TestDupCheckQueries(t *testing.T) {
 	}
 }
 
+func TestLocateQuery(t *testing.T) {
+	tr := jobTranslator()
+	dml, err := tr.TranslateDML(`insert into PROD.CUSTOMER values (
+		trim(:CUST_ID), trim(:CUST_NAME), cast(:JOIN_DATE as DATE format 'YYYY-MM-DD'))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyExpr, _ := dml.PositionalInsertExpr(0)
+	probe, err := tr.LocateQuery(dml, []string{"CUST_ID"}, []sqlparse.Expr{keyExpr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql, err := probe.SQL(11, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		rng  = "s.__seq BETWEEN 11 AND 20"
+		want = "SELECT s.__seq FROM etl_stage.job1 s WHERE " + rng +
+			" AND s.JOIN_DATE IS NOT NULL AND TRY_TO_DATE(s.JOIN_DATE, 'YYYY-MM-DD') IS NULL" +
+			" UNION ALL SELECT s.__seq FROM etl_stage.job1 s JOIN PROD.CUSTOMER t ON t.CUST_ID = TRIM(s.CUST_ID) WHERE " + rng +
+			" UNION ALL SELECT s.__seq FROM etl_stage.job1 s JOIN (SELECT s.__seq, TRIM(s.CUST_ID) AS k0 FROM etl_stage.job1 s WHERE " + rng +
+			") s2 ON s2.k0 = TRIM(s.CUST_ID) WHERE " + rng + " AND s2.__seq < s.__seq"
+	)
+	if sql != want {
+		t.Errorf("probe SQL\n got: %s\nwant: %s", sql, want)
+	}
+	if _, err := sqlparse.Parse(sql, sqlparse.DialectCDW); err != nil {
+		t.Errorf("probe unparseable: %v", err)
+	}
+
+	// Without a key only the conversion branch is left; with neither there
+	// is nothing to probe.
+	if probe, err = tr.LocateQuery(dml, nil, nil); err != nil || probe == nil {
+		t.Fatalf("keyless probe: %v, %v", probe, err)
+	}
+	if sql, _ := probe.SQL(1, 2); strings.Contains(sql, "UNION") {
+		t.Errorf("keyless probe: %s", sql)
+	}
+	plain, err := tr.TranslateDML(`insert into PROD.CUSTOMER values (trim(:CUST_ID), :CUST_NAME, NULL)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe, err = tr.LocateQuery(plain, nil, nil); err != nil || probe != nil {
+		t.Errorf("nothing to probe: %v, %v", probe, err)
+	}
+	if _, err := tr.LocateQuery(dml, []string{"CUST_ID"}, nil); err == nil {
+		t.Error("mismatched key spec accepted")
+	}
+}
+
 func TestAnalyze(t *testing.T) {
 	rep := Analyze(`
 		SELECT ZEROIFNULL(x) FROM t;
