@@ -35,10 +35,7 @@ func main() {
 	}
 
 	if *ablations {
-		rows, err := bench.AblationSyncAck(*scale)
-		check(err)
-		fmt.Println(bench.FormatAblations("immediate ack vs synchronized pipeline (§5)", rows))
-		rows, err = bench.AblationCompression(*scale)
+		rows, err := bench.AblationCompression(*scale)
 		check(err)
 		fmt.Println(bench.FormatAblations("intermediate-file compression on a slow uplink (§6)", rows))
 		rows, err = bench.AblationFileSize(*scale)

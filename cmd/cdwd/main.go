@@ -32,7 +32,6 @@ func main() {
 	storeDir := flag.String("store", "", "object-store directory shared with etlvirtd (required)")
 	initSQL := flag.String("init", "", "optional file of semicolon-separated DDL to run at startup")
 	debugAddr := flag.String("debug", "", "optional address for /healthz, /metrics, /events and /debug/pprof (e.g. 127.0.0.1:7071)")
-	eventLog := flag.Int("event-log", 0, "structured events kept in the /events ring buffer (0 = 1024)")
 	faultSpec := flag.String("fault-spec", "", "fault-injection spec for engine-side store reads, e.g. 'store.get:rate=0.05' (empty = off)")
 	faultSeed := flag.Int64("fault-seed", 1, "deterministic seed for -fault-spec schedules")
 	flag.Parse()
@@ -81,7 +80,7 @@ func main() {
 			}
 			lat.ObserveDuration(d)
 		})
-		events := obs.NewEventLog(*eventLog)
+		events := obs.NewEventLog(0) // the default 1024-entry ring
 		srv.SetEventLog(events)
 		ln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {

@@ -33,15 +33,10 @@ func main() {
 	writers := flag.Int("filewriters", 0, "parallel FileWriter goroutines per job (0 = default)")
 	fileSize := flag.Int("filesize", 0, "intermediate file size threshold in bytes (0 = 4MiB)")
 	gz := flag.Bool("gzip", false, "gzip intermediate files before upload")
-	copyFiles := flag.Int("copy-batch-files", 0, "uploaded files folded into each incremental COPY manifest (0 = 4)")
 	schemaMap := flag.String("schema-map", "", "legacy->CDW schema renames, e.g. PROD=analytics,DW=warehouse")
 	maxErrors := flag.Int("maxerrors", 0, "default max_errors for jobs that do not set one")
 	maxRetries := flag.Int("maxretries", 0, "default max_retries for jobs that do not set one")
 	debugAddr := flag.String("debug", "", "optional address for /healthz, /metrics, /jobs, /jobs/active, /jobs/{id}/trace and /debug/pprof (e.g. 127.0.0.1:7070)")
-	reportLog := flag.Int("report-log", 0, "completed job reports kept in memory (0 = 1024)")
-	traceRetain := flag.Int("trace-retain", 0, "finished job traces kept for /jobs/{id}/trace (0 = 64)")
-	traceSpans := flag.Int("trace-spans", 0, "span cap per job trace (0 = 8192)")
-	eventLog := flag.Int("event-log", 0, "structured events kept in the /events ring buffer (0 = 1024)")
 	eventFile := flag.String("event-file", "", "optional file to mirror the structured event log to as JSONL")
 	faultSpec := flag.String("fault-spec", "", "fault-injection spec, e.g. 'store.put:rate=0.1,class=timeout;cdw.exec:every=50' (empty = off)")
 	faultSeed := flag.Int64("fault-seed", 1, "deterministic seed for -fault-spec schedules")
@@ -51,9 +46,6 @@ func main() {
 	retryBudget := flag.Int64("retry-budget", 0, "total retries allowed node-wide (0 = unlimited)")
 	putTimeout := flag.Duration("put-timeout", 0, "per-put object-store deadline (0 = none)")
 	cdwTimeout := flag.Duration("cdw-timeout", 0, "per-round-trip CDW deadline (0 = none)")
-	streamLatency := flag.Duration("stream-latency-target", 0, "end-to-end commit latency target for CDC micro-batches (0 = 2s)")
-	streamMinBatch := flag.Int("stream-min-batch", 0, "micro-batch size floor in deltas (0 = 16)")
-	streamMaxBatch := flag.Int("stream-max-batch", 0, "micro-batch size ceiling in deltas (0 = 8192)")
 	flag.Parse()
 
 	if *storeDir == "" {
@@ -66,30 +58,22 @@ func main() {
 	}
 
 	cfg := core.Config{
-		CDWAddr:             *cdwAddr,
-		Credits:             *credits,
-		MemBudget:           *memBudget,
-		Converters:          *converters,
-		FileWriters:         *writers,
-		FileSizeThreshold:   *fileSize,
-		Gzip:                *gz,
-		CopyBatchFiles:      *copyFiles,
-		MaxErrors:           *maxErrors,
-		MaxRetries:          *maxRetries,
-		ReportLogSize:       *reportLog,
-		TraceRetention:      *traceRetain,
-		TraceSpansPerJob:    *traceSpans,
-		EventLogSize:        *eventLog,
-		RetryMaxAttempts:    *retryMax,
-		RetryBaseDelay:      *retryBase,
-		RetryMaxDelay:       *retryCap,
-		RetryBudget:         *retryBudget,
-		PutTimeout:          *putTimeout,
-		CDWTimeout:          *cdwTimeout,
-		StreamLatencyTarget: *streamLatency,
-		StreamMinBatch:      *streamMinBatch,
-		StreamMaxBatch:      *streamMaxBatch,
-		Logger:              slog.New(slog.NewTextHandler(os.Stderr, nil)),
+		CDWAddr:           *cdwAddr,
+		Credits:           *credits,
+		MemBudget:         *memBudget,
+		Converters:        *converters,
+		FileWriters:       *writers,
+		FileSizeThreshold: *fileSize,
+		Gzip:              *gz,
+		MaxErrors:         *maxErrors,
+		MaxRetries:        *maxRetries,
+		RetryMaxAttempts:  *retryMax,
+		RetryBaseDelay:    *retryBase,
+		RetryMaxDelay:     *retryCap,
+		RetryBudget:       *retryBudget,
+		PutTimeout:        *putTimeout,
+		CDWTimeout:        *cdwTimeout,
+		Logger:            slog.New(slog.NewTextHandler(os.Stderr, nil)),
 	}
 	if *faultSpec != "" {
 		inj, err := faultinject.Parse(*faultSpec, *faultSeed)

@@ -11,18 +11,12 @@
 //	etlvirtlint -json ./internal/core
 //	etlvirtlint -disable=goroleak ./...
 //	etlvirtlint -enable=ctxbg,endian ./...
-//	etlvirtlint -tier syntactic ./...
-//	etlvirtlint -tier dataflow -cache .lintcache -v ./...
 //
 // Packages default to ./... relative to the module root containing the
-// working directory. The exit status is 1 when any finding survives
-// //nolint filtering, 2 on usage or load errors.
-//
-// -tier splits the suite by cost: "syntactic" selects the single-pass AST
-// analyzers, "dataflow" the CFG/worklist ones; "all" (the default) runs
-// both. -cache enables the per-package incremental cache for analyzers
-// whose results depend only on their package and its module-internal
-// dependency sources; -v reports hit/miss counts on stderr.
+// working directory. Directives on functions in module-internal packages
+// outside the named set are resolved through the loader, so linting one
+// package reports what linting ./... reports for it. The exit status is 1
+// when any finding survives //nolint filtering, 2 on usage or load errors.
 package main
 
 import (
@@ -49,9 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	enable := fs.String("enable", "", "comma-separated analyzers to run (default: all)")
 	disable := fs.String("disable", "", "comma-separated analyzers to skip")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	tier := fs.String("tier", "all", "analyzer tier to run: all, syntactic, or dataflow")
-	cacheDir := fs.String("cache", "", "directory for the per-package incremental result cache")
-	verbose := fs.Bool("v", false, "report cache hit/miss statistics on stderr")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: etlvirtlint [flags] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
@@ -71,11 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	analyzers, err := selectAnalyzers(analyzers, *enable, *disable)
-	if err != nil {
-		fmt.Fprintln(stderr, "etlvirtlint:", err)
-		return 2
-	}
-	analyzers, err = selectTier(analyzers, *tier)
 	if err != nil {
 		fmt.Fprintln(stderr, "etlvirtlint:", err)
 		return 2
@@ -102,24 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var res lint.Result
-	if *cacheDir != "" {
-		cache, err := lint.NewCache(*cacheDir, loader)
-		if err != nil {
-			fmt.Fprintln(stderr, "etlvirtlint:", err)
-			return 2
-		}
-		res = lint.RunCached(cache, analyzers, pkgs)
-		if *verbose {
-			fmt.Fprintf(stderr, "etlvirtlint: cache: %d hit(s), %d miss(es) across %d package(s)\n",
-				cache.Hits, cache.Misses, len(pkgs))
-		}
-	} else {
-		res = (&lint.Runner{Analyzers: analyzers}).Run(pkgs)
-		if *verbose {
-			fmt.Fprintf(stderr, "etlvirtlint: cache disabled; analyzed %d package(s)\n", len(pkgs))
-		}
-	}
+	res := (&lint.Runner{Analyzers: analyzers, Loader: loader}).Run(pkgs)
 
 	if *jsonOut {
 		return emitJSON(stdout, stderr, analyzers, res)
@@ -244,29 +213,6 @@ func selectAnalyzers(all []*lint.Analyzer, enable, disable string) ([]*lint.Anal
 		return nil, fmt.Errorf("no analyzers selected")
 	}
 	return out, nil
-}
-
-// selectTier filters analyzers by cost tier: the syntactic tier is the
-// single-pass AST walkers, the dataflow tier the CFG/worklist analyzers.
-func selectTier(all []*lint.Analyzer, tier string) ([]*lint.Analyzer, error) {
-	switch tier {
-	case "all", "":
-		return all, nil
-	case "syntactic", "dataflow":
-		wantDataflow := tier == "dataflow"
-		var out []*lint.Analyzer
-		for _, a := range all {
-			if a.Dataflow == wantDataflow {
-				out = append(out, a)
-			}
-		}
-		if len(out) == 0 {
-			return nil, fmt.Errorf("no analyzers in tier %q after -enable/-disable filtering", tier)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("unknown tier %q (want all, syntactic, or dataflow)", tier)
-	}
 }
 
 func totalSuppressed(res lint.Result) int {

@@ -81,70 +81,16 @@ func TestJSONWitness(t *testing.T) {
 	}
 }
 
-// TestTierFlag checks the two-stage split: the syntactic tier alone still
-// catches the ctxbg fixture, the dataflow tier alone is clean on it, and the
-// tiers partition the full analyzer set.
-func TestTierFlag(t *testing.T) {
+// TestSinglePackageRun: linting one package resolves //etlvirt: directives
+// declared in its module-internal dependencies, so it reports exactly what
+// linting ./... reports for that package — here, nothing.
+func TestSinglePackageRun(t *testing.T) {
 	var out, errb strings.Builder
-	if code := run([]string{"-tier", "syntactic", ctxbgFixture}, &out, &errb); code != 1 {
-		t.Fatalf("syntactic tier exit = %d, want 1\nstderr: %s", code, errb.String())
+	if code := run([]string{"./internal/core"}, &out, &errb); code != 0 {
+		t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-tier", "dataflow", ctxbgFixture}, &out, &errb); code != 0 {
-		t.Fatalf("dataflow tier exit = %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
-	}
-	if code := run([]string{"-tier", "nosuch", ctxbgFixture}, &out, &errb); code != 2 {
-		t.Fatalf("unknown tier exit = %d, want 2", code)
-	}
-
-	var syntactic, dataflow strings.Builder
-	countJSON := func(buf *strings.Builder, tier string) int {
-		t.Helper()
-		var errb strings.Builder
-		// Tier selection happens before loading, so exit 1 (findings) and 0
-		// are both fine here; 2 would mean the tier itself was rejected.
-		if code := run([]string{"-json", "-tier", tier, ctxbgFixture}, buf, &errb); code == 2 {
-			t.Fatalf("-tier %s exit = 2\nstderr: %s", tier, errb.String())
-		}
-		var rep struct {
-			Analyzers []struct{ Name string } `json:"analyzers"`
-		}
-		if err := json.Unmarshal([]byte(buf.String()), &rep); err != nil {
-			t.Fatalf("bad JSON: %v", err)
-		}
-		return len(rep.Analyzers)
-	}
-	ns, nd := countJSON(&syntactic, "syntactic"), countJSON(&dataflow, "dataflow")
-	if ns+nd != 12 {
-		t.Errorf("tiers do not partition the suite: syntactic=%d dataflow=%d, want 12 total", ns, nd)
-	}
-	if ns == 0 || nd == 0 {
-		t.Errorf("degenerate tier split: syntactic=%d dataflow=%d", ns, nd)
-	}
-}
-
-// TestCacheFlag checks incremental mode end to end: a second identical run
-// must serve the cacheable analyzers from the cache and report the same
-// findings.
-func TestCacheFlag(t *testing.T) {
-	dir := t.TempDir()
-	var out1, err1 strings.Builder
-	if code := run([]string{"-json", "-v", "-cache", dir, ctxbgFixture}, &out1, &err1); code != 1 {
-		t.Fatalf("first run exit = %d, want 1\nstderr: %s", code, err1.String())
-	}
-	if !strings.Contains(err1.String(), "0 hit(s), 1 miss(es)") {
-		t.Errorf("first run cache stats = %q, want a cold miss", err1.String())
-	}
-	var out2, err2 strings.Builder
-	if code := run([]string{"-json", "-v", "-cache", dir, ctxbgFixture}, &out2, &err2); code != 1 {
-		t.Fatalf("second run exit = %d, want 1\nstderr: %s", code, err2.String())
-	}
-	if !strings.Contains(err2.String(), "1 hit(s), 0 miss(es)") {
-		t.Errorf("second run cache stats = %q, want a warm hit", err2.String())
-	}
-	if out1.String() != out2.String() {
-		t.Errorf("cached run changed the report\n--- first ---\n%s--- second ---\n%s", out1.String(), out2.String())
+	if out.Len() != 0 {
+		t.Errorf("findings on a clean package:\n%s", out.String())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"etlvirt/internal/convert"
 	"etlvirt/internal/core"
 )
 
@@ -16,42 +15,6 @@ type AblationRow struct {
 	Total       time.Duration
 	Files       int64
 	UploadMB    float64
-}
-
-// AblationSyncAck quantifies §5's design argument: acknowledging chunks
-// immediately (with CreditManager back-pressure) versus synchronizing the
-// pipeline by acknowledging only after conversion and serialization. The
-// synchronous variant stalls every session for the full per-chunk pipeline
-// latency; the paper rejects it for exactly this cost.
-func AblationSyncAck(scale int) ([]AblationRow, error) {
-	if scale <= 0 {
-		scale = RowsPerPaperMillion
-	}
-	w := Workload{Rows: 8 * scale, RowBytes: 500, Seed: 21}
-	var out []AblationRow
-	for _, sync := range []bool{false, true} {
-		cfg := RunConfig{
-			Workload: w,
-			Node: core.Config{
-				Converters:      4,
-				Credits:         32,
-				SyncAcquisition: sync,
-				ConvertOpts:     convert.Options{SimulatedByteCost: 150 * time.Nanosecond},
-			},
-			Sessions:     4,
-			ChunkRecords: 100,
-		}
-		p, err := RunImport(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ablation sync=%v: %w", sync, err)
-		}
-		name := "immediate ack + credits (paper)"
-		if sync {
-			name = "synchronized pipeline (rejected design)"
-		}
-		out = append(out, AblationRow{Name: name, Acquisition: p.Acquisition, Total: p.Total})
-	}
-	return out, nil
 }
 
 // AblationCompression quantifies §6's upload tuning: gzip of intermediate

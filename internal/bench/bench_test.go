@@ -194,14 +194,7 @@ func TestAblationsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full ablation sweeps")
 	}
-	rows, err := AblationSyncAck(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("sync ablation rows: %d", len(rows))
-	}
-	rows, err = AblationCompression(150)
+	rows, err := AblationCompression(150)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"time"
 
+	"etlvirt"
 	"etlvirt/internal/cdw"
 	"etlvirt/internal/cdwnet"
-	"etlvirt/internal/cloudstore"
 	"etlvirt/internal/core"
 	"etlvirt/internal/etlclient"
 	"etlvirt/internal/etlscript"
@@ -93,36 +93,30 @@ func (p PhaseTimes) AcquireRateMBs() float64 {
 	return float64(p.Bytes) / p.Acquisition.Seconds() / 1e6
 }
 
+// startStack assembles the run's in-process stack: object store, CDW engine
+// behind its server, and a virtualizer node.
+func startStack(cfg RunConfig) (*etlvirt.Stack, error) {
+	return etlvirt.StartStack(etlvirt.StackConfig{
+		Node:              cfg.Node,
+		CDW:               cfg.CDW,
+		UplinkBytesPerSec: cfg.UplinkBytesPerSec,
+	})
+}
+
 // RunImport generates the workload, assembles an in-process stack, runs the
 // job through the virtualizer, and reports phase times from the node's job
 // report (server-side perspective, as in the paper).
 func RunImport(cfg RunConfig) (PhaseTimes, error) {
 	data := cfg.Workload.Generate()
 
-	store := cloudstore.NewMemStore()
-	eng := cdw.NewEngine(store, cfg.CDW)
-	srv := cdwnet.NewServer(eng)
-	cdwAddr, err := srv.Listen("127.0.0.1:0")
+	stack, err := startStack(cfg)
 	if err != nil {
 		return PhaseTimes{}, err
 	}
-	defer srv.Close()
+	defer stack.Close()
+	node := stack.Node
 
-	nodeCfg := cfg.Node
-	nodeCfg.CDWAddr = cdwAddr
-	var nodeStore cloudstore.Store = store
-	if cfg.UplinkBytesPerSec > 0 {
-		nodeStore = &cloudstore.ThrottledStore{Store: store,
-			Link: &cloudstore.Link{BytesPerSec: cfg.UplinkBytesPerSec}}
-	}
-	node := core.NewNode(nodeCfg, nodeStore)
-	nodeAddr, err := node.Listen("127.0.0.1:0")
-	if err != nil {
-		return PhaseTimes{}, err
-	}
-	defer node.Close()
-
-	if _, err := eng.ExecSQL(cfg.Workload.TargetDDL("bench.target")); err != nil {
+	if _, err := stack.ExecCDW(cfg.Workload.TargetDDL("bench.target")); err != nil {
 		return PhaseTimes{}, err
 	}
 
@@ -135,7 +129,7 @@ func RunImport(cfg RunConfig) (PhaseTimes, error) {
 		return PhaseTimes{}, err
 	}
 	opts := etlclient.Options{
-		Addr:         nodeAddr,
+		Addr:         stack.NodeAddr,
 		ChunkRecords: cfg.ChunkRecords,
 		ReadFile:     func(string) ([]byte, error) { return data, nil },
 		Trace:        cfg.Trace,
@@ -189,15 +183,12 @@ func RunBaselineSingleton(cfg RunConfig) (PhaseTimes, error) {
 	data := cfg.Workload.Generate()
 	layout := cfg.Workload.Layout()
 
-	store := cloudstore.NewMemStore()
-	eng := cdw.NewEngine(store, cfg.CDW)
-	srv := cdwnet.NewServer(eng)
-	cdwAddr, err := srv.Listen("127.0.0.1:0")
+	stack, err := startStack(cfg)
 	if err != nil {
 		return PhaseTimes{}, err
 	}
-	defer srv.Close()
-	client, err := cdwnet.Dial(cdwAddr)
+	defer stack.Close()
+	client, err := cdwnet.Dial(stack.CDWAddr)
 	if err != nil {
 		return PhaseTimes{}, err
 	}

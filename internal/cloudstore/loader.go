@@ -3,29 +3,18 @@ package cloudstore
 import (
 	"bytes"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
 	"time"
 )
 
-// LoaderConfig tunes the bulk loader, mirroring the knobs the paper exposes
-// in §6: directory-vs-file upload, upload parallelism, and whether files were
-// compressed by the FileWriter (the loader only records it; the CDW COPY
-// decompresses).
+// LoaderConfig tunes the bulk loader.
 type LoaderConfig struct {
-	// Parallelism is the number of concurrent upload workers for directory
-	// uploads. Values below 1 are treated as 1.
-	Parallelism int
 	// PutTimeout bounds each object-store put; zero disables the bound. A
 	// put that exceeds it fails with *TimeoutError, which classifies as
 	// transient so the caller's retry policy re-drives the upload. The
 	// abandoned attempt keeps running in the background, but it owns its
-	// reader (each attempt opens its own) and stores write complete
-	// objects atomically, so a late completion writes the same bytes and
-	// cannot corrupt a concurrent retry.
+	// reader (each attempt reads the buffer through its own reader) and
+	// stores write complete objects atomically, so a late completion writes
+	// the same bytes and cannot corrupt a concurrent retry.
 	PutTimeout time.Duration
 }
 
@@ -48,7 +37,7 @@ func (e *TimeoutError) Timeout() bool { return true }
 func (e *TimeoutError) Transient() bool { return true }
 
 // BulkLoader is the vendor upload utility equivalent ("aws s3 cp" / AzCopy):
-// it copies local files into the object store.
+// it copies finished intermediate files into the object store.
 type BulkLoader struct {
 	store Store
 	cfg   LoaderConfig
@@ -56,115 +45,34 @@ type BulkLoader struct {
 
 // NewBulkLoader returns a loader that uploads into store.
 func NewBulkLoader(store Store, cfg LoaderConfig) *BulkLoader {
-	if cfg.Parallelism < 1 {
-		cfg.Parallelism = 1
-	}
 	return &BulkLoader{store: store, cfg: cfg}
 }
 
-// put drives one store put, bounded by cfg.PutTimeout when set. Each attempt
-// opens its own reader via open and closes it itself, so when a timeout
-// abandons the attempt goroutine, nothing the caller still holds is shared
-// with it: the caller can retry the key immediately while the stale attempt
-// finishes (or fails) in the background against its own reader. On timeout
-// the caller gets a transient *TimeoutError.
-func (b *BulkLoader) put(key string, open func() (io.ReadCloser, error)) error {
-	attempt := func() error {
-		r, err := open()
-		if err != nil {
-			return err
-		}
-		defer r.Close()
-		return b.store.Put(key, r)
-	}
-	if b.cfg.PutTimeout <= 0 {
-		return attempt()
-	}
-	done := make(chan error, 1)
-	go func() { done <- attempt() }()
-	timer := time.NewTimer(b.cfg.PutTimeout)
-	defer timer.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-timer.C:
-		return &TimeoutError{Op: "put", Key: key, Limit: b.cfg.PutTimeout}
-	}
-}
-
-// UploadFile copies one local file to the object key and returns the number
-// of bytes uploaded.
-func (b *BulkLoader) UploadFile(localPath, key string) (int64, error) {
-	st, err := os.Stat(localPath)
-	if err != nil {
-		return 0, fmt.Errorf("cloudstore: open %s: %w", localPath, err)
-	}
-	err = b.put(key, func() (io.ReadCloser, error) {
-		f, err := os.Open(localPath)
-		if err != nil {
-			return nil, fmt.Errorf("cloudstore: open %s: %w", localPath, err)
-		}
-		return f, nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
-
-// UploadBytes uploads an in-memory buffer, used when the FileWriter runs
-// with an in-memory filesystem.
+// UploadBytes uploads an in-memory file to the object key and returns the
+// number of bytes uploaded. The put is bounded by cfg.PutTimeout when set.
+// Each attempt reads data through its own reader, so when a timeout abandons
+// the attempt goroutine, nothing the caller still holds is shared with it:
+// the caller can retry the key immediately while the stale attempt finishes
+// (or fails) in the background. On timeout the caller gets a transient
+// *TimeoutError.
 func (b *BulkLoader) UploadBytes(data []byte, key string) (int64, error) {
-	err := b.put(key, func() (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(data)), nil
-	})
+	attempt := func() error { return b.store.Put(key, bytes.NewReader(data)) }
+	var err error
+	if b.cfg.PutTimeout <= 0 {
+		err = attempt()
+	} else {
+		done := make(chan error, 1)
+		go func() { done <- attempt() }()
+		timer := time.NewTimer(b.cfg.PutTimeout)
+		defer timer.Stop()
+		select {
+		case err = <-done:
+		case <-timer.C:
+			err = &TimeoutError{Op: "put", Key: key, Limit: b.cfg.PutTimeout}
+		}
+	}
 	if err != nil {
 		return 0, err
 	}
 	return int64(len(data)), nil
-}
-
-// UploadDir uploads every regular file under dir to keyPrefix+name, using
-// cfg.Parallelism workers, and returns the keys uploaded in lexical order.
-func (b *BulkLoader) UploadDir(dir, keyPrefix string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("cloudstore: read dir %s: %w", dir, err)
-	}
-	var files []string
-	for _, e := range entries {
-		if e.Type().IsRegular() {
-			files = append(files, e.Name())
-		}
-	}
-	sort.Strings(files)
-
-	sem := make(chan struct{}, b.cfg.Parallelism)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	keys := make([]string, len(files))
-	for i, name := range files {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, name string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			key := keyPrefix + name
-			if _, err := b.UploadFile(filepath.Join(dir, name), key); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			keys[i] = key
-		}(i, name)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return keys, nil
 }

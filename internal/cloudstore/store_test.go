@@ -3,8 +3,6 @@ package cloudstore
 import (
 	"bytes"
 	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -140,58 +138,6 @@ func TestThrottledStoreSharedPipe(t *testing.T) {
 	wg.Wait()
 	if el := time.Since(start); el < 200*time.Millisecond {
 		t.Errorf("shared pipe not enforced: %v", el)
-	}
-}
-
-func TestBulkLoaderFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "part-000.csv")
-	if err := os.WriteFile(path, []byte("1,a\n2,b\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := NewMemStore()
-	b := NewBulkLoader(s, LoaderConfig{})
-	n, err := b.UploadFile(path, "stage/part-000.csv")
-	if err != nil || n != 8 {
-		t.Fatalf("UploadFile = %d, %v", n, err)
-	}
-	if _, err := b.UploadFile(filepath.Join(dir, "missing"), "x"); err == nil {
-		t.Error("missing file accepted")
-	}
-	if _, err := b.UploadBytes([]byte("inline"), "stage/inline"); err != nil {
-		t.Fatal(err)
-	}
-	keys, _ := s.List("stage/")
-	if len(keys) != 2 {
-		t.Errorf("keys = %v", keys)
-	}
-}
-
-func TestBulkLoaderDir(t *testing.T) {
-	dir := t.TempDir()
-	var want []string
-	for i := 0; i < 5; i++ {
-		name := filepath.Join(dir, string(rune('a'+i))+".csv")
-		if err := os.WriteFile(name, []byte{byte(i)}, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, "pfx/"+string(rune('a'+i))+".csv")
-	}
-	// subdirectories are skipped
-	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	s := NewMemStore()
-	b := NewBulkLoader(s, LoaderConfig{Parallelism: 3})
-	keys, err := b.UploadDir(dir, "pfx/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(keys, want) {
-		t.Errorf("keys = %v, want %v", keys, want)
-	}
-	if _, err := b.UploadDir(filepath.Join(dir, "nope"), "p/"); err == nil {
-		t.Error("missing dir accepted")
 	}
 }
 
@@ -377,26 +323,20 @@ func TestDirStoreConcurrentPutSameKey(t *testing.T) {
 	}
 }
 
-// TestUploadFileRetryAfterTimeout: a timed-out UploadFile abandons its put
-// attempt, but the attempt owns its own file handle, so the caller can
-// retry (and even return) while the stale attempt finishes in the
+// TestUploadBytesRetryAfterTimeout: a timed-out UploadBytes abandons its put
+// attempt, but the attempt reads the buffer through its own reader, so the
+// caller can retry (and even return) while the stale attempt finishes in the
 // background without racing the retry — the reader-sharing regression the
 // race detector catches.
-func TestUploadFileRetryAfterTimeout(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "chunk.csv")
+func TestUploadBytesRetryAfterTimeout(t *testing.T) {
 	content := bytes.Repeat([]byte("x,y,z\n"), 4<<10)
-	if err := os.WriteFile(path, content, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	store, err := NewDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	slow := &slowStore{Store: store, delay: 100 * time.Millisecond}
 	b := NewBulkLoader(slow, LoaderConfig{PutTimeout: 10 * time.Millisecond})
-	if _, err := b.UploadFile(path, "k"); err == nil {
+	if _, err := b.UploadBytes(content, "k"); err == nil {
 		t.Fatal("timeout expected")
 	} else if _, ok := err.(*TimeoutError); !ok {
 		t.Fatalf("err = %v, want *TimeoutError", err)
@@ -404,7 +344,7 @@ func TestUploadFileRetryAfterTimeout(t *testing.T) {
 
 	// Retry immediately while the abandoned attempt is still in flight.
 	fast := NewBulkLoader(store, LoaderConfig{})
-	n, err := fast.UploadFile(path, "k")
+	n, err := fast.UploadBytes(content, "k")
 	if err != nil {
 		t.Fatal(err)
 	}

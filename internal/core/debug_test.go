@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -395,34 +394,5 @@ func TestServeDebugReRegistration(t *testing.T) {
 			t.Fatal("first debug server still serving after re-registration")
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestReportLogBounded exercises the report ring: with a capacity of 3, five
-// jobs leave the three most recent reports and a dropped count of two.
-func TestReportLogBounded(t *testing.T) {
-	st := startStack(t, core.Config{ReportLogSize: 3})
-	mustEng(t, st.eng, customerDDL)
-	for i := 0; i < 5; i++ {
-		data := fmt.Sprintf("%d|Name %d|2020-01-01\n", i, i)
-		runScript(t, st.addr, example21Script(""), map[string]string{"input.txt": data},
-			etlclient.Options{})
-	}
-	reports := st.node.Reports()
-	if len(reports) != 3 {
-		t.Fatalf("retained reports: %d, want 3", len(reports))
-	}
-	for i, r := range reports {
-		if want := uint64(i + 3); r.JobID != want {
-			t.Errorf("report %d: job %d, want %d", i, r.JobID, want)
-		}
-	}
-	dbgAddr, err := st.node.ServeDebug("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, metrics := httpGet(t, dbgAddr, "/metrics")
-	if !strings.Contains(metrics, "etlvirt_reports_dropped 2") {
-		t.Errorf("dropped gauge:\n%s", grepPrefix(metrics, "etlvirt_reports_dropped"))
 	}
 }

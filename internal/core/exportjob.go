@@ -107,13 +107,12 @@ func (n *Node) newExportJob(m *wire.BeginExport, tc obs.TraceContext) (*exportJo
 }
 
 // runCursor is the TDFCursor process: pull result batches, wrap them in TDF
-// packets, and buffer up to ExportPrefetch packets ahead of consumption.
+// packets, and buffer up to exportPrefetch packets ahead of consumption.
 func (j *exportJob) runCursor(cur *cdwnet.Cursor) {
 	defer func() {
 		_ = cur.Close() // drain so the pooled connection is reusable
 		close(j.cursorDone)
 	}()
-	prefetch := j.node.cfg.ExportPrefetch
 	nm := j.node.nm
 	seq := uint64(0)
 	for {
@@ -134,7 +133,7 @@ func (j *exportJob) runCursor(cur *cdwnet.Cursor) {
 			return
 		}
 		j.mu.Lock()
-		for len(j.packets) >= prefetch && j.err == nil && !j.done {
+		for len(j.packets) >= exportPrefetch && j.err == nil && !j.done {
 			j.cond.Wait()
 		}
 		if j.done && ok {

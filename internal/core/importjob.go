@@ -31,7 +31,6 @@ type convTask struct {
 	payload  []byte //etlvirt:owns
 	firstRow int64
 	credit   *credit.Credit
-	done     chan struct{} // non-nil in synchronous-acquisition mode
 }
 
 // writeTask is one converted chunk travelling to a FileWriter, which owns
@@ -40,7 +39,6 @@ type writeTask struct {
 	csv    []byte //etlvirt:owns
 	rows   int
 	credit *credit.Credit
-	done   chan struct{} // closed once the chunk is on disk
 }
 
 // importJob is the state of one virtualized import. Its pipeline mirrors
@@ -78,8 +76,7 @@ type importJob struct {
 	// pending counts chunks acknowledged but not yet handed to convCh.
 	pending sync.WaitGroup
 
-	memfs *fwriter.MemFS // nil when spooling to disk
-	osDir string
+	memfs *fwriter.MemFS // finished spool files awaiting upload
 
 	rr atomic.Uint64 // round-robin for writer selection
 
@@ -131,7 +128,7 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 		node:    n,
 		req:     m,
 		conv:    conv,
-		stage:   sqlparse.TableName{Schema: n.cfg.StagingSchema, Name: fmt.Sprintf("job_%d", id)},
+		stage:   sqlparse.TableName{Schema: stagingSchema, Name: fmt.Sprintf("job_%d", id)},
 		etName:  parseQualifiedName(m.ErrTableET),
 		uvName:  parseQualifiedName(m.ErrTableUV),
 		targets: target.String(),
@@ -140,7 +137,7 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 	n.nm.jobsStarted.Inc()
 	j.trace = n.tracer.StartCtx(id, "import "+j.targets, tc)
 	j.lane = newStagingLane(n, j.trace, j.stage, m.Layout,
-		fmt.Sprintf("%s%d/", n.cfg.UploadPrefix, id), "copy", "stage")
+		fmt.Sprintf("%s%d/", uploadPrefix, id), "copy", "stage")
 	n.events.Add(obs.Event{
 		Type: "job_start", Job: id, TraceID: j.traceID(),
 		Msg: "import " + j.targets,
@@ -169,18 +166,14 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 	cfg := n.cfg
 	j.convCh = make(chan convTask, cfg.Converters)
 	j.uploadCh = make(chan fwriter.FinishedFile, cfg.FileWriters*2)
-	if cfg.SpoolDir == "" {
-		// Pre-size spool buffers from the rotation threshold: files rotate
-		// shortly after crossing it, so this is the file's final size plus
-		// slack (much less when gzip shrinks what actually lands in memory).
-		hint := cfg.FileSizeThreshold + cfg.FileSizeThreshold/8
-		if cfg.Gzip {
-			hint = cfg.FileSizeThreshold / 4
-		}
-		j.memfs = fwriter.NewMemFSSized(hint)
-	} else {
-		j.osDir = cfg.SpoolDir
+	// Pre-size spool buffers from the rotation threshold: files rotate
+	// shortly after crossing it, so this is the file's final size plus
+	// slack (much less when gzip shrinks what actually lands in memory).
+	hint := cfg.FileSizeThreshold + cfg.FileSizeThreshold/8
+	if cfg.Gzip {
+		hint = cfg.FileSizeThreshold / 4
 	}
+	j.memfs = fwriter.NewMemFSSized(hint)
 	j.copyableCh = make(chan string, cfg.FileWriters*4)
 	j.schedWG.Add(1)
 	// Bounded by the upload stage: drainPipeline closes copyableCh after
@@ -277,7 +270,7 @@ func (j *importJob) traceID() string {
 // hand-off on every path.
 //
 //etlvirt:owns m.Payload
-func (j *importJob) handleChunk(m *wire.DataChunk, done chan struct{}) error {
+func (j *importJob) handleChunk(m *wire.DataChunk) error {
 	j.chunks.Add(1)
 	j.bytesIn.Add(int64(len(m.Payload)))
 	j.rowsIn.Add(int64(m.Count))
@@ -307,15 +300,12 @@ func (j *importJob) handleChunk(m *wire.DataChunk, done chan struct{}) error {
 		putBuf(m.Payload) // never reached the converter; recycle here
 		j.fail(err)
 		j.pending.Done()
-		if done != nil {
-			close(done)
-		}
 		return err
 	}
 	j.creditsHeld.Add(1)
 	// Ownership of m.Payload transfers to the conversion stage with this
 	// send; the session goroutine must not touch it afterwards.
-	j.convCh <- convTask{payload: m.Payload, firstRow: int64(m.FirstRow), credit: cr, done: done}
+	j.convCh <- convTask{payload: m.Payload, firstRow: int64(m.FirstRow), credit: cr}
 	j.pending.Done()
 	return nil
 }
@@ -343,9 +333,6 @@ func (j *importJob) runConverter(idx int) {
 			j.trace.Span("convert", lane, convStart, 0, int64(payloadLen), err)
 			j.releaseCredit(task.credit)
 			j.fail(err)
-			if task.done != nil {
-				close(task.done)
-			}
 			continue
 		}
 		j.trace.Span("convert", lane, convStart, int64(res.Rows), int64(payloadLen), nil)
@@ -360,15 +347,12 @@ func (j *importJob) runConverter(idx int) {
 		if res.Rows == 0 {
 			putBuf(res.CSV) // no writer will consume it
 			j.releaseCredit(task.credit)
-			if task.done != nil {
-				close(task.done)
-			}
 			continue
 		}
 		// Ownership of res.CSV transfers to the file-writer stage; it returns
 		// the buffer to the pool once the bytes are on disk.
 		w := int(j.rr.Add(1)) % len(j.writeChs)
-		j.writeChs[w] <- writeTask{csv: res.CSV, rows: res.Rows, credit: task.credit, done: task.done}
+		j.writeChs[w] <- writeTask{csv: res.CSV, rows: res.Rows, credit: task.credit}
 	}
 }
 
@@ -376,13 +360,7 @@ func (j *importJob) runFileWriter(idx int, ch chan writeTask) {
 	defer j.writeWG.Done()
 	nm := j.node.nm
 	lane := fmt.Sprintf("write-%d", idx)
-	var fs fwriter.FS
-	if j.memfs != nil {
-		fs = j.memfs
-	} else {
-		fs = fwriter.OSFS{Dir: j.osDir}
-	}
-	w := fwriter.NewWriter(fs, fwriter.Config{
+	w := fwriter.NewWriter(j.memfs, fwriter.Config{
 		SizeThreshold: j.node.cfg.FileSizeThreshold,
 		Gzip:          j.node.cfg.Gzip,
 		NamePrefix:    fmt.Sprintf("job%d-w%d-", j.id, idx),
@@ -407,9 +385,6 @@ func (j *importJob) runFileWriter(idx int, ch chan writeTask) {
 		// another chunk, so task.csv must not be touched again.
 		putBuf(task.csv)
 		j.trace.Span("write", lane, writeStart, int64(task.rows), csvBytes, err)
-		if task.done != nil {
-			close(task.done)
-		}
 		if err != nil {
 			j.fail(err)
 			continue
@@ -432,19 +407,13 @@ func (j *importJob) runUploader(idx int) {
 	defer j.uploadWG.Done()
 	lane := fmt.Sprintf("upload-%d", idx)
 	for f := range j.uploadCh {
-		var err error
-		var n int64
-		if j.memfs != nil {
-			data, ok := j.memfs.Bytes(f.Name)
-			if !ok {
-				j.fail(fmt.Errorf("finished file %s missing from spool", f.Name))
-				continue
-			}
-			n, err = j.lane.upload(lane, f.Name, data, int64(f.Rows))
-			j.memfs.Remove(f.Name)
-		} else {
-			n, err = j.lane.uploadFile(lane, f.Name, j.osDir+"/"+f.Name, int64(f.Rows))
+		data, ok := j.memfs.Bytes(f.Name)
+		if !ok {
+			j.fail(fmt.Errorf("finished file %s missing from spool", f.Name))
+			continue
 		}
+		n, err := j.lane.upload(lane, f.Name, data, int64(f.Rows))
+		j.memfs.Remove(f.Name)
 		if err != nil {
 			j.fail(err)
 			continue

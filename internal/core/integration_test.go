@@ -670,20 +670,6 @@ else insert into PROD.CUSTOMER values (trim(:K), trim(:V),
 	}
 }
 
-// TestSyncAcquisitionCorrectness runs the §5 ablation configuration (ack
-// only after conversion and write) and checks it produces the same results,
-// just with the pipeline synchronized.
-func TestSyncAcquisitionCorrectness(t *testing.T) {
-	st := startStack(t, core.Config{SyncAcquisition: true})
-	mustEng(t, st.eng, customerDDL)
-	res := runScript(t, st.addr, example21Script(""), map[string]string{"input.txt": figure5Data},
-		etlclient.Options{ChunkRecords: 2})
-	ir := res.Imports[0]
-	if ir.Inserted != 2 || ir.ErrorsET != 2 || ir.ErrorsUV != 1 {
-		t.Errorf("sync-mode result: %+v", ir)
-	}
-}
-
 // TestJobAbortOnDisconnect verifies that a client vanishing mid-job does not
 // leak the job: the staging table is dropped, uploads are deleted, the job is
 // deregistered and its goroutines and credits are gone. The client dies with

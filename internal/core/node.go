@@ -38,8 +38,6 @@ import (
 type Config struct {
 	// CDWAddr is the address of the cdwnet server.
 	CDWAddr string
-	// CDWPoolSize caps concurrent CDW connections.
-	CDWPoolSize int
 
 	// Credits sizes the node-wide CreditManager pool (§5). Zero defaults to
 	// 4 x Converters.
@@ -60,25 +58,16 @@ type Config struct {
 	// Gzip compresses intermediate files before upload, at the codec's
 	// default level.
 	Gzip bool
-	// SpoolDir, when set, writes intermediate files to disk instead of
-	// memory.
-	SpoolDir string
 
 	// CopyBatchFiles is how many uploaded files the copy scheduler folds into
 	// one incremental manifest COPY. Zero defaults to 4.
 	CopyBatchFiles int
 
-	// StagingSchema is the CDW schema for per-job staging tables.
-	StagingSchema string
-	// UploadPrefix namespaces object-store keys.
-	UploadPrefix string
 	// UploadParallelism bounds concurrent uploads per job.
 	UploadParallelism int
 
 	// ExportChunkRows sizes export chunks (and the TDFCursor fetch size).
 	ExportChunkRows int
-	// ExportPrefetch bounds TDF packets buffered ahead of client requests.
-	ExportPrefetch int
 
 	// SchemaMap renames legacy databases to CDW schemas.
 	SchemaMap map[string]string
@@ -90,29 +79,11 @@ type Config struct {
 	MaxErrors  int
 	MaxRetries int
 
-	// StreamLatencyTarget is the end-to-end micro-batch commit latency the
-	// streaming controller steers toward for streams that do not set their
-	// own. Zero defaults to 2s (inside stream.Config).
-	StreamLatencyTarget time.Duration
 	// StreamMinBatch/StreamMaxBatch clamp the adaptive records-per-micro-batch
 	// hint. Zeros select the stream.Config defaults (16 and 8192).
 	StreamMinBatch int
 	StreamMaxBatch int
 
-	// ReportLogSize bounds the in-memory log of completed job reports; the
-	// oldest reports are evicted beyond it and counted in the
-	// etlvirt_reports_dropped gauge. Zero defaults to 1024.
-	ReportLogSize int
-	// TraceRetention bounds how many finished job traces stay retrievable
-	// via /jobs/{id}/trace. Zero defaults to 64.
-	TraceRetention int
-	// TraceSpansPerJob caps the spans recorded per job timeline; spans past
-	// the cap are dropped and counted. Zero defaults to 8192.
-	TraceSpansPerJob int
-	// EventLogSize bounds the in-memory ring of structured events drained at
-	// /events; once full the oldest entry is overwritten and counted as
-	// dropped. Zero defaults to 1024.
-	EventLogSize int
 	// EventSink, when non-nil, receives every recorded event as one JSON
 	// line in addition to the ring (typically an event-log file).
 	EventSink io.Writer
@@ -145,21 +116,26 @@ type Config struct {
 	// It runs on the job's goroutine and must not block.
 	OnJobDone func(JobReport)
 
-	// SyncAcquisition is the ablation of §5's design discussion: when set,
-	// a chunk is only acknowledged after it has been converted and written,
-	// synchronizing the pipeline instead of relying on the CreditManager.
-	// The paper rejects this design because it stalls the client; the
-	// ablation benchmark quantifies by how much.
-	SyncAcquisition bool
-
 	// Logger receives node diagnostics; nil discards them.
 	Logger *slog.Logger
 }
 
+// Node settings that no caller sets to a second value.
+const (
+	cdwPoolSize         = 8               // concurrent CDW connections
+	stagingSchema       = "etl_stage"     // CDW schema of staging and checkpoint tables
+	uploadPrefix        = "jobs/"         // object-store namespace of staging objects
+	exportPrefetch      = 8               // TDF packets buffered ahead of client requests
+	streamLatencyTarget = 2 * time.Second // commit latency target of streams that set none
+	// reportLogSize bounds the log of completed job reports; older reports
+	// are evicted and counted in the etlvirt_reports_dropped gauge.
+	reportLogSize    = 1024
+	traceRetention   = 64   // finished job traces kept for /jobs/{id}/trace
+	traceSpansPerJob = 8192 // span cap per job timeline; later spans are dropped and counted
+	eventLogSize     = 1024 // entries in the /events ring before the oldest is overwritten
+)
+
 func (c Config) withDefaults() Config {
-	if c.CDWPoolSize <= 0 {
-		c.CDWPoolSize = 8
-	}
 	if c.Converters <= 0 {
 		c.Converters = runtime.GOMAXPROCS(0)
 	}
@@ -175,23 +151,11 @@ func (c Config) withDefaults() Config {
 	if c.CopyBatchFiles <= 0 {
 		c.CopyBatchFiles = 4
 	}
-	if c.StagingSchema == "" {
-		c.StagingSchema = "etl_stage"
-	}
-	if c.UploadPrefix == "" {
-		c.UploadPrefix = "jobs/"
-	}
 	if c.UploadParallelism <= 0 {
 		c.UploadParallelism = 4
 	}
 	if c.ExportChunkRows <= 0 {
 		c.ExportChunkRows = 4096
-	}
-	if c.ExportPrefetch <= 0 {
-		c.ExportPrefetch = 8
-	}
-	if c.ReportLogSize <= 0 {
-		c.ReportLogSize = 1024
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(discard{}, nil))
@@ -254,20 +218,18 @@ func NewNode(cfg Config, store cloudstore.Store) *Node {
 	n := &Node{
 		cfg:     cfg,
 		credits: credit.NewManager(cfg.Credits, cfg.MemBudget),
-		pool:    cdwnet.NewPool(cfg.CDWAddr, cfg.CDWPoolSize),
+		pool:    cdwnet.NewPool(cfg.CDWAddr, cdwPoolSize),
 		store:   store,
-		loader: cloudstore.NewBulkLoader(store, cloudstore.LoaderConfig{
-			Parallelism: cfg.UploadParallelism,
-			PutTimeout:  cfg.PutTimeout,
-		}),
+		loader:  cloudstore.NewBulkLoader(store, cloudstore.LoaderConfig{PutTimeout: cfg.PutTimeout}),
 		log:     cfg.Logger,
 		conns:   make(map[net.Conn]struct{}),
 		imports: make(map[uint64]*importJob),
 		exports: make(map[uint64]*exportJob),
 		streams: make(map[uint64]*streamJob),
-		tracer:  obs.NewTracer(cfg.TraceRetention, cfg.TraceSpansPerJob),
-		events:  obs.NewEventLog(cfg.EventLogSize),
+		tracer:  obs.NewTracer(traceRetention, traceSpansPerJob),
+		events:  obs.NewEventLog(eventLogSize),
 		inj:     cfg.FaultInjector,
+		reports: reportLog{cap: reportLogSize},
 	}
 	n.tracer.SetProc("etlvirtd")
 	if cfg.EventSink != nil {
@@ -301,7 +263,6 @@ func NewNode(cfg Config, store cloudstore.Store) *Node {
 		})
 	}
 	n.pool.SetTraceHook(n.traceRoundTrip)
-	n.reports.setCap(cfg.ReportLogSize)
 	n.nm = newNodeMetrics(n)
 	return n
 }

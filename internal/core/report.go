@@ -55,18 +55,10 @@ func (r *JobReport) Total() time.Duration {
 // etlvirt_reports_dropped gauge so operators notice the truncation.
 type reportLog struct {
 	mu      sync.Mutex
-	cap     int
+	cap     int // zero leaves the log unbounded
 	reports []JobReport
 	start   int // index of the oldest report when the ring is full
 	dropped int64
-}
-
-// setCap bounds the log. It must be called before the log carries reports;
-// n <= 0 leaves the log unbounded.
-func (l *reportLog) setCap(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.cap = n
 }
 
 // record stores a finished job's report and feeds the OnJobDone observer

@@ -104,25 +104,13 @@ func (n *Node) serveConn(nc net.Conn) {
 				break
 			}
 			job.pending.Add(1)
-			if n.cfg.SyncAcquisition {
-				// Ablation (§5): synchronize the pipeline — convert and
-				// persist the chunk before acknowledging it.
-				done := make(chan struct{})
-				if err := job.handleChunk(msg, done); err != nil {
-					n.log.Error("chunk handling failed", "job", job.id, "err", err)
-				} else {
-					<-done
-				}
-				reply = &wire.ChunkAck{Seq: msg.Seq}
-				break
-			}
 			// Minimal validation, then acknowledge immediately (§5); the
 			// credit acquisition below is the only back-pressure.
 			if err := c.Send(session, &wire.ChunkAck{Seq: msg.Seq}); err != nil {
 				job.pending.Done()
 				return
 			}
-			if err := job.handleChunk(msg, nil); err != nil {
+			if err := job.handleChunk(msg); err != nil {
 				// the job is poisoned; subsequent EndAcquire reports it
 				n.log.Error("chunk handling failed", "job", job.id, "err", err)
 			}

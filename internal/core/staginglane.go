@@ -57,32 +57,19 @@ func newStagingLane(n *Node, trace *obs.JobTrace, stage sqlparse.TableName, layo
 	}
 }
 
-// upload puts an in-memory spool object under the lane's prefix and returns
-// the bytes stored. worker names the trace lane of the upload span.
+// upload puts an in-memory spool object under the lane's prefix, under the
+// node's retry policy, and returns the bytes stored. worker names the trace
+// lane of the upload span. Puts are idempotent (same key, same bytes), so
+// transient store failures retry whole-object. The stored size is remembered
+// until the object lands, so each COPY span can carry its own manifest's
+// bytes.
 func (l *stagingLane) upload(worker, name string, data []byte, rows int64) (int64, error) {
-	return l.put(worker, name, rows, func(key string) (int64, error) {
-		return l.node.loader.UploadBytes(data, key)
-	})
-}
-
-// uploadFile is upload for a spool file on local disk.
-func (l *stagingLane) uploadFile(worker, name, path string, rows int64) (int64, error) {
-	return l.put(worker, name, rows, func(key string) (int64, error) {
-		return l.node.loader.UploadFile(path, key)
-	})
-}
-
-// put drives one object-store put under the node's retry policy. Puts are
-// idempotent (same key, same bytes), so transient store failures retry
-// whole-object. The stored size is remembered until the object lands, so
-// each COPY span can carry its own manifest's bytes.
-func (l *stagingLane) put(worker, name string, rows int64, send func(key string) (int64, error)) (int64, error) {
 	key := l.prefix + name
 	start := time.Now()
 	var n int64
 	err := l.node.retry.Do(l.node.ctx, "upload", func() error {
 		var uerr error
-		n, uerr = send(key)
+		n, uerr = l.node.loader.UploadBytes(data, key)
 		return uerr
 	})
 	nm := l.node.nm

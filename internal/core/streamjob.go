@@ -170,12 +170,12 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 		node:    n,
 		req:     m,
 		conv:    conv,
-		ckpt:    sqlparse.TableName{Schema: n.cfg.StagingSchema, Name: "stream_checkpoints"},
+		ckpt:    sqlparse.TableName{Schema: stagingSchema, Name: "stream_checkpoints"},
 		etName:  parseQualifiedName(m.ErrTableET),
 		started: time.Now(),
 	}
-	upsStage := sqlparse.TableName{Schema: n.cfg.StagingSchema, Name: fmt.Sprintf("stream_%d_ups", id)}
-	delStage := sqlparse.TableName{Schema: n.cfg.StagingSchema, Name: fmt.Sprintf("stream_%d_del", id)}
+	upsStage := sqlparse.TableName{Schema: stagingSchema, Name: fmt.Sprintf("stream_%d_ups", id)}
+	delStage := sqlparse.TableName{Schema: stagingSchema, Name: fmt.Sprintf("stream_%d_del", id)}
 	j.tr = &sqlxlate.Translator{
 		Stage:      upsStage,
 		StageAlias: "s",
@@ -260,7 +260,7 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 		j.watermark = rows[0][0].I
 	}
 
-	target := n.cfg.StreamLatencyTarget
+	target := streamLatencyTarget
 	if m.LatencyTargetMS > 0 {
 		target = time.Duration(m.LatencyTargetMS) * time.Millisecond
 	}
@@ -274,7 +274,7 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 	j.hintLive.Store(int64(j.ctrl.Hint().BatchRows))
 	n.nm.streamsOpened.Inc()
 	j.trace = n.tracer.StartCtx(id, "stream "+m.Name, tc)
-	keyPfx := fmt.Sprintf("%sstream%d/", n.cfg.UploadPrefix, id)
+	keyPfx := fmt.Sprintf("%sstream%d/", uploadPrefix, id)
 	j.ups.lane = newStagingLane(n, j.trace, upsStage, m.Layout, keyPfx+"ups/", "stream_copy", "stream")
 	j.del.lane = newStagingLane(n, j.trace, delStage, m.Layout, keyPfx+"del/", "stream_copy", "stream")
 	n.events.Add(obs.Event{

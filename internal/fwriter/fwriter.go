@@ -3,7 +3,7 @@
 // loader, rotating at a configurable threshold, and finalizing files
 // (optionally gzip-compressing them) for upload.
 //
-// The FileWriter is deliberately decoupled from conversion so that disk and
+// The FileWriter is deliberately decoupled from conversion so that
 // compression jitter cannot stall the DataConverter workers; internal/core
 // runs each Writer in its own goroutine fed by a channel.
 package fwriter
@@ -13,30 +13,12 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 )
 
-// FS abstracts the filesystem the writer targets so benchmarks can run
-// against memory.
-type FS interface {
-	// Create opens a new file for writing. Name is writer-unique.
-	Create(name string) (io.WriteCloser, error)
-}
-
-// OSFS writes real files under Dir.
-type OSFS struct {
-	Dir string
-}
-
-// Create implements FS.
-func (f OSFS) Create(name string) (io.WriteCloser, error) {
-	return os.Create(filepath.Join(f.Dir, name))
-}
-
-// MemFS collects files in memory; Bytes retrieves them.
+// MemFS is the in-memory spool the writer rotates files into; Bytes
+// retrieves a finished file for upload and Remove discards it afterwards.
 type MemFS struct {
 	mu       sync.Mutex
 	files    map[string]*bytes.Buffer
@@ -63,7 +45,7 @@ type memFile struct {
 func (m *memFile) Write(p []byte) (int, error) { return m.buf.Write(p) }
 func (m *memFile) Close() error                { return nil }
 
-// Create implements FS.
+// Create opens a new file for writing. Name must be unique in the spool.
 func (m *MemFS) Create(name string) (io.WriteCloser, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -118,11 +100,11 @@ type FinishedFile struct {
 	Raw   int // uncompressed payload bytes
 }
 
-// Writer serializes chunks into rotated files on an FS. Not safe for
+// Writer serializes chunks into rotated files on a MemFS. Not safe for
 // concurrent use: run one Writer per goroutine (core spawns several, matching
 // the paper's parallel FileWriter processes).
 type Writer struct {
-	fs  FS
+	fs  *MemFS
 	cfg Config
 
 	seq     int
@@ -153,7 +135,7 @@ func (c *countWriter) Write(p []byte) (int, error) {
 }
 
 // NewWriter returns a Writer on fs.
-func NewWriter(fs FS, cfg Config) *Writer {
+func NewWriter(fs *MemFS, cfg Config) *Writer {
 	if cfg.SizeThreshold < 1 {
 		cfg.SizeThreshold = 4 << 20
 	}

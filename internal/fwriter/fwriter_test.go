@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -169,26 +167,6 @@ func TestWriterEmptyFlush(t *testing.T) {
 	files, err = w2.Flush()
 	if err != nil || len(files) != 0 {
 		t.Errorf("empty open flush: %v %v", files, err)
-	}
-}
-
-func TestOSFS(t *testing.T) {
-	dir := t.TempDir()
-	w := NewWriter(OSFS{Dir: dir}, Config{SizeThreshold: 8, NamePrefix: "x-"})
-	w.Write([]byte("0123456789"), 2)
-	files, err := w.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 1 {
-		t.Fatalf("files = %+v", files)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, files[0].Name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "0123456789" {
-		t.Errorf("content = %q", data)
 	}
 }
 

@@ -34,11 +34,9 @@ const (
 //     nor transferred (the pool silently shrinks under error paths).
 func newBufown() *Analyzer {
 	return &Analyzer{
-		Name:      "bufown",
-		Doc:       "buffer-ownership dataflow: every getBuf is released or transferred exactly once on every path (//etlvirt:owns, //etlvirt:transfers)",
-		Run:       runBufown,
-		Dataflow:  true,
-		Cacheable: true,
+		Name: "bufown",
+		Doc:  "buffer-ownership dataflow: every getBuf is released or transferred exactly once on every path (//etlvirt:owns, //etlvirt:transfers)",
+		Run:  runBufown,
 	}
 }
 

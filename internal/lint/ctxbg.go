@@ -17,10 +17,9 @@ import (
 // context is minted) is the single allowed exception.
 func newCtxbg() *Analyzer {
 	return &Analyzer{
-		Name:      "ctxbg",
-		Doc:       "forbid context.Background/TODO in internal packages outside the node-lifecycle root",
-		Run:       runCtxbg,
-		Cacheable: true,
+		Name: "ctxbg",
+		Doc:  "forbid context.Background/TODO in internal packages outside the node-lifecycle root",
+		Run:  runCtxbg,
 	}
 }
 

@@ -15,10 +15,9 @@ import (
 // and desynchronizes the stream.
 func newEndian() *Analyzer {
 	return &Analyzer{
-		Name:      "endian",
-		Doc:       "wire-format packages (wire, tdf, ltype) may only reference binary.BigEndian",
-		Run:       runEndian,
-		Cacheable: true,
+		Name: "endian",
+		Doc:  "wire-format packages (wire, tdf, ltype) may only reference binary.BigEndian",
+		Run:  runEndian,
 	}
 }
 

@@ -19,10 +19,9 @@ import (
 // non-idempotent failure as retryable).
 func newErrwrapw() *Analyzer {
 	return &Analyzer{
-		Name:      "errwrapw",
-		Doc:       "fmt.Errorf with an error argument must use %w so errors.As classification survives",
-		Run:       runErrwrapw,
-		Cacheable: true,
+		Name: "errwrapw",
+		Doc:  "fmt.Errorf with an error argument must use %w so errors.As classification survives",
+		Run:  runErrwrapw,
 	}
 }
 

@@ -19,10 +19,9 @@ import (
 // //nolint:goroleak.
 func newGoroleak() *Analyzer {
 	return &Analyzer{
-		Name:      "goroleak",
-		Doc:       "go func literals in internal packages must reference a context or channel so they can be stopped",
-		Run:       runGoroleak,
-		Cacheable: true,
+		Name: "goroleak",
+		Doc:  "go func literals in internal packages must reference a context or channel so they can be stopped",
+		Run:  runGoroleak,
 	}
 }
 

@@ -19,10 +19,9 @@ const hotpathDirective = "//etlvirt:hotpath"
 // function calls only on failure paths.
 func newHotalloc() *Analyzer {
 	return &Analyzer{
-		Name:      "hotalloc",
-		Doc:       "forbid fmt calls inside functions annotated //etlvirt:hotpath (the per-row conversion path must not allocate)",
-		Run:       runHotalloc,
-		Cacheable: true,
+		Name: "hotalloc",
+		Doc:  "forbid fmt calls inside functions annotated //etlvirt:hotpath (the per-row conversion path must not allocate)",
+		Run:  runHotalloc,
 	}
 }
 

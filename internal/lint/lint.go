@@ -125,17 +125,6 @@ type Analyzer struct {
 	// cross-package analyzers (lockorder's acquisition graph, wirekind's
 	// surface coverage) report findings that need the whole run's state.
 	End func(report func(Diagnostic))
-
-	// Dataflow marks the analyzer as belonging to the flow-sensitive tier
-	// (CFG + worklist solver) rather than the per-node syntactic tier. The
-	// driver's -tier flag and the CI stage split select on it.
-	Dataflow bool
-
-	// Cacheable marks an analyzer whose findings for a package depend only
-	// on that package's sources and the sources of its module-internal
-	// dependencies — no cross-package accumulation. Only cacheable
-	// analyzers participate in the driver's -cache incremental mode.
-	Cacheable bool
 }
 
 // Analyzers returns a fresh instance of every etlvirtlint analyzer.

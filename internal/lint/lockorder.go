@@ -34,9 +34,8 @@ const lockHeld Bits = 1 << 0
 // ordering disciplines, not individual locks.
 func newLockorder() *Analyzer {
 	a := &Analyzer{
-		Name:     "lockorder",
-		Doc:      "mutexes must be released on every path, and cross-package lock acquisition order must be acyclic",
-		Dataflow: true,
+		Name: "lockorder",
+		Doc:  "mutexes must be released on every path, and cross-package lock acquisition order must be acyclic",
 		// Not cacheable: the acquisition graph accumulates across every
 		// package in the run.
 	}

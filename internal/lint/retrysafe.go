@@ -20,10 +20,9 @@ import (
 // Do call.
 func newRetrysafe() *Analyzer {
 	return &Analyzer{
-		Name:      "retrysafe",
-		Doc:       "forbid Pool.Exec/Client.Exec lexically inside a retrier.Do closure (non-idempotent DML must not be retried)",
-		Run:       runRetrysafe,
-		Cacheable: true,
+		Name: "retrysafe",
+		Doc:  "forbid Pool.Exec/Client.Exec lexically inside a retrier.Do closure (non-idempotent DML must not be retried)",
+		Run:  runRetrysafe,
 	}
 }
 

@@ -30,11 +30,9 @@ const spanStarted Bits = 1 << 0
 //   - deferred Finish counts on every path, including panic unwinds.
 func newSpanbalance() *Analyzer {
 	return &Analyzer{
-		Name:      "spanbalance",
-		Doc:       "trace spans started with Tracer.Start/StartCtx must reach Finish or an ownership hand-off on every path",
-		Run:       runSpanbalance,
-		Dataflow:  true,
-		Cacheable: true,
+		Name: "spanbalance",
+		Doc:  "trace spans started with Tracer.Start/StartCtx must reach Finish or an ownership hand-off on every path",
+		Run:  runSpanbalance,
 	}
 }
 

@@ -27,11 +27,9 @@ const sqlDirty Bits = 1 << 0
 // path that dirties it as witness.
 func newSqlident() *Analyzer {
 	return &Analyzer{
-		Name:      "sqlident",
-		Doc:       "SQL text in the translation layers must not interpolate unquoted dynamic identifiers (quote, or mark producers //etlvirt:sqlclean)",
-		Run:       runSqlident,
-		Dataflow:  true,
-		Cacheable: true,
+		Name: "sqlident",
+		Doc:  "SQL text in the translation layers must not interpolate unquoted dynamic identifiers (quote, or mark producers //etlvirt:sqlclean)",
+		Run:  runSqlident,
 	}
 }
 

@@ -31,9 +31,8 @@ import (
 // which are already the protocol documentation.
 func newWirekind() *Analyzer {
 	a := &Analyzer{
-		Name:     "wirekind",
-		Doc:      "every wire kind constant must be covered by the codec, server dispatch, client handling, and label surfaces (//etlvirt:dispatch)",
-		Dataflow: true,
+		Name: "wirekind",
+		Doc:  "every wire kind constant must be covered by the codec, server dispatch, client handling, and label surfaces (//etlvirt:dispatch)",
 		// Not cacheable: coverage spans the wire, core, and client packages.
 	}
 	st := &wirekindState{
