@@ -48,14 +48,12 @@ func TestBinariesEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cdwd := testhost.StartProc(t, filepath.Join(bin, "cdwd"),
+	testhost.StartProc(t, filepath.Join(bin, "cdwd"),
 		"-listen", cdwAddr, "-store", storeDir, "-init", ddl, "-debug", cdwDebug)
-	defer cdwd.Process.Kill()
 	testhost.WaitListening(t, cdwAddr)
 
-	etlvirtd := testhost.StartProc(t, filepath.Join(bin, "etlvirtd"),
+	testhost.StartProc(t, filepath.Join(bin, "etlvirtd"),
 		"-listen", nodeAddr, "-cdw", cdwAddr, "-store", storeDir)
-	defer etlvirtd.Process.Kill()
 	testhost.WaitListening(t, nodeAddr)
 
 	// job script + input on disk, exactly as an operator would run it
@@ -86,9 +84,8 @@ insert into PROD.CUSTOMER values (
 	// A reference EDW runs the same job first, so the virtualized run can be
 	// differentially scrubbed against it in the same invocation.
 	edwAddr := testhost.FreeAddr(t)
-	edwd := testhost.StartProc(t, filepath.Join(bin, "edwd"),
+	testhost.StartProc(t, filepath.Join(bin, "edwd"),
 		"-listen", edwAddr, "-init", ddl)
-	defer edwd.Process.Kill()
 	testhost.WaitListening(t, edwAddr)
 	run := exec.Command(filepath.Join(bin, "etlrun"), "-addr", edwAddr, script)
 	if out, err := run.CombinedOutput(); err != nil {

@@ -160,9 +160,9 @@ func newNodeMetrics(n *Node) *nodeMetrics {
 	m.streamStageSpool = r.Histogram("etlvirt_stream_spool_seconds",
 		"Per-batch delta conversion and spool-append time.", nil)
 	m.streamStageUpload = r.Histogram("etlvirt_stream_upload_seconds",
-		"Per-batch spool rotation and object-store upload time.", nil)
+		"Per-batch object-store upload time of the batch's one spool object.", nil)
 	m.streamStageCopy = r.Histogram("etlvirt_stream_copy_seconds",
-		"Per-batch staging COPY time (recreate + COPY, both halves).", nil)
+		"Per-batch staging COPY time (recreate + one manifest COPY).", nil)
 	m.streamStageApply = r.Histogram("etlvirt_stream_apply_seconds",
 		"Per-batch DML application time (error bookkeeping + MERGE triple).", nil)
 	m.streamStageCkpt = r.Histogram("etlvirt_stream_checkpoint_seconds",

@@ -20,9 +20,9 @@ import (
 // and the log of manifest batches already COPYed, and is the only code in
 // core that uploads a spool object, renders a staging COPY, recovers an
 // engine-side COPY failure, or deletes a key prefix. An import holds one
-// lane fed by its copy scheduler; a stream holds one per delta class and
-// resets it for every micro-batch — the near-real-time path is the batch
-// path run small.
+// lane fed by its copy scheduler; a stream holds one for both delta classes
+// and resets it for every micro-batch, landing the batch's one spool object
+// — the near-real-time path is the batch path run small.
 //
 // upload may be called from several goroutines at once; reset, land and
 // close belong to one goroutine at a time (the import's scheduler, the

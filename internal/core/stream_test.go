@@ -431,3 +431,111 @@ func TestStreamScript(t *testing.T) {
 		t.Errorf("target row count after resume: %d", rows[0][0].I)
 	}
 }
+
+// TestStreamCommitStagesOnce pins the shape of a stream commit: upsert and
+// delete images of one micro-batch share one spool object, one staging
+// table and one COPY. Two mixed I/U/D batches must record exactly one upload
+// span and one copy span each, and while the stream is open the CDW must
+// hold exactly one staging table for it, etl_stage.stream_<id>.
+func TestStreamCommitStagesOnce(t *testing.T) {
+	// Pin the hint so each 64-delta frame below cuts exactly one batch.
+	st := startStack(t, core.Config{StreamMinBatch: 64, StreamMaxBatch: 64})
+	mustEng(t, st.eng, customerDDL)
+
+	c := dialStream(t, st.addr)
+	defer c.Close()
+	ok := beginStream(t, c, "cust_shape", "")
+
+	// mixed builds one 64-delta frame: inserts of keys [ins, ins+nIns),
+	// updates of [upd, upd+n), deletes of [del, del+n).
+	mixed := func(ins, nIns, upd, del, n int) []byte {
+		var p []byte
+		for i := ins; i < ins+nIns; i++ {
+			p = vtDelta(p, stream.OpInsert, fmt.Sprintf("%05d", i), "Name", "2024-01-01")
+		}
+		for i := upd; i < upd+n; i++ {
+			p = vtDelta(p, stream.OpUpdate, fmt.Sprintf("%05d", i), "Renamed", "2024-02-02")
+		}
+		for i := del; i < del+n; i++ {
+			p = vtDelta(p, stream.OpDelete, fmt.Sprintf("%05d", i), "Name", "2024-01-01")
+		}
+		return p
+	}
+	ack := sendFrame(t, c, ok.StreamID, 1, 64, mixed(0, 40, 0, 12, 12))
+	if ack.CommittedSeq != 64 {
+		t.Fatalf("first batch CommittedSeq = %d, want 64", ack.CommittedSeq)
+	}
+	var stages []string
+	for _, name := range st.eng.Catalog.Names() {
+		if strings.HasPrefix(name, "etl_stage.stream_") && name != "etl_stage.stream_checkpoints" {
+			stages = append(stages, name)
+		}
+	}
+	if want := fmt.Sprintf("etl_stage.stream_%d", ok.StreamID); len(stages) != 1 || stages[0] != want {
+		t.Errorf("open stream's staging tables = %v, want [%s]", stages, want)
+	}
+	ack = sendFrame(t, c, ok.StreamID, 65, 64, mixed(40, 32, 24, 40, 16))
+	if ack.CommittedSeq != 128 {
+		t.Fatalf("second batch CommittedSeq = %d, want 128", ack.CommittedSeq)
+	}
+	done := endStream(t, c, ok.StreamID)
+	if done.Inserted != 72 || done.Updated != 28 || done.Deleted != 28 {
+		t.Errorf("activity I/U/D = %d/%d/%d, want 72/28/28", done.Inserted, done.Updated, done.Deleted)
+	}
+
+	commits, _, _ := spanTotals(t, st.node, ok.StreamID, "stream_commit")
+	if commits != 2 {
+		t.Fatalf("stream_commit spans = %d, want 2", commits)
+	}
+	for _, stage := range []string{"upload", "copy"} {
+		if n, _, _ := spanTotals(t, st.node, ok.StreamID, stage); n != commits {
+			t.Errorf("%s spans = %d over %d commits, want one per commit", stage, n, commits)
+		}
+	}
+}
+
+// TestStreamSameKeyAcrossRuns sends one micro-batch in which the same key
+// changes class several times — I(k) D(k) I(k) U(k) — plus a delete of a
+// pre-existing key k2 followed by an upsert of k2 whose date fails the
+// apply-time cast. Every op run ranges over the one shared staging table,
+// so each must see only its own images: k ends at its last image, k2 stays
+// deleted, and the rejected image is recorded under its own sequence.
+func TestStreamSameKeyAcrossRuns(t *testing.T) {
+	st := startStack(t, core.Config{})
+	mustEng(t, st.eng, customerDDL)
+	mustEng(t, st.eng, "INSERT INTO PROD.CUSTOMER VALUES ('200', 'Bob', DATE '2020-01-01')")
+
+	c := dialStream(t, st.addr)
+	defer c.Close()
+	ok := beginStream(t, c, "cust_rekey", "PROD.CUSTOMER_REKEY_ET")
+
+	var p []byte
+	p = vtDelta(p, stream.OpInsert, "100", "Ann", "2024-01-01")
+	p = vtDelta(p, stream.OpDelete, "100", "Ann", "2024-01-01")
+	p = vtDelta(p, stream.OpInsert, "100", "Anna", "2024-01-02")
+	p = vtDelta(p, stream.OpUpdate, "100", "Annie", "2024-01-03")
+	p = vtDelta(p, stream.OpDelete, "200", "Bob", "2020-01-01")
+	p = vtDelta(p, stream.OpUpdate, "200", "Bobby", "2024-99-99") // apply-time cast error -> ET
+	if ack := sendFrame(t, c, ok.StreamID, 1, 6, p); ack.CommittedSeq != 0 {
+		t.Fatalf("sub-hint frame committed early: %d", ack.CommittedSeq)
+	}
+
+	done := endStream(t, c, ok.StreamID)
+	if done.Watermark != 6 {
+		t.Errorf("watermark = %d, want 6", done.Watermark)
+	}
+	if done.Inserted != 2 || done.Updated != 1 || done.Deleted != 2 {
+		t.Errorf("activity I/U/D = %d/%d/%d, want 2/1/2", done.Inserted, done.Updated, done.Deleted)
+	}
+	if done.ErrorsET != 1 {
+		t.Errorf("ErrorsET = %d, want 1", done.ErrorsET)
+	}
+	res := mustEng(t, st.eng, "SELECT CUST_ID, CUST_NAME FROM PROD.CUSTOMER ORDER BY CUST_ID")
+	if len(res.Rows) != 1 || res.Rows[0][0].S != "100" || res.Rows[0][1].S != "Annie" {
+		t.Errorf("target rows = %v, want only [100 Annie]", res.Rows)
+	}
+	et := mustEng(t, st.eng, "SELECT SEQNO FROM PROD.CUSTOMER_REKEY_ET")
+	if len(et.Rows) != 1 || et.Rows[0][0].I != 6 {
+		t.Errorf("ET rows = %v, want one row for seq 6", et.Rows)
+	}
+}

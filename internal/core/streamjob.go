@@ -38,6 +38,10 @@ type opRun struct {
 // duplicate, so the split always terminates without recording an error.
 var errStreamDupRange = errors.New("duplicate key images in upsert range")
 
+// streamSpoolCap cuts a micro-batch whose CSV spool reaches 4 MiB before its
+// row hint does, so wide records never buffer unbounded CSV.
+const streamSpoolCap = 4 << 20
+
 // streamJob is one long-lived streaming session: it stays open after logon,
 // ingests continuous CDC deltas as adaptively sized micro-batches, and
 // checkpoints a durable watermark per committed batch so a killed stream
@@ -57,7 +61,7 @@ type streamJob struct {
 	tr       *sqlxlate.Translator
 	conv     *convert.Converter
 	sd       *sqlxlate.StreamDML
-	intraDup *sqlxlate.RangeStmt // duplicate-key probe over the upsert stage
+	intraDup *sqlxlate.RangeStmt // duplicate-key probe over an upsert run
 	ctrl     *stream.Controller
 	targets  string
 	started  time.Time
@@ -67,10 +71,15 @@ type streamJob struct {
 	watermark int64
 
 	// Current micro-batch accumulation. Only the session goroutine touches
-	// these; a stream has exactly one connection. ups stages insert/update
-	// images, del stages delete images.
+	// these; a stream has exactly one connection. Upsert and delete images
+	// share one spool and one staging table: every staged __seq inside an op
+	// run belongs to that run's class, so each range statement sees only its
+	// own images. The spool is a pooled buffer owned by the job from its
+	// getBuf in bufferDelta until finish's putBuf.
 	credits          credit.Batch
-	ups, del         streamHalf
+	lane             *stagingLane
+	csv              []byte //etlvirt:owns
+	rows             int    // rows staged this batch
 	runs             []opRun
 	dataErrs         []convert.DataError
 	batchLo, batchHi int64 // fresh delta range buffered; batchLo == 0 means empty
@@ -107,26 +116,12 @@ type streamJob struct {
 	updated   atomic.Int64
 	deleted   atomic.Int64
 	errsET    atomic.Int64
-	heldBytes atomic.Int64
 	heldCreds atomic.Int64
 	wmLive    atomic.Int64
 	hintLive  atomic.Int64
 
 	finishSeq sync.Once
 	trace     *obs.JobTrace
-}
-
-// streamHalf is one delta class of the current micro-batch: its staging
-// lane, the CSV spool being filled, and the manifest of spool objects already
-// rotated out. The spool is a pooled buffer owned by the job from its getBuf
-// in bufferDelta until finish's putBuf — field-held, so bufown sees the
-// stores through bufferDelta's pointer as hand-offs to the job.
-type streamHalf struct {
-	lane    *stagingLane
-	csv     []byte   //etlvirt:owns
-	rows    int      // rows staged this batch
-	spooled int      // rows sitting in csv, not yet uploaded
-	files   []string // spool objects uploaded for this batch
 }
 
 // streamCommitStat is the last committed micro-batch's controller view,
@@ -174,10 +169,9 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 		etName:  parseQualifiedName(m.ErrTableET),
 		started: time.Now(),
 	}
-	upsStage := sqlparse.TableName{Schema: stagingSchema, Name: fmt.Sprintf("stream_%d_ups", id)}
-	delStage := sqlparse.TableName{Schema: stagingSchema, Name: fmt.Sprintf("stream_%d_del", id)}
+	stage := sqlparse.TableName{Schema: stagingSchema, Name: fmt.Sprintf("stream_%d", id)}
 	j.tr = &sqlxlate.Translator{
-		Stage:      upsStage,
+		Stage:      stage,
 		StageAlias: "s",
 		Layout:     m.Layout,
 		SchemaMap:  n.cfg.SchemaMap,
@@ -204,7 +198,7 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 	for i, c := range meta.Columns {
 		targetCols[i] = c.Name
 	}
-	j.sd, err = j.tr.TranslateStreamDML(m.SQL, delStage, targetCols, meta.PrimaryKey)
+	j.sd, err = j.tr.TranslateStreamDML(m.SQL, stage, targetCols, meta.PrimaryKey)
 	if err != nil {
 		return nil, err
 	}
@@ -274,9 +268,7 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 	j.hintLive.Store(int64(j.ctrl.Hint().BatchRows))
 	n.nm.streamsOpened.Inc()
 	j.trace = n.tracer.StartCtx(id, "stream "+m.Name, tc)
-	keyPfx := fmt.Sprintf("%sstream%d/", uploadPrefix, id)
-	j.ups.lane = newStagingLane(n, j.trace, upsStage, m.Layout, keyPfx+"ups/", "stream_copy", "stream")
-	j.del.lane = newStagingLane(n, j.trace, delStage, m.Layout, keyPfx+"del/", "stream_copy", "stream")
+	j.lane = newStagingLane(n, j.trace, stage, m.Layout, fmt.Sprintf("%sstream%d/", uploadPrefix, id), "stream_copy", "stream")
 	n.events.Add(obs.Event{
 		Type: "stream_open", Job: id, TraceID: j.traceID(), Msg: m.Name,
 		Attrs: map[string]any{
@@ -333,7 +325,6 @@ func (j *streamJob) handleFrame(m *wire.DeltaFrame) (*wire.DeltaAck, error) {
 		return nil, err
 	}
 	j.credits.Add(cr)
-	j.heldBytes.Add(int64(len(m.Payload)))
 	j.heldCreds.Add(1)
 
 	hint := j.ctrl.Hint()
@@ -364,7 +355,7 @@ func (j *streamJob) handleFrame(m *wire.DeltaFrame) (*wire.DeltaAck, error) {
 		}
 		j.batchHi = seq
 		j.batchBytes += len(rec)
-		if err := j.bufferDelta(op, rec, seq, hint.SpoolBytes); err != nil {
+		if err := j.bufferDelta(op, rec, seq); err != nil {
 			return nil, err
 		}
 	}
@@ -375,7 +366,6 @@ func (j *streamJob) handleFrame(m *wire.DeltaFrame) (*wire.DeltaAck, error) {
 		// Nothing buffered (all replays): no memory is held, return the
 		// frame's credit instead of parking it until some future commit.
 		j.credits.ReleaseAll()
-		j.heldBytes.Store(0)
 		j.heldCreds.Store(0)
 	}
 	frameDur := time.Since(frameStart)
@@ -383,8 +373,8 @@ func (j *streamJob) handleFrame(m *wire.DeltaFrame) (*wire.DeltaAck, error) {
 	nm.streamStageFrame.ObserveEx(frameDur.Seconds(), j.trace.Context().TraceID)
 
 	// Cut the batch when it reaches the controller's row target, or when
-	// spool rotation has already produced the COPY fan-in it wants.
-	if j.ups.rows+j.del.rows >= hint.BatchRows || len(j.ups.files)+len(j.del.files) >= hint.CopyFiles {
+	// wide records have filled the spool first.
+	if j.rows >= hint.BatchRows || len(j.csv) >= streamSpoolCap {
 		if err := j.commitBatch(); err != nil {
 			return nil, err
 		}
@@ -400,25 +390,21 @@ func (j *streamJob) handleFrame(m *wire.DeltaFrame) (*wire.DeltaAck, error) {
 // bufferDelta converts one fresh delta into the batch spool and extends the
 // op-run structure. Conversion failures become data errors recorded at the
 // batch commit, exactly like acquisition-phase rejects of a discrete import.
-func (j *streamJob) bufferDelta(op stream.Op, rec []byte, seq int64, spoolBytes int) error {
+func (j *streamJob) bufferDelta(op stream.Op, rec []byte, seq int64) error {
 	del := op == stream.OpDelete
-	h := &j.ups
-	if del {
-		h = &j.del
-	}
-	if h.csv == nil {
-		h.csv = getBuf(spoolBytes + spoolBytes/8)
+	if j.csv == nil {
+		j.csv = getBuf(64 << 10) // grows by append until the batch cuts
 	}
 	// Converting per record with firstRow=seq stages the delta under its
 	// global sequence — the __seq the MERGE triple ranges over and the SEQNO
 	// error tables report.
 	spoolStart := time.Now()
-	res, err := j.conv.ConvertInto(h.csv, rec, seq)
+	res, err := j.conv.ConvertInto(j.csv, rec, seq)
 	j.stageAcc.Spool += time.Since(spoolStart)
 	// The conversion may have grown (and therefore moved) the spool buffer,
 	// even before failing; keep the Result's buffer or the field would hold
 	// a stale header and the grown one would leak.
-	h.csv = res.CSV
+	j.csv = res.CSV
 	if err != nil {
 		return err
 	}
@@ -427,54 +413,43 @@ func (j *streamJob) bufferDelta(op stream.Op, rec []byte, seq int64, spoolBytes 
 		j.node.nm.dataErrors.Add(int64(len(res.Errors)))
 		return nil
 	}
-	h.rows++
-	h.spooled++
+	j.rows++
 	if n := len(j.runs); n > 0 && j.runs[n-1].del == del {
 		j.runs[n-1].hi = seq
 	} else {
 		j.runs = append(j.runs, opRun{del: del, lo: seq, hi: seq})
 	}
-	// Rotate the spool once it crosses the controller's threshold so one
-	// oversized batch never buffers unbounded CSV.
-	if len(h.csv) >= spoolBytes {
-		return j.rotateSpool(h)
-	}
 	return nil
 }
 
-// rotateSpool uploads the half's spool as the batch's next staging object
-// and appends it to the half's manifest.
-func (j *streamJob) rotateSpool(h *streamHalf) error {
-	name := fmt.Sprintf("b%d-%06d", j.batchNo, len(h.files))
+// stageBatch rebuilds the staging table from the batch's one spool object.
+// Reset-then-land on every commit is the batch's recovery point: a replayed
+// batch after a crash and an engine-side COPY failure mid-batch both rebuild
+// identical staging state from the durable object.
+func (j *streamJob) stageBatch() error {
+	copyStart := time.Now()
+	if err := j.lane.reset(); err != nil {
+		return err
+	}
+	j.stageAcc.Copy += time.Since(copyStart)
+	if j.rows == 0 {
+		return nil
+	}
+	name := fmt.Sprintf("b%d", j.batchNo)
 	upStart := time.Now()
-	_, err := h.lane.upload("stream", name, h.csv, int64(h.spooled))
+	_, err := j.lane.upload("stream", name, j.csv, int64(j.rows))
 	j.stageAcc.Upload += time.Since(upStart)
 	if err != nil {
 		return err
 	}
-	h.files = append(h.files, name)
-	h.spooled = 0
-	h.csv = h.csv[:0]
-	return nil
-}
-
-// stageHalf rebuilds the half's staging table from the batch's manifest.
-// Reset-then-land on every commit is the batch's recovery point: a replayed
-// batch after a crash and an engine-side COPY failure mid-batch both rebuild
-// identical staging state from the durable objects.
-func (j *streamJob) stageHalf(h *streamHalf) error {
-	if err := h.lane.reset(); err != nil {
-		return err
-	}
-	if len(h.files) == 0 {
-		return nil
-	}
-	staged, err := h.lane.land(h.files)
+	copyStart = time.Now()
+	staged, err := j.lane.land([]string{name})
+	j.stageAcc.Copy += time.Since(copyStart)
 	if err != nil {
 		return err
 	}
-	if want := int64(h.rows); staged != want {
-		return fmt.Errorf("stream staging %s holds %d rows, want %d", h.lane.stage.Name, staged, want)
+	if want := int64(j.rows); staged != want {
+		return fmt.Errorf("stream staging %s holds %d rows, want %d", j.lane.stage.Name, staged, want)
 	}
 	return nil
 }
@@ -491,25 +466,11 @@ func (j *streamJob) commitBatch() error {
 	}
 	nm := j.node.nm
 	lo, hi := j.batchLo, j.batchHi
-	rows := j.ups.rows + j.del.rows
+	rows := j.rows
 	commitStart := j.batchStart
-	halves := [...]*streamHalf{&j.ups, &j.del}
-
-	// Flush spool remainders for both halves.
-	for _, h := range halves {
-		if len(h.csv) > 0 {
-			if err := j.rotateSpool(h); err != nil {
-				return err
-			}
-		}
+	if err := j.stageBatch(); err != nil {
+		return err
 	}
-	copyStart := time.Now()
-	for _, h := range halves {
-		if err := j.stageHalf(h); err != nil {
-			return err
-		}
-	}
-	j.stageAcc.Copy += time.Since(copyStart)
 
 	// Idempotent error recording: a crashed attempt may have recorded rows
 	// for sequences the watermark never covered; wipe them before this
@@ -554,12 +515,9 @@ func (j *streamJob) commitBatch() error {
 
 	// The batch's memory and objects are reclaimable now.
 	j.credits.ReleaseAll()
-	j.heldBytes.Store(0)
 	j.heldCreds.Store(0)
-	for _, h := range halves {
-		if len(h.files) > 0 { // an empty half uploaded nothing; skip its List
-			h.lane.purge()
-		}
+	if rows > 0 { // an all-reject batch uploaded nothing; skip its List
+		j.lane.purge()
 	}
 
 	lat := time.Since(commitStart)
@@ -610,8 +568,7 @@ func (j *streamJob) commitBatch() error {
 	j.node.events.Add(obs.Event{
 		Type: "ctrl_decision", Job: j.id, TraceID: j.traceID(), Msg: d.Action.String(),
 		Attrs: map[string]any{
-			"batch_rows": d.BatchRows, "spool_bytes": d.SpoolBytes,
-			"copy_files": d.CopyFiles, "dominant": d.Dominant,
+			"batch_rows": d.BatchRows, "dominant": d.Dominant,
 		},
 	})
 	j.node.log.Debug("stream micro-batch committed", "stream", j.id, "lo", lo, "hi", hi,
@@ -619,11 +576,8 @@ func (j *streamJob) commitBatch() error {
 		"dominant", d.Dominant)
 
 	j.batchLo, j.batchHi = 0, 0
-	for _, h := range halves {
-		// The lane's landed log keeps the manifest until its next reset, so
-		// the next batch starts a fresh one instead of truncating in place.
-		h.rows, h.files = 0, nil
-	}
+	j.rows = 0
+	j.csv = j.csv[:0]
 	j.batchBytes = 0
 	j.runs = j.runs[:0]
 	j.dataErrs = j.dataErrs[:0]
@@ -635,7 +589,7 @@ func (j *streamJob) commitBatch() error {
 }
 
 // applyRuns applies the batch's op runs in sequence order under the adaptive
-// error handler: a delete run ranges the DELETE over the delete stage, an
+// error handler: a delete run ranges the DELETE over its stage range, an
 // upsert run probes for duplicate key images (splitting until ranges are
 // duplicate-free) then runs the UPDATE and guarded INSERT halves.
 func (j *streamJob) applyRuns() error {
@@ -767,7 +721,6 @@ func (j *streamJob) finishStream() (*wire.StreamDone, error) {
 // returned so a dead stream can never leak pool capacity.
 func (j *streamJob) abort() {
 	j.credits.ReleaseAll()
-	j.heldBytes.Store(0)
 	j.heldCreds.Store(0)
 	j.oldestLiveNs.Store(0)
 	j.node.nm.streamsAborted.Inc()
@@ -784,11 +737,9 @@ func (j *streamJob) abort() {
 // batch objects, registry entry. Checkpoint and error tables stay.
 func (j *streamJob) finish() {
 	j.finishSeq.Do(func() {
-		for _, h := range [...]*streamHalf{&j.ups, &j.del} {
-			h.lane.close()
-			putBuf(h.csv)
-			h.csv = nil
-		}
+		j.lane.close()
+		putBuf(j.csv)
+		j.csv = nil
 		j.node.tracer.Finish(j.id)
 		j.node.mu.Lock()
 		delete(j.node.streams, j.id)

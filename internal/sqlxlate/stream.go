@@ -8,9 +8,12 @@ import (
 )
 
 // StreamDML is the MERGE-style statement triple a streaming micro-batch
-// applies. The stream job stages upsert images and delete images in two
-// staging tables, each row under its global delta sequence, and applies the
-// batch as maximal runs of consecutive same-class deltas in sequence order:
+// applies. Upsert and delete images are staged under their global delta
+// sequence, and the batch applies as maximal runs of consecutive same-class
+// deltas in sequence order. The delete stage may equal the upsert stage: the
+// stream job stages both classes in one table, since every staged sequence
+// inside a run has the run's class, while the reference EDW and the
+// benchmark replay still pass two:
 //
 //	Delete: DELETE FROM tgt USING delstage d WHERE keys match AND d.__seq range
 //	Update: UPDATE tgt SET ... FROM upsstage s WHERE keys match AND s.__seq range

@@ -14,21 +14,13 @@ type Config struct {
 	// InitialBatch seeds the hint before any observation. Zero defaults to
 	// 64 (clamped into [MinBatch, MaxBatch]).
 	InitialBatch int
-	// Alpha is the EWMA smoothing factor for observed latency and record
-	// width, in (0, 1]. Larger reacts faster, smaller damps noise harder.
-	// Zero defaults to 0.3.
+	// Alpha is the EWMA smoothing factor for observed latency, in (0, 1].
+	// Larger reacts faster, smaller damps noise harder. Zero defaults to 0.3.
 	Alpha float64
 	// Deadband is the fractional hysteresis band around Target inside which
 	// the controller holds instead of chasing noise. Zero defaults to 0.15
 	// (i.e. hold while smoothed latency is within ±15% of target).
 	Deadband float64
-	// MinSpoolBytes/MaxSpoolBytes clamp the staging-file rotation threshold
-	// derived from the batch hint. Zeros default to 64 KiB and 4 MiB.
-	MinSpoolBytes int
-	MaxSpoolBytes int
-	// MaxCopyFiles caps staged files folded into one COPY statement. Zero
-	// defaults to 4.
-	MaxCopyFiles int
 }
 
 func (c Config) withDefaults() Config {
@@ -58,18 +50,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Deadband <= 0 {
 		c.Deadband = 0.15
-	}
-	if c.MinSpoolBytes <= 0 {
-		c.MinSpoolBytes = 64 << 10
-	}
-	if c.MaxSpoolBytes <= 0 {
-		c.MaxSpoolBytes = 4 << 20
-	}
-	if c.MaxSpoolBytes < c.MinSpoolBytes {
-		c.MaxSpoolBytes = c.MinSpoolBytes
-	}
-	if c.MaxCopyFiles <= 0 {
-		c.MaxCopyFiles = 4
 	}
 	return c
 }
@@ -162,12 +142,10 @@ func stepToTarget(cur int, smoothed, target, deadband float64, min, max int) (in
 	return next, action
 }
 
-// Decision is the controller's current preferred micro-batch geometry.
+// Decision is the controller's current preferred micro-batch size.
 type Decision struct {
-	Action     Action
-	BatchRows  int // preferred records per micro-batch (the client frame hint)
-	SpoolBytes int // staging-file rotation threshold for the batch
-	CopyFiles  int // max staged files folded into one COPY statement
+	Action    Action
+	BatchRows int // preferred records per micro-batch (the client frame hint)
 	// Dominant names the pipeline stage with the largest smoothed share of
 	// commit latency ("spool", "upload", "copy", "apply", "checkpoint"), so a
 	// grow/shrink decision is attributable to the stage driving it. Empty
@@ -179,8 +157,8 @@ type Decision struct {
 // as measured by the streaming job. Zero fields are unobserved.
 type Stages struct {
 	Spool      time.Duration // delta decode + staging-file append
-	Upload     time.Duration // staging-file rotation and object-store upload
-	Copy       time.Duration // COPY of staged files into the work table
+	Upload     time.Duration // object-store upload of the batch's spool
+	Copy       time.Duration // COPY of the spool object into the work table
 	Apply      time.Duration // merge/DML application to the target table
 	Checkpoint time.Duration // watermark checkpoint write
 }
@@ -204,7 +182,7 @@ type Stats struct {
 
 // Controller is the adaptive micro-batch sizer. It is a pure unit: it never
 // reads the clock — the caller measures each batch's commit latency and
-// feeds it to Observe, which returns the geometry for the next batch. It is
+// feeds it to Observe, which returns the size of the next batch. It is
 // not safe for concurrent use; the streaming job serializes batch commits.
 //
 // The control law is stepToTarget — a damped multiplicative-adjust
@@ -218,9 +196,8 @@ type Stats struct {
 type Controller struct {
 	cfg Config
 
-	batch       int
-	lat         ewma // smoothed commit latency, seconds
-	bytesPerRow ewma // smoothed record width
+	batch int
+	lat   ewma // smoothed commit latency, seconds
 
 	stageSec    [len(stageNames)]ewma // smoothed per-stage latency, seconds
 	stageSeeded bool
@@ -240,19 +217,14 @@ func (c *Controller) Target() time.Duration { return c.cfg.Target }
 // Stats returns decision counts since construction.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// Hint returns the current geometry without recording an observation.
+// Hint returns the current batch size without recording an observation.
 func (c *Controller) Hint() Decision {
-	return Decision{
-		Action:     ActionHold,
-		BatchRows:  c.batch,
-		SpoolBytes: c.spoolBytes(),
-		CopyFiles:  c.copyFiles(),
-	}
+	return Decision{Action: ActionHold, BatchRows: c.batch}
 }
 
-// Observe records one committed micro-batch (rows records, bytes of raw
-// payload, end-to-end commit latency) and returns the geometry for the next
-// batch.
+// Observe records one committed micro-batch (rows records, end-to-end
+// commit latency) and returns the size of the next batch. bytes is ignored;
+// it is kept for callers that still report raw payload size.
 func (c *Controller) Observe(rows, bytes int, latency time.Duration) Decision {
 	return c.ObserveStages(rows, bytes, latency, Stages{})
 }
@@ -302,9 +274,6 @@ func (c *Controller) ObserveStages(rows, bytes int, latency time.Duration, st St
 		return d
 	}
 	smoothed := c.lat.observe(c.cfg.Alpha, latency.Seconds())
-	if width := float64(bytes) / float64(rows); !c.bytesPerRow.seeded || bytes > 0 {
-		c.bytesPerRow.observe(c.cfg.Alpha, width)
-	}
 
 	var action Action
 	c.batch, action = stepToTarget(c.batch, smoothed, c.cfg.Target.Seconds(), c.cfg.Deadband,
@@ -317,48 +286,5 @@ func (c *Controller) ObserveStages(rows, bytes int, latency time.Duration, st St
 	default:
 		c.stats.Holds++
 	}
-	return Decision{
-		Action:     action,
-		BatchRows:  c.batch,
-		SpoolBytes: c.spoolBytes(),
-		CopyFiles:  c.copyFiles(),
-		Dominant:   c.dominant(),
-	}
-}
-
-// spoolBytes derives the staging-file rotation threshold: enough for one
-// micro-batch in a single file when records are narrow, clamped so wide
-// records still rotate before unbounded buffering.
-func (c *Controller) spoolBytes() int {
-	width := c.bytesPerRow.v
-	if width <= 0 {
-		width = 128 // prior before any observation
-	}
-	spool := int(width * float64(c.batch))
-	if spool < c.cfg.MinSpoolBytes {
-		spool = c.cfg.MinSpoolBytes
-	}
-	if spool > c.cfg.MaxSpoolBytes {
-		spool = c.cfg.MaxSpoolBytes
-	}
-	return spool
-}
-
-// copyFiles scales the files-per-COPY batch linearly with where the batch
-// hint sits in [MinBatch, MaxBatch]: small latency-bound batches commit one
-// file at a time, large throughput-bound batches amortize COPY overhead
-// across several staged files.
-func (c *Controller) copyFiles() int {
-	span := c.cfg.MaxBatch - c.cfg.MinBatch
-	if span <= 0 || c.cfg.MaxCopyFiles <= 1 {
-		return 1
-	}
-	files := 1 + (c.batch-c.cfg.MinBatch)*(c.cfg.MaxCopyFiles-1)/span
-	if files < 1 {
-		files = 1
-	}
-	if files > c.cfg.MaxCopyFiles {
-		files = c.cfg.MaxCopyFiles
-	}
-	return files
+	return Decision{Action: action, BatchRows: c.batch, Dominant: c.dominant()}
 }

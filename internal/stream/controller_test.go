@@ -132,33 +132,6 @@ func TestControllerStepBounds(t *testing.T) {
 	}
 }
 
-func TestControllerGeometryDerivation(t *testing.T) {
-	c := NewController(Config{
-		Target: 2 * time.Second, MinBatch: 16, MaxBatch: 1024,
-		MinSpoolBytes: 1 << 10, MaxSpoolBytes: 1 << 20, MaxCopyFiles: 4,
-	})
-	d := c.Hint()
-	if d.SpoolBytes < 1<<10 || d.SpoolBytes > 1<<20 {
-		t.Fatalf("spool %d outside clamps", d.SpoolBytes)
-	}
-	if d.CopyFiles < 1 || d.CopyFiles > 4 {
-		t.Fatalf("copy files %d outside [1, 4]", d.CopyFiles)
-	}
-	// 200-byte records at a large batch: spool tracks width*batch.
-	for i := 0; i < 50; i++ {
-		d = c.Observe(d.BatchRows, d.BatchRows*200, 100*time.Millisecond)
-	}
-	if d.BatchRows != 1024 {
-		t.Fatalf("fast plant should pin ceiling, got %d", d.BatchRows)
-	}
-	if d.CopyFiles != 4 {
-		t.Fatalf("ceiling batch should use max copy files, got %d", d.CopyFiles)
-	}
-	if want := 200 * 1024; d.SpoolBytes != want {
-		t.Fatalf("spool = %d, want width*batch = %d", d.SpoolBytes, want)
-	}
-}
-
 func TestControllerDefaults(t *testing.T) {
 	c := NewController(Config{})
 	if c.Target() != 2*time.Second {

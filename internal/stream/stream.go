@@ -7,9 +7,8 @@
 // legacy pipelines are discrete batch jobs with hand-tuned chunk sizes. This
 // package closes that loop: the controller watches observed end-to-end
 // commit latency (measured by the server per micro-batch) and resizes the
-// three knobs that govern it — records per micro-batch, staging-file
-// rotation threshold, and files per COPY statement — so a slow CDW shrinks
+// knob that governs it, records per micro-batch, so a slow CDW shrinks
 // batches toward the target and an idle one grows them for throughput.
-// Backpressure stays credit-based (internal/credit): the controller shapes
-// batch geometry, credits bound memory.
+// Backpressure stays credit-based (internal/credit): the controller sizes
+// batches, credits bound memory.
 package stream

@@ -204,14 +204,22 @@ func FaultSeed(t testing.TB, def int64) int64 {
 // --- multi-process helpers (binary end-to-end tests) ---
 
 // StartProc launches a built binary with output folded into the test log.
+// The child is killed and reaped when t finishes, and, where the platform
+// allows, killed by the kernel if the test binary itself dies first (a
+// -timeout panic runs no cleanups).
 func StartProc(t testing.TB, path string, args ...string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(path, args...)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
+	dieWithParent(cmd)
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("starting %s: %v", path, err)
 	}
+	t.Cleanup(func() {
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+	})
 	return cmd
 }
 

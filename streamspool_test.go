@@ -13,14 +13,12 @@ import (
 	"etlvirt/internal/wire"
 )
 
-// TestStreamResumeAtSpoolRotation pins the checkpoint/resume contract at the
-// one boundary where two cut conditions coincide: records are sized so the
-// spool crosses its rotation threshold (the 64 KiB MinSpoolBytes floor)
-// exactly on the micro-batch's final row, so the batch commits from a fully
-// rotated spool object with an empty remainder buffer. A client kill right
-// after that commit, followed by a full from-delta-1 replay, must resume at
-// the rotated batch's watermark, re-apply nothing, and land the same final
-// state a plain in-order application produces.
+// TestStreamResumeAtSpoolRotation pins checkpoint/resume for wide-record
+// micro-batches: 16 records of ~4 KiB each, over 64 KiB of CSV, commit from
+// one spool object as one batch. A client kill right after two such commits,
+// followed by a full from-delta-1 replay, must resume at the second batch's
+// watermark, re-apply nothing, and land the same final state a plain
+// in-order application produces.
 func TestStreamResumeAtSpoolRotation(t *testing.T) {
 	const (
 		batch   = 16
