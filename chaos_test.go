@@ -3,6 +3,7 @@ package etlvirt_test
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sort"
 	"strings"
 	"testing"
@@ -10,6 +11,8 @@ import (
 
 	"etlvirt/internal/cdw"
 	"etlvirt/internal/cloudstore"
+	"etlvirt/internal/etlclient"
+	"etlvirt/internal/etlscript"
 	"etlvirt/internal/ltype"
 	"etlvirt/internal/scrub"
 	"etlvirt/internal/stream"
@@ -332,5 +335,172 @@ func TestChaosCDCResume(t *testing.T) {
 	sort.Strings(refET)
 	if strings.Join(gotET, "\n") != strings.Join(refET, "\n") {
 		t.Errorf("error table diverged under seed %d:\n ref:  %v\n virt: %v", seed, refET, gotET)
+	}
+}
+
+// TestStreamTrickleChaos runs two trickle-fed CDC streams, one delta per
+// frame, beside a concurrent import on the default node config with fault
+// injection on. A micro-batch cuts only at the controller's row hint, so
+// each batch spans far more frames than the default credit pool (4 x
+// GOMAXPROCS) holds credits. Every frame must still be acked within 10 s,
+// and the differential scrub against the legacy EDW, which ran the same
+// feeds and import, must come back clean.
+//
+// The fault seed comes from ETLVIRT_FAULT_SEED (the CI chaos matrix).
+func TestStreamTrickleChaos(t *testing.T) {
+	seed := testhost.FaultSeed(t, 1)
+	const (
+		frames = 160 // per stream
+		ackDue = 10 * time.Second
+	)
+	ddl := []string{
+		`CREATE TABLE PROD.CUSTOMER (
+	CUST_ID VARCHAR(5) NOT NULL,
+	CUST_NAME VARCHAR(50),
+	JOIN_DATE DATE,
+	PRIMARY KEY (CUST_ID))`,
+		`CREATE TABLE PROD.ACCOUNT (
+	ACCT_ID VARCHAR(5) NOT NULL,
+	ACCT_NAME VARCHAR(50),
+	OPEN_DATE DATE,
+	PRIMARY KEY (ACCT_ID))`,
+	}
+	const applySQL = `insert into PROD.CUSTOMER values (
+	trim(:CUST_ID), trim(:CUST_NAME),
+	cast(:JOIN_DATE as DATE format 'YYYY-MM-DD') )`
+	const importScript = `
+.logon host/user,pass;
+.layout AcctLayout;
+.field ACCT_ID varchar(5);
+.field ACCT_NAME varchar(50);
+.field OPEN_DATE varchar(10);
+.begin import tables PROD.ACCOUNT
+	errortables PROD.ACCOUNT_ET PROD.ACCOUNT_UV;
+.dml label InsApply;
+insert into PROD.ACCOUNT values (
+	trim(:ACCT_ID), trim(:ACCT_NAME),
+	cast(:OPEN_DATE as DATE format 'YYYY-MM-DD') );
+.import infile accounts.txt
+	format vartext '|' layout AcctLayout
+	apply InsApply;
+.end load;
+`
+	var sb strings.Builder
+	for i := 1; i <= 300; i++ {
+		id, date := fmt.Sprintf("%d", i), fmt.Sprintf("2021-%02d-%02d", 1+i%12, 1+i%28)
+		switch {
+		case i%29 == 3:
+			date = "not-a-date"
+		case i%41 == 0:
+			id = fmt.Sprintf("%d", i/2) // duplicate of an earlier key
+		}
+		fmt.Fprintf(&sb, "%s|Account %d|%s\n", id, i, date)
+	}
+	script, err := etlscript.Parse(importScript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accounts := []byte(sb.String())
+
+	layout := &ltype.Layout{Name: "CustLayout", Fields: []ltype.Field{
+		{Name: "CUST_ID", Type: ltype.VarChar(5)},
+		{Name: "CUST_NAME", Type: ltype.VarChar(50)},
+		{Name: "JOIN_DATE", Type: ltype.VarChar(10)},
+	}}
+	// trickle feeds stream n to addr, one delta per frame, over a 30-key
+	// space of its own: inserts, updates, every 11th a delete and every 17th
+	// a date that fails the apply-time cast.
+	trickle := func(addr string, n int) error {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			return err
+		}
+		defer nc.Close()
+		c := wire.NewConn(nc)
+		call := func(msg wire.Message, kind wire.Kind) (wire.Message, error) {
+			if err := c.Send(0, msg); err != nil {
+				return nil, err
+			}
+			nc.SetReadDeadline(time.Now().Add(ackDue))
+			return c.Expect(kind)
+		}
+		if _, err := call(&wire.Logon{User: "u", Password: "p"}, wire.KindLogonOK); err != nil {
+			return err
+		}
+		m, err := call(&wire.BeginStream{
+			Name: fmt.Sprintf("trickle_%d", n), Table: "PROD.CUSTOMER",
+			ErrTableET: fmt.Sprintf("PROD.TRICKLE%d_ET", n),
+			Layout:     layout, Format: wire.FormatVartext, Delim: '|', SQL: applySQL,
+		}, wire.KindStreamOK)
+		if err != nil {
+			return fmt.Errorf("stream %d: begin: %w", n, err)
+		}
+		id := m.(*wire.StreamOK).StreamID
+		for f := 1; f <= frames; f++ {
+			op, date := stream.OpUpdate, fmt.Sprintf("2023-%02d-%02d", 1+f%12, 1+f%28)
+			switch {
+			case f%11 == 0:
+				op = stream.OpDelete
+			case f%2 == 1:
+				op = stream.OpInsert
+			}
+			if f%17 == 5 {
+				date = "bad-date"
+			}
+			rec := fmt.Sprintf("%d%03d|Trickle %d.%d|%s\n", n, (f*7)%30, n, f, date)
+			if _, err := call(&wire.DeltaFrame{
+				StreamID: id, FirstSeq: uint64(f), Count: 1,
+				Payload: stream.AppendDelta(nil, op, []byte(rec)),
+			}, wire.KindDeltaAck); err != nil {
+				return fmt.Errorf("stream %d frame %d: %w", n, f, err)
+			}
+		}
+		if _, err := call(&wire.EndStream{StreamID: id}, wire.KindStreamDone); err != nil {
+			return fmt.Errorf("stream %d: end: %w", n, err)
+		}
+		return nil
+	}
+
+	p := testhost.StartPair(t, testhost.Options{Seed: seed, DDL: ddl})
+	t.Logf("default pool: %d credits; %d single-delta frames per stream", p.Node.Credits().Total, frames)
+	for _, addr := range []string{p.EDWAddr, p.NodeAddr} {
+		// Both feeds and the import run at once; a side that has not
+		// finished after a minute is hung.
+		errs := make(chan error, 3)
+		for n := 1; n <= 2; n++ {
+			go func() { errs <- trickle(addr, n) }()
+		}
+		go func() {
+			_, err := etlclient.Run(script, etlclient.Options{
+				Addr: addr, ChunkRecords: 16,
+				ReadFile: func(string) ([]byte, error) { return accounts, nil },
+			})
+			errs <- err
+		}()
+		hung := time.After(time.Minute)
+		for range 3 {
+			select {
+			case err := <-errs:
+				if err != nil {
+					t.Fatalf("run against %s (seed %d): %v", addr, seed, err)
+				}
+			case <-hung:
+				t.Fatalf("run against %s (seed %d) hung: not finished after a minute", addr, seed)
+			}
+		}
+	}
+	if p.Injector.Injected() == 0 {
+		t.Fatal("no faults were injected; the chaos run tested nothing")
+	}
+	if cs := p.Node.Credits(); cs.Available != cs.Total || cs.InFlight != 0 {
+		t.Errorf("credits not back in the pool: %+v", cs)
+	}
+
+	rep := p.Scrub(t, scrub.Options{Tables: []scrub.Table{
+		{Name: "PROD.CUSTOMER", ErrTables: []string{"PROD.TRICKLE1_ET", "PROD.TRICKLE2_ET"}},
+		{Name: "PROD.ACCOUNT", ErrTables: []string{"PROD.ACCOUNT_ET", "PROD.ACCOUNT_UV"}},
+	}})
+	if !rep.OK {
+		t.Errorf("scrub diverged under seed %d:\n%s", seed, rep.Diff())
 	}
 }

@@ -165,6 +165,7 @@ type TableMeta struct {
 	Name       sqlparse.TableName
 	Columns    []ResultCol
 	NotNull    []bool
+	Defaults   []string // DEFAULT expressions as CDW SQL, "" for none
 	PrimaryKey []string
 	Unique     [][]string
 	Rows       int
@@ -181,6 +182,13 @@ func (e *Engine) Describe(tn sqlparse.TableName) (*TableMeta, error) {
 	for _, c := range t.Columns {
 		m.Columns = append(m.Columns, ResultCol{Name: c.Name, Type: c.Type})
 		m.NotNull = append(m.NotNull, c.NotNull)
+		var def string
+		if c.Default != nil {
+			if def, err = sqlparse.PrintExpr(c.Default, sqlparse.DialectCDW); err != nil {
+				return nil, err
+			}
+		}
+		m.Defaults = append(m.Defaults, def)
 	}
 	for _, i := range t.PrimaryKey {
 		m.PrimaryKey = append(m.PrimaryKey, t.Columns[i].Name)

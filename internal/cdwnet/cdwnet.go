@@ -56,6 +56,7 @@ type colInfo struct {
 type TableMeta struct {
 	Columns    []ResultCol
 	NotNull    []bool
+	Defaults   []string
 	PrimaryKey []string
 	Unique     [][]string
 	Rows       int
@@ -269,6 +270,7 @@ func (s *Server) serveDescribe(enc *gob.Encoder, name string) error {
 	} else {
 		m := &TableMeta{
 			NotNull:    meta.NotNull,
+			Defaults:   meta.Defaults,
 			PrimaryKey: meta.PrimaryKey,
 			Unique:     meta.Unique,
 			Rows:       meta.Rows,

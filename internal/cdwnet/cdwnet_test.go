@@ -198,7 +198,7 @@ func TestDescribe(t *testing.T) {
 	}
 	defer c.Close()
 	if _, err := c.Exec(`CREATE TABLE s.t (
-		k VARCHAR(5) NOT NULL, v DECIMAL(10,2), d DATE,
+		k VARCHAR(5) NOT NULL, v DECIMAL(10,2) DEFAULT 0, d DATE,
 		PRIMARY KEY (k), UNIQUE (d))`); err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +212,9 @@ func TestDescribe(t *testing.T) {
 	}
 	if !meta.NotNull[0] || meta.NotNull[1] {
 		t.Errorf("notnull: %v", meta.NotNull)
+	}
+	if len(meta.Defaults) != 3 || meta.Defaults[0] != "" || meta.Defaults[1] != "0" {
+		t.Errorf("defaults: %q", meta.Defaults)
 	}
 	if len(meta.PrimaryKey) != 1 || meta.PrimaryKey[0] != "k" {
 		t.Errorf("pk: %v", meta.PrimaryKey)

@@ -195,19 +195,18 @@ func (n *Node) ActiveJobs() []ActiveJob {
 	}
 	for _, j := range streams {
 		out = append(out, ActiveJob{
-			JobID:       j.id,
-			Kind:        "stream",
-			Target:      j.targets,
-			Phase:       "streaming",
-			StartedAt:   j.started,
-			ElapsedMS:   now.Sub(j.started).Milliseconds(),
-			ErrorsET:    j.errsET.Load(),
-			CreditsHeld: j.heldCreds.Load(),
-			Deltas:      j.deltas.Load(),
-			Replayed:    j.replayed.Load(),
-			Batches:     j.batches.Load(),
-			Watermark:   j.wmLive.Load(),
-			BatchHint:   j.hintLive.Load(),
+			JobID:     j.id,
+			Kind:      "stream",
+			Target:    j.targets,
+			Phase:     "streaming",
+			StartedAt: j.started,
+			ElapsedMS: now.Sub(j.started).Milliseconds(),
+			ErrorsET:  j.errsET.Load(),
+			Deltas:    j.deltas.Load(),
+			Replayed:  j.replayed.Load(),
+			Batches:   j.batches.Load(),
+			Watermark: j.wmLive.Load(),
+			BatchHint: j.hintLive.Load(),
 		})
 	}
 	// stable order for consumers

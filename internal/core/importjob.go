@@ -623,32 +623,38 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 	}
 
 	// Uniqueness emulation (§7): the CDW does not enforce the target's
-	// declared key, so collisions must be detected with queries.
-	var intraQ, targetQ *sqlxlate.RangeStmt
-	var keyExprs []sqlparse.Expr
-	var keyCols []string
+	// primary key or UNIQUE constraints, so collisions must be detected with
+	// queries, two per key.
+	type dupCheck struct {
+		q     *sqlxlate.RangeStmt
+		intra bool // repeats within the range; a single row cannot repeat itself
+	}
+	var checks []dupCheck
+	var keys []sqlxlate.Key
 	if dml.Kind == sqlxlate.DMLInsert {
 		meta, err := j.node.pool.Describe(dml.Target.String())
 		if err != nil {
 			return nil, fmt.Errorf("describing target: %w", err)
 		}
-		if len(meta.PrimaryKey) > 0 {
-			keyExprs, keyCols = keyExprsFor(dml, meta)
-			if len(keyExprs) > 0 {
-				if intraQ, targetQ, err = j.tr.DupCheckQueries(dml, keyCols, keyExprs); err != nil {
-					return nil, err
-				}
+		if keys, err = uniqueKeys(dml, meta); err != nil {
+			return nil, err
+		}
+		for _, k := range keys {
+			intraQ, targetQ, err := j.tr.DupCheckQueries(dml, k.Cols, k.Exprs)
+			if err != nil {
+				return nil, err
 			}
+			checks = append(checks, dupCheck{intraQ, true}, dupCheck{targetQ, false})
 		}
 	}
 
 	var upsertUpdated, upsertInserted int64
 	apply := func(ctx context.Context, lo, hi int64) (int64, error) {
-		for _, q := range []*sqlxlate.RangeStmt{intraQ, targetQ} {
-			if q == nil || (q == intraQ && lo == hi) {
-				continue // a single staged row cannot duplicate itself
+		for _, c := range checks {
+			if c.intra && lo == hi {
+				continue
 			}
-			sql, err := q.SQL(lo, hi)
+			sql, err := c.q.SQL(lo, hi)
 			if err != nil {
 				return 0, err
 			}
@@ -735,7 +741,7 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 	cfg := j.node.errhandleConfig(int(j.req.MaxErrors), int(j.req.MaxRetries), j.trace, "beta",
 		func() { j.stmts.Add(1) })
 	if dml.Kind == sqlxlate.DMLInsert {
-		cfg.Locate = j.locator(dml, keyCols, keyExprs)
+		cfg.Locate = j.locator(dml, keys)
 	}
 	h := errhandle.New(cfg, apply, classifyCDWError, record)
 	maxSeq := j.maxSeq.Load()
@@ -787,12 +793,12 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 // locator returns the adaptive handler's Locate for an insert job. The
 // sqlxlate.LocateQuery probe is built on the first failure, so a clean job
 // pays nothing for it.
-func (j *importJob) locator(dml *sqlxlate.DML, keyCols []string, keyExprs []sqlparse.Expr) func(context.Context, int64, int64) ([]int64, error) {
+func (j *importJob) locator(dml *sqlxlate.DML, keys []sqlxlate.Key) func(context.Context, int64, int64) ([]int64, error) {
 	var probe *sqlxlate.RangeStmt
 	return func(_ context.Context, lo, hi int64) ([]int64, error) {
 		if probe == nil {
 			var err error
-			if probe, err = j.tr.LocateQuery(dml, keyCols, keyExprs); err != nil || probe == nil {
+			if probe, err = j.tr.LocateQuery(dml, keys); err != nil || probe == nil {
 				return nil, err
 			}
 		}
@@ -891,31 +897,54 @@ func (j *importJob) stagedTupleSuffix(seq int64) string {
 	return ", tuple: " + strings.Join(parts, "|")
 }
 
-// keyExprsFor resolves the insert expressions feeding the target's primary
-// key. Shared by the discrete import path and the streaming path.
-func keyExprsFor(dml *sqlxlate.DML, meta *cdwnet.TableMeta) ([]sqlparse.Expr, []string) {
-	var exprs []sqlparse.Expr
-	var cols []string
-	for _, pk := range meta.PrimaryKey {
-		e, ok := dml.NamedInsertExpr(pk)
-		if !ok {
-			// positional insert: find the target column ordinal
-			for i, c := range meta.Columns {
-				if strings.EqualFold(c.Name, pk) {
-					e, ok = dml.PositionalInsertExpr(i)
-					break
-				}
+// uniqueKeys resolves the insert expressions feeding each uniqueness
+// constraint of the target: the primary key, then every UNIQUE constraint,
+// the order the legacy engine checks them in. A key that can never collide
+// is left out.
+func uniqueKeys(dml *sqlxlate.DML, meta *cdwnet.TableMeta) ([]sqlxlate.Key, error) {
+	var keys []sqlxlate.Key
+	for _, cols := range append([][]string{meta.PrimaryKey}, meta.Unique...) {
+		k, ok, err := insertKey(dml, meta, cols)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			keys = append(keys, k)
+		}
+	}
+	return keys, nil
+}
+
+// insertKey resolves the expressions feeding the key columns cols: the
+// insert's own, or the column's DEFAULT where the insert leaves a column
+// out. ok is false when cols is empty or a column is left out without a
+// DEFAULT: that column is NULL on every row, so the key never collides.
+// Shared by the discrete import path and the streaming path.
+func insertKey(dml *sqlxlate.DML, meta *cdwnet.TableMeta, cols []string) (k sqlxlate.Key, ok bool, err error) {
+	for _, col := range cols {
+		ord := -1
+		for i, c := range meta.Columns {
+			if strings.EqualFold(c.Name, col) {
+				ord = i
+				break
 			}
 		}
-		if !ok {
-			// PK column not fed by the insert: it will be NULL, which never
-			// collides; skip the emulation for this column.
-			continue
+		e, fed := dml.NamedInsertExpr(col)
+		if !fed && ord >= 0 {
+			e, fed = dml.PositionalInsertExpr(ord)
 		}
-		exprs = append(exprs, e)
-		cols = append(cols, pk)
+		if !fed {
+			if ord < 0 || ord >= len(meta.Defaults) || meta.Defaults[ord] == "" {
+				return sqlxlate.Key{}, false, nil
+			}
+			if e, err = sqlparse.ParseExpr(meta.Defaults[ord], sqlparse.DialectCDW); err != nil {
+				return sqlxlate.Key{}, false, fmt.Errorf("default of %s: %w", col, err)
+			}
+		}
+		k.Exprs = append(k.Exprs, e)
+		k.Cols = append(k.Cols, col)
 	}
-	return exprs, cols
+	return k, len(k.Cols) > 0, nil
 }
 
 // finish tears the job down: drop staging, delete uploaded objects, file the

@@ -327,10 +327,10 @@ func waitStreamsIdle(t *testing.T, n *core.Node) {
 }
 
 // TestStreamSessionCreditLeak is the close-path audit regression: open and
-// kill 100 streaming sessions, each holding a frame credit in an
-// uncommitted micro-batch when its connection drops, and assert the
-// CreditManager gauge returns to baseline — a dead stream must never leak
-// pool capacity.
+// kill 100 streaming sessions, each with an uncommitted micro-batch when its
+// connection drops, and assert the CreditManager gauge returns to baseline —
+// a frame's credit ends with the frame, so neither the open batch nor the
+// abort may leave pool capacity behind.
 func TestStreamSessionCreditLeak(t *testing.T) {
 	st := startStack(t, core.Config{})
 	mustEng(t, st.eng, customerDDL)
@@ -339,7 +339,7 @@ func TestStreamSessionCreditLeak(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c := dialStream(t, st.addr)
 		ok := beginStream(t, c, fmt.Sprintf("leak_%d", i), "")
-		// One sub-hint frame: its credit stays parked in the open batch.
+		// One sub-hint frame: it leaves the batch open and uncommitted.
 		p := vtDelta(nil, stream.OpInsert, fmt.Sprintf("%05d", i), "Name", "2024-01-01")
 		ack := sendFrame(t, c, ok.StreamID, uint64(i+1), 1, p)
 		if ack.CommittedSeq != 0 {

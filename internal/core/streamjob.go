@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"etlvirt/internal/convert"
-	"etlvirt/internal/credit"
 	"etlvirt/internal/errhandle"
 	"etlvirt/internal/obs"
 	"etlvirt/internal/sqlparse"
@@ -49,8 +48,9 @@ const streamSpoolCap = 4 << 20
 //
 // Unlike importJob's parallel pipeline, a stream is serviced entirely by its
 // session goroutine: the legacy protocol is strictly request/response, so
-// delayed DeltaAcks while a batch commits are the stream's backpressure, on
-// top of the per-frame credits bounding buffered delta memory.
+// delayed DeltaAcks while a batch commits are the stream's backpressure. A
+// frame holds a credit only while it converts, like an import chunk, and
+// streamSpoolCap bounds the buffered batch.
 type streamJob struct {
 	id   uint64
 	node *Node
@@ -76,7 +76,6 @@ type streamJob struct {
 	// run belongs to that run's class, so each range statement sees only its
 	// own images. The spool is a pooled buffer owned by the job from its
 	// getBuf in bufferDelta until finish's putBuf.
-	credits          credit.Batch
 	lane             *stagingLane
 	csv              []byte //etlvirt:owns
 	rows             int    // rows staged this batch
@@ -109,16 +108,15 @@ type streamJob struct {
 	// debug-server goroutines while the stream runs. wmLive/hintLive mirror
 	// the session-goroutine-owned watermark and controller hint for the same
 	// reason.
-	deltas    atomic.Int64
-	replayed  atomic.Int64
-	batches   atomic.Int64
-	inserted  atomic.Int64
-	updated   atomic.Int64
-	deleted   atomic.Int64
-	errsET    atomic.Int64
-	heldCreds atomic.Int64
-	wmLive    atomic.Int64
-	hintLive  atomic.Int64
+	deltas   atomic.Int64
+	replayed atomic.Int64
+	batches  atomic.Int64
+	inserted atomic.Int64
+	updated  atomic.Int64
+	deleted  atomic.Int64
+	errsET   atomic.Int64
+	wmLive   atomic.Int64
+	hintLive atomic.Int64
 
 	finishSeq sync.Once
 	trace     *obs.JobTrace
@@ -202,9 +200,14 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 	if err != nil {
 		return nil, err
 	}
-	keyExprs, keyCols := keyExprsFor(dml, meta)
-	if len(keyCols) == len(meta.PrimaryKey) {
-		if j.intraDup, _, err = j.tr.DupCheckQueries(dml, keyCols, keyExprs); err != nil {
+	// Streams are keyed by the primary key alone; UNIQUE constraints are not
+	// emulated on this path (DESIGN.md).
+	k, ok, err := insertKey(dml, meta, meta.PrimaryKey)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		if j.intraDup, _, err = j.tr.DupCheckQueries(dml, k.Cols, k.Exprs); err != nil {
 			return nil, err
 		}
 	}
@@ -316,24 +319,48 @@ func (j *streamJob) ckptUpdate(hi int64) (string, error) {
 // reaches the controller's cut-point it commits synchronously — the delayed
 // ack is the stream's backpressure.
 func (j *streamJob) handleFrame(m *wire.DeltaFrame) (*wire.DeltaAck, error) {
-	nm := j.node.nm
 	frameStart := time.Now()
-	// One credit per frame bounds buffered delta memory; it is parked in the
-	// batch and released when the batch commits or the stream aborts.
+	// The frame's credit has an import chunk's lifetime: it is held while the
+	// frame converts and back in the pool before any commit, so no credit
+	// outlives its frame or waits on a CDW round trip.
 	cr, err := j.node.credits.Acquire(j.node.ctx, int64(len(m.Payload)))
 	if err != nil {
 		return nil, err
 	}
-	j.credits.Add(cr)
-	j.heldCreds.Add(1)
+	err = j.spoolFrame(m)
+	cr.Release()
+	if err != nil {
+		return nil, err
+	}
+	frameDur := time.Since(frameStart)
+	j.frameAcc += frameDur
+	j.node.nm.streamStageFrame.ObserveEx(frameDur.Seconds(), j.trace.Context().TraceID)
 
-	hint := j.ctrl.Hint()
+	// Cut the batch when it reaches the controller's row target, or when
+	// wide records have filled the spool first.
+	if j.rows >= j.ctrl.Hint().BatchRows || len(j.csv) >= streamSpoolCap {
+		if err := j.commitBatch(); err != nil {
+			return nil, err
+		}
+	}
+	return &wire.DeltaAck{
+		StreamID:     j.id,
+		Seq:          m.FirstSeq,
+		CommittedSeq: uint64(j.watermark),
+		BatchHint:    uint32(j.ctrl.Hint().BatchRows),
+	}, nil
+}
+
+// spoolFrame parses a frame's deltas, drops replays and converts the fresh
+// ones into the batch spool.
+func (j *streamJob) spoolFrame(m *wire.DeltaFrame) error {
+	nm := j.node.nm
 	rest := m.Payload
 	parsed := 0
 	for len(rest) > 0 {
 		op, rec, r, err := stream.NextDelta(rest, j.req.Format)
 		if err != nil {
-			return nil, fmt.Errorf("delta frame %d: %w", m.FirstSeq, err)
+			return fmt.Errorf("delta frame %d: %w", m.FirstSeq, err)
 		}
 		seq := int64(m.FirstSeq) + int64(parsed)
 		parsed++
@@ -356,35 +383,13 @@ func (j *streamJob) handleFrame(m *wire.DeltaFrame) (*wire.DeltaAck, error) {
 		j.batchHi = seq
 		j.batchBytes += len(rec)
 		if err := j.bufferDelta(op, rec, seq); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if parsed != int(m.Count) {
-		return nil, fmt.Errorf("delta frame %d declares %d deltas, carries %d", m.FirstSeq, m.Count, parsed)
+		return fmt.Errorf("delta frame %d declares %d deltas, carries %d", m.FirstSeq, m.Count, parsed)
 	}
-	if j.batchLo == 0 {
-		// Nothing buffered (all replays): no memory is held, return the
-		// frame's credit instead of parking it until some future commit.
-		j.credits.ReleaseAll()
-		j.heldCreds.Store(0)
-	}
-	frameDur := time.Since(frameStart)
-	j.frameAcc += frameDur
-	nm.streamStageFrame.ObserveEx(frameDur.Seconds(), j.trace.Context().TraceID)
-
-	// Cut the batch when it reaches the controller's row target, or when
-	// wide records have filled the spool first.
-	if j.rows >= hint.BatchRows || len(j.csv) >= streamSpoolCap {
-		if err := j.commitBatch(); err != nil {
-			return nil, err
-		}
-	}
-	return &wire.DeltaAck{
-		StreamID:     j.id,
-		Seq:          m.FirstSeq,
-		CommittedSeq: uint64(j.watermark),
-		BatchHint:    uint32(j.ctrl.Hint().BatchRows),
-	}, nil
+	return nil
 }
 
 // bufferDelta converts one fresh delta into the batch spool and extends the
@@ -513,9 +518,7 @@ func (j *streamJob) commitBatch() error {
 	j.stageAcc.Checkpoint += time.Since(ckptStart)
 	j.trace.Span("checkpoint", "stream", ckptStart, 0, 0, nil)
 
-	// The batch's memory and objects are reclaimable now.
-	j.credits.ReleaseAll()
-	j.heldCreds.Store(0)
+	// The batch's objects are reclaimable now.
 	if rows > 0 { // an all-reject batch uploaded nothing; skip its List
 		j.lane.purge()
 	}
@@ -717,11 +720,8 @@ func (j *streamJob) finishStream() (*wire.StreamDone, error) {
 }
 
 // abort tears down a stream whose client went away mid-batch: buffered
-// deltas are discarded (the client replays them on resume) and their credits
-// returned so a dead stream can never leak pool capacity.
+// deltas are discarded, and the client replays them on resume.
 func (j *streamJob) abort() {
-	j.credits.ReleaseAll()
-	j.heldCreds.Store(0)
 	j.oldestLiveNs.Store(0)
 	j.node.nm.streamsAborted.Inc()
 	j.node.events.Add(obs.Event{

@@ -5,8 +5,10 @@
 // the credit travels with the chunk through the DataConverter and FileWriter
 // stages and is released just before the converted data is written to disk.
 // When the pool is empty the session blocks, slowing acquisition until the
-// downstream stages catch up. One CreditManager is shared by all concurrent
-// ETL jobs on a virtualizer node.
+// downstream stages catch up. A stream's delta frame holds its credit the
+// same way, from before conversion until its records are in the batch spool,
+// so no credit waits on another holder's progress. One CreditManager is
+// shared by all concurrent ETL jobs on a virtualizer node.
 //
 // The manager also keeps a byte ledger of in-flight chunk memory. When a
 // configured memory limit is exceeded the node fails the acquisition — this

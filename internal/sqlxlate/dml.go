@@ -293,11 +293,21 @@ func (tr *Translator) translateUpsertDML(st *sqlparse.UpsertStmt) (*DML, error) 
 	}, nil
 }
 
-// DupCheckQueries builds the uniqueness-emulation queries for an insert DML
-// (§7): intra-range duplicates among the rows being inserted, and collisions
-// between those rows and the target table. keyExprs are the rewritten source
-// expressions feeding the target's key columns (parallel to keyCols). Both
-// queries return the number of violations in the __seq range.
+// Key is one uniqueness constraint of an insert's target, the primary key
+// or a UNIQUE constraint: its key columns and, parallel to them, the
+// rewritten source expressions feeding them.
+type Key struct {
+	Cols  []string
+	Exprs []sqlparse.Expr
+}
+
+// DupCheckQueries builds the uniqueness-emulation queries for one key of an
+// insert DML (§7): intra-range duplicates among the rows being inserted, and
+// collisions between those rows and the target table. keyExprs are the
+// rewritten source expressions feeding the key columns (parallel to
+// keyCols). Both queries return the number of violations in the __seq
+// range. A key with a NULL in any column never collides: the join leaves it
+// out, and the intra-range query drops its group.
 func (tr *Translator) DupCheckQueries(d *DML, keyCols []string, keyExprs []sqlparse.Expr) (intra, target *RangeStmt, err error) {
 	if len(keyCols) == 0 || len(keyCols) != len(keyExprs) {
 		return nil, nil, fmt.Errorf("sqlxlate: bad uniqueness key specification")
@@ -307,16 +317,21 @@ func (tr *Translator) DupCheckQueries(d *DML, keyCols []string, keyExprs []sqlpa
 	}
 
 	// intra: SELECT count(*) FROM (SELECT 1 AS one FROM stage s WHERE range
-	//        GROUP BY e1.. HAVING count(*) > 1) d
+	//        GROUP BY e1.. HAVING count(*) > 1 AND e1 IS NOT NULL ..) d
+	// The NULL test follows the count, so it runs only for repeated keys.
 	predI, loI, hiI := tr.rangePredicate()
+	var having sqlparse.Expr = &sqlparse.BinaryExpr{Op: ">",
+		L: countStar(),
+		R: &sqlparse.Literal{Kind: sqlparse.LitInt, Int: 1}}
+	for _, e := range keyExprs {
+		having = conjoin(having, &sqlparse.IsNullExpr{X: e, Not: true})
+	}
 	inner := &sqlparse.SelectStmt{
 		Items:   []sqlparse.SelectItem{{Expr: &sqlparse.Literal{Kind: sqlparse.LitInt, Int: 1}, Alias: "one"}},
 		From:    []sqlparse.TableExpr{tr.stageRef()},
 		Where:   predI,
 		GroupBy: keyExprs,
-		Having: &sqlparse.BinaryExpr{Op: ">",
-			L: countStar(),
-			R: &sqlparse.Literal{Kind: sqlparse.LitInt, Int: 1}},
+		Having:  having,
 	}
 	intraSel := &sqlparse.SelectStmt{
 		Items: []sqlparse.SelectItem{{Expr: countStar()}},
@@ -370,15 +385,18 @@ func conjoin(l, r sqlparse.Expr) sqlparse.Expr {
 //	(c) rows whose key repeats an earlier row of the range: the stage joined
 //	    to its own key projection s2 on s2.__seq < s.__seq.
 //
-// keyCols/keyExprs are as for DupCheckQueries; when empty, (b) and (c) are
-// left out. Every scan of the stage carries the __seq range. The result is a
-// prediction, not a verdict: a branch can name a row that applies (a
-// conversion under a CASE arm not taken, a duplicate of a row that itself
-// fails) and miss a row that does not (other error classes, NULL keys). It
+// (b) and (c) repeat once per key, in order. Every scan of the stage carries
+// the __seq range. The result is a prediction, not a verdict: a branch can
+// name a row that applies (a conversion under a CASE arm not taken, a
+// duplicate of a row that itself fails) and miss a row that does not (other
+// error classes, a NULL key in a NOT NULL column). Equality joins never
+// match a NULL, so a key with a NULL is never named: it never collides. It
 // returns nil when the insert has nothing to check.
-func (tr *Translator) LocateQuery(d *DML, keyCols []string, keyExprs []sqlparse.Expr) (*RangeStmt, error) {
-	if len(keyCols) != len(keyExprs) {
-		return nil, fmt.Errorf("sqlxlate: bad uniqueness key specification")
+func (tr *Translator) LocateQuery(d *DML, keys []Key) (*RangeStmt, error) {
+	for _, k := range keys {
+		if len(k.Cols) == 0 || len(k.Cols) != len(k.Exprs) {
+			return nil, fmt.Errorf("sqlxlate: bad uniqueness key specification")
+		}
 	}
 	lo := &sqlparse.Literal{Kind: sqlparse.LitInt}
 	hi := &sqlparse.Literal{Kind: sqlparse.LitInt}
@@ -422,20 +440,20 @@ func (tr *Translator) LocateQuery(d *DML, keyCols []string, keyExprs []sqlparse.
 		branches = append(branches, branch(tr.stageRef(), conv))
 	}
 
-	if len(keyExprs) > 0 {
+	for _, k := range keys {
 		// (b) collisions with the target
-		branches = append(branches, branch(tr.targetJoin(d, keyCols, keyExprs), nil))
+		branches = append(branches, branch(tr.targetJoin(d, k.Cols, k.Exprs), nil))
 
 		// (c) repeats of an earlier key in the range
-		keys := branch(tr.stageRef(), nil)
+		proj := branch(tr.stageRef(), nil)
 		var on sqlparse.Expr
-		for i, e := range keyExprs {
+		for i, e := range k.Exprs {
 			name := fmt.Sprintf("k%d", i)
-			keys.Items = append(keys.Items, sqlparse.SelectItem{Expr: e, Alias: name})
+			proj.Items = append(proj.Items, sqlparse.SelectItem{Expr: e, Alias: name})
 			on = conjoin(on, &sqlparse.BinaryExpr{Op: "=", L: &sqlparse.ColRef{Qualifier: "s2", Name: name}, R: e})
 		}
 		branches = append(branches, branch(&sqlparse.Join{Type: sqlparse.JoinInner, Left: tr.stageRef(),
-			Right: &sqlparse.SubqueryTable{Select: keys, Alias: "s2"}, On: on},
+			Right: &sqlparse.SubqueryTable{Select: proj, Alias: "s2"}, On: on},
 			&sqlparse.BinaryExpr{Op: "<", L: seqOf("s2"), R: seqOf(tr.StageAlias)}))
 	}
 

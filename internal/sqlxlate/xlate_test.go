@@ -282,7 +282,7 @@ func TestLocateQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	keyExpr, _ := dml.PositionalInsertExpr(0)
-	probe, err := tr.LocateQuery(dml, []string{"CUST_ID"}, []sqlparse.Expr{keyExpr})
+	probe, err := tr.LocateQuery(dml, []Key{{Cols: []string{"CUST_ID"}, Exprs: []sqlparse.Expr{keyExpr}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestLocateQuery(t *testing.T) {
 
 	// Without a key only the conversion branch is left; with neither there
 	// is nothing to probe.
-	if probe, err = tr.LocateQuery(dml, nil, nil); err != nil || probe == nil {
+	if probe, err = tr.LocateQuery(dml, nil); err != nil || probe == nil {
 		t.Fatalf("keyless probe: %v, %v", probe, err)
 	}
 	if sql, _ := probe.SQL(1, 2); strings.Contains(sql, "UNION") {
@@ -317,10 +317,10 @@ func TestLocateQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probe, err = tr.LocateQuery(plain, nil, nil); err != nil || probe != nil {
+	if probe, err = tr.LocateQuery(plain, nil); err != nil || probe != nil {
 		t.Errorf("nothing to probe: %v, %v", probe, err)
 	}
-	if _, err := tr.LocateQuery(dml, []string{"CUST_ID"}, nil); err == nil {
+	if _, err := tr.LocateQuery(dml, []Key{{Cols: []string{"CUST_ID"}}}); err == nil {
 		t.Error("mismatched key spec accepted")
 	}
 }
