@@ -1,4 +1,4 @@
-// Command etlvirtlint runs the project's static-analysis suite: twelve
+// Command etlvirtlint runs the project's static-analysis suite: nine
 // dependency-free analyzers that enforce the pipeline's cross-cutting
 // correctness invariants (see internal/lint and DESIGN.md "Static
 // invariants").
@@ -9,10 +9,9 @@
 //
 //	etlvirtlint ./...
 //	etlvirtlint -json ./internal/core
-//	etlvirtlint -disable=goroleak ./...
-//	etlvirtlint -enable=ctxbg,endian ./...
+//	etlvirtlint -list
 //
-// Packages default to ./... relative to the module root containing the
+// Every run applies every analyzer. Packages default to ./... relative to the module root containing the
 // working directory. Directives on functions in module-internal packages
 // outside the named set are resolved through the loader, so linting one
 // package reports what linting ./... reports for it. The exit status is 1
@@ -40,8 +39,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("etlvirtlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
-	enable := fs.String("enable", "", "comma-separated analyzers to run (default: all)")
-	disable := fs.String("disable", "", "comma-separated analyzers to skip")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: etlvirtlint [flags] [packages]\n\nAnalyzers:\n")
@@ -61,12 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	analyzers, err := selectAnalyzers(analyzers, *enable, *disable)
-	if err != nil {
-		fmt.Fprintln(stderr, "etlvirtlint:", err)
-		return 2
-	}
-
 	root, err := findModuleRoot()
 	if err != nil {
 		fmt.Fprintln(stderr, "etlvirtlint:", err)
@@ -166,53 +157,6 @@ func emitJSON(stdout, stderr io.Writer, analyzers []*lint.Analyzer, res lint.Res
 		return 1
 	}
 	return 0
-}
-
-// selectAnalyzers applies -enable/-disable.
-func selectAnalyzers(all []*lint.Analyzer, enable, disable string) ([]*lint.Analyzer, error) {
-	byName := make(map[string]*lint.Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	parse := func(list string) (map[string]bool, error) {
-		set := make(map[string]bool)
-		if list == "" {
-			return set, nil
-		}
-		for _, n := range strings.Split(list, ",") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				continue
-			}
-			if byName[n] == nil {
-				return nil, fmt.Errorf("unknown analyzer %q", n)
-			}
-			set[n] = true
-		}
-		return set, nil
-	}
-	on, err := parse(enable)
-	if err != nil {
-		return nil, err
-	}
-	off, err := parse(disable)
-	if err != nil {
-		return nil, err
-	}
-	var out []*lint.Analyzer
-	for _, a := range all {
-		if len(on) > 0 && !on[a.Name] {
-			continue
-		}
-		if off[a.Name] {
-			continue
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no analyzers selected")
-	}
-	return out, nil
 }
 
 func totalSuppressed(res lint.Result) int {

@@ -37,24 +37,26 @@ func TestJSONOutput(t *testing.T) {
 			t.Errorf("finding analyzer = %q, want ctxbg", f.Analyzer)
 		}
 	}
-	if len(rep.Analyzers) != 12 {
-		t.Errorf("analyzers = %d, want 12", len(rep.Analyzers))
+	if len(rep.Analyzers) != 9 {
+		t.Errorf("analyzers = %d, want 9", len(rep.Analyzers))
 	}
 }
 
-// TestJSONWitness pins the machine-readable dataflow evidence: a spanbalance
-// finding carries its end position and the entry-to-violation statement path.
+// TestJSONWitness pins the machine-readable dataflow evidence: the full
+// suite over the spanbalance fixture yields only spanbalance findings, and
+// each carries its end position and the entry-to-violation statement path.
 func TestJSONWitness(t *testing.T) {
 	var out, errb strings.Builder
-	code := run([]string{"-json", "-enable=spanbalance", spanbalanceFixture}, &out, &errb)
+	code := run([]string{"-json", spanbalanceFixture}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstderr: %s", code, errb.String())
 	}
 	var rep struct {
 		Findings []struct {
-			Line    int `json:"line"`
-			EndLine int `json:"endLine"`
-			Witness []struct {
+			Analyzer string `json:"analyzer"`
+			Line     int    `json:"line"`
+			EndLine  int    `json:"endLine"`
+			Witness  []struct {
 				Line int    `json:"line"`
 				Text string `json:"text"`
 			} `json:"witness"`
@@ -67,6 +69,9 @@ func TestJSONWitness(t *testing.T) {
 		t.Fatal("no findings")
 	}
 	for _, f := range rep.Findings {
+		if f.Analyzer != "spanbalance" {
+			t.Errorf("finding at line %d from %s, want spanbalance", f.Line, f.Analyzer)
+		}
 		if f.EndLine < f.Line {
 			t.Errorf("finding at line %d: endLine = %d, want >= start", f.Line, f.EndLine)
 		}
@@ -94,32 +99,14 @@ func TestSinglePackageRun(t *testing.T) {
 	}
 }
 
-func TestDisableFlag(t *testing.T) {
-	var out, errb strings.Builder
-	if code := run([]string{"-disable=ctxbg", ctxbgFixture}, &out, &errb); code != 0 {
-		t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
-	}
-}
-
-func TestEnableFlag(t *testing.T) {
-	var out, errb strings.Builder
-	// only endian enabled: the ctxbg fixture is clean under it
-	if code := run([]string{"-enable=endian", ctxbgFixture}, &out, &errb); code != 0 {
-		t.Fatalf("exit = %d, want 0\nstderr: %s", code, errb.String())
-	}
-	if code := run([]string{"-enable=nosuch", ctxbgFixture}, &out, &errb); code != 2 {
-		t.Fatalf("unknown analyzer exit = %d, want 2", code)
-	}
-}
-
 func TestListFlag(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
 	names := []string{
-		"ctxbg", "errwrapw", "endian", "retrysafe", "metricname", "goroleak",
-		"hotalloc", "bufown", "spanbalance", "lockorder", "sqlident", "wirekind",
+		"ctxbg", "errwrapw", "endian", "retrysafe", "metricname",
+		"bufown", "spanbalance", "lockorder", "sqlident",
 	}
 	for _, name := range names {
 		if !strings.Contains(out.String(), name) {

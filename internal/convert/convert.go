@@ -143,7 +143,6 @@ func (c *Converter) ConvertInto(dst []byte, payload []byte, firstRow int64) (*Re
 	}
 }
 
-//etlvirt:hotpath
 func (c *Converter) convertVartext(dst []byte, payload string, firstRow int64) (*Result, error) {
 	res := &Result{}
 	sc := c.scratch.Get().(*convScratch)
@@ -173,7 +172,6 @@ func (c *Converter) convertVartext(dst []byte, payload string, firstRow int64) (
 	return res, nil
 }
 
-//etlvirt:hotpath
 func (c *Converter) convertIndicator(dst []byte, payload string, firstRow int64) (*Result, error) {
 	res := &Result{}
 	sc := c.scratch.Get().(*convScratch)
@@ -201,7 +199,7 @@ func (c *Converter) convertIndicator(dst []byte, payload string, firstRow int64)
 	return res, nil
 }
 
-// Cold error constructors, kept out of the hotpath-annotated converters.
+// Cold error constructors, kept out of the hot converters.
 
 func errUnknownFormat(f wire.DataFormat) error {
 	return fmt.Errorf("convert: unknown format %d", f)
@@ -223,8 +221,6 @@ func (c *Converter) classifyVartextError(line string, row int64, err error) Data
 // validateRecord applies the conversion-time checks of §4: null detection is
 // already done by the record codecs; here we validate character-set
 // constraints for UNICODE fields.
-//
-//etlvirt:hotpath
 func (c *Converter) validateRecord(rec ltype.Record, row int64) *DataError {
 	if !c.opts.ValidateUTF8 {
 		return nil
@@ -246,8 +242,6 @@ func (c *Converter) validateRecord(rec ltype.Record, row int64) *DataError {
 // Non-character kinds render via the append codecs; their text is digits and
 // punctuation that never needs quoting, so only string-carrying kinds pay
 // the quote scan.
-//
-//etlvirt:hotpath
 func (c *Converter) appendCSVRow(dst []byte, rec ltype.Record, row int64) []byte {
 	dst = strconv.AppendInt(dst, row, 10)
 	for i := range rec {
@@ -275,8 +269,6 @@ func (c *Converter) appendCSVRow(dst []byte, rec ltype.Record, row int64) []byte
 
 // appendCSVField writes one CSV field, quoting when it contains a comma,
 // quote, newline, or could be mistaken for the NULL marker.
-//
-//etlvirt:hotpath
 func appendCSVField(dst []byte, s string) []byte {
 	needQuote := s == `\N`
 	for i := 0; i < len(s) && !needQuote; i++ {

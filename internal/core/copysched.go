@@ -10,8 +10,6 @@ import "fmt"
 // takeBatch splits the next n names off pending without copying. The batch
 // is capacity-capped so later appends to rest can never write into it —
 // landed batches retain their manifest slices across COPY recovery replays.
-//
-//etlvirt:hotpath
 func takeBatch(pending []string, n int) (batch, rest []string) {
 	if n < 1 {
 		n = 1

@@ -312,7 +312,7 @@ func (n *Node) ServeDebug(addr string) (string, error) {
 	srv := &http.Server{Handler: mux}
 	// Bounded by the listener: node Close() (or a replacing DebugListen)
 	// calls srv.Close, which stops Serve and ends the goroutine.
-	go func() { //nolint:goroleak // listener-bounded; srv.Close stops Serve
+	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			n.log.Error("debug server", "err", err)
 		}

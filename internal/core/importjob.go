@@ -178,7 +178,7 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 	j.schedWG.Add(1)
 	// Bounded by the upload stage: drainPipeline closes copyableCh after
 	// the uploaders exit, which ends the scheduler loop.
-	go j.runCopyScheduler() //nolint:goroleak // job-bounded; drainPipeline closes copyableCh
+	go j.runCopyScheduler()
 	for w := 0; w < cfg.FileWriters; w++ {
 		ch := make(chan writeTask, 2)
 		j.writeChs = append(j.writeChs, ch)

@@ -755,9 +755,11 @@ func TestJobAbortOnDisconnect(t *testing.T) {
 
 // TestNodeCloseReapsJobs is the node-shutdown counterpart of
 // TestJobAbortOnDisconnect: Close on a node holding an import mid-acquisition
-// (chunks acked, uploads waiting in the copy scheduler) and a stream with
-// buffered, uncommitted deltas must return promptly, leave no job goroutine
-// behind and hand every credit back.
+// (chunks acked, uploads waiting in the copy scheduler), a stream with
+// buffered, uncommitted deltas and an open debug listener must return
+// promptly, leave no goroutine running core code behind — job stages, the
+// acceptor, the per-connection goroutines, the debug server — and hand every
+// credit back.
 func TestNodeCloseReapsJobs(t *testing.T) {
 	st := startStack(t, core.Config{
 		FileSizeThreshold: 64,
@@ -765,6 +767,9 @@ func TestNodeCloseReapsJobs(t *testing.T) {
 		CopyBatchFiles:    1000,
 	})
 	mustEng(t, st.eng, customerDDL)
+	if _, err := st.node.ServeDebug("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
 
 	imp := dialStream(t, st.addr)
 	defer imp.Close()
@@ -823,14 +828,37 @@ func TestNodeCloseReapsJobs(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Node.Close did not return within 5s")
 	}
-	waitFor(t, "job goroutines to exit", func() bool {
-		stacks := make([]byte, 1<<20)
-		stacks = stacks[:runtime.Stack(stacks, true)]
-		return !bytes.Contains(stacks, []byte("(*importJob)")) && !bytes.Contains(stacks, []byte("(*streamJob)"))
-	})
+	deadline := time.Now().Add(5 * time.Second)
+	for left := coreGoroutines(); len(left) > 0; left = coreGoroutines() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutine(s) in core outlived Close:\n\n%s", len(left), strings.Join(left, "\n\n"))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	if cs := st.node.Credits(); cs.InFlight != 0 || cs.Available != cs.Total {
 		t.Errorf("credits not returned by Close: %+v", cs)
 	}
+}
+
+// coreGoroutines returns the stack of every live goroutine that runs, or was
+// started by, code in etlvirt/internal/core.
+func coreGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var out []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "etlvirt/internal/core.") {
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 // waitFor polls cond until it holds, failing the test after five seconds.

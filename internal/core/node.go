@@ -374,7 +374,7 @@ func (n *Node) acceptLoop() {
 		n.connWG.Add(1)
 		// Bounded by the connection, not a context: Close() closes every
 		// live conn, which unblocks serveConn's reads and ends the goroutine.
-		go func() { //nolint:goroleak // conn-bounded; Close() closes all conns
+		go func() {
 			defer n.connWG.Done()
 			n.serveConn(conn)
 			n.mu.Lock()

@@ -69,9 +69,6 @@ func (n *Node) serveConn(nc net.Conn) {
 		// request-level error, which keeps the session open); cases that
 		// answer on their own leave it nil.
 		var reply wire.Message
-		// Logon is consumed by the handshake before this loop starts, so it
-		// is exempt from the dispatch-coverage check here.
-		//etlvirt:dispatch server -KindLogon
 		switch msg := m.(type) {
 		case *wire.Logoff:
 			return

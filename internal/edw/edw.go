@@ -116,7 +116,7 @@ func (s *Server) acceptLoop() {
 		s.connWG.Add(1)
 		// Bounded by the connection, not a context: Close() closes every
 		// live conn, which unblocks serveConn's reads and ends the goroutine.
-		go func() { //nolint:goroleak // conn-bounded; Close() closes all conns
+		go func() {
 			defer s.connWG.Done()
 			s.serveConn(conn)
 			s.mu.Lock()

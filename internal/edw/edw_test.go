@@ -2,9 +2,12 @@ package edw_test
 
 import (
 	"fmt"
+	"net"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"etlvirt/internal/cdw"
 	"etlvirt/internal/cdwnet"
@@ -78,6 +81,52 @@ func run(t *testing.T, addr, script string, files map[string]string) *etlclient.
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestServerCloseReapsGoroutines: Close ends the acceptor and every
+// per-connection goroutine, including one whose client is still connected
+// and idle.
+func TestServerCloseReapsGoroutines(t *testing.T) {
+	srv := edw.NewServer()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	waitGoroutines(t, "the connection's goroutine to start", func(gs []string) bool {
+		return strings.Contains(strings.Join(gs, ""), "serveConn")
+	})
+	srv.Close()
+	waitGoroutines(t, "edw goroutines to exit after Close", func(gs []string) bool { return len(gs) == 0 })
+}
+
+// waitGoroutines polls the stacks of the live goroutines that run, or were
+// started by, code in etlvirt/internal/edw until cond holds, and fails the
+// test with those stacks after five seconds.
+func waitGoroutines(t *testing.T, what string, cond func([]string) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		var gs []string
+		for _, g := range strings.Split(string(buf), "\n\n") {
+			if strings.Contains(g, "etlvirt/internal/edw.") {
+				gs = append(gs, g)
+			}
+		}
+		if cond(gs) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s:\n\n%s", what, strings.Join(gs, "\n\n"))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestFigure5LegacySemantics runs Example 2.1 natively on the legacy EDW and

@@ -8,12 +8,6 @@
 // it opens parallel data-loading sessions, splits the input into chunks,
 // transmits them with a synchronous per-session ack protocol, submits the
 // application-phase DML, and finally queries error counts.
-//
-// This package is the client dispatch surface of the protocol: the wirekind
-// analyzer checks that every server->client frame kind is consumed somewhere
-// here (by message type or by Expect(wire.KindX)).
-//
-//etlvirt:dispatch client
 package etlclient
 
 import (

@@ -2,15 +2,50 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"sort"
 )
 
-// bufown bit states: what a tracked buffer may be, on some path.
+// Ownership states: what a tracked resource may be, on some path.
 const (
-	bufOwned       Bits = 1 << iota // holds pool ownership; must be released or transferred
-	bufReleased                     // returned to the pool via putBuf
-	bufTransferred                  // ownership handed to another stage
+	resOwned       Bits = 1 << iota // must be released or handed off
+	resReleased                     // released: putBuf, or a tracer's Finish
+	resTransferred                  // handed to another owner
 )
+
+// resource is one kind of value the ownership pass follows from its
+// acquisition to a release or a hand-off. bufown and spanbalance are two
+// resources over one transfer function, which treats both alike:
+//
+//   - assigning an owned value into a composite literal re-keys tracking to
+//     the literal's field (newImportJob's `j := &importJob{trace: trace}`),
+//     and a plain assignment moves it to the new path;
+//   - returning it, sending it, storing it into a map or slice element, or
+//     passing it to a hand-off parameter transfers it to a new owner;
+//   - a deferred release counts on every path, including panic unwinds;
+//   - a leak is an owned value, rooted in the function body or in an owns
+//     directive's parameter, that may reach the exit.
+type resource struct {
+	inPackage func(p *Pass) bool
+	skip      func(p *Pass, fd *ast.FuncDecl) bool
+	acquires  func(p *Pass, e ast.Expr) bool
+
+	// releases reports whether call is a release and returns the released
+	// path; a nil path settles every value the function holds (a tracer's
+	// Finish is keyed by job id, not by handle).
+	releases func(p *Pass, call *ast.CallExpr) (path ast.Expr, ok bool)
+
+	// allArgs makes every call argument a hand-off; otherwise only the
+	// parameters a callee's //etlvirt:transfers directive names are.
+	allArgs bool
+
+	// checkUses replays the solved flow to report use after release, double
+	// release and goroutine capture; otherwise only leaks are reported.
+	checkUses bool
+
+	leak string // leak message format: the path, the function name
+}
 
 // newBufown builds the bufown analyzer: flow-sensitive buffer-ownership
 // checking for the recycled chunk buffers of the acquisition hot path.
@@ -18,10 +53,9 @@ const (
 // Invariant (PR 5, "Hot-path allocation discipline"): every buffer obtained
 // from the chunk pool (getBuf) changes owner strictly forward through the
 // pipeline — session → converter → writer → pool — and exactly one stage
-// returns it (putBuf). The compiler cannot see this contract; until this
-// analyzer, it was enforced only by hand-off comments. The contract is now
-// declared with //etlvirt:owns / //etlvirt:transfers directives (see
-// DESIGN.md) and checked over the control-flow graph:
+// returns it (putBuf). The contract is declared with //etlvirt:owns and
+// //etlvirt:transfers directives (see DESIGN.md) and checked over the
+// control-flow graph:
 //
 //   - use-after-put: reading a buffer that may already be back in the pool
 //     (another goroutine may have recycled and be appending into it);
@@ -33,139 +67,144 @@ const (
 //   - leak: a path to return on which an owned buffer is neither released
 //     nor transferred (the pool silently shrinks under error paths).
 func newBufown() *Analyzer {
+	r := &resource{
+		// Only packages that use the pool idiom have anything to check.
+		inPackage: func(p *Pass) bool { return packageHasFunc(p, "getBuf") || packageHasFunc(p, "putBuf") },
+		// The pool's own implementation is exempt.
+		skip:     func(p *Pass, fd *ast.FuncDecl) bool { return fd.Name.Name == "getBuf" || fd.Name.Name == "putBuf" },
+		acquires: func(p *Pass, e ast.Expr) bool { return isCallNamed(e, "getBuf") },
+		releases: func(p *Pass, call *ast.CallExpr) (ast.Expr, bool) {
+			if isCallNamed(call, "putBuf") && len(call.Args) == 1 {
+				return call.Args[0], true
+			}
+			return nil, false
+		},
+		checkUses: true,
+		leak:      "buffer %s from getBuf may reach a return without putBuf or an ownership transfer (pool leak) in %s",
+	}
 	return &Analyzer{
 		Name: "bufown",
 		Doc:  "buffer-ownership dataflow: every getBuf is released or transferred exactly once on every path (//etlvirt:owns, //etlvirt:transfers)",
-		Run:  runBufown,
+		Run:  func(p *Pass) { runOwnership(p, r) },
 	}
 }
 
-// bufownPass carries per-function analysis state.
-type bufownPass struct {
-	p         *Pass
-	body      *ast.BlockStmt
-	ownsField map[types.Object]bool // struct fields marked //etlvirt:owns
-	localRoot map[string]bool       // keys whose root is body-local (leak-checked)
-	ownsParam map[string]bool       // keys seeded by a function-level owns directive (leak-checked)
+// newSpanbalance builds the spanbalance analyzer: every Tracer.Start /
+// Tracer.StartCtx must reach a Finish on all paths, or hand the trace off to
+// an owner that will (return it, publish it into a registry, pass it to
+// another function). The observability invariant behind it: an unfinished
+// span pins its job's trace buffer in the tracer forever and the CDC SLO
+// attribution report silently under-counts the job, so span leaks are data
+// corruption for the ops plane, not just noise. Any call argument is a
+// hand-off, but a method receiver (trace.Span(...)) is not: recording spans
+// is not finishing them.
+func newSpanbalance() *Analyzer {
+	starts := func(p *Pass, e ast.Expr) bool {
+		return isTracerCall(p, e, "Start") || isTracerCall(p, e, "StartCtx")
+	}
+	r := &resource{
+		inPackage: func(p *Pass) bool { return p.Info != nil },
+		// Only bodies that start a span need the solver.
+		skip: func(p *Pass, fd *ast.FuncDecl) bool {
+			found := false
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				e, ok := n.(ast.Expr)
+				found = found || ok && starts(p, e)
+				return !found
+			})
+			return !found
+		},
+		acquires: starts,
+		releases: func(p *Pass, call *ast.CallExpr) (ast.Expr, bool) { return nil, isTracerCall(p, call, "Finish") },
+		allArgs:  true,
+		leak:     "trace %s may reach a return without Finish or a hand-off in %s (leaked span pins the job's trace buffer)",
+	}
+	return &Analyzer{
+		Name: "spanbalance",
+		Doc:  "trace spans started with Tracer.Start/StartCtx must reach Finish or an ownership hand-off on every path",
+		Run:  func(p *Pass) { runOwnership(p, r) },
+	}
 }
 
-func runBufown(p *Pass) {
-	// Only packages that use the pool idiom have anything to check: the
-	// analyzer keys off functions named getBuf/putBuf in the package.
-	if !packageHasFunc(p, "getBuf") && !packageHasFunc(p, "putBuf") {
+// ownPass carries one function's analysis state.
+type ownPass struct {
+	p         *Pass
+	r         *resource
+	body      *ast.BlockStmt
+	ownsField map[types.Object]bool // struct fields marked //etlvirt:owns
+	checked   map[string]bool       // keys leak-checked at exit
+}
+
+func runOwnership(p *Pass, r *resource) {
+	if !r.inPackage(p) {
 		return
 	}
 	ownsField := collectOwnsFields(p)
 	p.forEachFuncBody(func(file *ast.File, fd *ast.FuncDecl, body *ast.BlockStmt) {
-		if fd.Name.Name == "getBuf" || fd.Name.Name == "putBuf" {
-			return // the pool's own implementation is exempt
+		if r.skip(p, fd) {
+			return
 		}
-		bp := &bufownPass{
-			p: p, body: body,
-			ownsField: ownsField,
-			localRoot: make(map[string]bool),
-			ownsParam: make(map[string]bool),
-		}
+		op := &ownPass{p: p, r: r, body: body, ownsField: ownsField, checked: make(map[string]bool)}
 		seed := State{}
 		for _, d := range funcDirectives(fd) {
-			if d.Verb != "owns" || len(d.Args) == 0 {
+			if d.Verb != "owns" {
 				continue
 			}
 			for _, arg := range d.Args {
-				if key, ok := bp.seedKey(fd, arg); ok {
-					seed[key] = Fact{Bits: bufOwned, Origin: fd.Name}
-					bp.ownsParam[key] = true
+				if key, ok := op.seedKey(fd, arg); ok {
+					seed[key] = Fact{Bits: resOwned, Origin: fd.Name}
+					op.checked[key] = true
 				}
 			}
 		}
 		g := BuildCFG(body)
-		transfer := func(n ast.Node, st State) { bp.transfer(n, st, nil) }
-		in := flowFrom(g, seed, transfer)
-		// Replay each block from its solved in-state, reporting violations.
-		for _, b := range g.Blocks {
-			st := in[b].clone()
-			for _, n := range b.Nodes {
-				bp.transfer(n, st, func(at ast.Node, format string, args ...any) {
-					w := g.PathWitness(p.Fset, b, at)
-					p.ReportWitness(at, w, nil, format, args...)
-				})
+		transfer := func(n ast.Node, st State) { op.transfer(n, st, nil) }
+		in := Flow(g, seed, transfer)
+		if r.checkUses {
+			// Replay each block from its solved in-state, reporting violations.
+			for _, b := range g.Blocks {
+				st := in[b].clone()
+				for _, n := range b.Nodes {
+					op.transfer(n, st, func(at ast.Node, format string, args ...any) {
+						p.ReportWitness(at, g.PathWitness(p.Fset, b, at), nil, format, args...)
+					})
+				}
 			}
 		}
-		// Leak check: anything still possibly owned at exit, rooted in a
-		// body-local or an owns-directive parameter, escaped accounting.
-		exit := ExitState(g, in, func(n ast.Node, st State) { bp.transfer(n, st, nil) })
-		for key, f := range exit {
-			if f.Bits&bufOwned == 0 {
+		exit := ExitState(g, in, transfer)
+		keys := make([]string, 0, len(exit))
+		for key := range exit {
+			keys = append(keys, key)
+		}
+		sort.Strings(keys)
+		reported := make(map[ast.Node]bool)
+		for _, key := range keys {
+			f := exit[key]
+			at := orNode(f.Origin, fd.Name)
+			if f.Bits&resOwned == 0 || !op.checked[key] || reported[at] {
 				continue
 			}
-			if !bp.localRoot[key] && !bp.ownsParam[key] {
-				continue
-			}
-			w := g.PathWitness(p.Fset, g.Exit, nil)
-			at := f.Origin
-			if at == nil {
-				at = fd.Name
-			}
-			p.ReportWitness(at, w, nil,
-				"buffer %s from getBuf may reach a return without putBuf or an ownership transfer (pool leak) in %s",
-				keyDisplay(key), fd.Name.Name)
+			reported[at] = true
+			p.ReportWitness(at, g.PathWitness(p.Fset, g.Exit, nil), nil, r.leak, keyDisplay(key), fd.Name.Name)
 		}
 	})
 }
 
-// flowFrom is Flow with an explicit entry in-state (owns-directive seeds).
-func flowFrom(g *CFG, entry State, transfer func(ast.Node, State)) map[*Block]State {
-	// As in Flow, every block is seeded so each is processed at least once.
-	in := make(map[*Block]State, len(g.Blocks))
-	work := make([]*Block, 0, len(g.Blocks))
-	queued := make(map[*Block]bool, len(g.Blocks))
-	for _, b := range g.Blocks {
-		in[b] = State{}
-		work = append(work, b)
-		queued[b] = true
-	}
-	in[g.Entry] = entry.clone()
-	steps := 0
-	limit := 64 * (len(g.Blocks) + 1)
-	for len(work) > 0 && steps < limit {
-		steps++
-		b := work[0]
-		work = work[1:]
-		queued[b] = false
-		out := in[b].clone()
-		for _, n := range b.Nodes {
-			transfer(n, out)
-		}
-		for _, s := range b.Succs {
-			if in[s].join(out) && !queued[s] {
-				queued[s] = true
-				work = append(work, s)
-			}
-		}
-	}
-	return in
-}
-
 // seedKey resolves an owns-directive argument ("m.Payload" or "buf") to a
 // state key rooted at a parameter or receiver of fd.
-func (bp *bufownPass) seedKey(fd *ast.FuncDecl, arg string) (string, bool) {
-	root := arg
-	rest := ""
+func (op *ownPass) seedKey(fd *ast.FuncDecl, arg string) (string, bool) {
+	root, rest := arg, ""
 	for i := 0; i < len(arg); i++ {
 		if arg[i] == '.' {
 			root, rest = arg[:i], arg[i:]
 			break
 		}
 	}
-	obj := bp.p.funcParamObj(fd, root)
+	obj := op.p.funcParamObj(fd, root)
 	if obj == nil {
 		return "", false
 	}
 	return keyFor(root, obj) + rest, true
-}
-
-func keyFor(name string, obj types.Object) string {
-	return name + "#" + itoa(int(obj.Pos()))
 }
 
 // keyDisplay strips the disambiguating object positions from a state key.
@@ -186,65 +225,34 @@ func keyDisplay(key string) string {
 	return string(out)
 }
 
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
-}
-
-// transfer is the bufown transfer function. When check is non-nil the pass
-// is in the reporting replay and violations are reported through it.
-func (bp *bufownPass) transfer(n ast.Node, st State, check func(ast.Node, string, ...any)) {
+// transfer is the ownership transfer function. When check is non-nil the
+// pass is in the reporting replay and violations are reported through it.
+func (op *ownPass) transfer(n ast.Node, st State, check func(ast.Node, string, ...any)) {
 	switch n := n.(type) {
 	case *ast.AssignStmt:
 		// RHS uses are checked before LHS kills.
 		for _, rhs := range n.Rhs {
-			bp.expr(rhs, st, check)
+			op.expr(rhs, st, check)
 		}
 		for i, lhs := range n.Lhs {
-			key, root, ok := bp.p.PathKey(lhs)
-			if !ok {
-				bp.expr(lhs, st, check)
-				continue
-			}
-			// Assigning over a tracked key kills its old state and any
-			// sub-paths.
-			killPrefix(st, key)
 			var rhs ast.Expr
 			if len(n.Rhs) == len(n.Lhs) {
 				rhs = n.Rhs[i]
 			}
-			if rhs != nil && bp.isGetBuf(rhs) {
-				_, isDeref := ast.Unparen(lhs).(*ast.StarExpr)
-				if isBodyLocal(root, bp.body) && !isDeref {
-					st[key] = Fact{Bits: bufOwned, Origin: n}
-					bp.localRoot[key] = true
-				} else {
-					// Owned value stored into a field, or through a pointer
-					// (`*dst = getBuf(...)` where dst aims at a struct
-					// field): the pointee's owner holds it now.
-					st[key] = Fact{Bits: bufTransferred, Origin: n}
+			op.assign(lhs, rhs, st, check)
+		}
+
+	case *ast.DeclStmt:
+		if gd, ok := n.Decl.(*ast.GenDecl); ok {
+			for _, spec := range gd.Specs {
+				vs, ok := spec.(*ast.ValueSpec)
+				if !ok {
+					continue
 				}
-				continue
-			}
-			if rhs != nil {
-				// Moving a tracked buffer between locations: x.f = buf.
-				if srcKey, _, ok := bp.p.PathKey(rhs); ok {
-					if f, tracked := st[srcKey]; tracked && f.Bits&bufOwned != 0 {
-						if isBodyLocal(root, bp.body) {
-							st[key] = Fact{Bits: bufOwned, Origin: f.Origin}
-							bp.localRoot[key] = true
-						}
-						// Ownership left the old location either way.
-						st[srcKey] = Fact{Bits: bufTransferred, Origin: f.Origin}
+				for i, v := range vs.Values {
+					op.expr(v, st, check)
+					if len(vs.Values) == len(vs.Names) {
+						op.assign(vs.Names[i], v, st, check)
 					}
 				}
 			}
@@ -259,82 +267,53 @@ func (bp *bufownPass) transfer(n ast.Node, st State, check func(ast.Node, string
 		// jobs' buffers), so only channel ranges seed. A channel binds the
 		// element to Key; maps and slices use Value.
 		fromChan := false
-		if bp.p.Info != nil {
-			if t := bp.p.Info.TypeOf(n.X); t != nil {
-				_, fromChan = t.Underlying().(*types.Chan)
-			}
+		if t := op.p.TypeOf(n.X); t != nil {
+			_, fromChan = t.Underlying().(*types.Chan)
 		}
 		for _, v := range []ast.Expr{n.Key, n.Value} {
 			if v == nil {
 				continue
 			}
-			if key, _, ok := bp.p.PathKey(v); ok {
+			if key, _, ok := op.p.PathKey(v); ok {
 				killPrefix(st, key)
 				if fromChan {
-					bp.seedOwnedFields(v, key, n, st)
+					op.seedOwnedFields(v, key, n, st)
 				}
 			}
 		}
 
-	case *ast.ExprStmt:
-		bp.expr(n.X, st, check)
-
 	case *ast.SendStmt:
-		bp.expr(n.Chan, st, check)
-		// A channel send transfers ownership of any owned buffer the sent
-		// value carries (directly, or inside a composite-literal field).
-		bp.transferInto(n.Value, st, check)
+		op.expr(n.Chan, st, check)
+		op.handOff(n.Value, st, check, true)
 
 	case *ast.GoStmt:
-		// Arguments evaluated now.
-		for _, a := range n.Call.Args {
-			bp.expr(a, st, check)
-		}
+		// Arguments are evaluated now.
+		op.args(n.Call, st, check)
 		if lit, ok := n.Call.Fun.(*ast.FuncLit); ok && check != nil {
-			bp.checkGoroutineCapture(lit, st, check)
+			op.checkGoroutineCapture(lit, st, check)
 		}
 
 	case *ast.DeferStmt:
 		// The deferred call runs at exit; ExitState applies n.Call there.
 		// Evaluate arguments for use checks only.
 		for _, a := range n.Call.Args {
-			bp.expr(a, st, check)
-		}
-
-	case *ast.DeclStmt:
-		if gd, ok := n.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						bp.expr(v, st, check)
-					}
-				}
-			}
+			op.expr(a, st, check)
 		}
 
 	case *ast.ReturnStmt:
+		// Returning a value hands it to the caller.
 		for _, r := range n.Results {
-			// Returning a tracked buffer hands ownership to the caller.
-			if key, _, ok := bp.p.PathKey(r); ok {
-				if f, tracked := st[key]; tracked && f.Bits&bufOwned != 0 {
-					st[key] = Fact{Bits: bufTransferred, Origin: f.Origin}
-					continue
-				}
-			}
-			bp.expr(r, st, check)
+			op.handOff(r, st, check, true)
 		}
 
-	case *ast.IncDecStmt:
-		bp.expr(n.X, st, check)
-
 	case ast.Expr:
-		bp.expr(n, st, check)
+		op.expr(n, st, check)
 
 	case ast.Stmt:
 		// Any other statement: check embedded expressions generically.
 		ast.Inspect(n, func(c ast.Node) bool {
 			if e, ok := c.(ast.Expr); ok {
-				bp.expr(e, st, check)
+				op.expr(e, st, check)
 				return false
 			}
 			return true
@@ -342,123 +321,219 @@ func (bp *bufownPass) transfer(n ast.Node, st State, check func(ast.Node, string
 	}
 }
 
-// expr walks one expression: putBuf/transfer calls mutate state; any other
-// mention of a tracked path is a use, checked against released/transferred.
-func (bp *bufownPass) expr(e ast.Expr, st State, check func(ast.Node, string, ...any)) {
+// assign applies lhs = rhs after rhs's uses were checked (rhs is nil when
+// the right-hand side is one multi-value expression).
+func (op *ownPass) assign(lhs, rhs ast.Expr, st State, check func(ast.Node, string, ...any)) {
+	key, root, ok := op.p.PathKey(lhs)
+	if !ok {
+		op.expr(lhs, st, check)
+		if _, elem := ast.Unparen(lhs).(*ast.IndexExpr); elem && rhs != nil {
+			// A map or slice element: the container owns what is stored in it.
+			op.handOff(rhs, st, nil, false)
+		}
+		return
+	}
+	// Assigning over a tracked key kills its old state and any sub-paths.
+	killPrefix(st, key)
+	if rhs == nil {
+		return
+	}
+	_, isDeref := ast.Unparen(lhs).(*ast.StarExpr)
+	local := isBodyLocal(root, op.body) && !isDeref
+	if op.r.acquires(op.p, rhs) {
+		if local {
+			st[key] = Fact{Bits: resOwned, Origin: rhs}
+			op.checked[key] = true
+		} else {
+			// Stored into a field, or through a pointer (`*dst = getBuf(...)`
+			// where dst aims at a struct field): the pointee's owner holds it.
+			st[key] = Fact{Bits: resTransferred, Origin: rhs}
+		}
+		return
+	}
+	move := func(dst string, src ast.Expr) {
+		srcKey, _, ok := op.p.PathKey(src)
+		if f, tracked := st[srcKey]; ok && tracked && f.Bits&resOwned != 0 {
+			// Ownership leaves the old location either way.
+			st[srcKey] = Fact{Bits: resTransferred, Origin: f.Origin}
+			if local {
+				st[dst] = Fact{Bits: resOwned, Origin: f.Origin}
+				op.checked[dst] = true
+			}
+		}
+	}
+	if lit := compositeLit(rhs); lit != nil {
+		for _, el := range lit.Elts {
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				if id, ok := kv.Key.(*ast.Ident); ok {
+					move(key+"."+id.Name, kv.Value)
+				}
+			}
+		}
+		return
+	}
+	move(key, rhs)
+}
+
+// expr walks one expression: release calls and hand-off arguments mutate
+// state; any other mention of a tracked path is a use, checked against
+// released/transferred.
+func (op *ownPass) expr(e ast.Expr, st State, check func(ast.Node, string, ...any)) {
 	if e == nil {
 		return
 	}
 	switch e := e.(type) {
 	case *ast.CallExpr:
-		if bp.isPutBuf(e) && len(e.Args) == 1 {
-			arg := e.Args[0]
-			if key, _, ok := bp.p.PathKey(arg); ok {
-				f := st[key]
-				if check != nil && f.Bits&bufReleased != 0 {
-					check(e, "double putBuf of %s: the buffer may already be back in the pool", pathString(arg))
+		if path, ok := op.r.releases(op.p, e); ok {
+			if path == nil {
+				for k, f := range st {
+					f.Bits &^= resOwned
+					st[k] = f
 				}
-				if check != nil && f.Bits&bufTransferred != 0 {
-					check(e, "putBuf of %s after its ownership was transferred; the new owner releases it", pathString(arg))
-				}
-				st[key] = Fact{Bits: bufReleased, Origin: e}
 				return
 			}
-			bp.expr(arg, st, check)
+			key, _, ok := op.p.PathKey(path)
+			if !ok {
+				op.expr(path, st, check)
+				return
+			}
+			f := st[key]
+			if check != nil && f.Bits&resReleased != 0 {
+				check(e, "double putBuf of %s: the buffer may already be back in the pool", pathString(path))
+			}
+			if check != nil && f.Bits&resTransferred != 0 {
+				check(e, "putBuf of %s after its ownership was transferred; the new owner releases it", pathString(path))
+			}
+			st[key] = Fact{Bits: resReleased, Origin: e}
 			return
 		}
-		// A call to a //etlvirt:transfers function consumes the named
-		// arguments' ownership.
-		transfers := bp.transferParams(e)
-		callee := ast.Unparen(e.Fun)
-		if sel, ok := callee.(*ast.SelectorExpr); ok {
-			bp.expr(sel.X, st, check)
+		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
+			op.expr(sel.X, st, check) // a receiver is a use, never a hand-off
+		} else {
+			op.expr(e.Fun, st, check)
 		}
-		sig := bp.calleeParams(e)
-		for i, a := range e.Args {
-			name := ""
-			if sig != nil && i < len(sig) {
-				name = sig[i]
-			}
-			if transfers[name] {
-				bp.transferInto(a, st, check)
-				continue
-			}
-			bp.expr(a, st, check)
-		}
+		op.args(e, st, check)
 
 	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr:
-		if key, _, ok := bp.p.PathKey(e); ok {
+		if key, _, ok := op.p.PathKey(e); ok {
 			if f, tracked := st[key]; tracked && check != nil {
-				if f.Bits&bufReleased != 0 {
+				if f.Bits&resReleased != 0 {
 					check(e, "use of %s after putBuf: the pool may have recycled it into another chunk", keyDisplay(key))
-				} else if f.Bits&bufTransferred != 0 && f.Bits&bufOwned == 0 {
+				} else if f.Bits&resTransferred != 0 && f.Bits&resOwned == 0 {
 					check(e, "use of %s after its ownership was transferred to another stage", keyDisplay(key))
 				}
 			}
 			return
 		}
 		if se, ok := e.(*ast.SelectorExpr); ok {
-			bp.expr(se.X, st, check)
+			op.expr(se.X, st, check)
 		}
 		if se, ok := e.(*ast.StarExpr); ok {
-			bp.expr(se.X, st, check)
+			op.expr(se.X, st, check)
 		}
 
 	case *ast.CompositeLit:
 		for _, el := range e.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				bp.expr(kv.Value, st, check)
-				continue
+				el = kv.Value
 			}
-			bp.expr(el, st, check)
+			op.expr(el, st, check)
 		}
 
 	case *ast.BinaryExpr:
-		bp.expr(e.X, st, check)
-		bp.expr(e.Y, st, check)
+		op.expr(e.X, st, check)
+		op.expr(e.Y, st, check)
 	case *ast.UnaryExpr:
-		bp.expr(e.X, st, check)
+		op.expr(e.X, st, check)
 	case *ast.ParenExpr:
-		bp.expr(e.X, st, check)
+		op.expr(e.X, st, check)
 	case *ast.IndexExpr:
-		bp.expr(e.X, st, check)
-		bp.expr(e.Index, st, check)
+		op.expr(e.X, st, check)
+		op.expr(e.Index, st, check)
 	case *ast.SliceExpr:
-		bp.expr(e.X, st, check)
+		op.expr(e.X, st, check)
 	case *ast.TypeAssertExpr:
-		bp.expr(e.X, st, check)
+		op.expr(e.X, st, check)
 	case *ast.FuncLit:
-		// Closure bodies execute later (or synchronously for immediate
-		// calls); conservatively treat captured tracked values as uses only.
+		// A closure runs later, or now; the releases and hand-offs its calls
+		// make count (a deferred or callback Finish settles the span), but
+		// its uses are not checked.
+		ast.Inspect(e.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				op.expr(call, st, nil)
+				return false
+			}
+			return true
+		})
 	}
 }
 
-// transferInto marks every tracked buffer inside e (directly or via
-// composite-literal fields) as transferred.
-func (bp *bufownPass) transferInto(e ast.Expr, st State, check func(ast.Node, string, ...any)) {
-	switch e := e.(type) {
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				bp.transferInto(kv.Value, st, check)
+// args evaluates a call's arguments: hand-offs for the parameters the
+// resource or the callee's //etlvirt:transfers directive names, uses for
+// the rest.
+func (op *ownPass) args(call *ast.CallExpr, st State, check func(ast.Node, string, ...any)) {
+	var transfers map[string]bool
+	var params []string
+	if fn := op.p.calleeFunc(call); fn != nil && !op.r.allArgs {
+		for _, d := range op.p.FuncDirectives(fn) {
+			if d.Verb != "transfers" {
 				continue
 			}
-			bp.transferInto(el, st, check)
-		}
-	case *ast.UnaryExpr:
-		bp.transferInto(e.X, st, check)
-	case *ast.ParenExpr:
-		bp.transferInto(e.X, st, check)
-	default:
-		if key, _, ok := bp.p.PathKey(e); ok {
-			f := st[key]
-			if check != nil && f.Bits&bufReleased != 0 {
-				check(e, "handing off %s after putBuf: the receiver would own a recycled buffer", keyDisplay(key))
+			if transfers == nil {
+				transfers = make(map[string]bool)
 			}
-			st[key] = Fact{Bits: bufTransferred, Origin: orNode(f.Origin, e)}
-			return
+			for _, a := range d.Args {
+				transfers[a] = true
+			}
 		}
-		bp.expr(e, st, check)
+		if sig, ok := fn.Type().(*types.Signature); ok {
+			for i := 0; i < sig.Params().Len(); i++ {
+				params = append(params, sig.Params().At(i).Name())
+			}
+		}
+	}
+	for i, a := range call.Args {
+		if op.r.allArgs || i < len(params) && transfers[params[i]] {
+			op.handOff(a, st, check, true)
+			continue
+		}
+		op.expr(a, st, check)
+	}
+}
+
+// handOff marks every tracked value inside e — directly, under a path
+// (returning j hands off j.trace), or in a composite-literal field — as
+// transferred to a new owner. With mint, an untracked path is marked too, so
+// a later use of what the caller gave away is still caught.
+func (op *ownPass) handOff(e ast.Expr, st State, check func(ast.Node, string, ...any), mint bool) {
+	if lit := compositeLit(e); lit != nil {
+		for _, el := range lit.Elts {
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				el = kv.Value
+			}
+			op.handOff(el, st, check, mint)
+		}
+		return
+	}
+	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		e = u.X
+	}
+	key, _, ok := op.p.PathKey(e)
+	if !ok {
+		op.expr(e, st, check)
+		return
+	}
+	f, tracked := st[key]
+	if check != nil && f.Bits&resReleased != 0 {
+		check(e, "handing off %s after putBuf: the receiver would own a recycled buffer", keyDisplay(key))
+	}
+	for k, sub := range st {
+		if k != key && hasPathPrefix(k, key) {
+			st[k] = Fact{Bits: resTransferred, Origin: sub.Origin}
+		}
+	}
+	if tracked || mint {
+		st[key] = Fact{Bits: resTransferred, Origin: orNode(f.Origin, e)}
 	}
 }
 
@@ -469,23 +544,37 @@ func orNode(a ast.Node, b ast.Node) ast.Node {
 	return b
 }
 
+// compositeLit unwraps e to a composite literal (through & and parens).
+func compositeLit(e ast.Expr) *ast.CompositeLit {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.UnaryExpr:
+			e = x.X
+		case *ast.CompositeLit:
+			return x
+		default:
+			return nil
+		}
+	}
+}
+
 // checkGoroutineCapture reports owned buffers captured free by a go literal.
-func (bp *bufownPass) checkGoroutineCapture(lit *ast.FuncLit, st State, check func(ast.Node, string, ...any)) {
+func (op *ownPass) checkGoroutineCapture(lit *ast.FuncLit, st State, check func(ast.Node, string, ...any)) {
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		e, ok := n.(ast.Expr)
 		if !ok {
 			return true
 		}
-		key, root, ok := bp.p.PathKey(e)
+		key, root, ok := op.p.PathKey(e)
 		if !ok {
 			return true
 		}
-		if f, tracked := st[key]; tracked && f.Bits&bufOwned != 0 {
-			// Only free variables matter; a redeclaration inside the literal
-			// would have a different object position.
-			if root != nil && root.Pos() < lit.Pos() {
-				check(e, "owned buffer %s captured by goroutine without an ownership transfer (//etlvirt:transfers)", keyDisplay(key))
-			}
+		// Only free variables matter; a redeclaration inside the literal
+		// would have a different object position.
+		if f, tracked := st[key]; tracked && f.Bits&resOwned != 0 && root != nil && root.Pos() < lit.Pos() {
+			check(e, "owned buffer %s captured by goroutine without an ownership transfer (//etlvirt:transfers)", keyDisplay(key))
 		}
 		return false
 	})
@@ -493,27 +582,26 @@ func (bp *bufownPass) checkGoroutineCapture(lit *ast.FuncLit, st State, check fu
 
 // seedOwnedFields marks v.field owned for every //etlvirt:owns field of v's
 // struct type.
-func (bp *bufownPass) seedOwnedFields(v ast.Expr, key string, origin ast.Node, st State) {
-	t := bp.p.TypeOf(v)
+func (op *ownPass) seedOwnedFields(v ast.Expr, key string, origin ast.Node, st State) {
+	t := op.p.TypeOf(v)
 	if t == nil {
 		return
 	}
 	for {
-		if ptr, ok := t.Underlying().(*types.Pointer); ok {
-			t = ptr.Elem()
-			continue
+		ptr, ok := t.Underlying().(*types.Pointer)
+		if !ok {
+			break
 		}
-		break
+		t = ptr.Elem()
 	}
 	s, ok := t.Underlying().(*types.Struct)
 	if !ok {
 		return
 	}
 	for i := 0; i < s.NumFields(); i++ {
-		f := s.Field(i)
-		if bp.ownsField[f] {
-			st[key+"."+f.Name()] = Fact{Bits: bufOwned, Origin: origin}
-			bp.localRoot[key+"."+f.Name()] = true
+		if f := s.Field(i); op.ownsField[f] {
+			st[key+"."+f.Name()] = Fact{Bits: resOwned, Origin: origin}
+			op.checked[key+"."+f.Name()] = true
 		}
 	}
 }
@@ -529,14 +617,12 @@ func collectOwnsFields(p *Pass) map[types.Object]bool {
 			}
 			for _, field := range stn.Fields.List {
 				for _, d := range fieldDirectives(field) {
-					if d.Verb != "owns" {
+					if d.Verb != "owns" || p.Info == nil {
 						continue
 					}
 					for _, id := range field.Names {
-						if p.Info != nil {
-							if obj := p.Info.Defs[id]; obj != nil {
-								out[obj] = true
-							}
+						if obj := p.Info.Defs[id]; obj != nil {
+							out[obj] = true
 						}
 					}
 				}
@@ -547,52 +633,7 @@ func collectOwnsFields(p *Pass) map[types.Object]bool {
 	return out
 }
 
-// transferParams returns the set of parameter names the callee's
-// //etlvirt:transfers directives name.
-func (bp *bufownPass) transferParams(call *ast.CallExpr) map[string]bool {
-	fn := bp.p.calleeFunc(call)
-	if fn == nil {
-		return nil
-	}
-	var out map[string]bool
-	for _, d := range bp.p.FuncDirectives(fn) {
-		if d.Verb != "transfers" {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]bool)
-		}
-		for _, a := range d.Args {
-			out[a] = true
-		}
-	}
-	return out
-}
-
-// calleeParams returns the callee's parameter names, positionally.
-func (bp *bufownPass) calleeParams(call *ast.CallExpr) []string {
-	fn := bp.p.calleeFunc(call)
-	if fn == nil {
-		return nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	out := make([]string, sig.Params().Len())
-	for i := 0; i < sig.Params().Len(); i++ {
-		out[i] = sig.Params().At(i).Name()
-	}
-	return out
-}
-
-// isGetBuf / isPutBuf match plain calls to the package's pool functions.
-func (bp *bufownPass) isGetBuf(e ast.Expr) bool { return isCallNamed(e, "getBuf") }
-func (bp *bufownPass) isPutBuf(e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	return ok && isCallNamed(call, "putBuf")
-}
-
+// isCallNamed matches a plain call to the package function name.
 func isCallNamed(e ast.Expr, name string) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
@@ -600,6 +641,21 @@ func isCallNamed(e ast.Expr, name string) bool {
 	}
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	return ok && id.Name == name
+}
+
+// isTracerCall matches a method call of the given name on a value whose
+// named type is called Tracer (the obs tracer, or a fixture double).
+func isTracerCall(p *Pass, e ast.Expr, name string) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name {
+		return false
+	}
+	n := named(p.TypeOf(sel.X))
+	return n != nil && n.Obj().Name() == "Tracer"
 }
 
 // packageHasFunc reports whether the package declares a function with the
@@ -617,10 +673,14 @@ func packageHasFunc(p *Pass, name string) bool {
 
 // killPrefix removes key and every sub-path key ("res" kills "res.CSV").
 func killPrefix(st State, key string) {
-	delete(st, key)
 	for k := range st {
-		if len(k) > len(key) && k[:len(key)] == key && (k[len(key)] == '.' || k[len(key)] == ')') {
+		if k == key || hasPathPrefix(k, key) {
 			delete(st, k)
 		}
 	}
+}
+
+// hasPathPrefix reports whether k is a strict sub-path of key.
+func hasPathPrefix(k, key string) bool {
+	return len(k) > len(key) && k[:len(key)] == key && (k[len(key)] == '.' || k[len(key)] == ')')
 }

@@ -276,7 +276,7 @@ func checkCFGInvariants(t *testing.T, path string, fd *ast.FuncDecl, fset *token
 		}
 	}
 	// The solver and witness machinery must also hold up on every body.
-	in := Flow(g, func(n ast.Node, st State) {})
+	in := Flow(g, nil, func(n ast.Node, st State) {})
 	ExitState(g, in, func(n ast.Node, st State) {})
 	g.PathWitness(fset, g.Exit, nil)
 	g.Dump(fset)

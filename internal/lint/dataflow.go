@@ -16,8 +16,8 @@ import (
 // entry that reaches the violating block) to attach to the diagnostic.
 
 // Bits is a may-state bitset for one tracked value. Analyzers define their
-// own bit meanings (bufown: owned/released/transferred; spanbalance:
-// started; lockorder: locked).
+// own bit meanings (bufown and spanbalance: owned/released/transferred;
+// lockorder: locked).
 type Bits uint8
 
 // Fact is the abstract state of one tracked value: the states it may be in,
@@ -64,14 +64,15 @@ func (s State) join(other State) bool {
 	return changed
 }
 
-// Flow runs a forward may-analysis over g. transfer mutates st in place for
-// one node; it is called for every node of every block, in order. The
-// returned map holds the solved in-state of every block.
+// Flow runs a forward may-analysis over g from the entry in-state entry
+// (nil for none). transfer mutates st in place for one node; it is called
+// for every node of every block, in order. The returned map holds the
+// solved in-state of every block.
 //
 // The iteration count is capped (transfer functions with kills are not
 // formally monotone); hitting the cap leaves a sound over-approximation
 // because in-states only ever grow.
-func Flow(g *CFG, transfer func(n ast.Node, st State)) map[*Block]State {
+func Flow(g *CFG, entry State, transfer func(n ast.Node, st State)) map[*Block]State {
 	// Every block is seeded onto the worklist: a block must be processed at
 	// least once even if its in-state never grows past empty, or facts born
 	// inside it would never reach its successors.
@@ -83,6 +84,7 @@ func Flow(g *CFG, transfer func(n ast.Node, st State)) map[*Block]State {
 		work = append(work, b)
 		queued[b] = true
 	}
+	in[g.Entry] = entry.clone()
 	steps := 0
 	limit := 64 * (len(g.Blocks) + 1)
 	for len(work) > 0 && steps < limit {

@@ -1,18 +1,16 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
+	"strconv"
 	"strings"
 )
 
-// Machine-checkable source directives. PR 5 documented the buffer-ownership
-// discipline as prose comments; this file promotes that idiom to a grammar
+// Machine-checkable source directives: the ownership and quoting contracts
 // the dataflow analyzers consume (see DESIGN.md "Static invariants" for the
 // full grammar):
 //
-//	//etlvirt:hotpath                 function is on the per-row hot path (hotalloc)
 //	//etlvirt:owns <path>             function owns buffer <path> ("m.Payload") at
 //	                                  entry and must release or transfer it on
 //	                                  every path (bufown)
@@ -25,12 +23,14 @@ import (
 //	                                  (bufown)
 //	//etlvirt:sqlclean                the function's string results are safely
 //	                                  quoted/rendered SQL fragments (sqlident)
-//	//etlvirt:dispatch <role> [-Kind] the switch below this comment is the <role>
-//	                                  dispatch surface (codec|server|client|label)
-//	                                  for wire kinds; -KindX tokens exempt kinds
-//	                                  handled outside the switch (wirekind)
+//
+// Any other verb is a finding: the Runner reports it so a stale or misspelt
+// directive cannot pass for a contract.
 
 const directivePrefix = "//etlvirt:"
+
+// directiveVerbs is every verb an analyzer reads.
+var directiveVerbs = map[string]bool{"owns": true, "transfers": true, "sqlclean": true}
 
 // directive is one parsed //etlvirt: comment: a verb and its arguments.
 type directive struct {
@@ -76,43 +76,6 @@ func fieldDirectives(f *ast.Field) []directive {
 	return append(groupDirectives(f.Doc), groupDirectives(f.Comment)...)
 }
 
-// lineDirectives indexes a package's directives by file and line so
-// statement-level directives (//etlvirt:dispatch above a switch) can be
-// looked up from the statement's position.
-type lineDirectives map[string]map[int][]directive
-
-func collectLineDirectives(pkg *Package) lineDirectives {
-	idx := make(lineDirectives)
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				d, ok := parseDirective(c.Text)
-				if !ok {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				lines := idx[pos.Filename]
-				if lines == nil {
-					lines = make(map[int][]directive)
-					idx[pos.Filename] = lines
-				}
-				lines[pos.Line] = append(lines[pos.Line], d)
-			}
-		}
-	}
-	return idx
-}
-
-// at returns the directives on the given line or the line directly above it
-// (the comment-above-the-statement idiom).
-func (idx lineDirectives) at(file string, line int) []directive {
-	lines := idx[file]
-	if lines == nil {
-		return nil
-	}
-	return append(append([]directive(nil), lines[line-1]...), lines[line]...)
-}
-
 // PathKey canonicalizes an expression naming a storage location into a
 // stable state key: an identifier, a selector chain rooted at an identifier,
 // or a pointer dereference of either ("buf", "m.Payload", "(*dst)"). The
@@ -130,7 +93,7 @@ func (p *Pass) PathKey(e ast.Expr) (key string, root types.Object, ok bool) {
 		if obj == nil {
 			return "", nil, false
 		}
-		return fmt.Sprintf("%s#%d", e.Name, obj.Pos()), obj, true
+		return keyFor(e.Name, obj), obj, true
 	case *ast.SelectorExpr:
 		k, root, ok := p.PathKey(e.X)
 		if !ok {
@@ -145,6 +108,11 @@ func (p *Pass) PathKey(e ast.Expr) (key string, root types.Object, ok bool) {
 		return "(*" + k + ")", root, true
 	}
 	return "", nil, false
+}
+
+// keyFor is the state key of the object obj named name.
+func keyFor(name string, obj types.Object) string {
+	return name + "#" + strconv.Itoa(int(obj.Pos()))
 }
 
 // pathString renders an access path for humans ("m.Payload"), without the

@@ -3,7 +3,8 @@
 // enforces the virtualizer's cross-cutting correctness invariants at build
 // time — the protocol discipline the runtime layers rely on but cannot
 // check themselves (context lineage, error-chain wrapping, wire endianness,
-// retry idempotence, metric-name hygiene, goroutine stoppability).
+// retry idempotence, metric-name hygiene, buffer and span ownership, lock
+// order, SQL identifier quoting).
 //
 // The framework deliberately mirrors the shape of golang.org/x/tools'
 // analysis package (Analyzer, Pass, Diagnostic) without importing it, so
@@ -122,8 +123,8 @@ type Analyzer struct {
 	Run  func(*Pass)
 
 	// End, when set, runs once after every package's Run pass. It is where
-	// cross-package analyzers (lockorder's acquisition graph, wirekind's
-	// surface coverage) report findings that need the whole run's state.
+	// a cross-package analyzer (lockorder's acquisition graph) reports
+	// findings that need the whole run's state.
 	End func(report func(Diagnostic))
 }
 
@@ -138,13 +139,10 @@ func Analyzers() []*Analyzer {
 		newEndian(),
 		newRetrysafe(),
 		newMetricname(),
-		newGoroleak(),
-		newHotalloc(),
 		newBufown(),
 		newSpanbalance(),
 		newLockorder(),
 		newSqlident(),
-		newWirekind(),
 	}
 }
 
@@ -157,7 +155,9 @@ type Result struct {
 }
 
 // Runner drives analyzers over loaded packages and applies nolint
-// filtering.
+// filtering. It also reports every //nolint:<name> that names no analyzer
+// and every //etlvirt:<verb> that no analyzer reads (analyzer "directive"),
+// so a misspelt or stale directive cannot pass for a justified exception.
 type Runner struct {
 	Analyzers []*Analyzer
 
@@ -171,9 +171,14 @@ type Runner struct {
 func (r *Runner) Run(pkgs []*Package) Result {
 	res := Result{Suppressed: make(map[string]int)}
 	dirs := newDirectiveResolver(pkgs, r.Loader)
+	known := make(map[string]bool)
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
 	merged := make(nolintIndex)
 	for _, pkg := range pkgs {
-		nolint := collectNolint(pkg)
+		nolint, unknown := collectNolint(pkg, known)
+		res.Diagnostics = append(res.Diagnostics, unknown...)
 		for file, lines := range nolint {
 			merged[file] = lines
 		}
@@ -234,14 +239,30 @@ type nolintIndex map[string]map[int]map[string]bool
 //	foo() //nolint:ctxbg          — silences ctxbg on this line
 //	//nolint:ctxbg,errwrapw       — silences both on the next line
 //	//nolint                      — silences every analyzer on the next line
-func collectNolint(pkg *Package) nolintIndex {
+//
+// The same scan reports the directives that name nothing: a //nolint name
+// not in known, and an //etlvirt: verb no analyzer reads.
+func collectNolint(pkg *Package, known map[string]bool) (nolintIndex, []Diagnostic) {
 	idx := make(nolintIndex)
+	var unknown []Diagnostic
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
+				report := func(format string, args ...any) {
+					unknown = append(unknown, Diagnostic{Pos: pkg.Fset.Position(c.Pos()), End: pkg.Fset.Position(c.End()),
+						Analyzer: "directive", Message: fmt.Sprintf(format, args...)})
+				}
 				names, ok := parseNolint(c.Text)
 				if !ok {
+					if d, ok := parseDirective(c.Text); ok && !directiveVerbs[d.Verb] {
+						report("//etlvirt:%s is read by no analyzer", d.Verb)
+					}
 					continue
+				}
+				for _, n := range names {
+					if n != "*" && !known[n] {
+						report("//nolint:%s names no analyzer, so it silences nothing", n)
+					}
 				}
 				pos := pkg.Fset.Position(c.Pos())
 				lines := idx[pos.Filename]
@@ -262,7 +283,7 @@ func collectNolint(pkg *Package) nolintIndex {
 			}
 		}
 	}
-	return idx
+	return idx, unknown
 }
 
 // parseNolint recognizes "//nolint" and "//nolint:a,b" (with optional

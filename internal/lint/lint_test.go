@@ -80,17 +80,6 @@ func expectations(t *testing.T, pkg *Package) map[string][]*regexp.Regexp {
 // every expectation must fire.
 func runFixture(t *testing.T, analyzerName, fixture string) Result {
 	t.Helper()
-	return runFixturePkgs(t, analyzerName, fixture)
-}
-
-// runFixturePkgs is runFixture over several fixture packages in one run, for
-// analyzers whose invariant spans packages (wirekind's dispatch surfaces).
-func runFixturePkgs(t *testing.T, analyzerName string, fixtures ...string) Result {
-	t.Helper()
-	var pkgs []*Package
-	for _, fx := range fixtures {
-		pkgs = append(pkgs, loadFixture(t, fx))
-	}
 	var analyzer *Analyzer
 	for _, a := range Analyzers() {
 		if a.Name == analyzerName {
@@ -100,14 +89,16 @@ func runFixturePkgs(t *testing.T, analyzerName string, fixtures ...string) Resul
 	if analyzer == nil {
 		t.Fatalf("no analyzer %q", analyzerName)
 	}
-	res := (&Runner{Analyzers: []*Analyzer{analyzer}}).Run(pkgs)
+	return runSuite(t, []*Analyzer{analyzer}, fixture)
+}
 
-	wants := make(map[string][]*regexp.Regexp)
-	for _, pkg := range pkgs {
-		for key, res := range expectations(t, pkg) {
-			wants[key] = append(wants[key], res...)
-		}
-	}
+// runSuite runs a set of analyzers over one fixture and matches diagnostics
+// against its want comments.
+func runSuite(t *testing.T, analyzers []*Analyzer, fixture string) Result {
+	t.Helper()
+	pkg := loadFixture(t, fixture)
+	res := (&Runner{Analyzers: analyzers}).Run([]*Package{pkg})
+	wants := expectations(t, pkg)
 	for _, d := range res.Diagnostics {
 		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
 		matched := false
@@ -160,28 +151,11 @@ func TestSqlidentFixture(t *testing.T) {
 	}
 }
 
-func TestWirekindFixture(t *testing.T) {
-	res := runFixturePkgs(t, "wirekind", "wirekind", "wirekindclient")
-	if got := res.Suppressed["wirekind"]; got != 1 {
-		t.Errorf("suppressed[wirekind] = %d, want 1", got)
-	}
-}
-
 func TestCtxbgFixture(t *testing.T)      { runFixture(t, "ctxbg", "ctxbg") }
 func TestErrwrapwFixture(t *testing.T)   { runFixture(t, "errwrapw", "errwrapw") }
 func TestEndianFixture(t *testing.T)     { runFixture(t, "endian", "wire") }
 func TestRetrysafeFixture(t *testing.T)  { runFixture(t, "retrysafe", "retrysafe") }
 func TestMetricnameFixture(t *testing.T) { runFixture(t, "metricname", "metricname") }
-func TestGoroleakFixture(t *testing.T)   { runFixture(t, "goroleak", "goroleak") }
-
-// TestHotallocFixture also pins the escape hatch: the fixture's one
-// //nolint:hotalloc use must be counted as suppressed, not reported.
-func TestHotallocFixture(t *testing.T) {
-	res := runFixture(t, "hotalloc", "hotalloc")
-	if got := res.Suppressed["hotalloc"]; got != 1 {
-		t.Errorf("suppressed[hotalloc] = %d, want 1", got)
-	}
-}
 
 // TestNolintSuppression checks the escape hatch: three of the four
 // context.Background calls in the fixture carry a matching directive and
@@ -194,6 +168,17 @@ func TestNolintSuppression(t *testing.T) {
 	}
 	if len(res.Diagnostics) != 1 {
 		t.Errorf("diagnostics = %d, want 1 (the //nolint:endian one)", len(res.Diagnostics))
+	}
+}
+
+// TestUnknownDirectives checks that a directive naming nothing is a finding:
+// a //nolint name no analyzer has (which silences nothing, so the finding it
+// meant to silence fires too) and an //etlvirt: verb no analyzer reads. Bare
+// //nolint and the known names keep their meaning.
+func TestUnknownDirectives(t *testing.T) {
+	res := runSuite(t, Analyzers(), "unknown")
+	if got := res.Suppressed["ctxbg"]; got != 2 {
+		t.Errorf("suppressed[ctxbg] = %d, want 2 (the ctxbg,nosuch and bare cases)", got)
 	}
 }
 
@@ -246,17 +231,13 @@ var fixtureDirs = map[string][]string{
 	"endian":      {"wire"},
 	"retrysafe":   {"retrysafe"},
 	"metricname":  {"metricname"},
-	"goroleak":    {"goroleak"},
-	"hotalloc":    {"hotalloc"},
 	"bufown":      {"bufown"},
 	"spanbalance": {"spanbalance"},
 	"lockorder":   {"lockorder"},
 	"sqlident":    {"sqlident"},
-	"wirekind":    {"wirekind", "wirekindclient"},
 }
 
-// TestFixtureCoverage is the fixture-hygiene gate the CI lint-fixtures step
-// runs: every registered analyzer must have at least one fixture with a
+// TestFixtureCoverage is the fixture-hygiene gate: every registered analyzer must have at least one fixture with a
 // positive want expectation and at least one fixture exercising its //nolint
 // escape hatch, so both the detection and the suppression paths stay pinned.
 func TestFixtureCoverage(t *testing.T) {

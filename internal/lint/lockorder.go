@@ -93,7 +93,7 @@ func (st *lockorderState) run(p *Pass) {
 		}
 		g := BuildCFG(body)
 		transfer := func(n ast.Node, s State) { lp.transfer(n, s) }
-		in := Flow(g, transfer)
+		in := Flow(g, nil, transfer)
 		exit := ExitState(g, in, transfer)
 		if isLockHelper(fd) {
 			return // forwarding Lock/Unlock implementations return held by design
@@ -237,39 +237,15 @@ func (lp *lockPass) globalMutexKey(recv ast.Expr) string {
 		}
 		return "" // local or parameter mutex
 	case *ast.SelectorExpr:
-		owner := namedTypeName(lp.p.TypeOf(recv.X))
-		if owner == "" {
+		n := named(lp.p.TypeOf(recv.X))
+		if n == nil || n.Obj().Pkg() == nil {
 			return ""
 		}
-		pkg := ""
-		if t := lp.p.TypeOf(recv.X); t != nil {
-			if n := namedType(t); n != nil && n.Obj().Pkg() != nil {
-				pkg = pkgShort(n.Obj().Pkg().Path())
-			}
-		}
-		if pkg == "" {
-			return ""
-		}
-		return pkg + "." + owner + "." + recv.Sel.Name
+		return pkgShort(n.Obj().Pkg().Path()) + "." + n.Obj().Name() + "." + recv.Sel.Name
 	case *ast.StarExpr:
 		return lp.globalMutexKey(recv.X)
 	}
 	return ""
-}
-
-func namedType(t types.Type) *types.Named {
-	for {
-		switch tt := t.(type) {
-		case *types.Pointer:
-			t = tt.Elem()
-		case *types.Named:
-			return tt
-		case *types.Alias:
-			t = types.Unalias(tt)
-		default:
-			return nil
-		}
-	}
 }
 
 func pkgShort(path string) string {

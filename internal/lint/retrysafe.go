@@ -66,12 +66,14 @@ func runRetrysafe(p *Pass) {
 	})
 }
 
-// named unwraps pointers down to the named type, or nil.
+// named unwraps pointers and aliases down to the named type, or nil.
 func named(t types.Type) *types.Named {
 	for {
 		switch v := t.(type) {
 		case *types.Pointer:
 			t = v.Elem()
+		case *types.Alias:
+			t = types.Unalias(v)
 		case *types.Named:
 			return v
 		default:

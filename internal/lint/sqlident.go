@@ -63,7 +63,7 @@ func runSqlident(p *Pass) {
 		sp := &sqlPass{p: p, fd: fd, body: body}
 		g := BuildCFG(body)
 		transfer := func(n ast.Node, st State) { sp.transfer(n, st, nil) }
-		in := Flow(g, transfer)
+		in := Flow(g, nil, transfer)
 		for _, b := range g.Blocks {
 			st := in[b].clone()
 			for _, n := range b.Nodes {

@@ -4,9 +4,7 @@ import "strconv"
 
 // Append-style codecs for the acquisition hot path (§4-§5). Every function
 // here formats into a caller-provided buffer with no intermediate strings
-// and no fmt machinery; functions on the per-row path carry the
-// //etlvirt:hotpath directive, which the hotalloc analyzer enforces (no fmt
-// calls inside them — error construction is delegated to cold helpers).
+// and no fmt machinery.
 
 const hexDigits = "0123456789ABCDEF"
 
@@ -18,8 +16,6 @@ const hexDigits = "0123456789ABCDEF"
 // DecodeRecordInto carry no S (the scale lives in the layout, not the
 // value), so hot-path callers must use AppendDecimal with the field's scale
 // instead.
-//
-//etlvirt:hotpath
 func (v Value) AppendText(dst []byte) []byte {
 	if v.Null {
 		return dst
@@ -57,8 +53,6 @@ func (v Value) AppendText(dst []byte) []byte {
 
 // AppendDecimal appends the text of an unscaled decimal integer at the
 // given scale — exactly the bytes FormatDecimal returns — to dst.
-//
-//etlvirt:hotpath
 func AppendDecimal(dst []byte, unscaled int64, scale int) []byte {
 	if scale <= 0 {
 		return strconv.AppendInt(dst, unscaled, 10)
@@ -86,8 +80,6 @@ func AppendDecimal(dst []byte, unscaled int64, scale int) []byte {
 // appendZeroPadded appends v in decimal, zero-padded to width total bytes
 // including any sign — the semantics of fmt's %0*d verb, hand-rolled so the
 // hot path never touches fmt.
-//
-//etlvirt:hotpath
 func appendZeroPadded(dst []byte, v int64, width int) []byte {
 	u := uint64(v)
 	if v < 0 {

