@@ -74,6 +74,11 @@ type StreamStatus struct {
 	LastRows     int   `json:"last_batch_rows,omitempty"`
 	SLOOk        bool  `json:"slo_ok"`
 
+	// The last commit's apply cost: the CDW statements it issued and the
+	// images its error handler rejected.
+	LastStmts   int64 `json:"last_commit_stmts,omitempty"`
+	LastLocated int64 `json:"last_commit_located"`
+
 	// Latency attribution from the controller's per-stage EWMAs.
 	LastAction    string           `json:"last_action,omitempty"`
 	DominantStage string           `json:"dominant_stage,omitempty"`
@@ -102,6 +107,8 @@ func (j *streamJob) status(now time.Time) StreamStatus {
 	if st.latency > 0 {
 		s.LastCommitMS = st.latency.Milliseconds()
 		s.LastRows = st.rows
+		s.LastStmts = st.stmts
+		s.LastLocated = st.located
 		s.LastAction = st.action
 		s.DominantStage = st.dominant
 		s.SLOOk = st.latency <= j.ctrl.Target()

@@ -123,12 +123,17 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 	}
 	id := n.nextJob.Add(1)
 	target := parseQualifiedName(m.Table)
+	stage := sqlparse.TableName{Schema: stagingSchema, Name: fmt.Sprintf("job_%d", id)}
+	stageDDL, err := sqlxlate.StagingDDL(stage, m.Layout)
+	if err != nil {
+		return nil, err
+	}
 	j := &importJob{
 		id:      id,
 		node:    n,
 		req:     m,
 		conv:    conv,
-		stage:   sqlparse.TableName{Schema: stagingSchema, Name: fmt.Sprintf("job_%d", id)},
+		stage:   stage,
 		etName:  parseQualifiedName(m.ErrTableET),
 		uvName:  parseQualifiedName(m.ErrTableUV),
 		targets: target.String(),
@@ -136,7 +141,7 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 	j.watch.start = time.Now()
 	n.nm.jobsStarted.Inc()
 	j.trace = n.tracer.StartCtx(id, "import "+j.targets, tc)
-	j.lane = newStagingLane(n, j.trace, j.stage, m.Layout,
+	j.lane = newStagingLane(n, j.trace, j.stage, stageDDL,
 		fmt.Sprintf("%s%d/", uploadPrefix, id), "copy", "stage")
 	n.events.Add(obs.Event{
 		Type: "job_start", Job: id, TraceID: j.traceID(),

@@ -80,7 +80,7 @@ type Config struct {
 	MaxRetries int
 
 	// StreamMinBatch/StreamMaxBatch clamp the adaptive records-per-micro-batch
-	// hint. Zeros select the stream.Config defaults (16 and 8192).
+	// hint. Zeros select the stream.Config defaults (16 and 2048).
 	StreamMinBatch int
 	StreamMaxBatch int
 

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"etlvirt/internal/cdw"
-	"etlvirt/internal/ltype"
 	"etlvirt/internal/obs"
 	"etlvirt/internal/retrier"
 	"etlvirt/internal/sqlparse"
@@ -21,8 +21,9 @@ import (
 // core that uploads a spool object, renders a staging COPY, recovers an
 // engine-side COPY failure, or deletes a key prefix. An import holds one
 // lane fed by its copy scheduler; a stream holds one for both delta classes
-// and resets it for every micro-batch, landing the batch's one spool object
-// — the near-real-time path is the batch path run small.
+// (its table carries the image-class column) and resets it for every
+// micro-batch, landing the batch's one spool object — the near-real-time
+// path is the batch path run small.
 //
 // upload may be called from several goroutines at once; reset, land and
 // close belong to one goroutine at a time (the import's scheduler, the
@@ -31,7 +32,7 @@ type stagingLane struct {
 	node   *Node
 	trace  *obs.JobTrace
 	stage  sqlparse.TableName
-	layout *ltype.Layout
+	ddl    string // CREATE TABLE of the staging table
 	prefix string // object-key prefix, "/"-terminated
 	op     string // retry op label for reset and land
 	worker string // trace lane of the copy spans
@@ -40,6 +41,9 @@ type stagingLane struct {
 	uploaded map[string]int64 // bytes per uploaded object not yet landed
 
 	landed []copyBatch
+
+	// stmts counts the CDW statements the lane has issued.
+	stmts atomic.Int64
 }
 
 // copyBatch is one landed staging COPY: the manifest (object names relative
@@ -49,9 +53,9 @@ type copyBatch struct {
 	rows  int64
 }
 
-func newStagingLane(n *Node, trace *obs.JobTrace, stage sqlparse.TableName, layout *ltype.Layout, prefix, op, worker string) *stagingLane {
+func newStagingLane(n *Node, trace *obs.JobTrace, stage sqlparse.TableName, ddl, prefix, op, worker string) *stagingLane {
 	return &stagingLane{
-		node: n, trace: trace, stage: stage, layout: layout,
+		node: n, trace: trace, stage: stage, ddl: ddl,
 		prefix: prefix, op: op, worker: worker,
 		uploaded: make(map[string]int64),
 	}
@@ -108,14 +112,16 @@ func (l *stagingLane) do(fn func(attempt int) error) error {
 	})
 }
 
+// exec runs one staging-table statement.
+func (l *stagingLane) exec(sql string) (int64, error) {
+	l.stmts.Add(1)
+	return l.node.pool.ExecT(sql, l.trace.ChildContext())
+}
+
 // recreate drops and recreates the staging table, empty.
 func (l *stagingLane) recreate() error {
-	ddl, err := sqlxlate.StagingDDL(l.stage, l.layout)
-	if err != nil {
-		return err
-	}
-	for _, s := range []string{dropIfExists(l.stage), ddl} {
-		if _, err := l.node.pool.ExecT(s, l.trace.ChildContext()); err != nil {
+	for _, s := range []string{dropIfExists(l.stage), l.ddl} {
+		if _, err := l.exec(s); err != nil {
 			return err
 		}
 	}
@@ -147,7 +153,7 @@ func (l *stagingLane) copy(files []string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return l.node.pool.ExecT(sql, l.trace.ChildContext())
+	return l.exec(sql)
 }
 
 // land COPYs one manifest of uploaded objects into the staging table and
@@ -222,6 +228,6 @@ func (l *stagingLane) purge() {
 
 // close drops the staging table and purges the lane's objects.
 func (l *stagingLane) close() {
-	_, _ = l.node.pool.ExecT(dropIfExists(l.stage), l.trace.ChildContext())
+	_, _ = l.exec(dropIfExists(l.stage))
 	l.purge()
 }

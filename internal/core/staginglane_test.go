@@ -12,6 +12,7 @@ import (
 	"etlvirt/internal/faultinject"
 	"etlvirt/internal/ltype"
 	"etlvirt/internal/sqlparse"
+	"etlvirt/internal/sqlxlate"
 )
 
 // renderLane builds the minimal lane shape copySQL reads: the staging table
@@ -95,8 +96,12 @@ func startLaneHost(t *testing.T) *laneHost {
 	node := NewNode(Config{CDWAddr: cdwAddr, RetryBaseDelay: time.Millisecond}, mem)
 	t.Cleanup(func() { node.Close() })
 	layout := &ltype.Layout{Name: "L", Fields: []ltype.Field{{Name: "K", Type: ltype.VarChar(8)}}}
-	lane := newStagingLane(node, nil,
-		sqlparse.TableName{Schema: "etl_stage", Name: "lane_t"}, layout, "lane_t/", "copy", "stage")
+	stage := sqlparse.TableName{Schema: "etl_stage", Name: "lane_t"}
+	ddl, err := sqlxlate.StagingDDL(stage, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := newStagingLane(node, nil, stage, ddl, "lane_t/", "copy", "stage")
 	if err := lane.reset(); err != nil {
 		t.Fatal(err)
 	}

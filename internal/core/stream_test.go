@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
@@ -193,8 +194,12 @@ func TestStreamControllerAdapts(t *testing.T) {
 		var p []byte
 		const rows = 200
 		for i := 0; i < rows; i++ {
+			date := "2024-01-01"
+			if f == 2 && i == 7 {
+				date = "2024-99-99" // one apply-time reject
+			}
 			p = vtDelta(p, stream.OpInsert,
-				fmt.Sprintf("%05d", seq+uint64(i)), "Name", "2024-01-01")
+				fmt.Sprintf("%05d", seq+uint64(i)), "Name", date)
 		}
 		last = sendFrame(t, c, ok.StreamID, seq, rows, p)
 		seq += rows
@@ -225,6 +230,15 @@ func TestStreamControllerAdapts(t *testing.T) {
 					t.Errorf("/metrics missing %q", want)
 				}
 			}
+			// The last commit's apply cost is on /streams.
+			_, body = httpGet(t, dbgAddr, "/streams")
+			var streams []core.StreamStatus
+			if err := json.Unmarshal([]byte(body), &streams); err != nil {
+				t.Fatalf("/streams JSON: %v\n%s", err, body)
+			}
+			if len(streams) != 1 || streams[0].LastStmts <= 0 || !strings.Contains(body, `"last_commit_located":`) {
+				t.Errorf("/streams lacks the last commit's statements and located images: %s", body)
+			}
 		}
 	}
 	if last.CommittedSeq == 0 {
@@ -238,8 +252,27 @@ func TestStreamControllerAdapts(t *testing.T) {
 	if done.Watermark != seq-1 {
 		t.Errorf("watermark = %d, want %d", done.Watermark, seq-1)
 	}
-	if done.Inserted != seq-1 {
-		t.Errorf("inserted = %d, want %d", done.Inserted, seq-1)
+	if done.Inserted != seq-2 {
+		t.Errorf("inserted = %d, want %d", done.Inserted, seq-2)
+	}
+
+	// Every batch_commit event carries its commit's statement count and
+	// located images; together they located the one reject.
+	var commits, located int64
+	for _, e := range st.node.Events().Events(0) {
+		if e.Type != "batch_commit" || e.Job != ok.StreamID {
+			continue
+		}
+		commits++
+		stmts, ok1 := e.Attrs["cdw_stmts"].(int64)
+		n, ok2 := e.Attrs["located"].(int64)
+		if !ok1 || !ok2 || stmts <= 0 {
+			t.Errorf("batch_commit attrs %v lack cdw_stmts/located", e.Attrs)
+		}
+		located += n
+	}
+	if commits == 0 || located != 1 {
+		t.Errorf("%d batch_commit events located %d images, want 1", commits, located)
 	}
 }
 
@@ -537,5 +570,72 @@ func TestStreamSameKeyAcrossRuns(t *testing.T) {
 	et := mustEng(t, st.eng, "SELECT SEQNO FROM PROD.CUSTOMER_REKEY_ET")
 	if len(et.Rows) != 1 || et.Rows[0][0].I != 6 {
 		t.Errorf("ET rows = %v, want one row for seq 6", et.Rows)
+	}
+}
+
+// TestStreamCommitConstantStatements commits one 400-delta micro-batch over
+// 40 keys, half of them already in the target, with a delete every tenth
+// delta. The commit must cost a constant number of CDW statements, counted
+// at the engine: staging reset (2) and COPY, the error-table clear, the
+// net-effect read, DELETE, UPDATE and INSERT, and the checkpoint. A
+// statement set per same-class run of deltas would need more than 100.
+func TestStreamCommitConstantStatements(t *testing.T) {
+	const deltas, keys = 400, 40
+	st := startStack(t, core.Config{StreamMinBatch: deltas, StreamMaxBatch: deltas})
+	mustEng(t, st.eng, customerDDL)
+
+	// Expected end state and counts, tuple at a time.
+	names := map[string]string{}
+	for k := 0; k < keys/2; k++ {
+		key := fmt.Sprintf("K%03d", k)
+		names[key] = "pre"
+		mustEng(t, st.eng, fmt.Sprintf("INSERT INTO PROD.CUSTOMER VALUES ('%s', 'pre', DATE '2020-01-01')", key))
+	}
+	var p []byte
+	var ins, upd, del uint64
+	for d := 0; d < deltas; d++ {
+		key := fmt.Sprintf("K%03d", (d*7)%keys)
+		_, present := names[key]
+		if d%10 == 9 {
+			p = vtDelta(p, stream.OpDelete, key, "", "2024-01-01")
+			if present {
+				del++
+			}
+			delete(names, key)
+			continue
+		}
+		name := fmt.Sprintf("N%d", d)
+		p = vtDelta(p, stream.OpUpdate, key, name, "2024-01-01")
+		if present {
+			upd++
+		} else {
+			ins++
+		}
+		names[key] = name
+	}
+
+	c := dialStream(t, st.addr)
+	defer c.Close()
+	ok := beginStream(t, c, "cust_const", "PROD.CUSTOMER_CONST_ET")
+	before := st.eng.StmtCount()
+	if ack := sendFrame(t, c, ok.StreamID, 1, deltas, p); ack.CommittedSeq != deltas {
+		t.Fatalf("CommittedSeq = %d, want %d", ack.CommittedSeq, deltas)
+	}
+	if n := st.eng.StmtCount() - before; n > 9 {
+		t.Errorf("one %d-delta commit issued %d CDW statements, want at most 9", deltas, n)
+	}
+
+	done := endStream(t, c, ok.StreamID)
+	if done.Inserted != ins || done.Updated != upd || done.Deleted != del {
+		t.Errorf("activity I/U/D = %d/%d/%d, want %d/%d/%d",
+			done.Inserted, done.Updated, done.Deleted, ins, upd, del)
+	}
+	res := mustEng(t, st.eng, "SELECT CUST_ID, CUST_NAME FROM PROD.CUSTOMER")
+	got := map[string]string{}
+	for _, r := range res.Rows {
+		got[r[0].S] = r[1].S
+	}
+	if fmt.Sprint(got) != fmt.Sprint(names) {
+		t.Errorf("target = %v\nwant     %v", got, names)
 	}
 }

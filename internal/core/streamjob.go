@@ -1,13 +1,17 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"etlvirt/internal/cdw"
 	"etlvirt/internal/convert"
 	"etlvirt/internal/errhandle"
 	"etlvirt/internal/obs"
@@ -17,25 +21,11 @@ import (
 	"etlvirt/internal/wire"
 )
 
-// opRun is a maximal run of consecutive same-class deltas inside one
-// micro-batch: either upsert images (insert/update) or delete images. Runs
-// are applied in delta-sequence order, which reproduces the tuple-at-a-time
-// ordering of a legacy CDC apply with set-oriented statements: within an
-// upsert run the CDW's UPDATE ... FROM applies matching images in staged
-// (__seq) order so the last image of a key wins, and class boundaries order
-// deletes against upserts of the same key.
-type opRun struct {
-	del    bool  // delete run; otherwise an upsert (insert/update) run
-	lo, hi int64 // inclusive delta-sequence range
-}
-
-// errStreamDupRange forces an adaptive split: the guarded INSERT half of an
-// upsert run is only correct when each key appears at most once in the
-// range — two images of an unseen key would both pass the NOT EXISTS guard
-// in one set-oriented statement. The intra-range duplicate probe raises this
-// sentinel so errhandle halves the range; a singleton can never carry a
-// duplicate, so the split always terminates without recording an error.
-var errStreamDupRange = errors.New("duplicate key images in upsert range")
+// errPredictedReject fails a range whose read predicts that some image
+// violates a NOT NULL constraint, so the adaptive handler takes the range
+// apart; the predicted images are its located split. A single image is never
+// predicted: it is applied, and the CDW's own error is recorded.
+var errPredictedReject = errors.New("images in range violate NOT NULL constraints")
 
 // streamSpoolCap cuts a micro-batch whose CSV spool reaches 4 MiB before its
 // row hint does, so wide records never buffer unbounded CSV.
@@ -56,15 +46,14 @@ type streamJob struct {
 	node *Node
 	req  *wire.BeginStream
 
-	ckpt     sqlparse.TableName // durable watermark table (shared, one row per stream)
-	etName   sqlparse.TableName
-	tr       *sqlxlate.Translator
-	conv     *convert.Converter
-	sd       *sqlxlate.StreamDML
-	intraDup *sqlxlate.RangeStmt // duplicate-key probe over an upsert run
-	ctrl     *stream.Controller
-	targets  string
-	started  time.Time
+	ckpt    sqlparse.TableName // durable watermark table (shared, one row per stream)
+	etName  sqlparse.TableName
+	tr      *sqlxlate.Translator
+	conv    *convert.Converter
+	ne      *sqlxlate.NetEffect
+	ctrl    *stream.Controller
+	targets string
+	started time.Time
 
 	// watermark is the highest delta sequence durably applied to the CDW,
 	// mirroring the checkpoint row. Deltas at or below it are replays.
@@ -72,14 +61,14 @@ type streamJob struct {
 
 	// Current micro-batch accumulation. Only the session goroutine touches
 	// these; a stream has exactly one connection. Upsert and delete images
-	// share one spool and one staging table: every staged __seq inside an op
-	// run belongs to that run's class, so each range statement sees only its
-	// own images. The spool is a pooled buffer owned by the job from its
-	// getBuf in bufferDelta until finish's putBuf.
+	// share one spool and one staging table, whose __op column tells them
+	// apart. The spool is a pooled buffer owned by the job from its getBuf in
+	// bufferDelta until finish's putBuf.
 	lane             *stagingLane
 	csv              []byte //etlvirt:owns
 	rows             int    // rows staged this batch
-	runs             []opRun
+	dels             int    // delete images staged this batch
+	stmts            int64  // CDW statements the open commit issued outside the lane
 	dataErrs         []convert.DataError
 	batchLo, batchHi int64 // fresh delta range buffered; batchLo == 0 means empty
 	batchBytes       int
@@ -126,6 +115,8 @@ type streamJob struct {
 // snapshotted for the /streams debug endpoint.
 type streamCommitStat struct {
 	rows     int
+	stmts    int64 // CDW statements the commit issued
+	located  int64 // images the commit's error handler rejected
 	latency  time.Duration
 	action   string
 	dominant string
@@ -192,24 +183,19 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 	if len(meta.PrimaryKey) == 0 {
 		return nil, fmt.Errorf("stream target %s has no primary key; CDC deltas need one to identify rows", j.targets)
 	}
-	targetCols := make([]string, len(meta.Columns))
-	for i, c := range meta.Columns {
-		targetCols[i] = c.Name
-	}
-	j.sd, err = j.tr.TranslateStreamDML(m.SQL, stage, targetCols, meta.PrimaryKey)
-	if err != nil {
-		return nil, err
-	}
 	// Streams are keyed by the primary key alone; UNIQUE constraints are not
 	// emulated on this path (DESIGN.md).
-	k, ok, err := insertKey(dml, meta, meta.PrimaryKey)
-	if err != nil {
+	cols := make([]sqlxlate.TargetColumn, len(meta.Columns))
+	for i, c := range meta.Columns {
+		cols[i] = sqlxlate.TargetColumn{Name: c.Name, Type: typeName(c.Type),
+			NotNull: meta.NotNull[i], Default: meta.Defaults[i] != ""}
+	}
+	if j.ne, err = j.tr.TranslateNetEffect(m.SQL, cols, meta.PrimaryKey); err != nil {
 		return nil, err
 	}
-	if ok {
-		if j.intraDup, _, err = j.tr.DupCheckQueries(dml, k.Cols, k.Exprs); err != nil {
-			return nil, err
-		}
+	stageDDL, err := sqlxlate.StreamStagingDDL(stage, m.Layout)
+	if err != nil {
+		return nil, err
 	}
 
 	// Durable checkpoint: create the table if needed, then read or seed this
@@ -271,7 +257,7 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 	j.hintLive.Store(int64(j.ctrl.Hint().BatchRows))
 	n.nm.streamsOpened.Inc()
 	j.trace = n.tracer.StartCtx(id, "stream "+m.Name, tc)
-	j.lane = newStagingLane(n, j.trace, stage, m.Layout, fmt.Sprintf("%sstream%d/", uploadPrefix, id), "stream_copy", "stream")
+	j.lane = newStagingLane(n, j.trace, stage, stageDDL, fmt.Sprintf("%sstream%d/", uploadPrefix, id), "stream_copy", "stream")
 	n.events.Add(obs.Event{
 		Type: "stream_open", Job: id, TraceID: j.traceID(), Msg: m.Name,
 		Attrs: map[string]any{
@@ -392,11 +378,10 @@ func (j *streamJob) spoolFrame(m *wire.DeltaFrame) error {
 	return nil
 }
 
-// bufferDelta converts one fresh delta into the batch spool and extends the
-// op-run structure. Conversion failures become data errors recorded at the
-// batch commit, exactly like acquisition-phase rejects of a discrete import.
+// bufferDelta converts one fresh delta into the batch spool, tagged with its
+// image class. Conversion failures become data errors recorded at the batch
+// commit, exactly like acquisition-phase rejects of a discrete import.
 func (j *streamJob) bufferDelta(op stream.Op, rec []byte, seq int64) error {
-	del := op == stream.OpDelete
 	if j.csv == nil {
 		j.csv = getBuf(64 << 10) // grows by append until the batch cuts
 	}
@@ -419,11 +404,13 @@ func (j *streamJob) bufferDelta(op stream.Op, rec []byte, seq int64) error {
 		return nil
 	}
 	j.rows++
-	if n := len(j.runs); n > 0 && j.runs[n-1].del == del {
-		j.runs[n-1].hi = seq
-	} else {
-		j.runs = append(j.runs, opRun{del: del, lo: seq, hi: seq})
+	class := sqlxlate.OpUpsert[0]
+	if op == stream.OpDelete {
+		class = sqlxlate.OpDelete[0]
+		j.dels++
 	}
+	// The converted row ends in its newline; the class is its last field.
+	j.csv = append(j.csv[:len(j.csv)-1], ',', class, '\n')
 	return nil
 }
 
@@ -462,9 +449,9 @@ func (j *streamJob) stageBatch() error {
 // commitBatch drives one micro-batch through stage -> apply -> checkpoint.
 // The order makes the whole batch replay-idempotent: staging tables are
 // rebuilt from scratch, error-table rows above the watermark are wiped
-// before re-recording, the MERGE triple is idempotent per staged range, and
-// the watermark only advances after everything else is durable — so a crash
-// anywhere in between replays the batch to the same end state.
+// before re-recording, the net-effect statements are idempotent per staged
+// range, and the watermark only advances after everything else is durable —
+// so a crash anywhere in between replays the batch to the same end state.
 func (j *streamJob) commitBatch() error {
 	if j.batchLo == 0 {
 		return nil
@@ -473,6 +460,7 @@ func (j *streamJob) commitBatch() error {
 	lo, hi := j.batchLo, j.batchHi
 	rows := j.rows
 	commitStart := j.batchStart
+	laneStmts := j.lane.stmts.Load()
 	if err := j.stageBatch(); err != nil {
 		return err
 	}
@@ -483,7 +471,7 @@ func (j *streamJob) commitBatch() error {
 	applyStart := time.Now()
 	if j.etName.Name != "" {
 		del := fmt.Sprintf("DELETE FROM %s WHERE SEQNO_END > %d", j.etName.String(), j.watermark)
-		if _, err := j.node.pool.ExecT(del, j.trace.ChildContext()); err != nil {
+		if _, err := j.exec(del); err != nil {
 			return fmt.Errorf("clearing uncommitted error rows: %w", err)
 		}
 	}
@@ -491,13 +479,15 @@ func (j *streamJob) commitBatch() error {
 		if err := recordDataErrors(j.node, j.etName, j.trace.ChildContext(), j.dataErrs); err != nil {
 			return err
 		}
+		j.stmts += int64((len(j.dataErrs) + errInsertBatch - 1) / errInsertBatch)
 	}
 	j.errsET.Add(int64(len(j.dataErrs)))
 	for range j.dataErrs {
 		nm.errorsET.Inc()
 	}
 
-	if err := j.applyRuns(); err != nil {
+	located, err := j.apply()
+	if err != nil {
 		return err
 	}
 	j.stageAcc.Apply += time.Since(applyStart)
@@ -511,9 +501,10 @@ func (j *streamJob) commitBatch() error {
 	if err != nil {
 		return err
 	}
-	if _, err := j.node.pool.ExecT(updSQL, j.trace.ChildContext()); err != nil {
+	if _, err := j.exec(updSQL); err != nil {
 		return fmt.Errorf("advancing stream watermark: %w", err)
 	}
+	stmts := j.stmts + j.lane.stmts.Load() - laneStmts
 	j.watermark = hi
 	j.stageAcc.Checkpoint += time.Since(ckptStart)
 	j.trace.Span("checkpoint", "stream", ckptStart, 0, 0, nil)
@@ -555,6 +546,8 @@ func (j *streamJob) commitBatch() error {
 	j.statMu.Lock()
 	j.lastStat = streamCommitStat{
 		rows:     rows,
+		stmts:    stmts,
+		located:  located,
 		latency:  lat,
 		action:   d.Action.String(),
 		dominant: d.Dominant,
@@ -566,6 +559,7 @@ func (j *streamJob) commitBatch() error {
 		Attrs: map[string]any{
 			"lo": lo, "hi": hi, "rows": rows, "bytes": j.batchBytes,
 			"latency_ms": lat.Milliseconds(), "dominant": d.Dominant,
+			"cdw_stmts": stmts, "located": located,
 		},
 	})
 	j.node.events.Add(obs.Event{
@@ -580,9 +574,10 @@ func (j *streamJob) commitBatch() error {
 
 	j.batchLo, j.batchHi = 0, 0
 	j.rows = 0
+	j.dels = 0
+	j.stmts = 0
 	j.csv = j.csv[:0]
 	j.batchBytes = 0
-	j.runs = j.runs[:0]
 	j.dataErrs = j.dataErrs[:0]
 	j.stageAcc = stream.Stages{}
 	j.frameAcc = 0
@@ -591,72 +586,60 @@ func (j *streamJob) commitBatch() error {
 	return nil
 }
 
-// applyRuns applies the batch's op runs in sequence order under the adaptive
-// error handler: a delete run ranges the DELETE over its stage range, an
-// upsert run probes for duplicate key images (splitting until ranges are
-// duplicate-free) then runs the UPDATE and guarded INSERT halves.
-func (j *streamJob) applyRuns() error {
-	if len(j.runs) == 0 {
-		return nil
+// exec runs one statement of the open commit.
+func (j *streamJob) exec(sql string) (int64, error) {
+	j.stmts++
+	return j.node.pool.ExecT(sql, j.trace.ChildContext())
+}
+
+// execRange runs one net-effect statement over staged images lo..hi.
+func (j *streamJob) execRange(rs *sqlxlate.RangeStmt, lo, hi int64) (int64, error) {
+	sql, err := rs.SQL(lo, hi)
+	if err != nil {
+		return 0, err
+	}
+	return j.exec(sql)
+}
+
+// apply commits the staged batch's net effect under the adaptive error
+// handler and returns how many images it rejected. A clean batch costs the
+// read and at most three applies. A range whose read fails, or predicts a
+// NOT NULL violation, is taken apart — at the predicted images when there
+// are any, by halving otherwise — and every part that holds one image
+// applies it alone, which is exactly a tuple-at-a-time apply of it. Parts
+// apply in sequence order, so each part's read sees the target as a
+// tuple-at-a-time apply would leave it before the part's first image.
+func (j *streamJob) apply() (int64, error) {
+	if j.rows == 0 {
+		return 0, nil
 	}
 	nm := j.node.nm
-	var cur opRun
-	apply := func(ctx context.Context, lo, hi int64) (int64, error) {
-		if cur.del {
-			sql, err := j.sd.Delete.SQL(lo, hi)
-			if err != nil {
-				return 0, err
-			}
-			n, err := j.node.pool.ExecT(sql, j.trace.ChildContext())
-			if err != nil {
-				return 0, err
-			}
-			j.deleted.Add(n)
-			nm.rowsDeleted.Add(n)
-			return n, nil
+	var predicted []int64
+	var predLo, predHi int64
+	apply := func(_ context.Context, lo, hi int64) (int64, error) {
+		if lo == hi {
+			return j.applyOne(lo)
 		}
-		if lo < hi && j.intraDup != nil {
-			sql, err := j.intraDup.SQL(lo, hi)
-			if err != nil {
-				return 0, err
-			}
-			_, dups, err := j.node.pool.QueryAllT(sql, j.trace.ChildContext())
-			if err != nil {
-				return 0, err
-			}
-			if len(dups) == 1 && dups[0][0].I > 0 {
-				return 0, errStreamDupRange
-			}
-		}
-		var a1 int64
-		if j.sd.Update != nil {
-			sql, err := j.sd.Update.SQL(lo, hi)
-			if err != nil {
-				return 0, err
-			}
-			if a1, err = j.node.pool.ExecT(sql, j.trace.ChildContext()); err != nil {
-				return 0, err
-			}
-		}
-		sql, err := j.sd.Insert.SQL(lo, hi)
+		sql, err := j.ne.Read.SQL(lo, hi)
 		if err != nil {
 			return 0, err
 		}
-		a2, err := j.node.pool.ExecT(sql, j.trace.ChildContext())
+		j.stmts++
+		_, rows, err := j.node.pool.QueryAllT(sql, j.trace.ChildContext())
 		if err != nil {
 			return 0, err
 		}
-		j.updated.Add(a1)
-		j.inserted.Add(a2)
-		nm.rowsUpdated.Add(a1)
-		nm.rowsInserted.Add(a2)
-		return a1 + a2, nil
+		t := tallyImages(j.ne, rows)
+		if len(t.rejects) > 0 {
+			predicted, predLo, predHi = t.rejects, lo, hi
+			return 0, errPredictedReject
+		}
+		return j.applyRange(lo, hi, t)
 	}
-
 	classify := func(err error) errhandle.Classified {
-		if errors.Is(err, errStreamDupRange) {
-			// Not a data error: just force the split toward duplicate-free
-			// ranges. Never reaches a singleton, so never recorded.
+		if errors.Is(err, errPredictedReject) {
+			// Not an engine error: just take the range apart. Never reaches
+			// a single image, so never recorded as such.
 			return errhandle.Classified{Msg: err.Error()}
 		}
 		return classifyCDWError(err)
@@ -674,21 +657,151 @@ func (j *streamJob) applyRuns() error {
 		if j.etName.Name == "" {
 			return nil // stream declared no error table; drop like the legacy tools
 		}
+		j.stmts++
 		return recordError(j.node, j.etName, j.trace.ChildContext(), lo, hi, c.Code, c.Field, msg)
 	}
 
 	cfg := j.node.errhandleConfig(int(j.req.MaxErrors), 0, j.trace, "stream", nil)
-	h := errhandle.New(cfg, apply, classify, record)
-	for _, run := range j.runs {
-		cur = run
-		if err := h.Run(j.node.ctx, run.lo, run.hi); err != nil {
-			return err
+	cfg.Locate = func(_ context.Context, lo, hi int64) ([]int64, error) {
+		if lo == predLo && hi == predHi {
+			return predicted, nil
 		}
+		return nil, nil
+	}
+	h := errhandle.New(cfg, apply, classify, record)
+	if err := h.Run(j.node.ctx, j.batchLo, j.batchHi); err != nil {
+		return 0, err
 	}
 	st := h.Stats()
 	nm.adaptiveSplits.Add(st.Splits)
 	nm.blockErrors.Add(st.BlockErrors)
-	return nil
+	return st.IndividualErrors + st.BlockedRows, nil
+}
+
+// applyRange applies the net effect of images lo..hi, none of which its read
+// t predicts to fail, and counts them as t does. A statement runs only when
+// some image needs it.
+func (j *streamJob) applyRange(lo, hi int64, t imageTally) (int64, error) {
+	ne := j.ne
+	for _, st := range []struct {
+		rs   *sqlxlate.RangeStmt
+		need bool
+	}{
+		{ne.Delete, t.dels > 0},
+		{ne.Update, t.upd > 0},
+		{ne.Insert, t.ins > 0},
+	} {
+		if !st.need {
+			continue
+		}
+		if _, err := j.execRange(st.rs, lo, hi); err != nil {
+			return 0, err
+		}
+	}
+	j.count(t.ins, t.upd, t.del)
+	return t.ins + t.upd + t.del, nil
+}
+
+// applyOne applies the one image at seq: the net effect of a single image is
+// its tuple-at-a-time apply, so the statements' activities are its counts
+// and a failing statement's error is the one to record.
+func (j *streamJob) applyOne(seq int64) (int64, error) {
+	var del, upd int64
+	var err error
+	if j.dels > 0 {
+		if del, err = j.execRange(j.ne.Delete, seq, seq); err != nil {
+			return 0, err
+		}
+	}
+	if j.ne.Update != nil {
+		if upd, err = j.execRange(j.ne.Update, seq, seq); err != nil {
+			return 0, err
+		}
+	}
+	ins, err := j.execRange(j.ne.Insert, seq, seq)
+	if err != nil {
+		return 0, err
+	}
+	j.count(ins, upd, del)
+	return ins + upd + del, nil
+}
+
+func (j *streamJob) count(ins, upd, del int64) {
+	nm := j.node.nm
+	j.inserted.Add(ins)
+	j.updated.Add(upd)
+	j.deleted.Add(del)
+	nm.rowsInserted.Add(ins)
+	nm.rowsUpdated.Add(upd)
+	nm.rowsDeleted.Add(del)
+}
+
+// imageTally is what a net-effect read says about a range of images: the
+// I/U/D counts a tuple-at-a-time apply would report, the delete images, and
+// the images it would reject for a NOT NULL violation.
+type imageTally struct {
+	ins, upd, del, dels int64
+	rejects             []int64
+}
+
+// tallyImages replays a net-effect read tuple at a time, per key: an upsert
+// inserts when its key is absent and updates when it is present, a delete
+// counts when its key is present, and an upsert that would write a NULL
+// into a NOT NULL column is rejected and changes nothing. A key with a NULL
+// never matches a target row, so it is never present.
+func tallyImages(ne *sqlxlate.NetEffect, rows [][]cdw.Datum) imageTally {
+	slices.SortFunc(rows, func(a, b []cdw.Datum) int { return cmp.Compare(a[0].I, b[0].I) })
+	var t imageTally
+	present := make(map[string]bool, len(rows))
+	var kb strings.Builder
+	for _, r := range rows {
+		kb.Reset()
+		nullKey := false
+		for _, d := range r[3 : 3+ne.Keys] {
+			nullKey = nullKey || d.IsNull()
+			kb.WriteString(d.GroupKey())
+			kb.WriteByte(0)
+		}
+		k := kb.String()
+		p, seen := present[k]
+		if !seen {
+			p = r[2].Bool
+		}
+		switch {
+		case r[1].S == sqlxlate.OpDelete:
+			t.dels++
+			if p {
+				t.del++
+			}
+			p = false
+		case rejected(ne, r[3+ne.Keys:], p):
+			t.rejects = append(t.rejects, r[0].I)
+		case !p:
+			t.ins++
+			p = true
+		case ne.Update != nil:
+			t.upd++
+		}
+		if !nullKey {
+			present[k] = p
+		}
+	}
+	return t
+}
+
+// rejected reports whether an upsert image whose fed columns have the read's
+// null checks violates a NOT NULL constraint: an update writes the fed
+// non-key columns, an insert every column.
+func rejected(ne *sqlxlate.NetEffect, nulls []cdw.Datum, present bool) bool {
+	if !present && ne.InsertNull {
+		return true
+	}
+	for i, c := range ne.Checks {
+		if c.NotNull && nulls[i].Bool && (!present || !c.Key) {
+			return true
+		}
+	}
+	return false
 }
 
 // finishStream commits any buffered tail and closes the stream. The
@@ -745,4 +858,24 @@ func (j *streamJob) finish() {
 		delete(j.node.streams, j.id)
 		j.node.mu.Unlock()
 	})
+}
+
+// typeName spells a CDW column type as the CAST target that resolves back
+// to it.
+func typeName(t cdw.ColType) sqlparse.TypeName {
+	switch t.Kind {
+	case cdw.KString, cdw.KBytes:
+		tn := sqlparse.TypeName{Name: t.Kind.String()}
+		if t.National {
+			tn.Name = "NVARCHAR"
+		}
+		if t.Length > 0 {
+			tn.Args = []int{t.Length}
+		}
+		return tn
+	case cdw.KDecimal:
+		return sqlparse.TypeName{Name: "DECIMAL", Args: []int{t.Precision, t.Scale}}
+	default:
+		return sqlparse.TypeName{Name: t.Kind.String()}
+	}
 }

@@ -131,6 +131,20 @@ func legacyOnlyFunc(name string) (string, bool) {
 // (§6: "the staging table is constructed using data types corresponding to
 // what was used by the ETL script").
 func StagingDDL(stage sqlparse.TableName, layout *ltype.Layout) (string, error) {
+	return sqlparse.Print(stagingTable(stage, layout), sqlparse.DialectCDW)
+}
+
+// StreamStagingDDL builds a stream's staging table: StagingDDL's columns
+// plus the trailing OpColumn that holds each image's class.
+func StreamStagingDDL(stage sqlparse.TableName, layout *ltype.Layout) (string, error) {
+	ct := stagingTable(stage, layout)
+	ct.Columns = append(ct.Columns, sqlparse.ColumnDef{
+		Name: OpColumn, Type: sqlparse.TypeName{Name: "VARCHAR", Args: []int{1}}, NotNull: true,
+	})
+	return sqlparse.Print(ct, sqlparse.DialectCDW)
+}
+
+func stagingTable(stage sqlparse.TableName, layout *ltype.Layout) *sqlparse.CreateTableStmt {
 	ct := &sqlparse.CreateTableStmt{Table: stage}
 	ct.Columns = append(ct.Columns, sqlparse.ColumnDef{
 		Name: SeqColumn, Type: sqlparse.TypeName{Name: "BIGINT"}, NotNull: true,
@@ -143,7 +157,7 @@ func StagingDDL(stage sqlparse.TableName, layout *ltype.Layout) (string, error) 
 		}
 		ct.Columns = append(ct.Columns, sqlparse.ColumnDef{Name: f.Name, Type: ty})
 	}
-	return sqlparse.Print(ct, sqlparse.DialectCDW)
+	return ct
 }
 
 // ErrorTableDDL builds the CREATE TABLE for a job error table. Both the

@@ -341,3 +341,68 @@ func TestStreamDMLMaxLengthKeys(t *testing.T) {
 		t.Errorf("max-length key apply went wrong: %v", res.Rows)
 	}
 }
+
+// TestTranslateNetEffectShape pins the net-effect statements' shapes: the
+// read's per-image columns, the DELETE over the base stage filtered on the
+// image class (a DELETE over the last-image derived table would fall to the
+// engine's nested loop), and UPDATE/INSERT from each key's last image.
+func TestTranslateNetEffectShape(t *testing.T) {
+	tr, _ := streamTranslator()
+	cols := []TargetColumn{
+		{Name: "CUST_ID", Type: sqlparse.TypeName{Name: "VARCHAR", Args: []int{5}}, NotNull: true},
+		{Name: "CUST_NAME", Type: sqlparse.TypeName{Name: "VARCHAR", Args: []int{50}}},
+		{Name: "JOIN_DATE", Type: sqlparse.TypeName{Name: "DATE"}},
+		{Name: "TIER", Type: sqlparse.TypeName{Name: "INTEGER"}, NotNull: true, Default: true},
+	}
+	ne, err := tr.TranslateNetEffect(streamApplySQL, cols, []string{"CUST_ID"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ne.Keys != 1 || len(ne.Checks) != 3 || !ne.Checks[0].Key || !ne.Checks[0].NotNull || ne.Checks[1].NotNull || ne.InsertNull {
+		t.Errorf("read layout: keys %d, checks %+v, insert null %v", ne.Keys, ne.Checks, ne.InsertNull)
+	}
+	last := "JOIN (SELECT MAX(s.__seq) AS m FROM etl_stage.ups1 s WHERE s.__seq BETWEEN 1 AND 50 GROUP BY TRIM(s.CUST_ID)) g ON s.__seq = g.m"
+	for _, tc := range []struct {
+		rs   *RangeStmt
+		want []string
+	}{
+		{ne.Read, []string{
+			"SELECT s.__seq, s.__op, t.CUST_ID IS NOT NULL, TRIM(s.CUST_ID), CASE WHEN s.__op = 'U' THEN CAST(TRIM(s.CUST_ID) AS VARCHAR(5)) IS NULL END",
+			"CAST(TO_DATE(s.JOIN_DATE, 'YYYY-MM-DD') AS DATE) IS NULL",
+			"FROM etl_stage.ups1 s LEFT JOIN PROD.CUSTOMER t ON t.CUST_ID = TRIM(s.CUST_ID) WHERE s.__seq BETWEEN 1 AND 50",
+		}},
+		{ne.Delete, []string{
+			"DELETE FROM PROD.CUSTOMER t USING etl_stage.ups1 s WHERE t.CUST_ID = TRIM(s.CUST_ID) AND s.__op = 'D' AND s.__seq BETWEEN 1 AND 50",
+		}},
+		{ne.Update, []string{
+			"UPDATE PROD.CUSTOMER t SET CUST_NAME = TRIM(s.CUST_NAME), JOIN_DATE = TO_DATE(s.JOIN_DATE, 'YYYY-MM-DD') FROM etl_stage.ups1 s " + last,
+			"WHERE t.CUST_ID = TRIM(s.CUST_ID) AND s.__op = 'U' AND s.__seq BETWEEN 1 AND 50",
+		}},
+		{ne.Insert, []string{
+			"INSERT INTO PROD.CUSTOMER SELECT TRIM(s.CUST_ID), TRIM(s.CUST_NAME), TO_DATE(s.JOIN_DATE, 'YYYY-MM-DD') FROM etl_stage.ups1 s " + last,
+			"WHERE s.__seq BETWEEN 1 AND 50 AND s.__op = 'U' AND NOT EXISTS (SELECT 1 FROM PROD.CUSTOMER t WHERE t.CUST_ID = TRIM(s.CUST_ID))",
+		}},
+	} {
+		sql, err := tc.rs.SQL(1, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(sql, want) {
+				t.Errorf("missing %q in\n%s", want, sql)
+			}
+		}
+		if _, err := sqlparse.Parse(sql, sqlparse.DialectCDW); err != nil {
+			t.Errorf("unparseable in CDW dialect: %v\n%s", err, sql)
+		}
+	}
+
+	// An unfed NOT NULL column without a default fails every insert.
+	cols[3].Default = false
+	if ne, err = tr.TranslateNetEffect(streamApplySQL, cols, []string{"CUST_ID"}); err != nil || !ne.InsertNull {
+		t.Errorf("unfed NOT NULL column: InsertNull = %v, err %v", ne != nil && ne.InsertNull, err)
+	}
+	if _, err := tr.TranslateNetEffect(streamApplySQL, cols, nil); err == nil {
+		t.Error("net effect without a key translated")
+	}
+}

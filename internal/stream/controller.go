@@ -8,7 +8,11 @@ type Config struct {
 	// steers toward. Zero defaults to 2s.
 	Target time.Duration
 	// MinBatch/MaxBatch clamp the records-per-micro-batch hint. Zeros
-	// default to 16 and 8192.
+	// default to 16 and 2048. A commit holds its whole batch in memory at
+	// once, several times over while the warehouse reads, groups and joins
+	// it, so MaxBatch is what bounds a saturated stream's footprint: a
+	// latency target alone lets a cheap commit grow the batch until the
+	// commit is as slow as the target allows.
 	MinBatch int
 	MaxBatch int
 	// InitialBatch seeds the hint before any observation. Zero defaults to
@@ -31,7 +35,7 @@ func (c Config) withDefaults() Config {
 		c.MinBatch = 16
 	}
 	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8192
+		c.MaxBatch = 2048
 	}
 	if c.MaxBatch < c.MinBatch {
 		c.MaxBatch = c.MinBatch
