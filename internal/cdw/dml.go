@@ -51,7 +51,7 @@ func (e *Engine) coerceRow(t *Table, colIdx []int, vals []Datum, rowSeq int64) (
 		row[j] = d
 		provided[j] = true
 	}
-	ctx := &evalCtx{eng: e}
+	ctx := &evalCtx{}
 	for j := range t.Columns {
 		if !provided[j] {
 			if t.Columns[j].Default != nil {
@@ -150,7 +150,7 @@ func (e *Engine) execInsert(s *sqlparse.InsertStmt) (*Result, error) {
 			seqs = append(seqs, int64(i+1))
 		}
 	} else {
-		ctx := &evalCtx{eng: e}
+		ctx := &evalCtx{}
 		for i, exprs := range s.Rows {
 			vals := make([]Datum, len(exprs))
 			for j, x := range exprs {
@@ -242,7 +242,7 @@ func (e *Engine) execUpdate(s *sqlparse.UpdateStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := &evalCtx{eng: e}
+	ctx := &evalCtx{}
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -446,7 +446,7 @@ func (e *Engine) execDelete(s *sqlparse.DeleteStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := &evalCtx{eng: e}
+	ctx := &evalCtx{}
 
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -831,3 +831,20 @@ func TestOrderByOrdinal(t *testing.T) {
 		t.Errorf("union ordinal: %v", rows)
 	}
 }
+
+// TestStructuralCodes pins which engine codes abort a job rather than
+// becoming error rows: failures of the statement, not of a row it touched.
+func TestStructuralCodes(t *testing.T) {
+	for _, code := range []int{CodeNoSuchObject, CodeNoSuchColumn, CodeSyntax,
+		CodeUnsupported, CodeCopyFailed, CodeInternal} {
+		if !Structural(code) {
+			t.Errorf("Structural(%d) = false, want true", code)
+		}
+	}
+	for _, code := range []int{CodeDateConv, CodeBadNumeric, CodeStringTrunc, CodeNotNull,
+		CodeUniqueness, CodeFieldCount, CodeDivByZero, CodeTypeMismatch} {
+		if Structural(code) {
+			t.Errorf("Structural(%d) = true, want false", code)
+		}
+	}
+}

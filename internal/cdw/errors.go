@@ -25,6 +25,18 @@ const (
 	CodeUnsupported  = 5315
 )
 
+// Structural reports whether code is a failure of the statement itself — a
+// missing object or column, bad syntax, an unsupported construct, a failed
+// COPY or an engine fault — rather than of a row it touched. A structural
+// error aborts a job; any other is recorded as an error row.
+func Structural(code int) bool {
+	switch code {
+	case CodeNoSuchObject, CodeNoSuchColumn, CodeSyntax, CodeUnsupported, CodeCopyFailed, CodeInternal:
+		return true
+	}
+	return false
+}
+
 // Error is an engine error. Row carries the 1-based source row sequence when
 // the engine is configured to expose row detail; -1 otherwise. The CDW runs
 // with row detail off — statements fail as a unit without telling the caller

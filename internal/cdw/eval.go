@@ -55,7 +55,6 @@ func (f *frame) lookup(qual, name string) (Datum, bool, error) {
 // evalCtx carries evaluation state: the engine (for subqueries), the current
 // scope, and aggregate values precomputed by the SELECT executor.
 type evalCtx struct {
-	eng *Engine
 	agg map[sqlparse.Expr]Datum // aggregate call -> value for current group
 	// semi holds hashed EXISTS answers for every row of the relation a
 	// WHERE is filtering (see semiJoins); row is the row being evaluated.

@@ -541,7 +541,6 @@ func parseFormatModel(model string) ([]fmtToken, error) {
 
 type dtParts struct {
 	y, mo, d, h, mi, s int
-	haveDate           bool
 }
 
 func parseByModel(s, model string) (dtParts, error) {
@@ -577,22 +576,22 @@ func parseByModel(s, model string) (dtParts, error) {
 			if n, err = readNum(4); err != nil {
 				return dtParts{}, err
 			}
-			p.y, p.haveDate = n, true
+			p.y = n
 		case "YY":
 			if n, err = readNum(2); err != nil {
 				return dtParts{}, err
 			}
-			p.y, p.haveDate = 2000+n, true
+			p.y = 2000 + n
 		case "MM":
 			if n, err = readNum(2); err != nil {
 				return dtParts{}, err
 			}
-			p.mo, p.haveDate = n, true
+			p.mo = n
 		case "DD":
 			if n, err = readNum(2); err != nil {
 				return dtParts{}, err
 			}
-			p.d, p.haveDate = n, true
+			p.d = n
 		case "HH24":
 			if n, err = readNum(2); err != nil {
 				return dtParts{}, err

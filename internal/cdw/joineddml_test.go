@@ -205,7 +205,7 @@ func diffJoinedDML(t *testing.T, e *Engine, sql string) bool {
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
-	ctx := &evalCtx{eng: e}
+	ctx := &evalCtx{}
 	switch s := stmt.(type) {
 	case *sqlparse.UpdateStmt:
 		tbl, _ := e.Catalog.Lookup(s.Table)
@@ -368,7 +368,7 @@ func TestJoinKeyEvalAllocFree(t *testing.T) {
 	jf := joinFrame([]frameCol{{qual: "t", name: "id"}, {qual: "t", name: "v"}},
 		[]frameCol{{qual: "s", name: "id"}, {qual: "s", name: "v"}})
 	jf.bind([]Datum{StringD("k1"), StringD("a")}, []Datum{StringD(" k1 "), StringD("b")})
-	ctx := &evalCtx{eng: e}
+	ctx := &evalCtx{}
 	var d Datum
 	allocs := testing.AllocsPerRun(100, func() {
 		d, err = e.eval(ctx, x, jf)

@@ -40,7 +40,7 @@ func (e *Engine) execSelectCols(s *sqlparse.SelectStmt, outer *frame, maxRows in
 	if err != nil {
 		return nil, nil, err
 	}
-	ctx := &evalCtx{eng: e}
+	ctx := &evalCtx{}
 
 	if s.Where != nil {
 		var semi map[*sqlparse.ExistsExpr][]bool
@@ -213,7 +213,7 @@ func (e *Engine) execSelectCols(s *sqlparse.SelectStmt, outer *frame, maxRows in
 // hashed EXISTS subqueries for each row of src; without an entry an EXISTS
 // runs as a correlated subquery per row.
 func (e *Engine) whereFilter(where sqlparse.Expr, src *rowSource, outer *frame, semi map[*sqlparse.ExistsExpr][]bool) ([][]Datum, error) {
-	ctx := &evalCtx{eng: e, semi: semi}
+	ctx := &evalCtx{semi: semi}
 	f := &frame{cols: src.cols, parent: outer}
 	filtered := src.rows[:0:0]
 	for i, row := range src.rows {
@@ -262,7 +262,7 @@ func (e *Engine) execUnion(s *sqlparse.SelectStmt, outer *frame) ([][]Datum, []R
 		for i, c := range cols {
 			aliasCols[i] = frameCol{name: strings.ToLower(c.Name)}
 		}
-		ctx := &evalCtx{eng: e}
+		ctx := &evalCtx{}
 		keys := make([][]Datum, len(rows))
 		for i, row := range rows {
 			f := &frame{cols: aliasCols, row: row, parent: outer}
@@ -507,7 +507,7 @@ func (e *Engine) joinSources(j *sqlparse.Join, l, r *rowSource, outer *frame) (*
 	if e.hashJoin(j, l, r, out, outer) {
 		return out, nil
 	}
-	ctx := &evalCtx{eng: e}
+	ctx := &evalCtx{}
 	nullsRight := make([]Datum, len(r.cols))
 	for _, lr := range l.rows {
 		matched := false
@@ -544,7 +544,7 @@ func (e *Engine) hashJoin(j *sqlparse.Join, l, r *rowSource, out *rowSource, out
 	if !ok || !e.hashBuild(p, r.cols, r.rows, outer) {
 		return false
 	}
-	ctx := &evalCtx{eng: e}
+	ctx := &evalCtx{}
 	lf := &frame{cols: l.cols, parent: outer}
 	var rows [][]Datum
 	nullsRight := make([]Datum, len(r.cols))
@@ -630,7 +630,7 @@ func planEquiJoin(pred sqlparse.Expr, probe, build []frameCol, nested bool) (*eq
 // and filters are evaluated on every row — filtered out or not — because
 // the nested loop may evaluate them there too.
 func (e *Engine) hashBuild(p *equiJoin, cols []frameCol, rows [][]Datum, parent *frame) bool {
-	ctx := &evalCtx{eng: e}
+	ctx := &evalCtx{}
 	f := &frame{cols: cols, parent: parent}
 	p.index = make(map[string][]int)
 	for i, row := range rows {
@@ -831,7 +831,7 @@ func (e *Engine) semiJoin(sub *sqlparse.SelectStmt, src *rowSource) ([]bool, boo
 	if !ok || !e.hashBuild(p, src.cols, src.rows, nil) {
 		return nil, false
 	}
-	ctx := &evalCtx{eng: e}
+	ctx := &evalCtx{}
 	of := &frame{cols: src.cols}
 	inner := &frame{cols: innerCols}
 	joined := &frame{cols: innerCols, parent: of}
@@ -1005,7 +1005,7 @@ func (e *Engine) groupRows(ctx *evalCtx, s *sqlparse.SelectStmt, src *rowSource,
 			aggVals[call] = v
 		}
 		f := &frame{cols: src.cols, row: grp.rep, parent: outer}
-		outs = append(outs, groupOut{frame: f, ctx: &evalCtx{eng: e, agg: aggVals}})
+		outs = append(outs, groupOut{frame: f, ctx: &evalCtx{agg: aggVals}})
 	}
 	return outs, nil
 }

@@ -260,7 +260,7 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 func (s *Server) serveDescribe(enc *gob.Encoder, name string) error {
-	tn := parseTableName(name)
+	tn := sqlparse.ParseTableName(name)
 	start := time.Now()
 	meta, err := s.eng.Describe(tn)
 	var hdr responseHeader
@@ -282,22 +282,6 @@ func (s *Server) serveDescribe(enc *gob.Encoder, name string) error {
 	}
 	hdr.EngineNanos = time.Since(start).Nanoseconds()
 	return enc.Encode(&hdr)
-}
-
-func parseTableName(s string) sqlparse.TableName {
-	if i := indexByte(s, '.'); i >= 0 {
-		return sqlparse.TableName{Schema: s[:i], Name: s[i+1:]}
-	}
-	return sqlparse.TableName{Name: s}
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // Client is one CDW connection. A Client is not safe for concurrent use; the
@@ -495,7 +479,6 @@ type Cursor struct {
 	client   *Client
 	cols     []ResultCol
 	activity int64
-	hasRows  bool
 	finished bool
 }
 
@@ -528,7 +511,7 @@ func (c *Client) QueryT(sql string, fetchSize int, tc obs.TraceContext) (*Cursor
 	if err := remoteError(&hdr); err != nil {
 		return nil, err
 	}
-	cur := &Cursor{client: c, activity: hdr.Activity, hasRows: hdr.HasRows}
+	cur := &Cursor{client: c, activity: hdr.Activity}
 	for _, ci := range hdr.Columns {
 		cur.cols = append(cur.cols, ResultCol{Name: ci.Name, Type: ci.Type})
 	}

@@ -7,7 +7,7 @@ import (
 	"etlvirt/internal/cdw"
 	"etlvirt/internal/cdwnet"
 	"etlvirt/internal/ltype"
-	"etlvirt/internal/tdf"
+	"etlvirt/internal/wire"
 )
 
 // colTypeToLegacy maps a CDW result column type to the legacy type used when
@@ -113,71 +113,9 @@ func datumToLegacy(d cdw.Datum, lt ltype.Type) (ltype.Value, error) {
 	return ltype.Value{}, fmt.Errorf("core: cannot convert CDW %s to legacy %s", d.Kind, lt.Kind)
 }
 
-// datumToTDF wraps a CDW datum as a TDF value for transport between the
-// TDFCursor and the PXC.
-func datumToTDF(d cdw.Datum) tdf.Value {
-	switch d.Kind {
-	case cdw.KNull:
-		return tdf.Null()
-	case cdw.KBool:
-		return tdf.Bool(d.Bool)
-	case cdw.KInt, cdw.KDate, cdw.KTime, cdw.KTimestamp:
-		return tdf.Int(d.I)
-	case cdw.KDecimal:
-		// decimals travel as a struct to preserve exactness and scale —
-		// the nested-value capability TDF exists for
-		return tdf.Struct(
-			tdf.StructField{Name: "u", Value: tdf.Int(d.I)},
-			tdf.StructField{Name: "s", Value: tdf.Int(int64(d.Scale))},
-		)
-	case cdw.KFloat:
-		return tdf.Float(d.F)
-	case cdw.KString:
-		return tdf.String(d.S)
-	case cdw.KBytes:
-		return tdf.BytesValue(d.B)
-	default:
-		return tdf.Null()
-	}
-}
-
-// tdfToDatum unwraps a TDF value back into a CDW datum of column type t.
-func tdfToDatum(v tdf.Value, t cdw.ColType) (cdw.Datum, error) {
-	if v.Tag == tdf.TagNull {
-		return cdw.Null(), nil
-	}
-	switch t.Kind {
-	case cdw.KBool:
-		if v.Tag == tdf.TagBool {
-			return cdw.BoolD(v.Bool), nil
-		}
-	case cdw.KInt, cdw.KDate, cdw.KTime, cdw.KTimestamp:
-		if v.Tag == tdf.TagInt {
-			return cdw.Datum{Kind: t.Kind, I: v.Int}, nil
-		}
-	case cdw.KDecimal:
-		if v.Tag == tdf.TagStruct && len(v.Fields) == 2 {
-			return cdw.DecimalD(v.Fields[0].Value.Int, int(v.Fields[1].Value.Int)), nil
-		}
-	case cdw.KFloat:
-		if v.Tag == tdf.TagFloat {
-			return cdw.FloatD(v.Float), nil
-		}
-	case cdw.KString:
-		if v.Tag == tdf.TagString {
-			return cdw.StringD(v.Str), nil
-		}
-	case cdw.KBytes:
-		if v.Tag == tdf.TagBytes {
-			return cdw.BytesD(v.Bytes), nil
-		}
-	}
-	return cdw.Datum{}, fmt.Errorf("core: TDF tag %d does not match column type %s", v.Tag, t)
-}
-
 // encodeRowsLegacy encodes CDW rows into a legacy record payload in the
 // requested format.
-func encodeRowsLegacy(rows [][]cdw.Datum, layout *ltype.Layout, format uint8, delim byte) ([]byte, error) {
+func encodeRowsLegacy(rows [][]cdw.Datum, layout *ltype.Layout, format wire.DataFormat, delim byte) ([]byte, error) {
 	var out []byte
 	for _, row := range rows {
 		if len(row) != len(layout.Fields) {
@@ -191,7 +129,7 @@ func encodeRowsLegacy(rows [][]cdw.Datum, layout *ltype.Layout, format uint8, de
 			}
 			rec[i] = v
 		}
-		if format == 1 { // wire.FormatVartext
+		if format == wire.FormatVartext {
 			fields := make([]string, len(rec))
 			for i, v := range rec {
 				fields[i] = v.Text()

@@ -6,7 +6,6 @@ import (
 	"etlvirt/internal/cdw"
 	"etlvirt/internal/cdwnet"
 	"etlvirt/internal/ltype"
-	"etlvirt/internal/tdf"
 	"etlvirt/internal/wire"
 )
 
@@ -74,41 +73,6 @@ func TestDatumToLegacyConversions(t *testing.T) {
 	}
 }
 
-func TestTDFDatumRoundTrip(t *testing.T) {
-	cases := []struct {
-		d cdw.Datum
-		t cdw.ColType
-	}{
-		{cdw.Null(), cdw.ColType{Kind: cdw.KInt}},
-		{cdw.BoolD(true), cdw.ColType{Kind: cdw.KBool}},
-		{cdw.IntD(-42), cdw.ColType{Kind: cdw.KInt}},
-		{cdw.FloatD(3.25), cdw.ColType{Kind: cdw.KFloat}},
-		{cdw.DecimalD(999, 3), cdw.ColType{Kind: cdw.KDecimal, Precision: 10, Scale: 3}},
-		{cdw.StringD("héllo"), cdw.ColType{Kind: cdw.KString}},
-		{cdw.BytesD([]byte{1, 2, 3}), cdw.ColType{Kind: cdw.KBytes}},
-		{cdw.DateD(2023, 6, 30), cdw.ColType{Kind: cdw.KDate}},
-		{cdw.TimeD(7200), cdw.ColType{Kind: cdw.KTime}},
-		{cdw.TimestampD(1234567890), cdw.ColType{Kind: cdw.KTimestamp}},
-	}
-	for _, c := range cases {
-		v := datumToTDF(c.d)
-		back, err := tdfToDatum(v, c.t)
-		if err != nil {
-			t.Errorf("tdfToDatum(%+v): %v", c.d, err)
-			continue
-		}
-		if back.Kind != c.d.Kind || back.I != c.d.I || back.F != c.d.F ||
-			back.S != c.d.S || string(back.B) != string(c.d.B) || back.Bool != c.d.Bool ||
-			back.Scale != c.d.Scale {
-			t.Errorf("round trip %+v -> %+v", c.d, back)
-		}
-	}
-	// mismatched tag vs column type is rejected
-	if _, err := tdfToDatum(tdf.String("x"), cdw.ColType{Kind: cdw.KInt}); err == nil {
-		t.Error("tag/type mismatch accepted")
-	}
-}
-
 func TestEncodeRowsLegacyVartextAndIndicator(t *testing.T) {
 	cols := []cdwnet.ResultCol{
 		{Name: "id", Type: cdw.ColType{Kind: cdw.KInt}},
@@ -120,7 +84,7 @@ func TestEncodeRowsLegacyVartextAndIndicator(t *testing.T) {
 		{cdw.IntD(2), cdw.Null()},
 	}
 	// vartext
-	out, err := encodeRowsLegacy(rows, layout, uint8(wire.FormatVartext), '|')
+	out, err := encodeRowsLegacy(rows, layout, wire.FormatVartext, '|')
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +92,7 @@ func TestEncodeRowsLegacyVartextAndIndicator(t *testing.T) {
 		t.Errorf("vartext: %q", out)
 	}
 	// indicator: must decode back
-	out, err = encodeRowsLegacy(rows, layout, uint8(wire.FormatIndicator), 0)
+	out, err = encodeRowsLegacy(rows, layout, wire.FormatIndicator, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,36 +10,32 @@ import (
 	"etlvirt/internal/cdwnet"
 	"etlvirt/internal/ltype"
 	"etlvirt/internal/obs"
-	"etlvirt/internal/tdf"
 	"etlvirt/internal/wire"
 )
 
 // exportJob serves one virtualized export (Figure 2(b)). A TDFCursor
-// goroutine retrieves CDW result batches on demand, packages them as TDF
-// packets, and buffers a bounded window ahead of client requests. Client
-// export sessions request chunks by sequence number; the PXC unwraps the TDF
-// packet for that sequence and re-encodes its rows in the legacy format.
+// goroutine retrieves CDW result batches on demand and buffers a bounded
+// window of them ahead of client requests. Client export sessions request
+// chunks by sequence number; the PXC encodes the CDW rows of that batch in
+// the legacy format. The batches never leave this process, so they stay CDW
+// datums: TDF is for bytes that cross a process boundary.
 type exportJob struct {
 	id     uint64
 	node   *Node
 	layout *ltype.Layout
-	cols   []cdwnet.ResultCol
 	format wire.DataFormat
 	delim  byte
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	packets map[uint64]*tdf.Packet
-	nextSeq uint64 // next packet the producer will emit
-	lastSeq uint64 // seq of the packet marked Last; valid when done
-	done    bool
-	err     error
+	mu   sync.Mutex
+	cond *sync.Cond
+	buf  map[uint64]*exportBatch // fetched batches by sequence number
+	done bool
+	err  error
 
 	client     *cdwnet.Client
 	cursorDone chan struct{} // closed when runCursor has released the cursor
-	rows       int64
-	rowsOut    atomic.Int64 // rows encoded for the client, observable lock-free
-	batches    atomic.Int64 // result batches fetched by the TDFCursor
+	rowsOut    atomic.Int64  // rows encoded for the client, observable lock-free
+	batches    atomic.Int64  // result batches fetched by the TDFCursor
 	started    time.Time
 	trace      *obs.JobTrace
 }
@@ -83,17 +79,16 @@ func (n *Node) newExportJob(m *wire.BeginExport, tc obs.TraceContext) (*exportJo
 	j := &exportJob{
 		id:         id,
 		node:       n,
-		cols:       cur.Columns(),
+		layout:     layoutFromCols(fmt.Sprintf("export_%d", id), cur.Columns()),
 		format:     m.Format,
 		delim:      m.Delim,
-		packets:    make(map[uint64]*tdf.Packet),
+		buf:        make(map[uint64]*exportBatch),
 		client:     client,
 		cursorDone: make(chan struct{}),
 		started:    time.Now(),
 		trace:      trace,
 	}
 	j.cond = sync.NewCond(&j.mu)
-	j.layout = layoutFromCols(fmt.Sprintf("export_%d", id), j.cols)
 	if m.Delim == 0 {
 		j.delim = '|'
 	}
@@ -106,8 +101,14 @@ func (n *Node) newExportJob(m *wire.BeginExport, tc obs.TraceContext) (*exportJo
 	return j, nil
 }
 
-// runCursor is the TDFCursor process: pull result batches, wrap them in TDF
-// packets, and buffer up to exportPrefetch packets ahead of consumption.
+// exportBatch is one buffered CDW result batch; last marks the final one.
+type exportBatch struct {
+	rows [][]cdw.Datum
+	last bool
+}
+
+// runCursor is the TDFCursor process: pull result batches and buffer up to
+// exportPrefetch of them ahead of consumption.
 func (j *exportJob) runCursor(cur *cdwnet.Cursor) {
 	defer func() {
 		_ = cur.Close() // drain so the pooled connection is reusable
@@ -133,7 +134,7 @@ func (j *exportJob) runCursor(cur *cdwnet.Cursor) {
 			return
 		}
 		j.mu.Lock()
-		for len(j.packets) >= exportPrefetch && j.err == nil && !j.done {
+		for len(j.buf) >= exportPrefetch && j.err == nil && !j.done {
 			j.cond.Wait()
 		}
 		if j.done && ok {
@@ -142,48 +143,25 @@ func (j *exportJob) runCursor(cur *cdwnet.Cursor) {
 			return
 		}
 		if !ok {
-			// mark the previous packet as last, or emit an empty last packet
-			if seq == 0 {
-				j.packets[0] = &tdf.Packet{Seq: 0, Last: true, Columns: j.tdfColumns()}
-				seq = 1
-			} else if p, ok := j.packets[seq-1]; ok {
-				p.Last = true
+			// mark the previous batch as last, or buffer an empty last one
+			if b := j.buf[seq-1]; seq > 0 && b != nil {
+				b.last = true
 			} else {
-				j.packets[seq] = &tdf.Packet{Seq: seq, Last: true, Columns: j.tdfColumns()}
-				seq++
+				j.buf[seq] = &exportBatch{last: true}
 			}
-			j.lastSeq = seq - 1
 			j.done = true
-			j.nextSeq = seq
 			j.cond.Broadcast()
 			j.mu.Unlock()
 			return
 		}
-		p := &tdf.Packet{Seq: seq, Columns: j.tdfColumns()}
-		for _, row := range batch {
-			tr := make([]tdf.Value, len(row))
-			for i, d := range row {
-				tr[i] = datumToTDF(d)
-			}
-			p.Rows = append(p.Rows, tr)
-		}
-		j.packets[seq] = p
+		j.buf[seq] = &exportBatch{rows: batch}
 		seq++
-		j.nextSeq = seq
 		j.cond.Broadcast()
 		j.mu.Unlock()
 	}
 }
 
-func (j *exportJob) tdfColumns() []tdf.Column {
-	out := make([]tdf.Column, len(j.cols))
-	for i, c := range j.cols {
-		out[i] = tdf.Column{Name: c.Name, DeclType: c.Type.String()}
-	}
-	return out
-}
-
-// chunk returns the encoded legacy payload for packet seq, blocking until
+// chunk returns the encoded legacy payload for batch seq, blocking until
 // the TDFCursor has buffered it.
 func (j *exportJob) chunk(seq uint64) (*wire.ExportChunk, error) {
 	j.mu.Lock()
@@ -193,11 +171,11 @@ func (j *exportJob) chunk(seq uint64) (*wire.ExportChunk, error) {
 			j.mu.Unlock()
 			return nil, err
 		}
-		if p, ok := j.packets[seq]; ok {
-			delete(j.packets, seq)
+		if b, ok := j.buf[seq]; ok {
+			delete(j.buf, seq)
 			j.cond.Broadcast() // free prefetch space
 			j.mu.Unlock()
-			return j.encodePacket(p)
+			return j.encodeBatch(seq, b)
 		}
 		if j.done {
 			// past the end: empty EOF chunk
@@ -208,38 +186,24 @@ func (j *exportJob) chunk(seq uint64) (*wire.ExportChunk, error) {
 	}
 }
 
-// encodePacket unwraps a TDF packet and encodes its rows in the legacy
-// format — the PXC's export-direction conversion (§4).
-func (j *exportJob) encodePacket(p *tdf.Packet) (*wire.ExportChunk, error) {
-	rows := make([][]cdw.Datum, len(p.Rows))
-	for i, tr := range p.Rows {
-		row := make([]cdw.Datum, len(tr))
-		for k, v := range tr {
-			d, err := tdfToDatum(v, j.cols[k].Type)
-			if err != nil {
-				return nil, err
-			}
-			row[k] = d
-		}
-		rows[i] = row
-	}
+// encodeBatch encodes batch seq's rows in the legacy format — the PXC's
+// export-direction conversion (§4).
+func (j *exportJob) encodeBatch(seq uint64, b *exportBatch) (*wire.ExportChunk, error) {
 	encStart := time.Now()
-	payload, err := encodeRowsLegacy(rows, j.layout, uint8(j.format), j.delim)
+	payload, err := encodeRowsLegacy(b.rows, j.layout, j.format, j.delim)
 	if err != nil {
 		return nil, err
 	}
-	j.trace.Span("export_encode", "pxc", encStart, int64(len(rows)), int64(len(payload)), nil)
-	j.node.nm.rowsExported.Add(int64(len(rows)))
+	n := int64(len(b.rows))
+	j.trace.Span("export_encode", "pxc", encStart, n, int64(len(payload)), nil)
+	j.node.nm.rowsExported.Add(n)
 	j.node.nm.exportChunks.Inc()
-	j.rowsOut.Add(int64(len(rows)))
-	j.mu.Lock()
-	j.rows += int64(len(rows))
-	j.mu.Unlock()
+	j.rowsOut.Add(n)
 	return &wire.ExportChunk{
 		JobID:   j.id,
-		Seq:     p.Seq,
-		Count:   uint32(len(p.Rows)),
-		EOF:     p.Last,
+		Seq:     seq,
+		Count:   uint32(n),
+		EOF:     b.last,
 		Payload: payload,
 	}, nil
 }
@@ -248,7 +212,6 @@ func (j *exportJob) encodePacket(p *tdf.Packet) (*wire.ExportChunk, error) {
 func (j *exportJob) finish() {
 	j.mu.Lock()
 	j.done = true
-	rows := j.rows
 	j.cond.Broadcast()
 	j.mu.Unlock()
 	// Wait for the TDFCursor to drain the cursor (it may still be mid-fetch
@@ -258,7 +221,7 @@ func (j *exportJob) finish() {
 	r := JobReport{
 		JobID:        j.id,
 		Export:       true,
-		ExportedRows: rows,
+		ExportedRows: j.rowsOut.Load(),
 		Other:        time.Since(j.started),
 	}
 	j.node.record(r)

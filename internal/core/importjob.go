@@ -122,7 +122,7 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 		return nil, err
 	}
 	id := n.nextJob.Add(1)
-	target := parseQualifiedName(m.Table)
+	target := sqlparse.ParseTableName(m.Table)
 	stage := sqlparse.TableName{Schema: stagingSchema, Name: fmt.Sprintf("job_%d", id)}
 	stageDDL, err := sqlxlate.StagingDDL(stage, m.Layout)
 	if err != nil {
@@ -134,8 +134,8 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 		req:     m,
 		conv:    conv,
 		stage:   stage,
-		etName:  parseQualifiedName(m.ErrTableET),
-		uvName:  parseQualifiedName(m.ErrTableUV),
+		etName:  sqlparse.ParseTableName(m.ErrTableET),
+		uvName:  sqlparse.ParseTableName(m.ErrTableUV),
 		targets: target.String(),
 	}
 	j.watch.start = time.Now()
@@ -572,11 +572,10 @@ func classifyCDWError(err error) errhandle.Classified {
 	if !ok {
 		return errhandle.Classified{Fatal: true, Msg: err.Error()}
 	}
-	switch ce.Code {
-	case cdw.CodeUniqueness:
+	switch {
+	case ce.Code == cdw.CodeUniqueness:
 		return errhandle.Classified{Code: ce.Code, Field: ce.Field, Msg: ce.Msg, Unique: true}
-	case cdw.CodeNoSuchObject, cdw.CodeNoSuchColumn, cdw.CodeSyntax,
-		cdw.CodeUnsupported, cdw.CodeCopyFailed, cdw.CodeInternal:
+	case cdw.Structural(ce.Code):
 		return errhandle.Classified{Fatal: true, Code: ce.Code, Msg: ce.Msg}
 	default:
 		return errhandle.Classified{Code: ce.Code, Field: ce.Field, Msg: ce.Msg}

@@ -247,8 +247,6 @@ func newNodeMetrics(n *Node) *nodeMetrics {
 		func() int64 { return n.events.Recorded() })
 	r.CounterFunc("etlvirt_events_dropped_total", "Events overwritten in the ring before being drained.",
 		func() int64 { return n.events.Dropped() })
-	r.CounterFunc("etlvirt_events_sampled_total", "Events skipped by per-type sampling.",
-		func() int64 { return n.events.Sampled() })
 
 	obs.RegisterRuntimeMetrics(r)
 

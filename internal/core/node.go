@@ -16,7 +16,6 @@ import (
 	"net"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -235,9 +234,6 @@ func NewNode(cfg Config, store cloudstore.Store) *Node {
 	if cfg.EventSink != nil {
 		n.events.SetSink(cfg.EventSink)
 	}
-	// Per-batch controller decisions dominate the event rate on busy streams;
-	// sample them so rare lifecycle and fault events are not washed out.
-	n.events.SetSample("ctrl_decision", 4)
 	n.ctx, n.ctxCancel = context.WithCancel(context.Background())
 	n.budget = retrier.NewBudget(cfg.RetryBudget)
 	n.retry = &retrier.Retrier{
@@ -389,14 +385,6 @@ func (n *Node) translator() *sqlxlate.Translator {
 	return &sqlxlate.Translator{SchemaMap: n.cfg.SchemaMap}
 }
 
-// parseQualifiedName splits "SCHEMA.NAME" into a TableName.
-func parseQualifiedName(s string) sqlparse.TableName {
-	if i := strings.IndexByte(s, '.'); i >= 0 {
-		return sqlparse.TableName{Schema: s[:i], Name: s[i+1:]}
-	}
-	return sqlparse.TableName{Name: s}
-}
-
 // handleRunSQL is the Beta path for ad-hoc statements: translate, execute,
 // re-encode results in the legacy format.
 func (n *Node) handleRunSQL(c *wire.Conn, session uint32, m *wire.RunSQL) error {
@@ -429,7 +417,7 @@ func (n *Node) handleRunSQL(c *wire.Conn, session uint32, m *wire.RunSQL) error 
 		if end > len(rows) {
 			end = len(rows)
 		}
-		payload, err := encodeRowsLegacy(rows[start:end], layout, uint8(wire.FormatIndicator), 0)
+		payload, err := encodeRowsLegacy(rows[start:end], layout, wire.FormatIndicator, 0)
 		if err != nil {
 			return c.Send(session, &wire.Failure{Code: 1000, Message: err.Error()})
 		}

@@ -257,8 +257,11 @@ func TestStreamControllerAdapts(t *testing.T) {
 	}
 
 	// Every batch_commit event carries its commit's statement count and
-	// located images; together they located the one reject.
-	var commits, located int64
+	// located images; together they located the one reject. It also carries
+	// the controller's decision: the grows that raised the hint, and the
+	// hint the client last saw.
+	var commits, located, grows int64
+	var sawHint bool
 	for _, e := range st.node.Events().Events(0) {
 		if e.Type != "batch_commit" || e.Job != ok.StreamID {
 			continue
@@ -270,9 +273,23 @@ func TestStreamControllerAdapts(t *testing.T) {
 			t.Errorf("batch_commit attrs %v lack cdw_stmts/located", e.Attrs)
 		}
 		located += n
+		action, ok3 := e.Attrs["action"].(string)
+		next, ok4 := e.Attrs["next_batch_rows"].(int)
+		if !ok3 || !ok4 || next <= 0 ||
+			(action != "grow" && action != "shrink" && action != "hold") {
+			t.Errorf("batch_commit attrs %v lack action/next_batch_rows", e.Attrs)
+		}
+		if action == "grow" {
+			grows++
+		}
+		sawHint = sawHint || uint32(next) == last.BatchHint
 	}
 	if commits == 0 || located != 1 {
 		t.Errorf("%d batch_commit events located %d images, want 1", commits, located)
+	}
+	if grows == 0 || !sawHint {
+		t.Errorf("%d batch_commit events: %d grows, hint %d seen %v; want a grow and the client's last hint",
+			commits, grows, last.BatchHint, sawHint)
 	}
 }
 

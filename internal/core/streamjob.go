@@ -155,7 +155,7 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 		req:     m,
 		conv:    conv,
 		ckpt:    sqlparse.TableName{Schema: stagingSchema, Name: "stream_checkpoints"},
-		etName:  parseQualifiedName(m.ErrTableET),
+		etName:  sqlparse.ParseTableName(m.ErrTableET),
 		started: time.Now(),
 	}
 	stage := sqlparse.TableName{Schema: stagingSchema, Name: fmt.Sprintf("stream_%d", id)}
@@ -560,12 +560,7 @@ func (j *streamJob) commitBatch() error {
 			"lo": lo, "hi": hi, "rows": rows, "bytes": j.batchBytes,
 			"latency_ms": lat.Milliseconds(), "dominant": d.Dominant,
 			"cdw_stmts": stmts, "located": located,
-		},
-	})
-	j.node.events.Add(obs.Event{
-		Type: "ctrl_decision", Job: j.id, TraceID: j.traceID(), Msg: d.Action.String(),
-		Attrs: map[string]any{
-			"batch_rows": d.BatchRows, "dominant": d.Dominant,
+			"action": d.Action.String(), "next_batch_rows": d.BatchRows,
 		},
 	})
 	j.node.log.Debug("stream micro-batch committed", "stream", j.id, "lo", lo, "hi", hi,

@@ -31,16 +31,15 @@ var ErrOutOfMemory = errors.New("credit: in-flight data exceeds node memory budg
 
 // Manager is a credit pool. The zero value is not usable; use NewManager.
 type Manager struct {
+	slots chan struct{} // one buffered slot per credit; a held credit fills one
+
 	mu      sync.Mutex
-	cond    *sync.Cond
-	total   int
-	avail   int
 	inFlite int64 // bytes currently charged to credits
 	memCap  int64 // 0 = unlimited
+	peak    int64 // max observed in-flight bytes
 
 	waits    atomic.Int64 // number of Acquire calls that blocked
 	acquires atomic.Int64
-	peak     int64 // max observed in-flight bytes (under mu)
 
 	observer func(wait time.Duration, blocked bool) // under mu
 }
@@ -61,9 +60,7 @@ func NewManager(credits int, memCap int64) *Manager {
 	if credits < 1 {
 		credits = 1
 	}
-	m := &Manager{total: credits, avail: credits, memCap: memCap}
-	m.cond = sync.NewCond(&m.mu)
-	return m
+	return &Manager{slots: make(chan struct{}, credits), memCap: memCap}
 }
 
 // Credit is an acquired credit charged with the bytes of one chunk. Release
@@ -81,31 +78,28 @@ type Credit struct {
 func (m *Manager) Acquire(ctx context.Context, bytes int64) (*Credit, error) {
 	start := time.Now()
 	m.acquires.Add(1)
-	m.mu.Lock()
 	blocked := false
-	for m.avail == 0 {
-		if !blocked {
-			blocked = true
-			m.waits.Add(1)
+	select {
+	case m.slots <- struct{}{}:
+	default:
+		blocked = true
+		m.waits.Add(1)
+		select {
+		case m.slots <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		if err := ctx.Err(); err != nil {
-			m.mu.Unlock()
-			return nil, err
-		}
-		// cond.Wait cannot watch ctx directly; poke waiters on cancellation.
-		stop := watchCtx(ctx, m.cond)
-		m.cond.Wait()
-		stop()
 	}
 	if err := ctx.Err(); err != nil {
-		m.mu.Unlock()
+		<-m.slots
 		return nil, err
 	}
+	m.mu.Lock()
 	if m.memCap > 0 && m.inFlite+bytes > m.memCap {
 		m.mu.Unlock()
+		<-m.slots
 		return nil, ErrOutOfMemory
 	}
-	m.avail--
 	m.inFlite += bytes
 	if m.inFlite > m.peak {
 		m.peak = m.inFlite
@@ -118,24 +112,6 @@ func (m *Manager) Acquire(ctx context.Context, bytes int64) (*Credit, error) {
 	return &Credit{m: m, bytes: bytes}, nil
 }
 
-// watchCtx wakes all cond waiters when ctx is cancelled, so a blocked
-// Acquire can observe the cancellation. The returned stop function must be
-// called after the wait.
-func watchCtx(ctx context.Context, cond *sync.Cond) func() {
-	if ctx.Done() == nil {
-		return func() {}
-	}
-	stopc := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			cond.Broadcast()
-		case <-stopc:
-		}
-	}()
-	return func() { close(stopc) }
-}
-
 // Release returns the credit to the pool. Releasing twice panics: it would
 // silently inflate the pool.
 func (c *Credit) Release() {
@@ -145,10 +121,9 @@ func (c *Credit) Release() {
 	c.done = true
 	m := c.m
 	m.mu.Lock()
-	m.avail++
 	m.inFlite -= c.bytes
 	m.mu.Unlock()
-	m.cond.Broadcast()
+	<-m.slots // after the ledger, so the next holder sees the bytes freed
 }
 
 // Stats is a snapshot of pool counters.
@@ -166,8 +141,8 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return Stats{
-		Total:        m.total,
-		Available:    m.avail,
+		Total:        cap(m.slots),
+		Available:    cap(m.slots) - len(m.slots),
 		InFlight:     m.inFlite,
 		PeakInFlight: m.peak,
 		Acquires:     m.acquires.Load(),

@@ -17,7 +17,6 @@ import (
 	"bytes"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -294,11 +293,11 @@ func (s *Server) handleBeginLoad(c *wire.Conn, session uint32, m *wire.BeginLoad
 		if et == "" {
 			continue
 		}
-		etDDL, err := sqlxlate.ErrorTableDDL(parseName(et))
+		etDDL, err := sqlxlate.ErrorTableDDL(sqlparse.ParseTableName(et))
 		if err != nil {
 			return c.Send(session, &wire.Failure{Code: 3004, Message: err.Error()})
 		}
-		drop, _ := sqlparse.Print(&sqlparse.DropTableStmt{Table: parseName(et), IfExists: true}, sqlparse.DialectCDW)
+		drop, _ := sqlparse.Print(&sqlparse.DropTableStmt{Table: sqlparse.ParseTableName(et), IfExists: true}, sqlparse.DialectCDW)
 		stmts = append(stmts, drop, etDDL)
 	}
 	for _, st := range stmts {
@@ -310,13 +309,6 @@ func (s *Server) handleBeginLoad(c *wire.Conn, session uint32, m *wire.BeginLoad
 	s.jobs[id] = j
 	s.mu.Unlock()
 	return c.Send(session, &wire.LoadOK{JobID: id})
-}
-
-func parseName(s string) sqlparse.TableName {
-	if i := strings.IndexByte(s, '.'); i >= 0 {
-		return sqlparse.TableName{Schema: s[:i], Name: s[i+1:]}
-	}
-	return sqlparse.TableName{Name: s}
 }
 
 // handleChunk converts and buffers one chunk synchronously — the legacy
@@ -381,7 +373,7 @@ func (s *Server) recordError(table string, lo, hi int64, code int, field, msg st
 		return nil
 	}
 	ins := &sqlparse.InsertStmt{
-		Table: parseName(table),
+		Table: sqlparse.ParseTableName(table),
 		Rows: [][]sqlparse.Expr{{
 			&sqlparse.Literal{Kind: sqlparse.LitInt, Int: lo},
 			&sqlparse.Literal{Kind: sqlparse.LitInt, Int: hi},
@@ -427,9 +419,7 @@ func (s *Server) handleApply(c *wire.Conn, session uint32, m *wire.ApplyDML) err
 		}
 		if err != nil {
 			ee := cdw.AsError(err)
-			switch ee.Code {
-			case cdw.CodeNoSuchObject, cdw.CodeNoSuchColumn, cdw.CodeSyntax,
-				cdw.CodeUnsupported, cdw.CodeInternal:
+			if cdw.Structural(ee.Code) {
 				return c.Send(session, &wire.Failure{Code: uint32(ee.Code), Message: ee.Msg})
 			}
 			table := j.req.ErrTableET

@@ -436,14 +436,14 @@ func TestOracleEquivalenceExport(t *testing.T) {
 		('3', 'Carol', '2012-03-03'),
 		('1', 'Alice', '2012-01-01'),
 		('2', NULL, '2012-02-02')`
-	exportScript := `
+	const exportScript = `
 .logon h/u,p;
 .begin export outfile out.txt format vartext '|' sessions 2;
-SEL CUST_ID, CUST_NAME, JOIN_DATE FROM PROD.CUSTOMER ORDER BY 1;
+%s;
 .end export;
 `
-	runExport := func(addr string) string {
-		s, err := etlscript.Parse(exportScript)
+	tryExport := func(addr, query string) (string, error) {
+		s, err := etlscript.Parse(fmt.Sprintf(exportScript, query))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,10 +452,14 @@ SEL CUST_ID, CUST_NAME, JOIN_DATE FROM PROD.CUSTOMER ORDER BY 1;
 			Addr:      addr,
 			WriteFile: func(name string, data []byte) error { out = data; return nil },
 		})
+		return string(out), err
+	}
+	runExport := func(addr string) string {
+		out, err := tryExport(addr, "SEL CUST_ID, CUST_NAME, JOIN_DATE FROM PROD.CUSTOMER ORDER BY 1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return string(out)
+		return out
 	}
 
 	edwSrv, edwAddr := startEDW(t)
@@ -488,5 +492,36 @@ SEL CUST_ID, CUST_NAME, JOIN_DATE FROM PROD.CUSTOMER ORDER BY 1;
 	}
 	if !strings.HasPrefix(legacyOut, "1|Alice|2012-01-01\n2||2012-02-02\n") {
 		t.Errorf("unexpected export content: %q", legacyOut)
+	}
+
+	// A CASE whose branches differ in type: each value is encoded by its
+	// own kind against the column's declared type, on both sides. A mixed
+	// VARCHAR/DATE column renders dates as text; a DATE in a BIGINT column
+	// is rejected, not exported as its epoch day.
+	for _, tc := range []struct {
+		then string
+		want string // legacy export; "" when the EDW rejects the query
+	}{
+		{"CUST_NAME", "1|2012-01-01\n2|2012-02-02\n3|Carol\n"},
+		{"7", ""},
+	} {
+		q := "SEL CUST_ID, CASE WHEN CUST_ID = '3' THEN " + tc.then +
+			" ELSE JOIN_DATE END FROM PROD.CUSTOMER ORDER BY 1"
+		legacyOut, legacyErr := tryExport(edwAddr, q)
+		virtOut, virtErr := tryExport(nodeAddr, q)
+		if tc.want == "" {
+			if legacyErr == nil || virtErr == nil {
+				t.Errorf("THEN %s: want both to fail, legacy err %v, virt err %v (virt out %q)",
+					tc.then, legacyErr, virtErr, virtOut)
+			}
+			continue
+		}
+		if legacyErr != nil || virtErr != nil {
+			t.Errorf("THEN %s: legacy err %v, virt err %v", tc.then, legacyErr, virtErr)
+			continue
+		}
+		if legacyOut != tc.want || virtOut != legacyOut {
+			t.Errorf("THEN %s: export files differ:\n legacy: %q\n virt:   %q", tc.then, legacyOut, virtOut)
+		}
 	}
 }

@@ -91,11 +91,11 @@ func (s *Server) handleBeginStream(c *wire.Conn, session uint32, m *wire.BeginSt
 	}
 	s.mu.Unlock()
 	if !known && m.ErrTableET != "" {
-		etDDL, err := sqlxlate.ErrorTableDDL(parseName(m.ErrTableET))
+		etDDL, err := sqlxlate.ErrorTableDDL(sqlparse.ParseTableName(m.ErrTableET))
 		if err != nil {
 			return c.Send(session, &wire.Failure{Code: 3004, Message: err.Error()})
 		}
-		drop, _ := sqlparse.Print(&sqlparse.DropTableStmt{Table: parseName(m.ErrTableET), IfExists: true}, sqlparse.DialectCDW)
+		drop, _ := sqlparse.Print(&sqlparse.DropTableStmt{Table: sqlparse.ParseTableName(m.ErrTableET), IfExists: true}, sqlparse.DialectCDW)
 		for _, st := range []string{drop, etDDL} {
 			if _, err := s.eng.ExecSQL(st); err != nil {
 				return c.Send(session, &wire.Failure{Code: 3004, Message: cdw.AsError(err).Msg})
@@ -251,9 +251,7 @@ func (s *Server) applyDelta(j *streamSess, seq int64, del bool) (*wire.Failure, 
 		res, err := s.eng.ExecSQL(sql)
 		if err != nil {
 			ee := cdw.AsError(err)
-			switch ee.Code {
-			case cdw.CodeNoSuchObject, cdw.CodeNoSuchColumn, cdw.CodeSyntax,
-				cdw.CodeUnsupported, cdw.CodeInternal:
+			if cdw.Structural(ee.Code) {
 				return 0, &wire.Failure{Code: uint32(ee.Code), Message: ee.Msg}, nil
 			}
 			j.errsET++

@@ -99,9 +99,7 @@ type Handler struct {
 	classify ClassifyFunc
 	record   RecordFunc
 
-	stats       Stats
-	errBudget   int
-	budgetSpent bool
+	stats Stats
 }
 
 // New builds a handler.

@@ -9,7 +9,8 @@ import (
 )
 
 // Event is one structured entry in the node's causal record: a job or stream
-// lifecycle step, a retry, an injected fault, or a controller decision.
+// lifecycle step (a stream's batch_commit carries its controller decision),
+// a retry, or an injected fault.
 // TraceID ties the event to the distributed trace it happened under.
 type Event struct {
 	Seq     uint64         `json:"seq"`
@@ -23,19 +24,15 @@ type Event struct {
 
 // EventLog is a bounded ring of recent events. Writers never block and never
 // allocate beyond the ring: once full, the oldest entry is overwritten and
-// counted as dropped. Per-type sampling keeps high-rate types (per-batch
-// controller decisions) from washing out rare ones (faults, aborts). An
-// optional sink receives every recorded event as one JSON line.
+// counted as dropped. An optional sink receives every recorded event as one
+// JSON line.
 type EventLog struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    uint64 // seq of the next event to be recorded
-	every   map[string]int
-	typeSeq map[string]uint64
+	mu   sync.Mutex
+	buf  []Event
+	next uint64 // seq of the next event to be recorded
 
 	recorded int64
 	dropped  int64 // overwritten before being drained past
-	sampled  int64 // skipped by per-type sampling
 
 	sink    io.Writer
 	sinkErr error // first sink failure; sink is disabled after it
@@ -47,26 +44,7 @@ func NewEventLog(capacity int) *EventLog {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &EventLog{
-		buf:     make([]Event, 0, capacity),
-		every:   make(map[string]int),
-		typeSeq: make(map[string]uint64),
-	}
-}
-
-// SetSample records only every n-th event of the given type; n <= 1 restores
-// record-everything.
-func (l *EventLog) SetSample(typ string, n int) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n <= 1 {
-		delete(l.every, typ)
-		return
-	}
-	l.every[typ] = n
+	return &EventLog{buf: make([]Event, 0, capacity)}
 }
 
 // SetSink mirrors every recorded event to w as one JSON line. The write
@@ -90,13 +68,6 @@ func (l *EventLog) Add(e Event) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if n := l.every[e.Type]; n > 1 {
-		l.typeSeq[e.Type]++
-		if (l.typeSeq[e.Type]-1)%uint64(n) != 0 {
-			l.sampled++
-			return
-		}
-	}
 	e.Seq = l.next
 	l.next++
 	if e.Time.IsZero() {
@@ -176,16 +147,6 @@ func (l *EventLog) Dropped() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.dropped
-}
-
-// Sampled counts events skipped by per-type sampling.
-func (l *EventLog) Sampled() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sampled
 }
 
 // SinkErr reports the first sink write failure, if any.

@@ -224,7 +224,7 @@ func TestStandaloneJobTrace(t *testing.T) {
 	}
 }
 
-func TestEventLogBoundedAndSampled(t *testing.T) {
+func TestEventLogBounded(t *testing.T) {
 	l := NewEventLog(4)
 	for i := 0; i < 10; i++ {
 		l.Add(Event{Type: "retry", Job: uint64(i)})
@@ -247,20 +247,6 @@ func TestEventLogBoundedAndSampled(t *testing.T) {
 	// since-cursor resumes mid-ring
 	if got := l.Events(8); len(got) != 2 || got[0].Seq != 8 {
 		t.Errorf("Events(8) = %+v", got)
-	}
-
-	// per-type sampling records the 1st, (n+1)th, ... of a type
-	l2 := NewEventLog(64)
-	l2.SetSample("ctrl_decision", 4)
-	for i := 0; i < 9; i++ {
-		l2.Add(Event{Type: "ctrl_decision"})
-	}
-	l2.Add(Event{Type: "fault"})
-	if got := len(l2.Events(0)); got != 4 { // decisions 0,4,8 + the fault
-		t.Errorf("sampled log retained %d, want 4", got)
-	}
-	if l2.Sampled() != 6 {
-		t.Errorf("sampled counter = %d, want 6", l2.Sampled())
 	}
 
 	// nil log is a no-op

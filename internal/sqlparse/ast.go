@@ -33,6 +33,15 @@ func (t TableName) String() string {
 	return t.Name
 }
 
+// ParseTableName splits a "SCHEMA.NAME" spelling at its first dot, the
+// inverse of String; a name without a dot is unqualified.
+func ParseTableName(s string) TableName {
+	if i := strings.IndexByte(s, '.'); i >= 0 {
+		return TableName{Schema: s[:i], Name: s[i+1:]}
+	}
+	return TableName{Name: s}
+}
+
 // Equal compares names case-insensitively.
 func (t TableName) Equal(o TableName) bool {
 	return strings.EqualFold(t.Schema, o.Schema) && strings.EqualFold(t.Name, o.Name)

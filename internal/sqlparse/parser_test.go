@@ -514,3 +514,19 @@ func TestFuzzRegressions(t *testing.T) {
 		t.Error("legacy union+limit printed")
 	}
 }
+
+func TestParseTableNameInvertsString(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want TableName
+	}{
+		{"PROD.CUSTOMER", TableName{Schema: "PROD", Name: "CUSTOMER"}},
+		{"CUSTOMER", TableName{Name: "CUSTOMER"}},
+		{"a.b.c", TableName{Schema: "a", Name: "b.c"}}, // first dot splits
+	} {
+		got := ParseTableName(tc.in)
+		if got != tc.want || got.String() != tc.in {
+			t.Errorf("ParseTableName(%q) = %+v (%q), want %+v", tc.in, got, got.String(), tc.want)
+		}
+	}
+}

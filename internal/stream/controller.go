@@ -15,17 +15,20 @@ type Config struct {
 	// commit is as slow as the target allows.
 	MinBatch int
 	MaxBatch int
-	// InitialBatch seeds the hint before any observation. Zero defaults to
-	// 64 (clamped into [MinBatch, MaxBatch]).
-	InitialBatch int
-	// Alpha is the EWMA smoothing factor for observed latency, in (0, 1].
-	// Larger reacts faster, smaller damps noise harder. Zero defaults to 0.3.
-	Alpha float64
-	// Deadband is the fractional hysteresis band around Target inside which
-	// the controller holds instead of chasing noise. Zero defaults to 0.15
-	// (i.e. hold while smoothed latency is within ±15% of target).
-	Deadband float64
 }
+
+const (
+	// initialBatch seeds the hint before any observation, clamped into
+	// [MinBatch, MaxBatch].
+	initialBatch = 64
+	// alpha is the EWMA smoothing factor for observed latency, in (0, 1]:
+	// larger reacts faster, smaller damps noise harder.
+	alpha = 0.3
+	// deadband is the fractional hysteresis band around Target inside which
+	// the controller holds instead of chasing noise: it holds while smoothed
+	// latency is within ±15% of target.
+	deadband = 0.15
+)
 
 func (c Config) withDefaults() Config {
 	if c.Target <= 0 {
@@ -39,21 +42,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch < c.MinBatch {
 		c.MaxBatch = c.MinBatch
-	}
-	if c.InitialBatch <= 0 {
-		c.InitialBatch = 64
-	}
-	if c.InitialBatch < c.MinBatch {
-		c.InitialBatch = c.MinBatch
-	}
-	if c.InitialBatch > c.MaxBatch {
-		c.InitialBatch = c.MaxBatch
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	if c.Deadband <= 0 {
-		c.Deadband = 0.15
 	}
 	return c
 }
@@ -177,16 +165,9 @@ func (s Stages) seconds() [len(stageNames)]float64 {
 	}
 }
 
-// Stats counts controller decisions since construction.
-type Stats struct {
-	Grows   uint64
-	Shrinks uint64
-	Holds   uint64
-}
-
 // Controller is the adaptive micro-batch sizer. It is a pure unit: it never
 // reads the clock — the caller measures each batch's commit latency and
-// feeds it to Observe, which returns the size of the next batch. It is
+// feeds it to ObserveStages, which returns the size of the next batch. It is
 // not safe for concurrent use; the streaming job serializes batch commits.
 //
 // The control law is stepToTarget — a damped multiplicative-adjust
@@ -205,32 +186,20 @@ type Controller struct {
 
 	stageSec    [len(stageNames)]ewma // smoothed per-stage latency, seconds
 	stageSeeded bool
-
-	stats Stats
 }
 
 // NewController builds a controller steering toward cfg.Target.
 func NewController(cfg Config) *Controller {
 	cfg = cfg.withDefaults()
-	return &Controller{cfg: cfg, batch: cfg.InitialBatch}
+	return &Controller{cfg: cfg, batch: min(max(initialBatch, cfg.MinBatch), cfg.MaxBatch)}
 }
 
 // Target reports the configured latency target after defaulting.
 func (c *Controller) Target() time.Duration { return c.cfg.Target }
 
-// Stats returns decision counts since construction.
-func (c *Controller) Stats() Stats { return c.stats }
-
 // Hint returns the current batch size without recording an observation.
 func (c *Controller) Hint() Decision {
 	return Decision{Action: ActionHold, BatchRows: c.batch}
-}
-
-// Observe records one committed micro-batch (rows records, end-to-end
-// commit latency) and returns the size of the next batch. bytes is ignored;
-// it is kept for callers that still report raw payload size.
-func (c *Controller) Observe(rows, bytes int, latency time.Duration) Decision {
-	return c.ObserveStages(rows, bytes, latency, Stages{})
 }
 
 // StageEWMA returns the smoothed per-stage latency breakdown, keyed by stage
@@ -260,35 +229,28 @@ func (c *Controller) dominant() string {
 	return best
 }
 
-// ObserveStages is Observe with a per-stage latency breakdown attached, so
-// the decision reports which stage dominates the commit path. A zero Stages
+// ObserveStages records one committed micro-batch (rows records, end-to-end
+// commit latency, its per-stage breakdown) and returns the size of the next
+// batch, naming the stage that dominates the commit path. bytes is ignored;
+// it is kept for callers that still report raw payload size. A zero Stages
 // leaves the attribution state untouched.
 func (c *Controller) ObserveStages(rows, bytes int, latency time.Duration, st Stages) Decision {
 	if st != (Stages{}) {
 		sec := st.seconds()
 		for i := range sec {
-			c.stageSec[i].observe(c.cfg.Alpha, sec[i])
+			c.stageSec[i].observe(alpha, sec[i])
 		}
 		c.stageSeeded = true
 	}
 	if rows <= 0 || latency <= 0 {
 		d := c.Hint()
 		d.Dominant = c.dominant()
-		c.stats.Holds++
 		return d
 	}
-	smoothed := c.lat.observe(c.cfg.Alpha, latency.Seconds())
+	smoothed := c.lat.observe(alpha, latency.Seconds())
 
 	var action Action
-	c.batch, action = stepToTarget(c.batch, smoothed, c.cfg.Target.Seconds(), c.cfg.Deadband,
+	c.batch, action = stepToTarget(c.batch, smoothed, c.cfg.Target.Seconds(), deadband,
 		c.cfg.MinBatch, c.cfg.MaxBatch)
-	switch action {
-	case ActionGrow:
-		c.stats.Grows++
-	case ActionShrink:
-		c.stats.Shrinks++
-	default:
-		c.stats.Holds++
-	}
 	return Decision{Action: action, BatchRows: c.batch, Dominant: c.dominant()}
 }

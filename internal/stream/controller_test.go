@@ -6,14 +6,14 @@ import (
 )
 
 // simulate runs the controller closed-loop against a synthetic latency
-// model latency(rows) = base + perRow*rows and returns the batch-size
-// trajectory.
+// model latency(rows) = base + perRow*rows, spent in the apply stage, and
+// returns the batch-size trajectory.
 func simulate(c *Controller, base, perRow time.Duration, steps int) []int {
 	sizes := make([]int, 0, steps)
 	batch := c.Hint().BatchRows
 	for i := 0; i < steps; i++ {
 		lat := base + time.Duration(batch)*perRow
-		d := c.Observe(batch, batch*100, lat)
+		d := c.ObserveStages(batch, batch*100, lat, Stages{Apply: lat})
 		batch = d.BatchRows
 		sizes = append(sizes, batch)
 	}
@@ -31,23 +31,25 @@ func TestControllerConvergence(t *testing.T) {
 		maxDrift int // allowed batch movement across the settled tail
 	}{
 		{
-			// ideal batch = (2s - 100ms) / 2ms = 950 rows
+			// ideal batch = (2s - 100ms) / 2ms = 950 rows, far above the
+			// initial 64
 			name: "converges_from_below",
-			cfg:  Config{Target: 2 * time.Second, InitialBatch: 64},
+			cfg:  Config{Target: 2 * time.Second},
 			base: 100 * time.Millisecond, perRow: 2 * time.Millisecond,
 			wantLo: 700, wantHi: 1200, maxDrift: 0,
 		},
 		{
-			// same plant, starting far above the ideal batch
+			// ideal batch = (500ms - 50ms) / 15ms = 30 rows, below the
+			// initial 64
 			name: "converges_from_above",
-			cfg:  Config{Target: 2 * time.Second, InitialBatch: 8000},
-			base: 100 * time.Millisecond, perRow: 2 * time.Millisecond,
-			wantLo: 700, wantHi: 1200, maxDrift: 0,
+			cfg:  Config{Target: 500 * time.Millisecond},
+			base: 50 * time.Millisecond, perRow: 15 * time.Millisecond,
+			wantLo: 22, wantHi: 40, maxDrift: 0,
 		},
 		{
 			// ideal batch = (500ms - 50ms) / 1ms = 450 rows
 			name: "tighter_target",
-			cfg:  Config{Target: 500 * time.Millisecond, InitialBatch: 64},
+			cfg:  Config{Target: 500 * time.Millisecond},
 			base: 50 * time.Millisecond, perRow: time.Millisecond,
 			wantLo: 330, wantHi: 550, maxDrift: 0,
 		},
@@ -98,7 +100,7 @@ func TestControllerClamps(t *testing.T) {
 	t.Run("floor", func(t *testing.T) {
 		// A plant so slow even the minimum batch misses the target: the
 		// hint must pin at the floor, not collapse to zero.
-		c := NewController(Config{Target: 10 * time.Millisecond, MinBatch: 16, MaxBatch: 4096, InitialBatch: 1024})
+		c := NewController(Config{Target: 10 * time.Millisecond, MinBatch: 16, MaxBatch: 4096})
 		sizes := simulate(c, 50*time.Millisecond, time.Millisecond, 100)
 		for i, s := range sizes {
 			if s < 16 {
@@ -110,25 +112,29 @@ func TestControllerClamps(t *testing.T) {
 		}
 	})
 	t.Run("pinned_counts_as_hold", func(t *testing.T) {
-		c := NewController(Config{Target: 10 * time.Millisecond, MinBatch: 16, MaxBatch: 64, InitialBatch: 16})
-		c.Observe(16, 1600, time.Second) // way over target, already at floor
-		if st := c.Stats(); st.Shrinks != 0 || st.Holds != 1 {
-			t.Fatalf("clamped decision miscounted: %+v, want 1 hold", st)
+		c := NewController(Config{Target: 10 * time.Millisecond, MinBatch: 16, MaxBatch: 64})
+		simulate(c, 50*time.Millisecond, time.Millisecond, 20) // drive to the floor
+		// way over target, already at the floor
+		d := c.ObserveStages(16, 1600, time.Second, Stages{Apply: time.Second})
+		if d.Action != ActionHold || d.BatchRows != 16 {
+			t.Fatalf("clamped decision = %v at %d, want hold at 16", d.Action, d.BatchRows)
 		}
 	})
 }
 
 func TestControllerStepBounds(t *testing.T) {
 	// One catastrophic outlier must not move the batch by more than the
-	// per-step ratio clamp (even before EWMA damping).
-	c := NewController(Config{Target: 2 * time.Second, InitialBatch: 1000, Alpha: 1})
-	d := c.Observe(1000, 100_000, 200*time.Second)
-	if d.BatchRows < 500 {
-		t.Fatalf("single outlier shrank batch to %d, want >= 500 (half)", d.BatchRows)
+	// per-step ratio clamp. A first observation seeds the EWMA outright, so
+	// nothing damps it.
+	c := NewController(Config{Target: 2 * time.Second})
+	d := c.ObserveStages(64, 6400, 200*time.Second, Stages{Apply: 200 * time.Second})
+	if d.Action != ActionShrink || d.BatchRows < 32 {
+		t.Fatalf("single outlier: %v to %d, want shrink to >= 32 (half)", d.Action, d.BatchRows)
 	}
-	d = c.Observe(d.BatchRows, 100, time.Nanosecond)
-	if d.BatchRows > 750+1 {
-		t.Fatalf("single fast sample grew batch to %d, want <= 1.5x", d.BatchRows)
+	c = NewController(Config{Target: 2 * time.Second})
+	d = c.ObserveStages(64, 6400, time.Nanosecond, Stages{Apply: time.Nanosecond})
+	if d.Action != ActionGrow || d.BatchRows > 96 {
+		t.Fatalf("single fast sample: %v to %d, want grow to <= 96 (1.5x)", d.Action, d.BatchRows)
 	}
 }
 
@@ -141,43 +147,57 @@ func TestControllerDefaults(t *testing.T) {
 	if d.BatchRows != 64 {
 		t.Fatalf("default initial batch = %d, want 64", d.BatchRows)
 	}
-	// InitialBatch is clamped into [MinBatch, MaxBatch].
-	c = NewController(Config{MinBatch: 100, MaxBatch: 200, InitialBatch: 5000})
-	if got := c.Hint().BatchRows; got != 200 {
-		t.Fatalf("initial batch not clamped: %d", got)
+	// The initial batch is clamped into [MinBatch, MaxBatch].
+	c = NewController(Config{MinBatch: 100, MaxBatch: 200})
+	if got := c.Hint().BatchRows; got != 100 {
+		t.Fatalf("initial batch not clamped to the floor: %d", got)
+	}
+	c = NewController(Config{MinBatch: 8, MaxBatch: 32})
+	if got := c.Hint().BatchRows; got != 32 {
+		t.Fatalf("initial batch not clamped to the ceiling: %d", got)
 	}
 }
 
-// BenchmarkControllerObserve pins the steady-state controller step as
-// allocation-free: it runs once per committed micro-batch and must not put
-// the allocator on the commit path.
+// commitStages is a per-stage breakdown of a 1.9s commit, the shape the
+// streaming job hands the controller on every commit.
+var commitStages = Stages{
+	Spool:      100 * time.Millisecond,
+	Upload:     300 * time.Millisecond,
+	Copy:       500 * time.Millisecond,
+	Apply:      900 * time.Millisecond,
+	Checkpoint: 100 * time.Millisecond,
+}
+
+// BenchmarkControllerObserve pins the steady-state controller step, with
+// its per-stage attribution, as allocation-free: it runs once per committed
+// micro-batch and must not put the allocator on the commit path.
 func BenchmarkControllerObserve(b *testing.B) {
 	c := NewController(Config{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Observe(512, 512*120, 1900*time.Millisecond)
+		c.ObserveStages(512, 512*120, 1900*time.Millisecond, commitStages)
 	}
 }
 
 // TestControllerObserveAllocFree is the CI alloc-regression gate for the
-// controller step: Observe runs once per committed micro-batch on the
+// controller step: ObserveStages runs once per committed micro-batch on the
 // streaming commit path and must never allocate.
 func TestControllerObserveAllocFree(t *testing.T) {
 	c := NewController(Config{})
 	allocs := testing.AllocsPerRun(100, func() {
-		c.Observe(512, 512*120, 1900*time.Millisecond)
-		c.Observe(512, 512*120, 2100*time.Millisecond)
+		c.ObserveStages(512, 512*120, 1900*time.Millisecond, commitStages)
+		c.ObserveStages(512, 512*120, 2100*time.Millisecond, commitStages)
 	})
 	if allocs != 0 {
-		t.Errorf("Observe allocates %.1f per call pair, want 0", allocs)
+		t.Errorf("ObserveStages allocates %.1f per call pair, want 0", allocs)
 	}
 }
 
 func TestObserveStagesAttribution(t *testing.T) {
 	c := NewController(Config{Target: 2 * time.Second})
 	// Before any stage breakdown: no attribution.
-	d := c.Observe(100, 10000, 500*time.Millisecond)
+	d := c.ObserveStages(100, 10000, 500*time.Millisecond, Stages{})
 	if d.Dominant != "" {
 		t.Errorf("dominant %q before any stage observation", d.Dominant)
 	}
@@ -210,9 +230,9 @@ func TestObserveStagesAttribution(t *testing.T) {
 		t.Errorf("dominant %q after shift, want apply", d.Dominant)
 	}
 	// A zero Stages observation keeps the last attribution.
-	d = c.Observe(100, 10000, 500*time.Millisecond)
+	d = c.ObserveStages(100, 10000, 500*time.Millisecond, Stages{})
 	if d.Dominant != "apply" {
-		t.Errorf("dominant %q after plain Observe, want apply", d.Dominant)
+		t.Errorf("dominant %q after a zero breakdown, want apply", d.Dominant)
 	}
 }
 
