@@ -1,11 +1,12 @@
 // Package core implements the virtualizer node — the system of §3. It
 // listens for legacy-protocol connections (Alpha), reassembles messages
-// (wire.Coalescer inside wire.Conn), cross-compiles protocol and SQL (PXC,
-// via internal/sqlxlate), converts and stages data through the acquisition
-// pipeline (DataConverter -> FileWriter -> bulk loader -> COPY), executes
-// rewritten statements on the CDW (Beta, via internal/cdwnet), streams
-// export results through a TDFCursor, and emulates legacy error-handling
-// semantics with adaptive splitting (internal/errhandle).
+// (the Coalescer: wire.ReadFrame over each wire.Conn's buffered reader),
+// cross-compiles protocol and SQL (PXC, via internal/sqlxlate), converts
+// and stages data through the acquisition pipeline (DataConverter ->
+// FileWriter -> bulk loader -> COPY), executes rewritten statements on the
+// CDW (Beta, via internal/cdwnet), streams export results through a
+// TDFCursor, and emulates legacy error-handling semantics with adaptive
+// splitting (internal/errhandle).
 package core
 
 import (

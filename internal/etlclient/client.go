@@ -11,7 +11,6 @@
 package etlclient
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -377,15 +376,12 @@ func splitInput(data []byte, format wire.DataFormat, chunkRecords int) ([]chunk,
 			var payload []byte
 			count := 0
 			for count < chunkRecords && len(rest) > 0 {
-				if len(rest) < 2 {
+				rec, r, ok := ltype.NextRecord(rest)
+				if !ok {
 					return nil, 0, fmt.Errorf("etlclient: truncated record in input")
 				}
-				n := 2 + int(binary.BigEndian.Uint16(rest)) + 1
-				if len(rest) < n {
-					return nil, 0, fmt.Errorf("etlclient: truncated record in input")
-				}
-				payload = append(payload, rest[:n]...)
-				rest = rest[n:]
+				payload = append(payload, rec...)
+				rest = r
 				count++
 			}
 			chunks = append(chunks, chunk{

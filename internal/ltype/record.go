@@ -151,18 +151,15 @@ func encodeValue(dst []byte, t Type, v Value) ([]byte, error) {
 // not start with a complete, well-formed record. Hot-path callers use
 // DecodeRecordInto, which reuses a caller-provided scratch record.
 func DecodeRecord(buf []byte, layout *Layout) (Record, int, error) {
-	if len(buf) < 2 {
-		return nil, 0, fmt.Errorf("ltype: truncated record: missing length prefix")
-	}
-	total := 2 + int(binary.BigEndian.Uint16(buf)) + 1
-	if len(buf) < total {
-		return nil, 0, fmt.Errorf("ltype: truncated record: need %d bytes, have %d", total, len(buf))
-	}
-	rec := make(Record, len(layout.Fields))
 	// One copy of just this record's bytes: the decoded string values alias
 	// the immutable copy, so the returned record is safe regardless of what
-	// the caller later does with buf.
-	n, err := DecodeRecordInto(rec, string(buf[:total]), layout)
+	// the caller later does with buf. A short buf is copied whole, for
+	// DecodeRecordInto to report.
+	if r, _, ok := NextRecord(buf); ok {
+		buf = r
+	}
+	rec := make(Record, len(layout.Fields))
+	n, err := DecodeRecordInto(rec, string(buf), layout)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -174,6 +171,21 @@ func DecodeRecord(buf []byte, layout *Layout) (Record, int, error) {
 		}
 	}
 	return rec, n, nil
+}
+
+// NextRecord splits the first indicator-mode record, with its length prefix
+// and terminator byte, off the front of buf. ok is false when buf cannot
+// hold the record its prefix announces. It does not check the terminator;
+// DecodeRecordInto does.
+func NextRecord(buf []byte) (rec, rest []byte, ok bool) {
+	if len(buf) < 2 {
+		return nil, buf, false
+	}
+	n := 2 + int(binary.BigEndian.Uint16(buf)) + 1
+	if len(buf) < n {
+		return nil, buf, false
+	}
+	return buf[:n], buf[n:], true
 }
 
 // DecodeRecordInto decodes one indicator-mode record from the front of buf
@@ -394,27 +406,3 @@ func errVarLength(what string, n, max int) error {
 }
 
 func errBadKind(k Kind) error { return fmt.Errorf("cannot decode kind %s", k) }
-
-// CountRecords scans a chunk payload and returns the number of complete
-// indicator-mode records it contains, without materializing values. This is
-// the "minimal processing" the virtualizer performs before acknowledging a
-// chunk (§5): framing validation only.
-func CountRecords(buf []byte) (int, error) {
-	n := 0
-	for len(buf) > 0 {
-		if len(buf) < 2 {
-			return n, fmt.Errorf("ltype: truncated record length prefix")
-		}
-		payload := int(binary.BigEndian.Uint16(buf))
-		total := 2 + payload + 1
-		if len(buf) < total {
-			return n, fmt.Errorf("ltype: truncated record")
-		}
-		if buf[total-1] != RecordTerminator {
-			return n, fmt.Errorf("ltype: record %d missing terminator", n)
-		}
-		buf = buf[total:]
-		n++
-	}
-	return n, nil
-}

@@ -142,7 +142,9 @@ func TestDecodeRecordErrors(t *testing.T) {
 	}
 }
 
-func TestCountRecords(t *testing.T) {
+// TestNextRecord: NextRecord splits a chunk payload into its records and
+// refuses a record cut short; the terminator is DecodeRecordInto's check.
+func TestNextRecord(t *testing.T) {
 	layout := custLayout()
 	var buf []byte
 	var err error
@@ -156,16 +158,32 @@ func TestCountRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := CountRecords(buf)
-	if err != nil || n != 7 {
-		t.Errorf("CountRecords = %d, %v; want 7, nil", n, err)
+	n := 0
+	for rest := buf; len(rest) > 0; n++ {
+		rec, r, ok := NextRecord(rest)
+		if !ok {
+			t.Fatalf("record %d: not split", n)
+		}
+		if _, err := DecodeRecordInto(make(Record, 3), string(rec), layout); err != nil {
+			t.Fatalf("record %d: %v", n, err)
+		}
+		rest = r
 	}
-	if _, err := CountRecords(buf[:len(buf)-1]); err == nil {
-		t.Error("truncated chunk accepted")
+	if n != 7 {
+		t.Errorf("split %d records, want 7", n)
 	}
-	n, err = CountRecords(nil)
-	if err != nil || n != 0 {
-		t.Errorf("CountRecords(nil) = %d, %v", n, err)
+	for _, short := range [][]byte{nil, {0}, buf[:len(buf)/7-1]} {
+		if rec, rest, ok := NextRecord(short); ok || rec != nil || len(rest) != len(short) {
+			t.Errorf("NextRecord(%x) = %x, %x, %v; want a refusal", short, rec, rest, ok)
+		}
+	}
+	// The terminator is DecodeRecordInto's check, not NextRecord's.
+	bad := append([]byte(nil), buf[:len(buf)/7]...)
+	bad[len(bad)-1] = 'X'
+	if rec, _, ok := NextRecord(bad); !ok || len(rec) != len(bad) {
+		t.Errorf("record with a bad terminator: split %x, %v", rec, ok)
+	} else if _, err := DecodeRecordInto(make(Record, 3), string(rec), layout); err == nil {
+		t.Error("record with a bad terminator decoded")
 	}
 }
 
@@ -322,22 +340,6 @@ func TestPropertyLegacyDateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMaxRecordSizeBound(t *testing.T) {
-	layout := wideLayout()
-	r := rand.New(rand.NewSource(7))
-	bound := layout.MaxRecordSize()
-	for i := 0; i < 50; i++ {
-		rec := randomRecord(r, layout)
-		buf, err := EncodeRecord(nil, layout, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(buf) > bound {
-			t.Fatalf("encoded %d bytes exceeds MaxRecordSize %d", len(buf), bound)
-		}
-	}
-}
-
 func TestFloatSpecials(t *testing.T) {
 	layout := &Layout{Name: "F", Fields: []Field{{Name: "X", Type: Simple(KindFloat)}}}
 	for _, f := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1)} {
@@ -358,7 +360,7 @@ func TestFloatSpecials(t *testing.T) {
 func BenchmarkEncodeRecord(b *testing.B) {
 	layout := wideLayout()
 	rec := wideRecord()
-	buf := make([]byte, 0, layout.MaxRecordSize())
+	buf := make([]byte, 0, 512)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error

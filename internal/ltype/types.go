@@ -328,17 +328,3 @@ func (l *Layout) Validate() error {
 	}
 	return nil
 }
-
-// MaxRecordSize returns an upper bound on the encoded size of one
-// indicator-mode record with this layout, used for buffer sizing.
-func (l *Layout) MaxRecordSize() int {
-	n := 2 + (len(l.Fields)+7)/8 + 1 // length prefix + indicators + terminator
-	for _, f := range l.Fields {
-		if sz, fixed := f.Type.FixedWireSize(); fixed {
-			n += sz
-		} else {
-			n += 2 + f.Type.Length
-		}
-	}
-	return n
-}

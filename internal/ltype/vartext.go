@@ -1,6 +1,7 @@
 package ltype
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 )
@@ -181,21 +182,37 @@ func NextVartextLine(data string, pos int) (line string, next int, ok bool) {
 	if pos >= len(data) {
 		return "", pos, false
 	}
-	start := pos
-	for i := pos; i < len(data); i++ {
-		if data[i] != '\n' {
-			continue
+	end := VartextLineEnd(data, pos)
+	return strings.TrimSuffix(data[pos:end], "\r"), min(end+1, len(data)), true
+}
+
+// VartextLineEnd returns the index of the newline that ends the vartext line
+// starting at start in data, or len(data) when the line runs to the end. A
+// newline preceded by an odd run of backslashes is escaped field data and
+// does not end the line. It is the one line scan for vartext, on both file
+// contents (string) and wire payloads ([]byte).
+func VartextLineEnd[T string | []byte](data T, start int) int {
+	for i := start; i < len(data); i++ {
+		var n int
+		switch d := any(data[i:]).(type) {
+		case string:
+			n = strings.IndexByte(d, '\n')
+		case []byte:
+			n = bytes.IndexByte(d, '\n')
 		}
+		if n < 0 {
+			break
+		}
+		i += n
 		// Count the run of backslashes immediately preceding the newline; an
 		// odd count means the newline is escaped.
 		bs := 0
 		for j := i - 1; j >= start && data[j] == '\\'; j-- {
 			bs++
 		}
-		if bs%2 == 1 {
-			continue
+		if bs%2 == 0 {
+			return i
 		}
-		return strings.TrimSuffix(data[start:i], "\r"), i + 1, true
 	}
-	return strings.TrimSuffix(data[start:], "\r"), len(data), true
+	return len(data)
 }

@@ -111,8 +111,8 @@ func TestSplitVartextLines(t *testing.T) {
 		t.Errorf("SplitVartextLines(nil) = %#v, want nil", got)
 	}
 	// escaped newline joins lines; double backslash before newline splits
-	lines = SplitVartextLines([]byte("a\\\nb\nc\\\\\nd"))
-	want = []string{"a\\\nb", "c\\\\", "d"}
+	lines = SplitVartextLines([]byte("a\\\nb\nc\\\\\nd\\\ne\\\nf"))
+	want = []string{"a\\\nb", "c\\\\", "d\\\ne\\\nf"}
 	if !reflect.DeepEqual(lines, want) {
 		t.Errorf("escaped-newline split = %#v, want %#v", lines, want)
 	}

@@ -1,9 +1,9 @@
 package stream
 
 import (
-	"encoding/binary"
 	"errors"
 
+	"etlvirt/internal/ltype"
 	"etlvirt/internal/wire"
 )
 
@@ -56,40 +56,17 @@ func NextDelta(payload []byte, format wire.DataFormat) (op Op, record, rest []by
 	body := payload[1:]
 	switch format {
 	case wire.FormatVartext:
-		// A vartext record is one newline-terminated line; tolerate a
-		// missing terminator on the final record.
-		for i := 0; i < len(body); i++ {
-			if body[i] == '\n' {
-				return op, body[:i+1], body[i+1:], nil
-			}
-		}
-		return op, body, nil, nil
+		// A vartext record is one line, found by the same escape-aware scan
+		// an import uses; tolerate a missing terminator on the final record.
+		end := min(ltype.VartextLineEnd(body, 0)+1, len(body))
+		return op, body[:end], body[end:], nil
 	case wire.FormatIndicator:
-		// An indicator record is a 2-byte BE length, that many bytes, and a
-		// 1-byte terminator.
-		if len(body) < 2 {
+		var ok bool
+		if record, rest, ok = ltype.NextRecord(body); !ok {
 			return 0, nil, nil, ErrTruncated
 		}
-		n := 2 + int(binary.BigEndian.Uint16(body)) + 1
-		if len(body) < n {
-			return 0, nil, nil, ErrTruncated
-		}
-		return op, body[:n], body[n:], nil
+		return op, record, rest, nil
 	default:
 		return 0, nil, nil, ErrBadOp
 	}
-}
-
-// CountDeltas counts the records in a delta payload, validating framing.
-func CountDeltas(payload []byte, format wire.DataFormat) (int, error) {
-	n := 0
-	for len(payload) > 0 {
-		_, _, rest, err := NextDelta(payload, format)
-		if err != nil {
-			return n, err
-		}
-		payload = rest
-		n++
-	}
-	return n, nil
 }

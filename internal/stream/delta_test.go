@@ -14,16 +14,22 @@ func indicatorRecord(body []byte) []byte {
 	return append(rec, 0x0a)
 }
 
+// TestDeltaRoundTripVartext: each record is one vartext line, cut by the
+// same escape-aware scan an import uses, so a backslash-escaped newline
+// stays field data inside its record and an escaped backslash before a
+// newline does not escape the newline.
 func TestDeltaRoundTripVartext(t *testing.T) {
-	var payload []byte
-	payload = AppendDelta(payload, OpInsert, []byte("1|alpha\n"))
-	payload = AppendDelta(payload, OpUpdate, []byte("2|beta\n"))
-	payload = AppendDelta(payload, OpDelete, []byte("1|alpha\n"))
-
 	want := []struct {
 		op  Op
 		rec string
-	}{{OpInsert, "1|alpha\n"}, {OpUpdate, "2|beta\n"}, {OpDelete, "1|alpha\n"}}
+	}{
+		{OpInsert, "1|alpha\n"}, {OpUpdate, "2|beta\n"}, {OpInsert, "3|a\\\nb\n"},
+		{OpUpdate, "4|c\\\\\n"}, {OpDelete, "1|alpha\n"},
+	}
+	var payload []byte
+	for _, w := range want {
+		payload = AppendDelta(payload, w.op, []byte(w.rec))
+	}
 	rest := payload
 	for i, w := range want {
 		op, rec, r, err := NextDelta(rest, wire.FormatVartext)
@@ -37,9 +43,6 @@ func TestDeltaRoundTripVartext(t *testing.T) {
 	}
 	if len(rest) != 0 {
 		t.Fatalf("trailing bytes: %q", rest)
-	}
-	if n, err := CountDeltas(payload, wire.FormatVartext); err != nil || n != 3 {
-		t.Fatalf("CountDeltas = %d, %v", n, err)
 	}
 }
 
@@ -82,9 +85,6 @@ func TestDeltaErrors(t *testing.T) {
 	truncated := []byte{byte(OpInsert), 0x00, 0x10, 'a'}
 	if _, _, _, err := NextDelta(truncated, wire.FormatIndicator); err != ErrTruncated {
 		t.Fatalf("truncated body: %v", err)
-	}
-	if _, err := CountDeltas([]byte("I1|a\nQbad\n"), wire.FormatVartext); err != ErrBadOp {
-		t.Fatalf("CountDeltas bad op: %v", err)
 	}
 }
 

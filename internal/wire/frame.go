@@ -4,8 +4,8 @@
 //
 // A DWP connection carries a stream of frames. Each frame has a fixed
 // 12-byte header followed by a message body whose layout depends on the
-// message kind. The Coalescer type reassembles complete frames from raw TCP
-// segments, mirroring the paper's Coalescer process.
+// message kind. ReadFrame over a Conn's buffered reader reassembles complete
+// frames from raw TCP segments: it is the paper's Coalescer process.
 package wire
 
 import (
@@ -68,7 +68,7 @@ const (
 	KindTraceAck      Kind = 34 // server -> client: spans folded
 )
 
-// kindMax is the highest assigned frame kind; parseHeader rejects anything
+// kindMax is the highest assigned frame kind; ReadFrame rejects anything
 // above it.
 const kindMax = KindTraceAck
 
@@ -76,23 +76,6 @@ const kindMax = KindTraceAck
 // obs.TraceContext encoding between the header and the body. All other flag
 // bits remain reserved and must be zero.
 const flagTrace uint16 = 0x0001
-
-// String returns a diagnostic name for the kind.
-func (k Kind) String() string {
-	names := [...]string{
-		"Invalid", "Logon", "LogonOK", "Logoff", "RunSQL", "StmtSuccess",
-		"RecordHeader", "Records", "EndStatement", "Failure", "BeginLoad",
-		"LoadOK", "AttachLoad", "AttachOK", "DataChunk", "ChunkAck",
-		"EndAcquire", "AcquireDone", "ApplyDML", "ApplyResult", "EndLoad",
-		"LoadDone", "BeginExport", "ExportOK", "ExportChunkRq", "ExportChunk",
-		"EndExport", "BeginStream", "StreamOK", "DeltaFrame", "DeltaAck",
-		"EndStream", "StreamDone", "TraceSpans", "TraceAck",
-	}
-	if int(k) < len(names) {
-		return names[k]
-	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
 
 // Frame is one protocol frame: a kind, the session it belongs to, an
 // optional trace context propagated across the process boundary, and the
@@ -146,23 +129,41 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return err
 }
 
-// ReadFrame reads one complete frame from r.
+// ReadFrame reads one complete frame from r. Over a Conn's buffered
+// reader it is the paper's Coalescer, which "forms complete TCP messages
+// from the raw bytes received over the wire": io.ReadFull gathers each
+// header, trace extension and body across however many segments carry it.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, err
 	}
-	f, bodyLen, hasTrace, err := parseHeader(hdr[:])
-	if err != nil {
-		return Frame{}, err
+	if hdr[0] != Version {
+		return Frame{}, fmt.Errorf("wire: bad protocol version %d", hdr[0])
 	}
-	if hasTrace {
+	f := Frame{Kind: Kind(hdr[1]), Session: binary.BigEndian.Uint32(hdr[4:])}
+	if f.Kind == KindInvalid || f.Kind > kindMax {
+		return Frame{}, fmt.Errorf("wire: invalid frame kind %d", hdr[1])
+	}
+	flags := binary.BigEndian.Uint16(hdr[2:])
+	if flags&^flagTrace != 0 {
+		return Frame{}, fmt.Errorf("wire: reserved header flags 0x%04x set", flags)
+	}
+	bodyLen := int(binary.BigEndian.Uint32(hdr[8:]))
+	if bodyLen > MaxBodySize {
+		return Frame{}, fmt.Errorf("wire: frame body %d exceeds max %d", bodyLen, MaxBodySize)
+	}
+	if flags&flagTrace != 0 {
 		var ext [obs.TraceContextWireSize]byte
 		if _, err := io.ReadFull(r, ext[:]); err != nil {
 			return Frame{}, fmt.Errorf("wire: truncated trace context: %w", err)
 		}
-		if f.Trace, err = obs.DecodeTraceContext(ext[:]); err != nil {
+		tc, err := obs.DecodeTraceContext(ext[:])
+		if err != nil {
 			return Frame{}, fmt.Errorf("wire: %w", err)
+		}
+		if tc.Valid() { // a zero trace ID carries no context (see Frame)
+			f.Trace = tc
 		}
 	}
 	if bodyLen > 0 {
@@ -173,93 +174,3 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	}
 	return f, nil
 }
-
-func parseHeader(hdr []byte) (Frame, int, bool, error) {
-	if hdr[0] != Version {
-		return Frame{}, 0, false, fmt.Errorf("wire: bad protocol version %d", hdr[0])
-	}
-	k := Kind(hdr[1])
-	if k == KindInvalid || k > kindMax {
-		return Frame{}, 0, false, fmt.Errorf("wire: invalid frame kind %d", hdr[1])
-	}
-	flags := binary.BigEndian.Uint16(hdr[2:])
-	if flags&^flagTrace != 0 {
-		return Frame{}, 0, false, fmt.Errorf("wire: reserved header flags 0x%04x set", flags)
-	}
-	bodyLen := int(binary.BigEndian.Uint32(hdr[8:]))
-	if bodyLen > MaxBodySize {
-		return Frame{}, 0, false, fmt.Errorf("wire: frame body %d exceeds max %d", bodyLen, MaxBodySize)
-	}
-	return Frame{Kind: k, Session: binary.BigEndian.Uint32(hdr[4:])}, bodyLen, flags&flagTrace != 0, nil
-}
-
-// Coalescer reassembles complete frames from an arbitrary sequence of byte
-// slices, as delivered by the network layer. It is a push parser: feed bytes
-// with Push, collect complete frames from the returned slice. Mirrors the
-// paper's Coalescer process, which "forms complete TCP messages from the raw
-// bytes received over the wire".
-type Coalescer struct {
-	buf      []byte
-	pending  Frame
-	need     int  // body bytes still needed; 0 when waiting for a header
-	inBody   bool // true when a header has been parsed and body bytes are owed
-	hasTrace bool // true when the pending frame owes a trace-context extension
-}
-
-// Push feeds raw bytes to the coalescer and returns any frames completed by
-// them. The returned frames own their body slices; they do not alias data.
-func (c *Coalescer) Push(data []byte) ([]Frame, error) {
-	c.buf = append(c.buf, data...)
-	var out []Frame
-	for {
-		if !c.inBody {
-			if len(c.buf) < HeaderSize {
-				return out, nil
-			}
-			f, bodyLen, hasTrace, err := parseHeader(c.buf[:HeaderSize])
-			if err != nil {
-				return out, err
-			}
-			c.buf = c.buf[HeaderSize:]
-			c.pending = f
-			c.need = bodyLen
-			c.hasTrace = hasTrace
-			c.inBody = true
-		}
-		// The trace-context extension travels with the body bytes: wait for
-		// both, then split the extension off the front.
-		need := c.need
-		if c.hasTrace {
-			need += obs.TraceContextWireSize
-		}
-		if len(c.buf) < need {
-			return out, nil
-		}
-		if c.hasTrace {
-			tc, err := obs.DecodeTraceContext(c.buf[:obs.TraceContextWireSize])
-			if err != nil {
-				return out, fmt.Errorf("wire: %w", err)
-			}
-			c.pending.Trace = tc
-			c.buf = c.buf[obs.TraceContextWireSize:]
-		}
-		if c.need > 0 {
-			c.pending.Body = make([]byte, c.need)
-			copy(c.pending.Body, c.buf[:c.need])
-			c.buf = c.buf[c.need:]
-		}
-		out = append(out, c.pending)
-		c.pending = Frame{}
-		c.need = 0
-		c.inBody = false
-		c.hasTrace = false
-		// Reclaim the buffer if it has been fully consumed to avoid unbounded
-		// growth of the backing array across pushes.
-		if len(c.buf) == 0 {
-			c.buf = nil
-		}
-	}
-}
-
-// Buffered returns the number of bytes held that do not yet form a frame.
-func (c *Coalescer) Buffered() int { return len(c.buf) }

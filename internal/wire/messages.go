@@ -12,8 +12,7 @@ import (
 // one frame Kind.
 type Message interface {
 	Kind() Kind
-	encode(w *bodyWriter) error
-	decode(r *bodyReader) error
+	body(c *codec)
 }
 
 // DataFormat selects how records are encoded inside DataChunk frames.
@@ -43,19 +42,11 @@ type Logon struct {
 
 // Kind implements Message.
 func (*Logon) Kind() Kind { return KindLogon }
-
-func (m *Logon) encode(w *bodyWriter) error {
-	for _, s := range []string{m.Host, m.User, m.Password, m.Account} {
-		if err := w.str(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m *Logon) decode(r *bodyReader) error {
-	m.Host, m.User, m.Password, m.Account = r.str(), r.str(), r.str(), r.str()
-	return r.done()
+func (m *Logon) body(c *codec) {
+	c.str(&m.Host)
+	c.str(&m.User)
+	c.str(&m.Password)
+	c.str(&m.Account)
 }
 
 // LogonOK confirms a session.
@@ -66,26 +57,17 @@ type LogonOK struct {
 
 // Kind implements Message.
 func (*LogonOK) Kind() Kind { return KindLogonOK }
-
-func (m *LogonOK) encode(w *bodyWriter) error {
-	w.u32(m.SessionID)
-	return w.str(m.ServerVersion)
-}
-
-func (m *LogonOK) decode(r *bodyReader) error {
-	m.SessionID = r.u32()
-	m.ServerVersion = r.str()
-	return r.done()
+func (m *LogonOK) body(c *codec) {
+	c.u32(&m.SessionID)
+	c.str(&m.ServerVersion)
 }
 
 // Logoff ends a session.
 type Logoff struct{}
 
 // Kind implements Message.
-func (*Logoff) Kind() Kind { return KindLogoff }
-
-func (m *Logoff) encode(*bodyWriter) error   { return nil }
-func (m *Logoff) decode(r *bodyReader) error { return r.done() }
+func (*Logoff) Kind() Kind  { return KindLogoff }
+func (*Logoff) body(*codec) {}
 
 // RunSQL executes a SQL request on the control session.
 type RunSQL struct {
@@ -94,11 +76,8 @@ type RunSQL struct {
 
 // Kind implements Message.
 func (*RunSQL) Kind() Kind { return KindRunSQL }
-
-func (m *RunSQL) encode(w *bodyWriter) error { return w.str(m.SQL) }
-func (m *RunSQL) decode(r *bodyReader) error {
-	m.SQL = r.str()
-	return r.done()
+func (m *RunSQL) body(c *codec) {
+	c.str(&m.SQL)
 }
 
 // StmtSuccess reports a successful statement with its activity count.
@@ -109,16 +88,9 @@ type StmtSuccess struct {
 
 // Kind implements Message.
 func (*StmtSuccess) Kind() Kind { return KindStmtSuccess }
-
-func (m *StmtSuccess) encode(w *bodyWriter) error {
-	w.u64(m.ActivityCount)
-	return w.str(m.Warning)
-}
-
-func (m *StmtSuccess) decode(r *bodyReader) error {
-	m.ActivityCount = r.u64()
-	m.Warning = r.str()
-	return r.done()
+func (m *StmtSuccess) body(c *codec) {
+	c.u64(&m.ActivityCount)
+	c.str(&m.Warning)
 }
 
 // RecordHeader announces a result set and carries its layout.
@@ -128,11 +100,8 @@ type RecordHeader struct {
 
 // Kind implements Message.
 func (*RecordHeader) Kind() Kind { return KindRecordHeader }
-
-func (m *RecordHeader) encode(w *bodyWriter) error { return writeLayout(w, m.Layout) }
-func (m *RecordHeader) decode(r *bodyReader) error {
-	m.Layout = readLayout(r)
-	return r.done()
+func (m *RecordHeader) body(c *codec) {
+	c.layout(&m.Layout)
 }
 
 // Records carries a batch of indicator-mode records of a result set.
@@ -143,26 +112,17 @@ type Records struct {
 
 // Kind implements Message.
 func (*Records) Kind() Kind { return KindRecords }
-
-func (m *Records) encode(w *bodyWriter) error {
-	w.u32(m.Count)
-	return w.bytes(m.Payload)
-}
-
-func (m *Records) decode(r *bodyReader) error {
-	m.Count = r.u32()
-	m.Payload = r.bytes()
-	return r.done()
+func (m *Records) body(c *codec) {
+	c.u32(&m.Count)
+	c.bytes(&m.Payload)
 }
 
 // EndStatement terminates a result set.
 type EndStatement struct{}
 
 // Kind implements Message.
-func (*EndStatement) Kind() Kind { return KindEndStatement }
-
-func (m *EndStatement) encode(*bodyWriter) error   { return nil }
-func (m *EndStatement) decode(r *bodyReader) error { return r.done() }
+func (*EndStatement) Kind() Kind  { return KindEndStatement }
+func (*EndStatement) body(*codec) {}
 
 // Failure reports a failed request.
 type Failure struct {
@@ -172,16 +132,9 @@ type Failure struct {
 
 // Kind implements Message.
 func (*Failure) Kind() Kind { return KindFailure }
-
-func (m *Failure) encode(w *bodyWriter) error {
-	w.u32(m.Code)
-	return w.str(m.Message)
-}
-
-func (m *Failure) decode(r *bodyReader) error {
-	m.Code = r.u32()
-	m.Message = r.str()
-	return r.done()
+func (m *Failure) body(c *codec) {
+	c.u32(&m.Code)
+	c.str(&m.Message)
 }
 
 // Error converts a Failure into a Go error.
@@ -204,33 +157,16 @@ type BeginLoad struct {
 
 // Kind implements Message.
 func (*BeginLoad) Kind() Kind { return KindBeginLoad }
-
-func (m *BeginLoad) encode(w *bodyWriter) error {
-	for _, s := range []string{m.Table, m.ErrTableET, m.ErrTableUV} {
-		if err := w.str(s); err != nil {
-			return err
-		}
-	}
-	if err := writeLayout(w, m.Layout); err != nil {
-		return err
-	}
-	w.u8(uint8(m.Format))
-	w.u8(m.Delim)
-	w.u16(m.Sessions)
-	w.u32(m.MaxErrors)
-	w.u32(m.MaxRetries)
-	return nil
-}
-
-func (m *BeginLoad) decode(r *bodyReader) error {
-	m.Table, m.ErrTableET, m.ErrTableUV = r.str(), r.str(), r.str()
-	m.Layout = readLayout(r)
-	m.Format = DataFormat(r.u8())
-	m.Delim = r.u8()
-	m.Sessions = r.u16()
-	m.MaxErrors = r.u32()
-	m.MaxRetries = r.u32()
-	return r.done()
+func (m *BeginLoad) body(c *codec) {
+	c.str(&m.Table)
+	c.str(&m.ErrTableET)
+	c.str(&m.ErrTableUV)
+	c.layout(&m.Layout)
+	c.u8((*uint8)(&m.Format))
+	c.u8(&m.Delim)
+	c.u16(&m.Sessions)
+	c.u32(&m.MaxErrors)
+	c.u32(&m.MaxRetries)
 }
 
 // LoadOK confirms job creation.
@@ -240,11 +176,8 @@ type LoadOK struct {
 
 // Kind implements Message.
 func (*LoadOK) Kind() Kind { return KindLoadOK }
-
-func (m *LoadOK) encode(w *bodyWriter) error { w.u64(m.JobID); return nil }
-func (m *LoadOK) decode(r *bodyReader) error {
-	m.JobID = r.u64()
-	return r.done()
+func (m *LoadOK) body(c *codec) {
+	c.u64(&m.JobID)
 }
 
 // AttachLoad binds a data session to an import job.
@@ -255,27 +188,17 @@ type AttachLoad struct {
 
 // Kind implements Message.
 func (*AttachLoad) Kind() Kind { return KindAttachLoad }
-
-func (m *AttachLoad) encode(w *bodyWriter) error {
-	w.u64(m.JobID)
-	w.u16(m.SessionSeq)
-	return nil
-}
-
-func (m *AttachLoad) decode(r *bodyReader) error {
-	m.JobID = r.u64()
-	m.SessionSeq = r.u16()
-	return r.done()
+func (m *AttachLoad) body(c *codec) {
+	c.u64(&m.JobID)
+	c.u16(&m.SessionSeq)
 }
 
 // AttachOK confirms a data-session attach.
 type AttachOK struct{}
 
 // Kind implements Message.
-func (*AttachOK) Kind() Kind { return KindAttachOK }
-
-func (m *AttachOK) encode(*bodyWriter) error   { return nil }
-func (m *AttachOK) decode(r *bodyReader) error { return r.done() }
+func (*AttachOK) Kind() Kind  { return KindAttachOK }
+func (*AttachOK) body(*codec) {}
 
 // DataChunk carries a batch of input records during acquisition. Seq numbers
 // are global across the job's sessions and assign each chunk its position in
@@ -290,22 +213,12 @@ type DataChunk struct {
 
 // Kind implements Message.
 func (*DataChunk) Kind() Kind { return KindDataChunk }
-
-func (m *DataChunk) encode(w *bodyWriter) error {
-	w.u64(m.JobID)
-	w.u64(m.Seq)
-	w.u64(m.FirstRow)
-	w.u32(m.Count)
-	return w.bytes(m.Payload)
-}
-
-func (m *DataChunk) decode(r *bodyReader) error {
-	m.JobID = r.u64()
-	m.Seq = r.u64()
-	m.FirstRow = r.u64()
-	m.Count = r.u32()
-	m.Payload = r.bytes()
-	return r.done()
+func (m *DataChunk) body(c *codec) {
+	c.u64(&m.JobID)
+	c.u64(&m.Seq)
+	c.u64(&m.FirstRow)
+	c.u32(&m.Count)
+	c.bytes(&m.Payload)
 }
 
 // ChunkAck acknowledges receipt of the chunk with the given sequence number.
@@ -317,11 +230,8 @@ type ChunkAck struct {
 
 // Kind implements Message.
 func (*ChunkAck) Kind() Kind { return KindChunkAck }
-
-func (m *ChunkAck) encode(w *bodyWriter) error { w.u64(m.Seq); return nil }
-func (m *ChunkAck) decode(r *bodyReader) error {
-	m.Seq = r.u64()
-	return r.done()
+func (m *ChunkAck) body(c *codec) {
+	c.u64(&m.Seq)
 }
 
 // EndAcquire signals that a data session has no more chunks.
@@ -331,11 +241,8 @@ type EndAcquire struct {
 
 // Kind implements Message.
 func (*EndAcquire) Kind() Kind { return KindEndAcquire }
-
-func (m *EndAcquire) encode(w *bodyWriter) error { w.u64(m.JobID); return nil }
-func (m *EndAcquire) decode(r *bodyReader) error {
-	m.JobID = r.u64()
-	return r.done()
+func (m *EndAcquire) body(c *codec) {
+	c.u64(&m.JobID)
 }
 
 // AcquireDone confirms that all received data has been staged and the job is
@@ -348,19 +255,10 @@ type AcquireDone struct {
 
 // Kind implements Message.
 func (*AcquireDone) Kind() Kind { return KindAcquireDone }
-
-func (m *AcquireDone) encode(w *bodyWriter) error {
-	w.u64(m.JobID)
-	w.u64(m.RowsStaged)
-	w.u64(m.DataErrors)
-	return nil
-}
-
-func (m *AcquireDone) decode(r *bodyReader) error {
-	m.JobID = r.u64()
-	m.RowsStaged = r.u64()
-	m.DataErrors = r.u64()
-	return r.done()
+func (m *AcquireDone) body(c *codec) {
+	c.u64(&m.JobID)
+	c.u64(&m.RowsStaged)
+	c.u64(&m.DataErrors)
 }
 
 // ApplyDML submits the application-phase transformation.
@@ -372,20 +270,10 @@ type ApplyDML struct {
 
 // Kind implements Message.
 func (*ApplyDML) Kind() Kind { return KindApplyDML }
-
-func (m *ApplyDML) encode(w *bodyWriter) error {
-	w.u64(m.JobID)
-	if err := w.str(m.Label); err != nil {
-		return err
-	}
-	return w.str(m.SQL)
-}
-
-func (m *ApplyDML) decode(r *bodyReader) error {
-	m.JobID = r.u64()
-	m.Label = r.str()
-	m.SQL = r.str()
-	return r.done()
+func (m *ApplyDML) body(c *codec) {
+	c.u64(&m.JobID)
+	c.str(&m.Label)
+	c.str(&m.SQL)
 }
 
 // ApplyResult reports the outcome of the application phase.
@@ -400,25 +288,13 @@ type ApplyResult struct {
 
 // Kind implements Message.
 func (*ApplyResult) Kind() Kind { return KindApplyResult }
-
-func (m *ApplyResult) encode(w *bodyWriter) error {
-	w.u64(m.JobID)
-	w.u64(m.Inserted)
-	w.u64(m.Updated)
-	w.u64(m.Deleted)
-	w.u64(m.ErrorsET)
-	w.u64(m.ErrorsUV)
-	return nil
-}
-
-func (m *ApplyResult) decode(r *bodyReader) error {
-	m.JobID = r.u64()
-	m.Inserted = r.u64()
-	m.Updated = r.u64()
-	m.Deleted = r.u64()
-	m.ErrorsET = r.u64()
-	m.ErrorsUV = r.u64()
-	return r.done()
+func (m *ApplyResult) body(c *codec) {
+	c.u64(&m.JobID)
+	c.u64(&m.Inserted)
+	c.u64(&m.Updated)
+	c.u64(&m.Deleted)
+	c.u64(&m.ErrorsET)
+	c.u64(&m.ErrorsUV)
 }
 
 // EndLoad closes an import job.
@@ -428,11 +304,8 @@ type EndLoad struct {
 
 // Kind implements Message.
 func (*EndLoad) Kind() Kind { return KindEndLoad }
-
-func (m *EndLoad) encode(w *bodyWriter) error { w.u64(m.JobID); return nil }
-func (m *EndLoad) decode(r *bodyReader) error {
-	m.JobID = r.u64()
-	return r.done()
+func (m *EndLoad) body(c *codec) {
+	c.u64(&m.JobID)
 }
 
 // LoadDone confirms job teardown.
@@ -442,11 +315,8 @@ type LoadDone struct {
 
 // Kind implements Message.
 func (*LoadDone) Kind() Kind { return KindLoadDone }
-
-func (m *LoadDone) encode(w *bodyWriter) error { w.u64(m.JobID); return nil }
-func (m *LoadDone) decode(r *bodyReader) error {
-	m.JobID = r.u64()
-	return r.done()
+func (m *LoadDone) body(c *codec) {
+	c.u64(&m.JobID)
 }
 
 // BeginExport starts an export job whose data source is a SELECT statement.
@@ -459,23 +329,11 @@ type BeginExport struct {
 
 // Kind implements Message.
 func (*BeginExport) Kind() Kind { return KindBeginExport }
-
-func (m *BeginExport) encode(w *bodyWriter) error {
-	if err := w.str(m.SQL); err != nil {
-		return err
-	}
-	w.u16(m.Sessions)
-	w.u8(uint8(m.Format))
-	w.u8(m.Delim)
-	return nil
-}
-
-func (m *BeginExport) decode(r *bodyReader) error {
-	m.SQL = r.str()
-	m.Sessions = r.u16()
-	m.Format = DataFormat(r.u8())
-	m.Delim = r.u8()
-	return r.done()
+func (m *BeginExport) body(c *codec) {
+	c.str(&m.SQL)
+	c.u16(&m.Sessions)
+	c.u8((*uint8)(&m.Format))
+	c.u8(&m.Delim)
 }
 
 // ExportOK confirms an export job and announces the result layout.
@@ -486,16 +344,9 @@ type ExportOK struct {
 
 // Kind implements Message.
 func (*ExportOK) Kind() Kind { return KindExportOK }
-
-func (m *ExportOK) encode(w *bodyWriter) error {
-	w.u64(m.JobID)
-	return writeLayout(w, m.Layout)
-}
-
-func (m *ExportOK) decode(r *bodyReader) error {
-	m.JobID = r.u64()
-	m.Layout = readLayout(r)
-	return r.done()
+func (m *ExportOK) body(c *codec) {
+	c.u64(&m.JobID)
+	c.layout(&m.Layout)
 }
 
 // ExportChunkRq requests chunk Seq of the export result.
@@ -506,17 +357,9 @@ type ExportChunkRq struct {
 
 // Kind implements Message.
 func (*ExportChunkRq) Kind() Kind { return KindExportChunkRq }
-
-func (m *ExportChunkRq) encode(w *bodyWriter) error {
-	w.u64(m.JobID)
-	w.u64(m.Seq)
-	return nil
-}
-
-func (m *ExportChunkRq) decode(r *bodyReader) error {
-	m.JobID = r.u64()
-	m.Seq = r.u64()
-	return r.done()
+func (m *ExportChunkRq) body(c *codec) {
+	c.u64(&m.JobID)
+	c.u64(&m.Seq)
 }
 
 // ExportChunk returns chunk Seq. EOF marks the final chunk; an EOF chunk may
@@ -531,22 +374,12 @@ type ExportChunk struct {
 
 // Kind implements Message.
 func (*ExportChunk) Kind() Kind { return KindExportChunk }
-
-func (m *ExportChunk) encode(w *bodyWriter) error {
-	w.u64(m.JobID)
-	w.u64(m.Seq)
-	w.u32(m.Count)
-	w.bool(m.EOF)
-	return w.bytes(m.Payload)
-}
-
-func (m *ExportChunk) decode(r *bodyReader) error {
-	m.JobID = r.u64()
-	m.Seq = r.u64()
-	m.Count = r.u32()
-	m.EOF = r.bool()
-	m.Payload = r.bytes()
-	return r.done()
+func (m *ExportChunk) body(c *codec) {
+	c.u64(&m.JobID)
+	c.u64(&m.Seq)
+	c.u32(&m.Count)
+	c.bool(&m.EOF)
+	c.bytes(&m.Payload)
 }
 
 // EndExport closes an export job.
@@ -556,11 +389,8 @@ type EndExport struct {
 
 // Kind implements Message.
 func (*EndExport) Kind() Kind { return KindEndExport }
-
-func (m *EndExport) encode(w *bodyWriter) error { w.u64(m.JobID); return nil }
-func (m *EndExport) decode(r *bodyReader) error {
-	m.JobID = r.u64()
-	return r.done()
+func (m *EndExport) body(c *codec) {
+	c.u64(&m.JobID)
 }
 
 // BeginStream opens a long-lived CDC streaming session on the control
@@ -581,35 +411,16 @@ type BeginStream struct {
 
 // Kind implements Message.
 func (*BeginStream) Kind() Kind { return KindBeginStream }
-
-func (m *BeginStream) encode(w *bodyWriter) error {
-	for _, s := range []string{m.Name, m.Table, m.ErrTableET} {
-		if err := w.str(s); err != nil {
-			return err
-		}
-	}
-	if err := writeLayout(w, m.Layout); err != nil {
-		return err
-	}
-	w.u8(uint8(m.Format))
-	w.u8(m.Delim)
-	if err := w.str(m.SQL); err != nil {
-		return err
-	}
-	w.u32(m.LatencyTargetMS)
-	w.u32(m.MaxErrors)
-	return nil
-}
-
-func (m *BeginStream) decode(r *bodyReader) error {
-	m.Name, m.Table, m.ErrTableET = r.str(), r.str(), r.str()
-	m.Layout = readLayout(r)
-	m.Format = DataFormat(r.u8())
-	m.Delim = r.u8()
-	m.SQL = r.str()
-	m.LatencyTargetMS = r.u32()
-	m.MaxErrors = r.u32()
-	return r.done()
+func (m *BeginStream) body(c *codec) {
+	c.str(&m.Name)
+	c.str(&m.Table)
+	c.str(&m.ErrTableET)
+	c.layout(&m.Layout)
+	c.u8((*uint8)(&m.Format))
+	c.u8(&m.Delim)
+	c.str(&m.SQL)
+	c.u32(&m.LatencyTargetMS)
+	c.u32(&m.MaxErrors)
 }
 
 // StreamOK confirms a stream. ResumeSeq is the persisted commit watermark for
@@ -624,19 +435,10 @@ type StreamOK struct {
 
 // Kind implements Message.
 func (*StreamOK) Kind() Kind { return KindStreamOK }
-
-func (m *StreamOK) encode(w *bodyWriter) error {
-	w.u64(m.StreamID)
-	w.u64(m.ResumeSeq)
-	w.u32(m.BatchHint)
-	return nil
-}
-
-func (m *StreamOK) decode(r *bodyReader) error {
-	m.StreamID = r.u64()
-	m.ResumeSeq = r.u64()
-	m.BatchHint = r.u32()
-	return r.done()
+func (m *StreamOK) body(c *codec) {
+	c.u64(&m.StreamID)
+	c.u64(&m.ResumeSeq)
+	c.u32(&m.BatchHint)
 }
 
 // DeltaFrame carries Count CDC delta records. Each record is a one-byte op
@@ -652,20 +454,11 @@ type DeltaFrame struct {
 
 // Kind implements Message.
 func (*DeltaFrame) Kind() Kind { return KindDeltaFrame }
-
-func (m *DeltaFrame) encode(w *bodyWriter) error {
-	w.u64(m.StreamID)
-	w.u64(m.FirstSeq)
-	w.u32(m.Count)
-	return w.bytes(m.Payload)
-}
-
-func (m *DeltaFrame) decode(r *bodyReader) error {
-	m.StreamID = r.u64()
-	m.FirstSeq = r.u64()
-	m.Count = r.u32()
-	m.Payload = r.bytes()
-	return r.done()
+func (m *DeltaFrame) body(c *codec) {
+	c.u64(&m.StreamID)
+	c.u64(&m.FirstSeq)
+	c.u32(&m.Count)
+	c.bytes(&m.Payload)
 }
 
 // DeltaAck acknowledges a delta frame. Like ChunkAck the stream protocol is
@@ -682,21 +475,11 @@ type DeltaAck struct {
 
 // Kind implements Message.
 func (*DeltaAck) Kind() Kind { return KindDeltaAck }
-
-func (m *DeltaAck) encode(w *bodyWriter) error {
-	w.u64(m.StreamID)
-	w.u64(m.Seq)
-	w.u64(m.CommittedSeq)
-	w.u32(m.BatchHint)
-	return nil
-}
-
-func (m *DeltaAck) decode(r *bodyReader) error {
-	m.StreamID = r.u64()
-	m.Seq = r.u64()
-	m.CommittedSeq = r.u64()
-	m.BatchHint = r.u32()
-	return r.done()
+func (m *DeltaAck) body(c *codec) {
+	c.u64(&m.StreamID)
+	c.u64(&m.Seq)
+	c.u64(&m.CommittedSeq)
+	c.u32(&m.BatchHint)
 }
 
 // EndStream flushes any buffered deltas, commits, and closes the stream.
@@ -706,11 +489,8 @@ type EndStream struct {
 
 // Kind implements Message.
 func (*EndStream) Kind() Kind { return KindEndStream }
-
-func (m *EndStream) encode(w *bodyWriter) error { w.u64(m.StreamID); return nil }
-func (m *EndStream) decode(r *bodyReader) error {
-	m.StreamID = r.u64()
-	return r.done()
+func (m *EndStream) body(c *codec) {
+	c.u64(&m.StreamID)
 }
 
 // StreamDone reports the final state of a closed stream.
@@ -726,27 +506,14 @@ type StreamDone struct {
 
 // Kind implements Message.
 func (*StreamDone) Kind() Kind { return KindStreamDone }
-
-func (m *StreamDone) encode(w *bodyWriter) error {
-	w.u64(m.StreamID)
-	w.u64(m.Watermark)
-	w.u64(m.Inserted)
-	w.u64(m.Updated)
-	w.u64(m.Deleted)
-	w.u64(m.ErrorsET)
-	w.u64(m.Replayed)
-	return nil
-}
-
-func (m *StreamDone) decode(r *bodyReader) error {
-	m.StreamID = r.u64()
-	m.Watermark = r.u64()
-	m.Inserted = r.u64()
-	m.Updated = r.u64()
-	m.Deleted = r.u64()
-	m.ErrorsET = r.u64()
-	m.Replayed = r.u64()
-	return r.done()
+func (m *StreamDone) body(c *codec) {
+	c.u64(&m.StreamID)
+	c.u64(&m.Watermark)
+	c.u64(&m.Inserted)
+	c.u64(&m.Updated)
+	c.u64(&m.Deleted)
+	c.u64(&m.ErrorsET)
+	c.u64(&m.Replayed)
 }
 
 // TraceSpans ships client-side trace spans to the server so the virtualizer
@@ -759,56 +526,31 @@ type TraceSpans struct {
 
 // Kind implements Message.
 func (*TraceSpans) Kind() Kind { return KindTraceSpans }
-
-func (m *TraceSpans) encode(w *bodyWriter) error {
-	w.u64(m.JobID)
-	w.u32(uint32(len(m.Spans)))
-	for _, s := range m.Spans {
-		w.u64(s.ID)
-		w.u64(s.Parent)
-		for _, str := range []string{s.Proc, s.Stage, s.Worker} {
-			if err := w.str(str); err != nil {
-				return err
-			}
+func (m *TraceSpans) body(c *codec) {
+	c.u64(&m.JobID)
+	// Each span encodes to at least 49 bytes.
+	n := c.count(len(m.Spans), 49)
+	if c.dec && n > 0 {
+		m.Spans = make([]obs.Span, n)
+	}
+	for i := 0; i < n; i++ {
+		s := &m.Spans[i]
+		start, dur, rows, bytes, depth := uint64(s.Start.UnixNano()), uint64(s.Dur), uint64(s.Rows), uint64(s.Bytes), uint32(s.Depth)
+		c.u64(&s.ID)
+		c.u64(&s.Parent)
+		c.str(&s.Proc)
+		c.str(&s.Stage)
+		c.str(&s.Worker)
+		c.u64(&start)
+		c.u64(&dur)
+		c.u64(&rows)
+		c.u64(&bytes)
+		c.u32(&depth)
+		c.str(&s.Err)
+		if c.dec {
+			s.Start, s.Dur, s.Rows, s.Bytes, s.Depth = time.Unix(0, int64(start)), time.Duration(dur), int64(rows), int64(bytes), int(depth)
 		}
-		w.u64(uint64(s.Start.UnixNano()))
-		w.u64(uint64(s.Dur))
-		w.u64(uint64(s.Rows))
-		w.u64(uint64(s.Bytes))
-		w.u32(uint32(s.Depth))
-		if err := w.str(s.Err); err != nil {
-			return err
-		}
 	}
-	return nil
-}
-
-func (m *TraceSpans) decode(r *bodyReader) error {
-	m.JobID = r.u64()
-	n := r.u32()
-	if n == 0 {
-		return r.done()
-	}
-	// Each span is at least 49 encoded bytes; bound the allocation by what the
-	// body could actually hold.
-	if max := uint32(len(r.b) / 49); n > max {
-		n = max + 1 // let the reader run dry and report the short body
-	}
-	m.Spans = make([]obs.Span, 0, n)
-	for i := uint32(0); i < n; i++ {
-		var s obs.Span
-		s.ID = r.u64()
-		s.Parent = r.u64()
-		s.Proc, s.Stage, s.Worker = r.str(), r.str(), r.str()
-		s.Start = time.Unix(0, int64(r.u64()))
-		s.Dur = time.Duration(r.u64())
-		s.Rows = int64(r.u64())
-		s.Bytes = int64(r.u64())
-		s.Depth = int(r.u32())
-		s.Err = r.str()
-		m.Spans = append(m.Spans, s)
-	}
-	return r.done()
 }
 
 // TraceAck confirms the spans were folded into the job's timeline.
@@ -819,26 +561,19 @@ type TraceAck struct {
 
 // Kind implements Message.
 func (*TraceAck) Kind() Kind { return KindTraceAck }
-
-func (m *TraceAck) encode(w *bodyWriter) error {
-	w.u64(m.JobID)
-	w.u32(m.Added)
-	return nil
-}
-
-func (m *TraceAck) decode(r *bodyReader) error {
-	m.JobID = r.u64()
-	m.Added = r.u32()
-	return r.done()
+func (m *TraceAck) body(c *codec) {
+	c.u64(&m.JobID)
+	c.u32(&m.Added)
 }
 
 // Encode builds a frame for msg on the given session.
 func Encode(session uint32, msg Message) (Frame, error) {
-	var w bodyWriter
-	if err := msg.encode(&w); err != nil {
-		return Frame{}, err
+	c := codec{}
+	msg.body(&c)
+	if c.err != nil {
+		return Frame{}, c.err
 	}
-	return Frame{Kind: msg.Kind(), Session: session, Body: w.b}, nil
+	return Frame{Kind: msg.Kind(), Session: session, Body: c.b}, nil
 }
 
 // Decode parses a frame body into its message.
@@ -847,84 +582,71 @@ func Decode(f Frame) (Message, error) {
 	if m == nil {
 		return nil, fmt.Errorf("wire: no message for kind %s", f.Kind)
 	}
-	r := bodyReader{b: f.Body}
-	if err := m.decode(&r); err != nil {
+	c := codec{b: f.Body, dec: true}
+	m.body(&c)
+	if err := c.done(); err != nil {
 		return nil, fmt.Errorf("wire: decoding %s: %w", f.Kind, err)
 	}
 	return m, nil
 }
 
+// kinds names each frame kind and constructs its message. Adding a kind
+// means a constant, a message struct with Kind and body methods, and one
+// line here.
+var kinds = [kindMax + 1]struct {
+	name string
+	new  func() Message
+}{
+	KindInvalid:       {name: "Invalid"},
+	KindLogon:         {"Logon", func() Message { return new(Logon) }},
+	KindLogonOK:       {"LogonOK", func() Message { return new(LogonOK) }},
+	KindLogoff:        {"Logoff", func() Message { return new(Logoff) }},
+	KindRunSQL:        {"RunSQL", func() Message { return new(RunSQL) }},
+	KindStmtSuccess:   {"StmtSuccess", func() Message { return new(StmtSuccess) }},
+	KindRecordHeader:  {"RecordHeader", func() Message { return new(RecordHeader) }},
+	KindRecords:       {"Records", func() Message { return new(Records) }},
+	KindEndStatement:  {"EndStatement", func() Message { return new(EndStatement) }},
+	KindFailure:       {"Failure", func() Message { return new(Failure) }},
+	KindBeginLoad:     {"BeginLoad", func() Message { return new(BeginLoad) }},
+	KindLoadOK:        {"LoadOK", func() Message { return new(LoadOK) }},
+	KindAttachLoad:    {"AttachLoad", func() Message { return new(AttachLoad) }},
+	KindAttachOK:      {"AttachOK", func() Message { return new(AttachOK) }},
+	KindDataChunk:     {"DataChunk", func() Message { return new(DataChunk) }},
+	KindChunkAck:      {"ChunkAck", func() Message { return new(ChunkAck) }},
+	KindEndAcquire:    {"EndAcquire", func() Message { return new(EndAcquire) }},
+	KindAcquireDone:   {"AcquireDone", func() Message { return new(AcquireDone) }},
+	KindApplyDML:      {"ApplyDML", func() Message { return new(ApplyDML) }},
+	KindApplyResult:   {"ApplyResult", func() Message { return new(ApplyResult) }},
+	KindEndLoad:       {"EndLoad", func() Message { return new(EndLoad) }},
+	KindLoadDone:      {"LoadDone", func() Message { return new(LoadDone) }},
+	KindBeginExport:   {"BeginExport", func() Message { return new(BeginExport) }},
+	KindExportOK:      {"ExportOK", func() Message { return new(ExportOK) }},
+	KindExportChunkRq: {"ExportChunkRq", func() Message { return new(ExportChunkRq) }},
+	KindExportChunk:   {"ExportChunk", func() Message { return new(ExportChunk) }},
+	KindEndExport:     {"EndExport", func() Message { return new(EndExport) }},
+	KindBeginStream:   {"BeginStream", func() Message { return new(BeginStream) }},
+	KindStreamOK:      {"StreamOK", func() Message { return new(StreamOK) }},
+	KindDeltaFrame:    {"DeltaFrame", func() Message { return new(DeltaFrame) }},
+	KindDeltaAck:      {"DeltaAck", func() Message { return new(DeltaAck) }},
+	KindEndStream:     {"EndStream", func() Message { return new(EndStream) }},
+	KindStreamDone:    {"StreamDone", func() Message { return new(StreamDone) }},
+	KindTraceSpans:    {"TraceSpans", func() Message { return new(TraceSpans) }},
+	KindTraceAck:      {"TraceAck", func() Message { return new(TraceAck) }},
+}
+
+// String returns a diagnostic name for the kind.
+func (k Kind) String() string {
+	if k <= kindMax && kinds[k].name != "" {
+		return kinds[k].name
+	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
+
+// newMessage returns an empty message of kind k, or nil for a kind without
+// a message.
 func newMessage(k Kind) Message {
-	switch k {
-	case KindLogon:
-		return &Logon{}
-	case KindLogonOK:
-		return &LogonOK{}
-	case KindLogoff:
-		return &Logoff{}
-	case KindRunSQL:
-		return &RunSQL{}
-	case KindStmtSuccess:
-		return &StmtSuccess{}
-	case KindRecordHeader:
-		return &RecordHeader{}
-	case KindRecords:
-		return &Records{}
-	case KindEndStatement:
-		return &EndStatement{}
-	case KindFailure:
-		return &Failure{}
-	case KindBeginLoad:
-		return &BeginLoad{}
-	case KindLoadOK:
-		return &LoadOK{}
-	case KindAttachLoad:
-		return &AttachLoad{}
-	case KindAttachOK:
-		return &AttachOK{}
-	case KindDataChunk:
-		return &DataChunk{}
-	case KindChunkAck:
-		return &ChunkAck{}
-	case KindEndAcquire:
-		return &EndAcquire{}
-	case KindAcquireDone:
-		return &AcquireDone{}
-	case KindApplyDML:
-		return &ApplyDML{}
-	case KindApplyResult:
-		return &ApplyResult{}
-	case KindEndLoad:
-		return &EndLoad{}
-	case KindLoadDone:
-		return &LoadDone{}
-	case KindBeginExport:
-		return &BeginExport{}
-	case KindExportOK:
-		return &ExportOK{}
-	case KindExportChunkRq:
-		return &ExportChunkRq{}
-	case KindExportChunk:
-		return &ExportChunk{}
-	case KindEndExport:
-		return &EndExport{}
-	case KindBeginStream:
-		return &BeginStream{}
-	case KindStreamOK:
-		return &StreamOK{}
-	case KindDeltaFrame:
-		return &DeltaFrame{}
-	case KindDeltaAck:
-		return &DeltaAck{}
-	case KindEndStream:
-		return &EndStream{}
-	case KindStreamDone:
-		return &StreamDone{}
-	case KindTraceSpans:
-		return &TraceSpans{}
-	case KindTraceAck:
-		return &TraceAck{}
-	default:
+	if k > kindMax || kinds[k].new == nil {
 		return nil
 	}
+	return kinds[k].new()
 }

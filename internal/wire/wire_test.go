@@ -1,14 +1,17 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 	"time"
 
@@ -196,7 +199,10 @@ func TestReadFrameErrors(t *testing.T) {
 	}
 }
 
-func TestCoalescerWholeStream(t *testing.T) {
+// frameStream encodes every allMessages entry as one frame, the i-th on
+// session i, back to back as a peer would send them.
+func frameStream(t *testing.T) ([]Message, []byte) {
+	t.Helper()
 	var stream []byte
 	msgs := allMessages()
 	for i, m := range msgs {
@@ -204,69 +210,69 @@ func TestCoalescerWholeStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream, err = AppendFrame(stream, f)
-		if err != nil {
+		if stream, err = AppendFrame(stream, f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var c Coalescer
-	frames, err := c.Push(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != len(msgs) {
-		t.Fatalf("got %d frames, want %d", len(frames), len(msgs))
-	}
-	for i, f := range frames {
-		got, err := Decode(f)
+	return msgs, stream
+}
+
+// coalesce frames r the way Conn.RecvT does, ReadFrame over a bufio.Reader,
+// and decodes every frame up to a clean EOF.
+func coalesce(r io.Reader) ([]Message, error) {
+	br := bufio.NewReader(r)
+	var out []Message
+	for {
+		f, err := ReadFrame(br)
+		if err == io.EOF {
+			return out, nil
+		}
 		if err != nil {
-			t.Fatal(err)
+			return out, err
 		}
-		if !reflect.DeepEqual(got, msgs[i]) {
-			t.Errorf("frame %d mismatch", i)
+		m, err := Decode(f)
+		if err != nil {
+			return out, err
 		}
-	}
-	if c.Buffered() != 0 {
-		t.Errorf("coalescer holds %d leftover bytes", c.Buffered())
+		out = append(out, m)
 	}
 }
 
-func TestCoalescerArbitrarySegmentation(t *testing.T) {
-	var stream []byte
-	msgs := allMessages()
-	for i, m := range msgs {
-		f, err := Encode(uint32(i), m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream, _ = AppendFrame(stream, f)
+func TestCoalescerWholeStream(t *testing.T) {
+	msgs, stream := frameStream(t)
+	got, err := coalesce(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(got, msgs) {
+		t.Errorf("coalesced %d messages, want the %d sent", len(got), len(msgs))
+	}
+}
+
+// segmentReader hands out its bytes in random-sized reads, as TCP delivers
+// segments.
+type segmentReader struct {
+	r    *rand.Rand
+	rest []byte
+}
+
+func (s *segmentReader) Read(p []byte) (int, error) {
+	if len(s.rest) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, s.rest[:1+s.r.Intn(len(s.rest))])
+	s.rest = s.rest[n:]
+	return n, nil
+}
+
+func TestCoalescerArbitrarySegmentation(t *testing.T) {
+	msgs, stream := frameStream(t)
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		var c Coalescer
-		var frames []Frame
-		rest := stream
-		for len(rest) > 0 {
-			n := 1 + r.Intn(len(rest))
-			got, err := c.Push(rest[:n])
-			if err != nil {
-				t.Logf("push: %v", err)
-				return false
-			}
-			frames = append(frames, got...)
-			rest = rest[n:]
+		got, err := coalesce(&segmentReader{r: rand.New(rand.NewSource(seed)), rest: stream})
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
 		}
-		if len(frames) != len(msgs) || c.Buffered() != 0 {
-			t.Logf("frames=%d buffered=%d", len(frames), c.Buffered())
-			return false
-		}
-		for i, fr := range frames {
-			got, err := Decode(fr)
-			if err != nil || !reflect.DeepEqual(got, msgs[i]) {
-				return false
-			}
-		}
-		return true
+		return err == nil && reflect.DeepEqual(got, msgs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -279,24 +285,12 @@ func TestCoalescerByteAtATime(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc, _ := AppendFrame(nil, f)
-	var c Coalescer
-	var frames []Frame
-	for _, b := range enc {
-		got, err := c.Push([]byte{b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, got...)
-	}
-	if len(frames) != 1 {
-		t.Fatalf("got %d frames, want 1", len(frames))
-	}
-	m, err := Decode(frames[0])
+	got, err := coalesce(iotest.OneByteReader(bytes.NewReader(enc)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.(*RunSQL).SQL != "SELECT * FROM t" {
-		t.Errorf("unexpected SQL %q", m.(*RunSQL).SQL)
+	if len(got) != 1 || got[0].(*RunSQL).SQL != "SELECT * FROM t" {
+		t.Errorf("unexpected messages %#v", got)
 	}
 }
 
@@ -328,27 +322,20 @@ func TestFrameTraceContextRoundTrip(t *testing.T) {
 			t.Errorf("frame %d body mismatch", i)
 		}
 	}
-	// Byte-at-a-time through the coalescer: the 17-byte extension must
-	// survive arbitrary segmentation.
-	var c Coalescer
-	var out []Frame
-	for _, b := range wire {
-		got, err := c.Push([]byte{b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, got...)
-	}
-	if len(out) != len(frames) {
-		t.Fatalf("coalescer emitted %d frames, want %d", len(out), len(frames))
-	}
+	// Byte-at-a-time through a Conn's buffered reader: the 17-byte
+	// extension must survive arbitrary segmentation.
+	br := bufio.NewReader(iotest.OneByteReader(bytes.NewReader(wire)))
 	for i, want := range frames {
-		if out[i].Trace != want.Trace || !bytes.Equal(out[i].Body, want.Body) {
-			t.Errorf("coalesced frame %d mismatch: %+v", i, out[i])
+		got, err := ReadFrame(br)
+		if err != nil {
+			t.Fatalf("segmented frame %d: %v", i, err)
+		}
+		if got.Trace != want.Trace || !bytes.Equal(got.Body, want.Body) {
+			t.Errorf("segmented frame %d mismatch: %+v", i, got)
 		}
 	}
-	if c.Buffered() != 0 {
-		t.Errorf("coalescer holds %d leftover bytes", c.Buffered())
+	if _, err := ReadFrame(br); err != io.EOF {
+		t.Errorf("after the last frame: %v, want EOF", err)
 	}
 }
 
@@ -361,10 +348,6 @@ func TestFrameReservedFlagsRejected(t *testing.T) {
 	binary.BigEndian.PutUint16(enc[2:], 0x0002)
 	if _, err := ReadFrame(bytes.NewReader(enc)); err == nil {
 		t.Error("reserved header flag accepted")
-	}
-	var c Coalescer
-	if _, err := c.Push(enc); err == nil {
-		t.Error("coalescer accepted reserved header flag")
 	}
 }
 
@@ -382,10 +365,6 @@ func TestFrameTruncatedTraceContext(t *testing.T) {
 	enc[HeaderSize+16] |= 0x80
 	if _, err := ReadFrame(bytes.NewReader(enc)); err == nil {
 		t.Error("reserved trace-context flag accepted")
-	}
-	var c Coalescer
-	if _, err := c.Push(enc); err == nil {
-		t.Error("coalescer accepted reserved trace-context flag")
 	}
 }
 
@@ -422,10 +401,9 @@ func TestConnSendTRecvT(t *testing.T) {
 }
 
 func TestCoalescerBadHeader(t *testing.T) {
-	var c Coalescer
 	bad := make([]byte, HeaderSize)
 	bad[0] = 0xAA
-	if _, err := c.Push(bad); err == nil {
+	if _, err := coalesce(bytes.NewReader(bad)); err == nil {
 		t.Error("bad header accepted")
 	}
 }
