@@ -7,6 +7,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 
 	"etlvirt/internal/sqlparse"
 )
@@ -14,6 +15,13 @@ import (
 // NullMarker is the CSV token the CDW's COPY recognizes as NULL. The
 // virtualizer's DataConverter emits it for legacy NULL indicators.
 const NullMarker = `\N`
+
+// gzPool recycles gzip.Readers across COPY objects: each one carries a
+// decompressor's window and tables, so building one per object would be
+// most of what inflating a small staged file allocates. A reader is Reset
+// onto every object before use, so one returned after a failed object is
+// as good as new.
+var gzPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
 
 // execCopy implements COPY INTO t FROM 'store://prefix/' — the CDW bulk
 // ingest path (§6). Every object under the prefix is parsed as CSV (gzip
@@ -62,15 +70,20 @@ func (e *Engine) execCopy(s *sqlparse.CopyStmt) (*Result, error) {
 			return nil, errf(CodeCopyFailed, "reading %q: %v", key, err)
 		}
 		var r io.Reader = rc
+		var zr *gzip.Reader
 		if gzipAll || strings.HasSuffix(key, ".gz") {
-			zr, err := gzip.NewReader(rc)
-			if err != nil {
+			zr = gzPool.Get().(*gzip.Reader)
+			if err := zr.Reset(rc); err != nil {
+				gzPool.Put(zr)
 				rc.Close()
 				return nil, errf(CodeCopyFailed, "gunzip %q: %v", key, err)
 			}
 			r = zr
 		}
 		rows, err := e.parseCSVRows(t, r, delim, &rowSeq)
+		if zr != nil {
+			gzPool.Put(zr)
+		}
 		rc.Close()
 		if err != nil {
 			ee := AsError(err)

@@ -496,47 +496,41 @@ func toInt(d Datum) (int64, error) {
 
 // --- datetime format model (Oracle/Snowflake-style tokens) ---
 
-// fmtToken is one element of a parsed format model.
-type fmtToken struct {
-	code string // "YYYY", "MM", "DD", "HH24", "MI", "SS" or "" for a literal
-	lit  byte   // literal byte when code == ""
+// fmtElem is one element of a format model.
+type fmtElem uint8
+
+const (
+	fmtLit fmtElem = iota // one literal byte
+	fmtYYYY
+	fmtYY // year 2000+YY
+	fmtMM
+	fmtDD
+	fmtHH24 // HH24, or its alias HH
+	fmtMI
+	fmtSS
+)
+
+// fmtElems lists the element names in match order: a name comes before any
+// shorter name it starts with.
+var fmtElems = [...]struct {
+	name string
+	elem fmtElem
+}{
+	{"YYYY", fmtYYYY}, {"YY", fmtYY}, {"MM", fmtMM}, {"DD", fmtDD},
+	{"HH24", fmtHH24}, {"HH", fmtHH24}, {"MI", fmtMI}, {"SS", fmtSS},
 }
 
-func parseFormatModel(model string) ([]fmtToken, error) {
-	var out []fmtToken
-	u := strings.ToUpper(model)
-	for i := 0; i < len(u); {
-		switch {
-		case strings.HasPrefix(u[i:], "YYYY"):
-			out = append(out, fmtToken{code: "YYYY"})
-			i += 4
-		case strings.HasPrefix(u[i:], "YY"):
-			out = append(out, fmtToken{code: "YY"})
-			i += 2
-		case strings.HasPrefix(u[i:], "MM"):
-			out = append(out, fmtToken{code: "MM"})
-			i += 2
-		case strings.HasPrefix(u[i:], "DD"):
-			out = append(out, fmtToken{code: "DD"})
-			i += 2
-		case strings.HasPrefix(u[i:], "HH24"):
-			out = append(out, fmtToken{code: "HH24"})
-			i += 4
-		case strings.HasPrefix(u[i:], "HH"):
-			out = append(out, fmtToken{code: "HH24"})
-			i += 2
-		case strings.HasPrefix(u[i:], "MI"):
-			out = append(out, fmtToken{code: "MI"})
-			i += 2
-		case strings.HasPrefix(u[i:], "SS"):
-			out = append(out, fmtToken{code: "SS"})
-			i += 2
-		default:
-			out = append(out, fmtToken{lit: model[i]})
-			i++
+// nextFmtElem returns the element of model starting at byte i and its length
+// in bytes. Names match case-insensitively; any other byte is a literal.
+// Callers walk the model in place, so evaluating a format once per row
+// allocates nothing.
+func nextFmtElem(model string, i int) (fmtElem, int) {
+	for _, e := range fmtElems {
+		if len(model)-i >= len(e.name) && strings.EqualFold(model[i:i+len(e.name)], e.name) {
+			return e.elem, len(e.name)
 		}
 	}
-	return out, nil
+	return fmtLit, 1
 }
 
 type dtParts struct {
@@ -544,10 +538,6 @@ type dtParts struct {
 }
 
 func parseByModel(s, model string) (dtParts, error) {
-	toks, err := parseFormatModel(model)
-	if err != nil {
-		return dtParts{}, err
-	}
 	p := dtParts{y: 1970, mo: 1, d: 1}
 	pos := 0
 	readNum := func(width int) (int, error) {
@@ -561,52 +551,40 @@ func parseByModel(s, model string) (dtParts, error) {
 		n, _ := strconv.Atoi(s[start:pos])
 		return n, nil
 	}
-	for _, t := range toks {
-		if t.code == "" {
-			if pos >= len(s) || s[pos] != t.lit {
+	for i := 0; i < len(model); {
+		elem, n := nextFmtElem(model, i)
+		if elem == fmtLit {
+			if pos >= len(s) || s[pos] != model[i] {
 				return dtParts{}, errf(CodeDateConv, "cannot parse %q with format %q", s, model)
 			}
 			pos++
+			i++
 			continue
 		}
-		var n int
-		var err error
-		switch t.code {
-		case "YYYY":
-			if n, err = readNum(4); err != nil {
-				return dtParts{}, err
-			}
-			p.y = n
-		case "YY":
-			if n, err = readNum(2); err != nil {
-				return dtParts{}, err
-			}
-			p.y = 2000 + n
-		case "MM":
-			if n, err = readNum(2); err != nil {
-				return dtParts{}, err
-			}
-			p.mo = n
-		case "DD":
-			if n, err = readNum(2); err != nil {
-				return dtParts{}, err
-			}
-			p.d = n
-		case "HH24":
-			if n, err = readNum(2); err != nil {
-				return dtParts{}, err
-			}
-			p.h = n
-		case "MI":
-			if n, err = readNum(2); err != nil {
-				return dtParts{}, err
-			}
-			p.mi = n
-		case "SS":
-			if n, err = readNum(2); err != nil {
-				return dtParts{}, err
-			}
-			p.s = n
+		i += n
+		width := 2
+		if elem == fmtYYYY {
+			width = 4
+		}
+		v, err := readNum(width)
+		if err != nil {
+			return dtParts{}, err
+		}
+		switch elem {
+		case fmtYYYY:
+			p.y = v
+		case fmtYY:
+			p.y = 2000 + v
+		case fmtMM:
+			p.mo = v
+		case fmtDD:
+			p.d = v
+		case fmtHH24:
+			p.h = v
+		case fmtMI:
+			p.mi = v
+		case fmtSS:
+			p.s = v
 		}
 	}
 	if pos != len(s) {
@@ -662,30 +640,28 @@ func toChar(d Datum, model string) (Datum, error) {
 	default:
 		return StringD(d.Render()), nil
 	}
-	toks, err := parseFormatModel(model)
-	if err != nil {
-		return Datum{}, err
-	}
 	var sb strings.Builder
-	for _, tok := range toks {
-		switch tok.code {
-		case "":
-			sb.WriteByte(tok.lit)
-		case "YYYY":
+	for i := 0; i < len(model); {
+		elem, n := nextFmtElem(model, i)
+		switch elem {
+		case fmtLit:
+			sb.WriteByte(model[i])
+		case fmtYYYY:
 			fmt.Fprintf(&sb, "%04d", t.Year())
-		case "YY":
+		case fmtYY:
 			fmt.Fprintf(&sb, "%02d", t.Year()%100)
-		case "MM":
+		case fmtMM:
 			fmt.Fprintf(&sb, "%02d", int(t.Month()))
-		case "DD":
+		case fmtDD:
 			fmt.Fprintf(&sb, "%02d", t.Day())
-		case "HH24":
+		case fmtHH24:
 			fmt.Fprintf(&sb, "%02d", t.Hour())
-		case "MI":
+		case fmtMI:
 			fmt.Fprintf(&sb, "%02d", t.Minute())
-		case "SS":
+		case fmtSS:
 			fmt.Fprintf(&sb, "%02d", t.Second())
 		}
+		i += n
 	}
 	return StringD(sb.String()), nil
 }

@@ -25,6 +25,12 @@ func TestDatetimeFormatModel(t *testing.T) {
 		{"to_char(to_date('2023-06-30', 'YYYY-MM-DD'), 'DD.MM.YY')", "30.06.23"},
 		{"to_char(to_timestamp('2023-06-30 13:04:05', 'YYYY-MM-DD HH24:MI:SS'), 'HH24:MI:SS')", "13:04:05"},
 		{"to_char(to_date('23-06-30', 'YY-MM-DD'), 'YYYY-MM-DD')", "2023-06-30"},
+		// element names match in any case; other bytes are literals
+		{"to_char(to_date('2023-06-30', 'yyyy-mm-dd'), 'dd/mm/yyyy')", "30/06/2023"},
+		{"to_char(to_date('2023-06-30', 'Yyyy-Mm-dD'), 'yY.Mm.dd')", "23.06.30"},
+		{"to_char(to_timestamp('2023-06-30 13:04:05', 'yyyy-mm-dd hh24:mi:ss'), 'hh:mi:ss')", "13:04:05"},
+		{"to_char(to_timestamp('20230630t130405', 'yyyymmddtHHmiss'), 'YYYY-MM-DD HH24:MI:SS')", "2023-06-30 13:04:05"},
+		{"to_char(to_date('x2023y', 'xyyyyy'), 'Q YYYY Z')", "Q 2023 Z"},
 	}
 	for _, c := range cases {
 		if got := evalScalar(t, e, c.expr).Render(); got != c.want {
@@ -36,9 +42,33 @@ func TestDatetimeFormatModel(t *testing.T) {
 		"to_date('2023/06/30', 'YYYY-MM-DD')",                          // literal mismatch
 		"to_date('2023-13-01', 'YYYY-MM-DD')",                          // month range
 		"to_timestamp('2023-06-30 25:00:00', 'YYYY-MM-DD HH24:MI:SS')", // hour range
+		"to_date('2023-06-30', 'yyyy/mm/dd')",                          // literal mismatch, lower case
+		"to_date('2023-06-30T', 'yyyy-mm-dd')",                         // trailing input, lower case
 	} {
 		if _, err := e.ExecSQL("SELECT " + bad); err == nil {
 			t.Errorf("%q accepted", bad)
+		}
+	}
+}
+
+// TestFormatModelAllocFree: TO_DATE and TO_TIMESTAMP run once per imported
+// row, so they walk the format model in place whatever its case and
+// allocate nothing per call.
+func TestFormatModelAllocFree(t *testing.T) {
+	for _, c := range []struct {
+		conv     func(s, model string) (Datum, error)
+		s, model string
+	}{
+		{toDate, "2023-06-30", "YYYY-MM-DD"},
+		{toDate, "2023-06-30", "yyyy-mm-dd"},
+		{toTimestamp, "2023-06-30 13:04:05", "YYYY-MM-DD HH24:MI:SS"},
+		{toTimestamp, "2023-06-30 13:04:05", "yyyy-mm-dd hh24:mi:ss"},
+	} {
+		if _, err := c.conv(c.s, c.model); err != nil {
+			t.Fatalf("%q with %q: %v", c.s, c.model, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.conv(c.s, c.model) }); n != 0 {
+			t.Errorf("%q with %q: %v allocations per call, want 0", c.s, c.model, n)
 		}
 	}
 }

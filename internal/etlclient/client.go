@@ -356,7 +356,11 @@ func splitInput(data []byte, format wire.DataFormat, chunkRecords int) ([]chunk,
 			if end > len(lines) {
 				end = len(lines)
 			}
-			var payload []byte
+			size := 0
+			for _, l := range lines[start:end] {
+				size += len(l) + 1
+			}
+			payload := make([]byte, 0, size)
 			for _, l := range lines[start:end] {
 				payload = append(payload, l...)
 				payload = append(payload, '\n')
@@ -373,17 +377,18 @@ func splitInput(data []byte, format wire.DataFormat, chunkRecords int) ([]chunk,
 		total := int64(0)
 		rest := data
 		for len(rest) > 0 {
-			var payload []byte
-			count := 0
-			for count < chunkRecords && len(rest) > 0 {
-				rec, r, ok := ltype.NextRecord(rest)
+			// Records lie back to back, so a chunk is one span of the input.
+			size, count := 0, 0
+			for count < chunkRecords && size < len(rest) {
+				rec, _, ok := ltype.NextRecord(rest[size:])
 				if !ok {
 					return nil, 0, fmt.Errorf("etlclient: truncated record in input")
 				}
-				payload = append(payload, rec...)
-				rest = r
+				size += len(rec)
 				count++
 			}
+			payload := append([]byte(nil), rest[:size]...)
+			rest = rest[size:]
 			chunks = append(chunks, chunk{
 				seq: seq, firstRow: row, count: uint32(count), payload: payload,
 			})

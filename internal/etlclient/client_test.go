@@ -1,6 +1,8 @@
 package etlclient
 
 import (
+	"fmt"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -108,6 +110,52 @@ func TestSplitInputEmpty(t *testing.T) {
 	chunks, total, err = splitInput(nil, wire.FormatIndicator, 10)
 	if err != nil || total != 0 || len(chunks) != 0 {
 		t.Errorf("empty indicator: %v %d %v", chunks, total, err)
+	}
+}
+
+// TestSplitInputAllocBound: splitInput sizes each chunk's payload before
+// filling it, so a chunk costs one payload allocation, not a doubling
+// series. Everything else it allocates is the vartext line index (measured
+// on its own) and the chunk slice's growth.
+func TestSplitInputAllocBound(t *testing.T) {
+	const records, per = 2000, 250
+	chunks := records / per
+	layout := &ltype.Layout{Name: "L", Fields: []ltype.Field{
+		{Name: "A", Type: ltype.VarChar(40)},
+		{Name: "B", Type: ltype.Simple(ltype.KindInteger)},
+	}}
+	var vartext, indicator []byte
+	var err error
+	for i := 0; i < records; i++ {
+		name := fmt.Sprintf("customer %d", i)
+		vartext = fmt.Appendf(vartext, "%s|%d\n", name, i)
+		indicator, err = ltype.EncodeRecord(indicator, layout, ltype.Record{
+			ltype.StringValue(ltype.KindVarChar, name), ltype.IntValue(ltype.KindInteger, int64(i)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	sliceGrowth := float64(bits.Len(uint(chunks)) + 1)
+	lineIndex := testing.AllocsPerRun(20, func() { ltype.SplitVartextLines(vartext) })
+	for _, c := range []struct {
+		name     string
+		data     []byte
+		format   wire.DataFormat
+		overhead float64
+	}{
+		{"vartext", vartext, wire.FormatVartext, lineIndex + sliceGrowth},
+		{"indicator", indicator, wire.FormatIndicator, sliceGrowth},
+	} {
+		got, _, err := splitInput(c.data, c.format, per)
+		if err != nil || len(got) != chunks {
+			t.Fatalf("%s: %d chunks, err %v", c.name, len(got), err)
+		}
+		allocs := testing.AllocsPerRun(20, func() { splitInput(c.data, c.format, per) })
+		if limit := float64(chunks) + c.overhead; allocs > limit {
+			t.Errorf("%s: %v allocations for %d chunks, want at most %v (one payload each + %v)",
+				c.name, allocs, chunks, limit, c.overhead)
+		}
 	}
 }
 

@@ -82,7 +82,9 @@ type Config struct {
 	// SizeThreshold rotates the current file once it holds at least this
 	// many uncompressed bytes. Values below 1 default to 4 MiB.
 	SizeThreshold int
-	// Gzip compresses finalized files at gzip.DefaultCompression.
+	// Gzip compresses finalized files at gzip.BestSpeed (gzLevel). On
+	// staged CSV that deflates 2.5–9x faster than DefaultCompression for
+	// 3–25 % more bytes, which wins above about 1 MB/s of upload bandwidth.
 	Gzip bool
 	// NamePrefix distinguishes files from parallel writers.
 	NamePrefix string
@@ -118,10 +120,16 @@ type Writer struct {
 	finished []FinishedFile
 }
 
+// gzLevel is the deflate level of every staged file (see Config.Gzip).
+const gzLevel = gzip.BestSpeed
+
 // gzPool recycles gzip.Writers across file rotations and Writer instances:
 // a gzip.Writer carries several hundred KB of compressor state, so building
 // one per rotated file would dominate the writer stage's allocations.
-var gzPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+var gzPool = sync.Pool{New: func() any {
+	zw, _ := gzip.NewWriterLevel(io.Discard, gzLevel) // the level is valid
+	return zw
+}}
 
 type countWriter struct {
 	w io.Writer

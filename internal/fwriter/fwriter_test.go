@@ -3,6 +3,7 @@ package fwriter
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -94,13 +95,13 @@ func bytesPerRun(runs int, f func()) float64 {
 // TestWriterGzipRotateAllocBound gates the reason gzPool exists: after a
 // warm-up rotation, each further gzip rotation through one Writer reuses a
 // pooled compressor, so it allocates far less than building a fresh
-// gzip.Writer would. The bound leaves room for the race detector, under
-// which sync.Pool drops a quarter of its Puts. The rotated files still
-// round-trip through gzip.
+// gzip.Writer at the pool's level would. The bound leaves room for the race
+// detector, under which sync.Pool drops a quarter of its Puts. The rotated
+// files still round-trip through gzip.
 func TestWriterGzipRotateAllocBound(t *testing.T) {
 	payload := bytes.Repeat([]byte("abcdefgh,12345678,abcdefgh\n"), 64)
 	fresh := bytesPerRun(20, func() {
-		zw := gzip.NewWriter(io.Discard)
+		zw, _ := gzip.NewWriterLevel(io.Discard, gzLevel)
 		zw.Write(payload)
 		zw.Close()
 	})
@@ -134,6 +135,36 @@ func TestWriterGzipRotateAllocBound(t *testing.T) {
 	}
 	if !bytes.Equal(out, payload) {
 		t.Error("gunzipped content mismatch")
+	}
+}
+
+// TestWriterGzipLevel pins the deflate level of staged files: a gzip file
+// is exactly what gzip.NewWriterLevel at BestSpeed writes for the same
+// payload, so a silent change of level fails here.
+func TestWriterGzipLevel(t *testing.T) {
+	var payload []byte
+	for i := 0; i < 2000; i++ {
+		payload = fmt.Appendf(payload, "C%05d,name %d,2023-%02d-%02d\n", i, i*7919%1000, i%12+1, i%28+1)
+	}
+	fs := NewMemFS()
+	w := NewWriter(fs, Config{Gzip: true})
+	if err := w.Write(payload, 2000); err != nil {
+		t.Fatal(err)
+	}
+	files, err := w.Flush()
+	if err != nil || len(files) != 1 {
+		t.Fatalf("flush: %v %+v", err, files)
+	}
+	got, _ := fs.Bytes(files[0].Name)
+	var want bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&want, gzip.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw.Write(payload)
+	zw.Close()
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("staged file is %d B, gzip.BestSpeed writes %d B for the same payload", len(got), want.Len())
 	}
 }
 
