@@ -3,6 +3,7 @@ package cdw
 import (
 	"compress/gzip"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -184,7 +185,13 @@ func (e *Engine) parseCSVRows(t *Table, r io.Reader, delim rune, rowSeq *int64) 
 			return out, nil
 		}
 		if err != nil {
-			return nil, errf(CodeFieldCount, "malformed CSV: %v", err)
+			// A record the CSV grammar rejects is a row error; a reader
+			// that fails (a torn gzip body) fails the COPY.
+			var pe *csv.ParseError
+			if errors.As(err, &pe) {
+				return nil, errf(CodeFieldCount, "malformed CSV: %v", err)
+			}
+			return nil, errf(CodeCopyFailed, "reading: %v", err)
 		}
 		*rowSeq++
 		row := make([]Datum, len(t.Columns))

@@ -2,15 +2,17 @@
 // front of a cdw.Engine and a client with batched result fetching. The
 // virtualizer's Beta process and TDFCursor sit on top of this client (§3).
 //
-// The protocol is a simple length-delimited gob stream: the client sends a
-// request, the server answers with a response header followed by zero or
-// more row batches. Batched fetch is what lets the TDFCursor retrieve
-// results "on demand" in chunks rather than materializing everything.
+// The protocol is a stream of length-prefixed binary frames (codec.go): the
+// client sends a request, the server answers with a response header followed
+// by zero or more row batches. Batched fetch is what lets the TDFCursor
+// retrieve results "on demand" in chunks rather than materializing
+// everything. A request carries either SQL text or a range template and its
+// two bounds (sqlxlate.RangeStmt.Template); each server connection parses a
+// template once and keeps it in a small cache (template.go).
 package cdwnet
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -29,7 +31,11 @@ import (
 const DefaultFetchSize = 4096
 
 type request struct {
+	// SQL is the statement, or with Range set a range template whose bind
+	// markers take Lo and Hi.
 	SQL       string
+	Range     bool
+	Lo, Hi    int64
 	FetchSize int
 	// Describe, when non-empty, requests table metadata ("schema.name" or
 	// "name") instead of executing SQL.
@@ -47,11 +53,6 @@ func (r *request) trace() obs.TraceContext {
 	return obs.TraceContext{TraceID: r.TraceID, SpanID: r.SpanID, Sampled: r.Sampled}
 }
 
-type colInfo struct {
-	Name string
-	Type cdw.ColType
-}
-
 // TableMeta mirrors cdw.TableMeta on the wire.
 type TableMeta struct {
 	Columns    []ResultCol
@@ -67,7 +68,7 @@ type responseHeader struct {
 	ErrMsg   string
 	ErrField string
 	ErrRow   int64
-	Columns  []colInfo
+	Columns  []ResultCol
 	Activity int64
 	HasRows  bool
 	Meta     *TableMeta
@@ -88,9 +89,12 @@ type Server struct {
 
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
-	done     chan struct{}
+	closed   bool
 	observer func(op string, d time.Duration, errCode int)
 	events   *obs.EventLog
+	// serving counts the accept loop and every connection's goroutine;
+	// Close waits for them.
+	serving sync.WaitGroup
 }
 
 // SetEventLog records one event per served request (type "cdw_request") into
@@ -143,7 +147,7 @@ func (s *Server) observe(op string, start time.Time, errCode int) {
 
 // NewServer returns an unstarted server for eng.
 func NewServer(eng *cdw.Engine) *Server {
-	return &Server{eng: eng, conns: make(map[net.Conn]struct{}), done: make(chan struct{})}
+	return &Server{eng: eng, conns: make(map[net.Conn]struct{})}
 }
 
 // Listen binds addr (e.g. "127.0.0.1:0") and starts accepting connections.
@@ -154,39 +158,54 @@ func (s *Server) Listen(addr string) (string, error) {
 		return "", err
 	}
 	s.ln = ln
+	s.serving.Add(1)
 	go s.acceptLoop()
 	return ln.Addr().String(), nil
 }
 
-// Close stops the listener and closes active connections.
+// Close stops the listener, closes active connections and waits until every
+// connection's goroutine has returned.
 func (s *Server) Close() error {
-	close(s.done)
-	var err error
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil
+	}
+	s.closed = true
 	for c := range s.conns {
 		c.Close()
 	}
 	s.mu.Unlock()
+	var err error
+	if s.ln != nil {
+		err = s.ln.Close()
+	}
+	s.serving.Wait()
 	return err
 }
 
 func (s *Server) acceptLoop() {
+	defer s.serving.Done()
 	for {
 		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.done:
-				return
-			default:
-				continue
-			}
-		}
 		s.mu.Lock()
-		s.conns[conn] = struct{}{}
+		closed := s.closed
+		if err == nil && !closed {
+			s.conns[conn] = struct{}{}
+			s.serving.Add(1)
+		}
 		s.mu.Unlock()
+		switch {
+		case closed:
+			// A connection accepted while Close runs is closed here, so
+			// no goroutine is left reading from it.
+			if err == nil {
+				conn.Close()
+			}
+			return
+		case err != nil:
+			continue
+		}
 		go s.serveConn(conn)
 	}
 }
@@ -197,17 +216,18 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
+		s.serving.Done()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	fc := newFrameConn(conn)
+	var tmpls templateCache
 	for {
 		var req request
-		if err := dec.Decode(&req); err != nil {
-			return // disconnect
+		if err := fc.recv(&req); err != nil {
+			return // disconnect, or a frame the codec rejects
 		}
 		if req.Describe != "" {
 			start := time.Now()
-			if err := s.serveDescribe(enc, req.Describe); err != nil {
+			if err := s.serveDescribe(&fc, req.Describe); err != nil {
 				return
 			}
 			s.observe("describe", start, 0)
@@ -215,7 +235,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		start := time.Now()
-		res, err := s.eng.ExecSQL(req.SQL)
+		res, err := s.exec(&tmpls, &req)
 		engineDur := time.Since(start)
 		var hdr responseHeader
 		if err != nil {
@@ -224,42 +244,61 @@ func (s *Server) serveConn(conn net.Conn) {
 		} else {
 			hdr.Activity = res.Activity
 			for _, c := range res.Columns {
-				hdr.Columns = append(hdr.Columns, colInfo{Name: c.Name, Type: c.Type})
+				hdr.Columns = append(hdr.Columns, ResultCol(c))
 			}
 			hdr.HasRows = len(res.Columns) > 0
 		}
 		hdr.EngineNanos = engineDur.Nanoseconds()
 		s.observe("exec", start, hdr.ErrCode)
 		s.event("exec", req.trace(), engineDur, hdr.ErrCode)
-		if err := enc.Encode(&hdr); err != nil {
+		if err := respond(&fc, &hdr, res, req.FetchSize); err != nil {
 			return
 		}
-		if hdr.ErrCode != 0 || !hdr.HasRows {
-			continue
-		}
-		fetch := req.FetchSize
+	}
+}
+
+// exec runs one request's statement: SQL text is parsed afresh, a range
+// template comes from the connection's cache with its slots bound.
+func (s *Server) exec(tmpls *templateCache, req *request) (*cdw.Result, error) {
+	if !req.Range {
+		return s.eng.ExecSQL(req.SQL)
+	}
+	t, err := tmpls.get(req.SQL)
+	if err != nil {
+		return nil, err
+	}
+	t.slots[0].Int, t.slots[1].Int = req.Lo, req.Hi
+	return s.eng.Exec(t.stmt)
+}
+
+// respond writes the header and, for a successful statement with a result
+// schema, its rows in batches of fetch, then flushes the whole response at
+// once.
+func respond(fc *frameConn, hdr *responseHeader, res *cdw.Result, fetch int) error {
+	if err := fc.send(hdr); err != nil {
+		return err
+	}
+	if hdr.ErrCode == 0 && hdr.HasRows {
 		if fetch <= 0 {
 			fetch = DefaultFetchSize
 		}
 		rows := res.Rows
 		for {
-			n := len(rows)
-			if n > fetch {
-				n = fetch
-			}
+			n := min(len(rows), fetch)
 			batch := rowBatch{Rows: rows[:n], Last: n == len(rows)}
 			rows = rows[n:]
-			if err := enc.Encode(&batch); err != nil {
-				return
+			if err := fc.send(&batch); err != nil {
+				return err
 			}
 			if batch.Last {
 				break
 			}
 		}
 	}
+	return fc.bw.Flush()
 }
 
-func (s *Server) serveDescribe(enc *gob.Encoder, name string) error {
+func (s *Server) serveDescribe(fc *frameConn, name string) error {
 	tn := sqlparse.ParseTableName(name)
 	start := time.Now()
 	meta, err := s.eng.Describe(tn)
@@ -281,23 +320,24 @@ func (s *Server) serveDescribe(enc *gob.Encoder, name string) error {
 		hdr.Meta = m
 	}
 	hdr.EngineNanos = time.Since(start).Nanoseconds()
-	return enc.Encode(&hdr)
+	if err := fc.send(&hdr); err != nil {
+		return err
+	}
+	return fc.bw.Flush()
 }
 
 // Client is one CDW connection. A Client is not safe for concurrent use; the
 // virtualizer maintains a Pool.
 type Client struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	fc frameConn
 
 	// open cursor state
 	cursorOpen bool
 
 	// broken marks a connection whose last round trip hit a transport
-	// failure (send/recv error, deadline, or injected fault). The gob
-	// stream may be desynchronized, so the connection must be discarded,
-	// never recycled — Pool.Put enforces this.
+	// failure (send/recv error, deadline, torn or undecodable frame, or
+	// injected fault). The frame stream may be desynchronized, so the
+	// connection must be discarded, never recycled — Pool.Put enforces this.
 	broken bool
 
 	// timeout, when > 0, bounds each network operation (request send,
@@ -320,11 +360,11 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
+	return &Client{fc: newFrameConn(conn)}, nil
 }
 
 // Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error { return c.fc.conn.Close() }
 
 // SetTimeout bounds each subsequent network operation; zero disables the
 // bound.
@@ -357,7 +397,7 @@ func (c *Client) fault(op string) error {
 // armDeadline starts the per-operation timeout window.
 func (c *Client) armDeadline() {
 	if c.timeout > 0 {
-		_ = c.conn.SetDeadline(time.Now().Add(c.timeout))
+		_ = c.fc.conn.SetDeadline(time.Now().Add(c.timeout))
 	}
 }
 
@@ -402,7 +442,12 @@ func (c *Client) Exec(sql string) (int64, error) {
 
 // ExecT is Exec with a trace context propagated to the server.
 func (c *Client) ExecT(sql string, tc obs.TraceContext) (int64, error) {
-	cur, err := c.QueryT(sql, 0, tc)
+	return c.exec(request{SQL: sql}, tc)
+}
+
+// exec sends req and drains any rows, returning the activity count.
+func (c *Client) exec(req request, tc obs.TraceContext) (int64, error) {
+	cur, err := c.query(req, tc)
 	if err != nil {
 		return 0, err
 	}
@@ -425,7 +470,12 @@ func (c *Client) QueryAll(sql string) ([]ResultCol, [][]cdw.Datum, error) {
 
 // QueryAllT is QueryAll with a trace context propagated to the server.
 func (c *Client) QueryAllT(sql string, tc obs.TraceContext) ([]ResultCol, [][]cdw.Datum, error) {
-	cur, err := c.QueryT(sql, 0, tc)
+	return c.queryAll(request{SQL: sql}, tc)
+}
+
+// queryAll sends req and materializes all rows.
+func (c *Client) queryAll(req request, tc obs.TraceContext) ([]ResultCol, [][]cdw.Datum, error) {
+	cur, err := c.query(req, tc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -457,21 +507,33 @@ func (c *Client) Describe(table string) (*TableMeta, error) {
 	if err := c.fault("describe"); err != nil {
 		return nil, err
 	}
+	hdr, err := c.roundTrip(&request{Describe: table})
+	if err != nil {
+		return nil, err
+	}
+	return hdr.Meta, nil
+}
+
+// roundTrip sends req, flushing it at once, and reads the response header.
+// A transport or codec failure breaks the connection; an engine error comes
+// back as the header's remote error.
+func (c *Client) roundTrip(req *request) (*responseHeader, error) {
 	c.armDeadline()
-	if err := c.enc.Encode(&request{Describe: table}); err != nil {
+	err := c.fc.send(req)
+	if err == nil {
+		err = c.fc.bw.Flush()
+	}
+	if err != nil {
 		c.broken = true
 		return nil, fmt.Errorf("cdwnet: send: %w", err)
 	}
 	var hdr responseHeader
-	if err := c.dec.Decode(&hdr); err != nil {
+	if err := c.fc.recv(&hdr); err != nil {
 		c.broken = true
 		return nil, fmt.Errorf("cdwnet: recv: %w", err)
 	}
 	c.lastEngineNS = hdr.EngineNanos
-	if err := remoteError(&hdr); err != nil {
-		return nil, err
-	}
-	return hdr.Meta, nil
+	return &hdr, remoteError(&hdr)
 }
 
 // Cursor streams the result of one query in batches.
@@ -490,31 +552,23 @@ func (c *Client) Query(sql string, fetchSize int) (*Cursor, error) {
 
 // QueryT is Query with a trace context propagated to the server.
 func (c *Client) QueryT(sql string, fetchSize int, tc obs.TraceContext) (*Cursor, error) {
+	return c.query(request{SQL: sql, FetchSize: fetchSize}, tc)
+}
+
+// query sends req under tc and returns a cursor over its result.
+func (c *Client) query(req request, tc obs.TraceContext) (*Cursor, error) {
 	if c.cursorOpen {
 		return nil, errors.New("cdwnet: previous cursor still open")
 	}
 	if err := c.fault("query"); err != nil {
 		return nil, err
 	}
-	c.armDeadline()
-	req := request{SQL: sql, FetchSize: fetchSize, TraceID: tc.TraceID, SpanID: tc.SpanID, Sampled: tc.Sampled}
-	if err := c.enc.Encode(&req); err != nil {
-		c.broken = true
-		return nil, fmt.Errorf("cdwnet: send: %w", err)
-	}
-	var hdr responseHeader
-	if err := c.dec.Decode(&hdr); err != nil {
-		c.broken = true
-		return nil, fmt.Errorf("cdwnet: recv: %w", err)
-	}
-	c.lastEngineNS = hdr.EngineNanos
-	if err := remoteError(&hdr); err != nil {
+	req.TraceID, req.SpanID, req.Sampled = tc.TraceID, tc.SpanID, tc.Sampled
+	hdr, err := c.roundTrip(&req)
+	if err != nil {
 		return nil, err
 	}
-	cur := &Cursor{client: c, activity: hdr.Activity}
-	for _, ci := range hdr.Columns {
-		cur.cols = append(cur.cols, ResultCol{Name: ci.Name, Type: ci.Type})
-	}
+	cur := &Cursor{client: c, activity: hdr.Activity, cols: hdr.Columns}
 	if hdr.HasRows {
 		c.cursorOpen = true
 	} else {
@@ -542,7 +596,7 @@ func (cur *Cursor) NextBatch() ([][]cdw.Datum, bool, error) {
 	}
 	cur.client.armDeadline()
 	var batch rowBatch
-	if err := cur.client.dec.Decode(&batch); err != nil {
+	if err := cur.client.fc.recv(&batch); err != nil {
 		cur.finished = true
 		cur.client.cursorOpen = false
 		cur.client.broken = true
@@ -735,7 +789,7 @@ func (p *Pool) Get() (*Client, error) {
 
 // Put returns a connection to the pool. A connection whose last round trip
 // hit a transport failure (Broken) — or that still has a cursor open — is
-// poisoned: its gob stream may be desynchronized, so it is closed and its
+// poisoned: its frame stream may be desynchronized, so it is closed and its
 // pool slot freed for a fresh dial instead of being recycled.
 func (p *Pool) Put(c *Client) {
 	if c == nil {
@@ -812,12 +866,23 @@ func (p *Pool) Exec(sql string) (int64, error) {
 // ExecT is Exec with a trace context propagated to the CDW server and
 // reported to the pool's trace hook.
 func (p *Pool) ExecT(sql string, tc obs.TraceContext) (int64, error) {
+	return p.exec(request{SQL: sql}, tc)
+}
+
+// ExecRangeT is ExecT for a range template (sqlxlate.RangeStmt.Template)
+// bound to rows lo..hi. The server parses each template once per
+// connection; the statement it runs is the one SQL(lo, hi) would print.
+func (p *Pool) ExecRangeT(tmpl string, lo, hi int64, tc obs.TraceContext) (int64, error) {
+	return p.exec(request{SQL: tmpl, Range: true, Lo: lo, Hi: hi}, tc)
+}
+
+func (p *Pool) exec(req request, tc obs.TraceContext) (int64, error) {
 	start := time.Now()
 	var n int64
 	var engineNS int64
 	err := p.roundTrip("exec", false, func(c *Client) error {
 		var cerr error
-		n, cerr = c.ExecT(sql, tc)
+		n, cerr = c.exec(req, tc)
 		engineNS = c.EngineNanos()
 		return cerr
 	})
@@ -853,13 +918,23 @@ func (p *Pool) QueryAll(sql string) ([]ResultCol, [][]cdw.Datum, error) {
 // QueryAllT is QueryAll with a trace context propagated to the CDW server and
 // reported to the pool's trace hook.
 func (p *Pool) QueryAllT(sql string, tc obs.TraceContext) ([]ResultCol, [][]cdw.Datum, error) {
+	return p.queryAll(request{SQL: sql}, tc)
+}
+
+// QueryAllRangeT is QueryAllT for a range template bound to rows lo..hi
+// (see ExecRangeT).
+func (p *Pool) QueryAllRangeT(tmpl string, lo, hi int64, tc obs.TraceContext) ([]ResultCol, [][]cdw.Datum, error) {
+	return p.queryAll(request{SQL: tmpl, Range: true, Lo: lo, Hi: hi}, tc)
+}
+
+func (p *Pool) queryAll(req request, tc obs.TraceContext) ([]ResultCol, [][]cdw.Datum, error) {
 	start := time.Now()
 	var cols []ResultCol
 	var rows [][]cdw.Datum
 	var engineNS int64
 	err := p.roundTrip("query", true, func(c *Client) error {
 		var cerr error
-		cols, rows, cerr = c.QueryAllT(sql, tc)
+		cols, rows, cerr = c.queryAll(req, tc)
 		engineNS = c.EngineNanos()
 		return cerr
 	})

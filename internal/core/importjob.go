@@ -658,11 +658,11 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 			if c.intra && lo == hi {
 				continue
 			}
-			sql, err := c.q.SQL(lo, hi)
+			tmpl, err := c.q.Template()
 			if err != nil {
 				return 0, err
 			}
-			_, rows, err := j.node.pool.QueryAllT(sql, j.trace.ChildContext())
+			_, rows, err := j.node.pool.QueryAllRangeT(tmpl, lo, hi, j.trace.ChildContext())
 			if err != nil {
 				return 0, err
 			}
@@ -681,11 +681,11 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 					Msg: "duplicate unique key value"}
 			}
 		}
-		sql, err := dml.Apply.SQL(lo, hi)
+		tmpl, err := dml.Apply.Template()
 		if err != nil {
 			return 0, err
 		}
-		a1, err := j.node.pool.ExecT(sql, j.trace.ChildContext())
+		a1, err := j.node.pool.ExecRangeT(tmpl, lo, hi, j.trace.ChildContext())
 		if err != nil {
 			return 0, err
 		}
@@ -695,11 +695,11 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 		// upsert: the guarded INSERT half runs after the UPDATE half; both
 		// are idempotent per range, so a failure here safely re-applies on
 		// sub-ranges.
-		sql2, err := dml.ApplySecond.SQL(lo, hi)
+		tmpl2, err := dml.ApplySecond.Template()
 		if err != nil {
 			return 0, err
 		}
-		a2, err := j.node.pool.ExecT(sql2, j.trace.ChildContext())
+		a2, err := j.node.pool.ExecRangeT(tmpl2, lo, hi, j.trace.ChildContext())
 		if err != nil {
 			return 0, err
 		}
@@ -816,11 +816,11 @@ func (j *importJob) locator(dml *sqlxlate.DML, keys []sqlxlate.Key) func(context
 // locate runs the probe over rows lo..hi and returns the sorted, distinct
 // __seq values it names.
 func (j *importJob) locate(probe *sqlxlate.RangeStmt, lo, hi int64) ([]int64, error) {
-	sql, err := probe.SQL(lo, hi)
+	tmpl, err := probe.Template()
 	if err != nil {
 		return nil, err
 	}
-	_, rows, err := j.node.pool.QueryAllT(sql, j.trace.ChildContext())
+	_, rows, err := j.node.pool.QueryAllRangeT(tmpl, lo, hi, j.trace.ChildContext())
 	if err != nil {
 		return nil, err
 	}

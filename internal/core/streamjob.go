@@ -589,11 +589,12 @@ func (j *streamJob) exec(sql string) (int64, error) {
 
 // execRange runs one net-effect statement over staged images lo..hi.
 func (j *streamJob) execRange(rs *sqlxlate.RangeStmt, lo, hi int64) (int64, error) {
-	sql, err := rs.SQL(lo, hi)
+	tmpl, err := rs.Template()
 	if err != nil {
 		return 0, err
 	}
-	return j.exec(sql)
+	j.stmts++
+	return j.node.pool.ExecRangeT(tmpl, lo, hi, j.trace.ChildContext())
 }
 
 // apply commits the staged batch's net effect under the adaptive error
@@ -615,12 +616,12 @@ func (j *streamJob) apply() (int64, error) {
 		if lo == hi {
 			return j.applyOne(lo)
 		}
-		sql, err := j.ne.Read.SQL(lo, hi)
+		tmpl, err := j.ne.Read.Template()
 		if err != nil {
 			return 0, err
 		}
 		j.stmts++
-		_, rows, err := j.node.pool.QueryAllT(sql, j.trace.ChildContext())
+		_, rows, err := j.node.pool.QueryAllRangeT(tmpl, lo, hi, j.trace.ChildContext())
 		if err != nil {
 			return 0, err
 		}

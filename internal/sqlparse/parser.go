@@ -11,6 +11,9 @@ type Parser struct {
 	dialect Dialect
 	toks    []Token
 	pos     int
+	// slots, set only by ParseTemplate, holds the literals the bind markers
+	// stand for; nil makes every placeholder a legacy one.
+	slots *[2]*Literal
 }
 
 // NewParser builds a parser for src in the given dialect.
@@ -29,6 +32,11 @@ func Parse(src string, dialect Dialect) (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.parseOnly()
+}
+
+// parseOnly parses the one statement of the input.
+func (p *Parser) parseOnly() (Stmt, error) {
 	s, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -39,6 +47,29 @@ func Parse(src string, dialect Dialect) (Stmt, error) {
 		return nil, fmt.Errorf("sqlparse: unexpected %q after statement at line %d", t.Text, t.Line)
 	}
 	return s, nil
+}
+
+// ParseTemplate parses a range template (see PrintTemplate) in the CDW
+// dialect. Every occurrence of a bind marker becomes the same *Literal of
+// kind LitInt, one per marker, returned as slots (lo, hi); setting their Int
+// fields binds the statement. Both markers must appear, and any other
+// placeholder is rejected as Parse rejects it, so an unbound marker cannot
+// reach the engine through a plain Parse.
+func ParseTemplate(src string) (stmt Stmt, slots [2]*Literal, err error) {
+	p, err := NewParser(src, DialectCDW)
+	if err != nil {
+		return nil, slots, err
+	}
+	p.slots = &slots
+	if stmt, err = p.parseOnly(); err != nil {
+		return nil, slots, err
+	}
+	for i, lit := range slots {
+		if lit == nil {
+			return nil, slots, fmt.Errorf("sqlparse: template lacks bind marker :%s", bindMarkers[i])
+		}
+	}
+	return stmt, slots, nil
 }
 
 // ParseAll parses a semicolon-separated script into statements.
@@ -1159,6 +1190,23 @@ func (p *Parser) parseUnary() (Expr, error) {
 	return p.parsePrimary()
 }
 
+// bindSlot returns the literal a bind marker named name stands for in a
+// template parse, creating it at the marker's first occurrence, or nil.
+func (p *Parser) bindSlot(name string) *Literal {
+	if p.slots == nil {
+		return nil
+	}
+	for i, m := range bindMarkers {
+		if name == m {
+			if p.slots[i] == nil {
+				p.slots[i] = &Literal{Kind: LitInt}
+			}
+			return p.slots[i]
+		}
+	}
+	return nil
+}
+
 func (p *Parser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch t.Kind {
@@ -1186,6 +1234,10 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		return &Literal{Kind: LitString, Str: t.Text}, nil
 
 	case TokPlaceholder:
+		if lit := p.bindSlot(t.Text); lit != nil {
+			p.next()
+			return lit, nil
+		}
 		if p.dialect != DialectLegacy {
 			return nil, fmt.Errorf("sqlparse: placeholder :%s not allowed in %s dialect (line %d)", t.Text, p.dialect, t.Line)
 		}

@@ -11,12 +11,19 @@ import (
 // DialectCDW) returns an error — this is the safety net ensuring the
 // cross-compiler rewrote everything before execution.
 func Print(s Stmt, d Dialect) (string, error) {
-	p := &printer{dialect: d}
-	p.stmt(s)
-	if p.err != nil {
-		return "", p.err
-	}
-	return p.sb.String(), nil
+	return (&printer{dialect: d}).print(s)
+}
+
+// bindMarkers names the two bind markers of a range template, lo then hi.
+// They lex as placeholders, which only a legacy or template parse accepts.
+var bindMarkers = [2]string{"__lo", "__hi"}
+
+// PrintTemplate renders s in the CDW dialect as a range template: every
+// occurrence of the literal node lo prints as the bind marker :__lo and of hi
+// as :__hi. ParseTemplate reads the text back, and binding its slots to
+// the values lo and hi held prints exactly what Print would have printed.
+func PrintTemplate(s Stmt, lo, hi *Literal) (string, error) {
+	return (&printer{dialect: DialectCDW, slots: [2]*Literal{lo, hi}}).print(s)
 }
 
 // PrintExpr renders one expression in the given dialect.
@@ -33,6 +40,15 @@ type printer struct {
 	dialect Dialect
 	sb      strings.Builder
 	err     error
+	slots   [2]*Literal // PrintTemplate's bound literals, printed as markers
+}
+
+func (p *printer) print(s Stmt) (string, error) {
+	p.stmt(s)
+	if p.err != nil {
+		return "", p.err
+	}
+	return p.sb.String(), nil
 }
 
 func (p *printer) fail(format string, args ...any) {
@@ -444,9 +460,23 @@ func (p *printer) exprChild(child Expr, parentPrec int) {
 	p.expr(child)
 }
 
+// slot returns which of PrintTemplate's bound literals x is, or -1.
+func (p *printer) slot(x *Literal) int {
+	for i, s := range p.slots {
+		if s != nil && s == x {
+			return i
+		}
+	}
+	return -1
+}
+
 func (p *printer) expr(e Expr) {
 	switch x := e.(type) {
 	case *Literal:
+		if i := p.slot(x); i >= 0 {
+			p.w(":" + bindMarkers[i])
+			return
+		}
 		switch x.Kind {
 		case LitNull:
 			p.w("NULL")

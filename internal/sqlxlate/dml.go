@@ -33,17 +33,33 @@ func (k DMLKind) String() string {
 }
 
 // RangeStmt is a translated DML statement whose staging scan is restricted
-// to a __seq row range. The range bounds are literal nodes mutated by SQL;
-// a RangeStmt must therefore not be shared between goroutines.
+// to a __seq row range. The range bounds are literal nodes mutated by SQL,
+// and Template caches its text; a RangeStmt must therefore not be shared
+// between goroutines.
 type RangeStmt struct {
 	stmt   sqlparse.Stmt
 	lo, hi *sqlparse.Literal
+	tmpl   string // Template's text, once rendered
 }
 
 // SQL renders the statement for rows lo..hi inclusive.
 func (r *RangeStmt) SQL(lo, hi int64) (string, error) {
 	r.lo.Int, r.hi.Int = lo, hi
 	return sqlparse.Print(r.stmt, sqlparse.DialectCDW)
+}
+
+// Template renders the statement once as a range template: CDW text whose
+// two bounds are bind markers (sqlparse.PrintTemplate). Binding the markers
+// to lo and hi gives exactly SQL(lo, hi).
+func (r *RangeStmt) Template() (string, error) {
+	if r.tmpl == "" {
+		s, err := sqlparse.PrintTemplate(r.stmt, r.lo, r.hi)
+		if err != nil {
+			return "", err
+		}
+		r.tmpl = s
+	}
+	return r.tmpl, nil
 }
 
 // DML is one translated application-phase statement plus the auxiliary
