@@ -2,9 +2,13 @@
 // front of a cdw.Engine and a client with batched result fetching. The
 // virtualizer's Beta process and TDFCursor sit on top of this client (§3).
 //
-// The protocol is a stream of length-prefixed binary frames (codec.go): the
-// client sends a request, the server answers with a response header followed
-// by zero or more row batches. Batched fetch is what lets the TDFCursor
+// The protocol is a stream of length-prefixed binary frames (codec.go), whose
+// messages are stated against the primitives of internal/bincodec, which DWP
+// shares: the client sends a request, the server answers with a response
+// header followed by zero or more row batches. Each connection reuses one
+// body buffer from frame to frame, so nothing decoded may alias it: strings
+// and KBytes values are copied out of the body, and the caller owns every
+// row it is handed. Batched fetch is what lets the TDFCursor
 // retrieve results "on demand" in chunks rather than materializing
 // everything. A request carries either SQL text or a range template and its
 // two bounds (sqlxlate.RangeStmt.Template); each server connection parses a

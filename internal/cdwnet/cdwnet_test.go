@@ -267,7 +267,7 @@ func TestPoolDiscardsPoisonedConnection(t *testing.T) {
 
 	// The pool slot must have been freed and the next Get must dial fresh —
 	// returning the poisoned client here would hand out a desynchronized
-	// gob stream.
+	// frame stream.
 	c2, err := p.Get()
 	if err != nil {
 		t.Fatal(err)

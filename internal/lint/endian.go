@@ -8,7 +8,8 @@ import (
 // newEndian builds the endian analyzer: the wire-format packages may only
 // reference binary.BigEndian.
 //
-// Invariant (PR 1): DWP parcels, TDF packets, and indicator-mode records
+// Invariant: DWP parcels, CDW protocol frames, the bincodec
+// primitives both protocols share, TDF packets, and indicator-mode records
 // are encoded network byte order end to end. A single LittleEndian (or
 // host-order NativeEndian) reference silently corrupts framing between the
 // legacy client and the virtualizer — the decoder reads a garbage length
@@ -16,7 +17,7 @@ import (
 func newEndian() *Analyzer {
 	return &Analyzer{
 		Name: "endian",
-		Doc:  "wire-format packages (wire, tdf, ltype) may only reference binary.BigEndian",
+		Doc:  "wire-format packages (wire, cdwnet, bincodec, tdf, ltype) may only reference binary.BigEndian",
 		Run:  runEndian,
 	}
 }
@@ -24,7 +25,7 @@ func newEndian() *Analyzer {
 // endianScoped reports whether pkgPath is a wire-format package. Suffix
 // matching keeps the rule applicable to the testdata fixture mirrors.
 func endianScoped(pkgPath string) bool {
-	for _, base := range []string{"wire", "tdf", "ltype"} {
+	for _, base := range []string{"wire", "cdwnet", "bincodec", "tdf", "ltype"} {
 		if pkgPath == base || strings.HasSuffix(pkgPath, "/"+base) {
 			return true
 		}

@@ -153,9 +153,17 @@ func TestSqlidentFixture(t *testing.T) {
 
 func TestCtxbgFixture(t *testing.T)      { runFixture(t, "ctxbg", "ctxbg") }
 func TestErrwrapwFixture(t *testing.T)   { runFixture(t, "errwrapw", "errwrapw") }
-func TestEndianFixture(t *testing.T)     { runFixture(t, "endian", "wire") }
 func TestRetrysafeFixture(t *testing.T)  { runFixture(t, "retrysafe", "retrysafe") }
 func TestMetricnameFixture(t *testing.T) { runFixture(t, "metricname", "metricname") }
+
+// TestEndianFixture runs the endian analyzer over the mirror of every
+// package in its scope that has one: DWP, the CDW protocol and the
+// primitives they share.
+func TestEndianFixture(t *testing.T) {
+	for _, dir := range fixtureDirs["endian"] {
+		runFixture(t, "endian", dir)
+	}
+}
 
 // TestNolintSuppression checks the escape hatch: three of the four
 // context.Background calls in the fixture carry a matching directive and
@@ -191,7 +199,7 @@ func TestEndianScopeLimited(t *testing.T) {
 			t.Errorf("endianScoped(%q) = true, want false", path)
 		}
 	}
-	for _, path := range []string{"etlvirt/internal/wire", "etlvirt/internal/tdf", "etlvirt/internal/ltype"} {
+	for _, path := range []string{"etlvirt/internal/wire", "etlvirt/internal/cdwnet", "etlvirt/internal/bincodec", "etlvirt/internal/tdf", "etlvirt/internal/ltype"} {
 		if !endianScoped(path) {
 			t.Errorf("endianScoped(%q) = false, want true", path)
 		}
@@ -228,7 +236,7 @@ func TestSelfClean(t *testing.T) {
 var fixtureDirs = map[string][]string{
 	"ctxbg":       {"ctxbg", "nolint"},
 	"errwrapw":    {"errwrapw"},
-	"endian":      {"wire"},
+	"endian":      {"wire", "cdwnet", "bincodec"},
 	"retrysafe":   {"retrysafe"},
 	"metricname":  {"metricname"},
 	"bufown":      {"bufown"},

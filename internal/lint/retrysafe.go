@@ -6,25 +6,29 @@ import (
 	"strings"
 )
 
-// newRetrysafe builds the retrysafe analyzer: no CDW Exec call lexically
-// inside a retrier.Do closure.
+// newRetrysafe builds the retrysafe analyzer: no CDW DML call (Exec, ExecT,
+// ExecRangeT) lexically inside a retrier.Do closure.
 //
-// Invariant (PR 3, §6): Exec may carry non-idempotent DML, so the only
-// layer allowed to retry it is the cdwnet pool itself, which restricts
-// retries to failures that provably happened before the request hit the
-// wire (NotSent). Wrapping an Exec in an outer retrier.Do re-runs the
+// Invariant (§6): the DML calls may carry non-idempotent DML, so the
+// only layer allowed to retry them is the cdwnet pool itself, which
+// restricts retries to failures that provably happened before the request
+// hit the wire (NotSent). Wrapping one in an outer retrier.Do re-runs the
 // statement after ambiguous failures and can double-apply DML — the
 // exactly-once guarantee the paper's semantic-equivalence claim rests on.
-// Recovery loops that make Exec idempotent by reconstructing state first
-// (COPY recovery) must justify themselves with a //nolint:retrysafe at the
-// Do call.
+// Recovery loops that make the statement idempotent by reconstructing state
+// first (COPY recovery) must justify themselves with a //nolint:retrysafe at
+// the Do call.
 func newRetrysafe() *Analyzer {
 	return &Analyzer{
 		Name: "retrysafe",
-		Doc:  "forbid Pool.Exec/Client.Exec lexically inside a retrier.Do closure (non-idempotent DML must not be retried)",
+		Doc:  "forbid cdwnet Pool/Client Exec, ExecT and ExecRangeT lexically inside a retrier.Do closure (non-idempotent DML must not be retried)",
 		Run:  runRetrysafe,
 	}
 }
+
+// dmlCalls are the cdwnet Pool and Client methods that send a statement
+// which may be DML.
+var dmlCalls = map[string]bool{"Exec": true, "ExecT": true, "ExecRangeT": true}
 
 func runRetrysafe(p *Pass) {
 	p.walkFiles(func(file *ast.File, n ast.Node) bool {
@@ -50,14 +54,14 @@ func runRetrysafe(p *Pass) {
 					return true
 				}
 				isel, ok := ic.Fun.(*ast.SelectorExpr)
-				if !ok || isel.Sel.Name != "Exec" {
+				if !ok || !dmlCalls[isel.Sel.Name] {
 					return true
 				}
 				recv := p.TypeOf(isel.X)
 				if isNamed(recv, "cdwnet", "Pool") || isNamed(recv, "cdwnet", "Client") {
 					p.ReportRelated(ic, []ast.Node{call},
-						"%s.Exec inside a retrier.Do closure can double-apply non-idempotent DML; rely on the pool's NotSent-only retry instead",
-						named(recv).Obj().Name())
+						"%s.%s inside a retrier.Do closure can double-apply non-idempotent DML; rely on the pool's NotSent-only retry instead",
+						named(recv).Obj().Name(), isel.Sel.Name)
 				}
 				return true
 			})

@@ -6,6 +6,7 @@ import (
 	"context"
 
 	"etlvirt/internal/cdwnet"
+	"etlvirt/internal/obs"
 	"etlvirt/internal/retrier"
 )
 
@@ -21,6 +22,17 @@ func retryExec(ctx context.Context, r *retrier.Retrier, p *cdwnet.Pool) error {
 func retryClientExec(ctx context.Context, r *retrier.Retrier, c *cdwnet.Client) error {
 	return r.Do(ctx, "dml", func() error {
 		_, err := c.Exec("DELETE FROM t") // want "Client.Exec inside a retrier.Do closure"
+		return err
+	})
+}
+
+// violating: the traced and range forms send DML just as Exec does.
+func retryTracedExec(ctx context.Context, r *retrier.Retrier, p *cdwnet.Pool, tc obs.TraceContext) error {
+	return r.Do(ctx, "dml", func() error {
+		if _, err := p.ExecT("UPDATE t SET x = x + 1", tc); err != nil { // want "Pool.ExecT inside a retrier.Do closure"
+			return err
+		}
+		_, err := p.ExecRangeT("DELETE FROM t WHERE __seq BETWEEN :__lo AND :__hi", 1, 10, tc) // want "Pool.ExecRangeT inside a retrier.Do closure"
 		return err
 	})
 }

@@ -251,10 +251,13 @@ func TestNextVartextLineMatchesSplit(t *testing.T) {
 		"a\n",
 		"a\nb",
 		"a\r\nb\r\n",
-		"a\\\nb\nc",     // escaped newline joins a and b
-		"a\\\\\nb",      // even backslash run: newline splits
-		"\n\n",          // empty lines
-		"x\\\r\ny\n",    // escaped \r\n — the backslash escapes the newline
+		"a\\\nb\nc", // escaped newline joins a and b
+		"a\\\\\nb",  // even backslash run: newline splits
+		"\n\n",      // empty lines
+		// The \r stands between the backslash and the newline, so the scan
+		// splits this into ["x\\" "y"]. Whether a backslash before \r\n
+		// should escape it is ROADMAP V1(a)'s decision.
+		"x\\\r\ny\n",
 		"last no eol\r", // trailing \r without newline
 	}
 	for _, in := range inputs {

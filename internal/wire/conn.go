@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 
+	"etlvirt/internal/bincodec"
 	"etlvirt/internal/obs"
 )
 
@@ -20,8 +21,9 @@ type Conn struct {
 	rmu sync.Mutex
 	br  *bufio.Reader
 
-	wmu sync.Mutex
-	bw  *bufio.Writer
+	wmu  sync.Mutex
+	bw   *bufio.Writer
+	wbuf []byte // the last frame's buffer, kept while at most 64 KiB (bincodec.Keep)
 }
 
 // NewConn wraps rw (typically a *net.TCPConn) with buffered DWP framing.
@@ -48,19 +50,19 @@ func (c *Conn) Send(session uint32, msg Message) error {
 }
 
 // SendT is Send with a trace context attached to the frame. A zero context
-// sends a plain untraced frame.
+// sends a plain untraced frame. The header, extension and body are encoded
+// in place into one buffer, so a payload is copied once on its way out.
 func (c *Conn) SendT(session uint32, msg Message, tc obs.TraceContext) error {
-	f, err := Encode(session, msg)
-	if err != nil {
-		return err
-	}
-	f.Trace = tc
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := WriteFrame(c.bw, f); err != nil {
-		return err
+	b, err := appendMessage(c.wbuf, session, msg, tc)
+	if err == nil {
+		if _, err = c.bw.Write(b); err == nil {
+			err = c.bw.Flush()
+		}
 	}
-	return c.bw.Flush()
+	c.wbuf = bincodec.Keep(b)
+	return err
 }
 
 // Recv reads and decodes the next message, returning it with its session id.
@@ -70,7 +72,8 @@ func (c *Conn) Recv() (Message, uint32, error) {
 }
 
 // RecvT is Recv plus the trace context carried by the frame, if any (zero
-// TraceID otherwise).
+// TraceID otherwise). The message's byte fields are views of a body read
+// fresh for this frame: the caller owns them.
 func (c *Conn) RecvT() (Message, uint32, obs.TraceContext, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
