@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"etlvirt/internal/ltype"
 	"etlvirt/internal/wire"
@@ -165,29 +167,54 @@ func TestFig11Shape(t *testing.T) {
 	}
 }
 
-// TestFig7Shape asserts acquisition dominates and grows with size.
+// TestFig7Shape asserts that acquisition dominates application at every
+// size and that total time grows with size. Each phase at each size is the
+// median of fig7Runs runs of Fig7(400): one sample of 12-17 ms can be
+// stretched by another test binary sharing the CPUs, but the median of seven
+// moves only when four of them are.
 func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test runs full figure sweep")
 	}
-	rows, err := Fig7(400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.Times.Acquisition < r.Times.Application {
-			t.Errorf("%dM: acquisition %v should dominate application %v",
-				r.PaperMRows, r.Times.Acquisition, r.Times.Application)
+	const fig7Runs = 7
+	var rows []Fig7Row
+	var acq, app, total [][]time.Duration
+	for i := 0; i < fig7Runs; i++ {
+		var err error
+		if rows, err = Fig7(400); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			acq, app, total = make([][]time.Duration, len(rows)), make([][]time.Duration, len(rows)), make([][]time.Duration, len(rows))
+		}
+		for s, r := range rows {
+			acq[s] = append(acq[s], r.Times.Acquisition)
+			app[s] = append(app[s], r.Times.Application)
+			total[s] = append(total[s], r.Times.Total)
 		}
 	}
-	if rows[3].Times.Total <= rows[0].Times.Total {
-		t.Errorf("total time should grow with size: %v -> %v",
-			rows[0].Times.Total, rows[3].Times.Total)
+	for s, r := range rows {
+		a, p := medianDur(acq[s]), medianDur(app[s])
+		t.Logf("%dM: median acquisition %v, application %v (ratio %.2f)", r.PaperMRows, a, p, float64(a)/float64(p))
+		if a < p {
+			t.Errorf("%dM: median acquisition %v should dominate median application %v",
+				r.PaperMRows, a, p)
+		}
+	}
+	if first, last := medianDur(total[0]), medianDur(total[len(rows)-1]); last <= first {
+		t.Errorf("median total time should grow with size: %v -> %v", first, last)
 	}
 	out := FormatFig7(rows)
 	if !strings.Contains(out, "Figure 7") {
 		t.Errorf("format: %s", out)
 	}
+}
+
+// medianDur returns the median of an odd-length sample.
+func medianDur(d []time.Duration) time.Duration {
+	d = slices.Clone(d)
+	slices.Sort(d)
+	return d[len(d)/2]
 }
 
 func TestAblationsRun(t *testing.T) {

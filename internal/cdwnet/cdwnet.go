@@ -10,9 +10,10 @@
 // and KBytes values are copied out of the body, and the caller owns every
 // row it is handed. Batched fetch is what lets the TDFCursor
 // retrieve results "on demand" in chunks rather than materializing
-// everything. A request carries either SQL text or a range template and its
-// two bounds (sqlxlate.RangeStmt.Template); each server connection parses a
-// template once and keeps it in a small cache (template.go).
+// everything. A request carries one Stmt: SQL text, or a range template and
+// its two bounds (sqlxlate.RangeStmt.Template); each server connection parses
+// a template once and keeps it in a small cache (template.go). A Pool sends a
+// Stmt through Write, Read or Open, each with its own retry contract.
 package cdwnet
 
 import (
@@ -344,13 +345,9 @@ type Client struct {
 	// connection must be discarded, never recycled — Pool.Put enforces this.
 	broken bool
 
-	// timeout, when > 0, bounds each network operation (request send,
-	// header recv, and every batch recv) with a connection deadline.
-	timeout time.Duration
-
-	// faultHook, when non-nil, is consulted before each round trip with
-	// the operation kind ("query", "describe", "fetch"); a non-nil return
-	// is surfaced as a transport failure before anything hits the wire.
+	// timeout and faultHook are the pool's PoolConfig.Timeout and
+	// PoolConfig.FaultHook, copied in at dial.
+	timeout   time.Duration
 	faultHook func(op string) error
 
 	// lastEngineNS is the engine latency reported by the most recent
@@ -369,14 +366,6 @@ func Dial(addr string) (*Client, error) {
 
 // Close closes the connection.
 func (c *Client) Close() error { return c.fc.conn.Close() }
-
-// SetTimeout bounds each subsequent network operation; zero disables the
-// bound.
-func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
-
-// SetFaultHook installs the fault-injection hook consulted before each round
-// trip.
-func (c *Client) SetFaultHook(fn func(op string) error) { c.faultHook = fn }
 
 // Broken reports whether the connection suffered a transport failure and
 // must not be reused.
@@ -435,23 +424,14 @@ func remoteError(hdr *responseHeader) error {
 	return &cdw.Error{Code: hdr.ErrCode, Msg: hdr.ErrMsg, Field: hdr.ErrField, Row: hdr.ErrRow}
 }
 
-// EngineNanos reports the server-side engine latency of the most recent
-// round trip, 0 when unknown.
-func (c *Client) EngineNanos() int64 { return c.lastEngineNS }
-
 // Exec runs a statement and drains any rows, returning the activity count.
 func (c *Client) Exec(sql string) (int64, error) {
-	return c.ExecT(sql, obs.TraceContext{})
-}
-
-// ExecT is Exec with a trace context propagated to the server.
-func (c *Client) ExecT(sql string, tc obs.TraceContext) (int64, error) {
-	return c.exec(request{SQL: sql}, tc)
+	return c.exec(&request{SQL: sql})
 }
 
 // exec sends req and drains any rows, returning the activity count.
-func (c *Client) exec(req request, tc obs.TraceContext) (int64, error) {
-	cur, err := c.query(req, tc)
+func (c *Client) exec(req *request) (int64, error) {
+	cur, err := c.query(req)
 	if err != nil {
 		return 0, err
 	}
@@ -469,17 +449,12 @@ func (c *Client) exec(req request, tc obs.TraceContext) (int64, error) {
 
 // QueryAll runs a query and materializes all rows.
 func (c *Client) QueryAll(sql string) ([]ResultCol, [][]cdw.Datum, error) {
-	return c.QueryAllT(sql, obs.TraceContext{})
-}
-
-// QueryAllT is QueryAll with a trace context propagated to the server.
-func (c *Client) QueryAllT(sql string, tc obs.TraceContext) ([]ResultCol, [][]cdw.Datum, error) {
-	return c.queryAll(request{SQL: sql}, tc)
+	return c.queryAll(&request{SQL: sql})
 }
 
 // queryAll sends req and materializes all rows.
-func (c *Client) queryAll(req request, tc obs.TraceContext) ([]ResultCol, [][]cdw.Datum, error) {
-	cur, err := c.query(req, tc)
+func (c *Client) queryAll(req *request) ([]ResultCol, [][]cdw.Datum, error) {
+	cur, err := c.query(req)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -505,13 +480,18 @@ type ResultCol struct {
 
 // Describe fetches table metadata ("schema.name" or "name").
 func (c *Client) Describe(table string) (*TableMeta, error) {
+	return c.describe(&request{Describe: table})
+}
+
+// describe sends a Describe request.
+func (c *Client) describe(req *request) (*TableMeta, error) {
 	if c.cursorOpen {
 		return nil, errors.New("cdwnet: previous cursor still open")
 	}
 	if err := c.fault("describe"); err != nil {
 		return nil, err
 	}
-	hdr, err := c.roundTrip(&request{Describe: table})
+	hdr, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
@@ -542,7 +522,9 @@ func (c *Client) roundTrip(req *request) (*responseHeader, error) {
 
 // Cursor streams the result of one query in batches.
 type Cursor struct {
-	client   *Client
+	client *Client
+	// pool is set on a cursor from Pool.Open: Close hands client back to it.
+	pool     *Pool
 	cols     []ResultCol
 	activity int64
 	finished bool
@@ -551,24 +533,18 @@ type Cursor struct {
 // Query sends sql and returns a cursor over its result. fetchSize <= 0 uses
 // the default.
 func (c *Client) Query(sql string, fetchSize int) (*Cursor, error) {
-	return c.QueryT(sql, fetchSize, obs.TraceContext{})
+	return c.query(&request{SQL: sql, FetchSize: fetchSize})
 }
 
-// QueryT is Query with a trace context propagated to the server.
-func (c *Client) QueryT(sql string, fetchSize int, tc obs.TraceContext) (*Cursor, error) {
-	return c.query(request{SQL: sql, FetchSize: fetchSize}, tc)
-}
-
-// query sends req under tc and returns a cursor over its result.
-func (c *Client) query(req request, tc obs.TraceContext) (*Cursor, error) {
+// query sends req and returns a cursor over its result.
+func (c *Client) query(req *request) (*Cursor, error) {
 	if c.cursorOpen {
 		return nil, errors.New("cdwnet: previous cursor still open")
 	}
 	if err := c.fault("query"); err != nil {
 		return nil, err
 	}
-	req.TraceID, req.SpanID, req.Sampled = tc.TraceID, tc.SpanID, tc.Sampled
-	hdr, err := c.roundTrip(&req)
+	hdr, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
@@ -616,8 +592,16 @@ func (cur *Cursor) NextBatch() ([][]cdw.Datum, bool, error) {
 	return batch.Rows, true, nil
 }
 
-// Close drains any remaining batches so the connection can be reused.
+// Close ends the cursor. A cursor from Client.Query is drained so the
+// connection can be reused. A cursor from Pool.Open hands its connection
+// back to the pool, which discards it if rows are left unread: the rest of
+// an abandoned result is never fetched.
 func (cur *Cursor) Close() error {
+	if p := cur.pool; p != nil {
+		cur.pool, cur.finished = nil, true
+		p.Put(cur.client)
+		return nil
+	}
 	for !cur.finished {
 		if _, _, err := cur.NextBatch(); err != nil {
 			return err
@@ -626,8 +610,81 @@ func (cur *Cursor) Close() error {
 	return nil
 }
 
+// Stmt is one statement for the CDW: SQL text, or with Range set a range
+// template (sqlxlate.RangeStmt.Template) whose bind markers take Lo and Hi.
+// The server parses a template once per connection; the statement it runs
+// is the one RangeStmt.SQL(Lo, Hi) would print.
+type Stmt struct {
+	SQL    string
+	Range  bool
+	Lo, Hi int64
+}
+
+// Range is the Stmt for template bound to rows lo..hi.
+func Range(template string, lo, hi int64) Stmt {
+	return Stmt{SQL: template, Range: true, Lo: lo, Hi: hi}
+}
+
+// request maps s onto the wire request.
+func (s Stmt) request(fetch int) request {
+	return request{SQL: s.SQL, Range: s.Range, Lo: s.Lo, Hi: s.Hi, FetchSize: fetch}
+}
+
+// PoolConfig is everything a Pool is configured with, fixed at construction.
+type PoolConfig struct {
+	// Timeout bounds each network operation on a pooled connection (request
+	// send, header recv, every batch recv); zero disables the bound.
+	Timeout time.Duration
+	// FaultHook, when non-nil, is consulted before each round trip with the
+	// operation kind ("query", "describe", "fetch"); a non-nil return is a
+	// transport failure before anything hits the wire.
+	FaultHook func(op string) error
+	// Retrier, when non-nil, retries transient transport failures on a fresh
+	// connection, under the contract Write, Read and Open each state.
+	Retrier *retrier.Retrier
+	// Observer, when non-nil, is called once per pooled round trip.
+	Observer func(RoundTrip)
+}
+
+// RoundTrip is what the pool's observer learns of one pooled round trip.
+type RoundTrip struct {
+	// Op is "exec" (Write), "query" (Read and Open) or "describe".
+	Op string
+	// Job is the trace the call's context carried (obs.WithJob), nil if none.
+	Job *obs.JobTrace
+	// Start and Dur span the whole call, connection checkout and retries
+	// included.
+	Start time.Time
+	Dur   time.Duration
+	// EngineNS is the server-reported engine latency of the last attempt.
+	EngineNS int64
+	Err      error
+}
+
+// call is the contract of one way to send a request: how it reports itself,
+// whether a transient failure after the request hit the wire may be retried,
+// and whether its connection stays pinned to an open cursor.
+type call struct {
+	op, retryOp string
+	idempotent  bool
+	pin         bool
+}
+
+var (
+	// writeCall may carry DML, so only failures before the request hit the
+	// wire (NotSent: injected faults, dial errors) are retried: a real
+	// deadline can fire after the engine executed the statement, and a
+	// blind retry would double-apply it.
+	writeCall = call{op: "exec", retryOp: "cdw.exec"}
+	// readCall and openCall do not change state, so any transient failure
+	// of the request is retried.
+	readCall     = call{op: "query", retryOp: "cdw.query", idempotent: true}
+	openCall     = call{op: "query", retryOp: "cdw.query", idempotent: true, pin: true}
+	describeCall = call{op: "describe", retryOp: "cdw.describe", idempotent: true}
+)
+
 // Pool is a fixed-size pool of CDW client connections, shared by the
-// virtualizer's concurrent jobs.
+// virtualizer's concurrent jobs. Connections are dialed lazily.
 type Pool struct {
 	addr string
 	// conns holds idle healthy connections; slots holds dial-capacity
@@ -636,129 +693,21 @@ type Pool struct {
 	// soon as a broken connection is discarded.
 	conns chan *Client
 	slots chan struct{}
-
-	cfgMu     sync.Mutex
-	ctx       context.Context
-	timeout   time.Duration
-	faultHook func(op string) error
-	retry     *retrier.Retrier
-
-	obsMu     sync.Mutex
-	observer  func(op string, d time.Duration, err error)
-	traceHook func(op string, tc obs.TraceContext, start time.Time, d time.Duration, engineNS int64, err error)
+	cfg   PoolConfig
+	// ctx is the SetContext base of the context-free wrappers.
+	ctx context.Context
 }
 
-// SetTimeout bounds each network operation on pooled connections; zero
-// disables the bound. Applies to connections dialed after the call.
-func (p *Pool) SetTimeout(d time.Duration) {
-	p.cfgMu.Lock()
-	p.timeout = d
-	p.cfgMu.Unlock()
-}
+// NewPool creates an unconfigured pool of up to size connections to addr.
+func NewPool(addr string, size int) *Pool { return NewPoolWith(addr, size, PoolConfig{}) }
 
-// SetFaultHook installs the fault-injection hook propagated to every
-// connection the pool dials.
-func (p *Pool) SetFaultHook(fn func(op string) error) {
-	p.cfgMu.Lock()
-	p.faultHook = fn
-	p.cfgMu.Unlock()
-}
-
-// SetRetrier makes Exec/Describe/QueryAll retry transient transport
-// failures on a fresh connection under r's policy. Nil disables retries.
-// Retries are further restricted per operation: idempotent round trips
-// (Describe, QueryAll) retry any transient failure, while Exec — which may
-// carry non-idempotent DML — retries only failures that happened before the
-// request hit the wire (NotSent), so a deadline firing after the engine
-// executed a statement can never double-apply it.
-func (p *Pool) SetRetrier(r *retrier.Retrier) {
-	p.cfgMu.Lock()
-	p.retry = r
-	p.cfgMu.Unlock()
-}
-
-// SetContext sets the base context for pooled round trips: backoff waits and
-// further retry attempts stop once it is canceled, so node shutdown or job
-// abort is not delayed by in-flight recovery. Nil resets to Background.
-func (p *Pool) SetContext(ctx context.Context) {
-	p.cfgMu.Lock()
-	p.ctx = ctx
-	p.cfgMu.Unlock()
-}
-
-func (p *Pool) context() context.Context {
-	p.cfgMu.Lock()
-	defer p.cfgMu.Unlock()
-	if p.ctx == nil {
-		// Documented SetContext(nil) reset: a pool used without a node
-		// (tests, standalone tools) falls back to an unbounded context.
-		// Every node-owned pool has SetContext wired at construction.
-		return context.Background() //nolint:ctxbg // explicit nil-reset fallback, not node-owned I/O
-	}
-	return p.ctx
-}
-
-func (p *Pool) clientConfig() (time.Duration, func(op string) error) {
-	p.cfgMu.Lock()
-	defer p.cfgMu.Unlock()
-	return p.timeout, p.faultHook
-}
-
-func (p *Pool) retrier() *retrier.Retrier {
-	p.cfgMu.Lock()
-	defer p.cfgMu.Unlock()
-	return p.retry
-}
-
-// SetObserver installs a callback invoked once per pooled round trip with
-// the operation kind ("exec", "query" or "describe"), its end-to-end
-// latency (including connection checkout), and the resulting error. The
-// virtualizer's Beta path wires this into its CDW request metrics.
-func (p *Pool) SetObserver(fn func(op string, d time.Duration, err error)) {
-	p.obsMu.Lock()
-	p.observer = fn
-	p.obsMu.Unlock()
-}
-
-func (p *Pool) observe(op string, start time.Time, err error) {
-	p.obsMu.Lock()
-	fn := p.observer
-	p.obsMu.Unlock()
-	if fn != nil {
-		fn(op, time.Since(start), err)
-	}
-}
-
-// SetTraceHook installs a callback invoked once per traced round trip (ExecT,
-// QueryAllT called with a valid context) with the operation kind, the trace
-// context it ran under, its wall-clock window, the server-reported engine
-// latency, and the resulting error. The virtualizer turns these into child
-// spans of the calling job.
-func (p *Pool) SetTraceHook(fn func(op string, tc obs.TraceContext, start time.Time, d time.Duration, engineNS int64, err error)) {
-	p.obsMu.Lock()
-	p.traceHook = fn
-	p.obsMu.Unlock()
-}
-
-func (p *Pool) traceObserve(op string, tc obs.TraceContext, start time.Time, engineNS int64, err error) {
-	if !tc.Valid() {
-		return
-	}
-	p.obsMu.Lock()
-	fn := p.traceHook
-	p.obsMu.Unlock()
-	if fn != nil {
-		fn(op, tc, start, time.Since(start), engineNS, err)
-	}
-}
-
-// NewPool creates a pool of up to size connections to addr. Connections are
-// dialed lazily.
-func NewPool(addr string, size int) *Pool {
+// NewPoolWith creates a pool of up to size connections to addr, configured
+// by cfg.
+func NewPoolWith(addr string, size int, cfg PoolConfig) *Pool {
 	if size < 1 {
 		size = 1
 	}
-	p := &Pool{addr: addr, conns: make(chan *Client, size), slots: make(chan struct{}, size)}
+	p := &Pool{addr: addr, conns: make(chan *Client, size), slots: make(chan struct{}, size), cfg: cfg}
 	for i := 0; i < size; i++ {
 		p.slots <- struct{}{}
 	}
@@ -784,9 +733,7 @@ func (p *Pool) Get() (*Client, error) {
 			// Nothing hit the wire, so the failure is safe to retry.
 			return nil, &notSentError{err: err}
 		}
-		timeout, hook := p.clientConfig()
-		c.SetTimeout(timeout)
-		c.SetFaultHook(hook)
+		c.timeout, c.faultHook = p.cfg.Timeout, p.cfg.FaultHook
 		return c, nil
 	}
 }
@@ -829,123 +776,126 @@ func (p *Pool) Close() {
 	}
 }
 
-// roundTrip borrows a connection, runs fn on it, and returns it — Put
-// discards it if fn broke it. With a retrier installed, transient transport
-// failures are retried on a fresh connection under the backoff policy —
-// any transient failure for idempotent operations, but only failures that
-// happened before the request hit the wire (NotSent: injected faults, dial
-// errors) otherwise, because a real deadline can fire after the engine
-// already executed the statement and a blind retry would double-apply
-// non-idempotent DML. Remote engine errors are never retried, so legacy
-// per-tuple error semantics are preserved.
-func (p *Pool) roundTrip(op string, idempotent bool, fn func(c *Client) error) error {
+// Write sends s, which may carry DML, and returns its activity count. Under
+// the pool's retrier only failures before the request hit the wire are
+// retried. ctx bounds the retries, and the trace it carries (obs.WithJob)
+// is propagated to the server and handed to the observer.
+func (p *Pool) Write(ctx context.Context, s Stmt) (int64, error) {
+	var n int64
+	err := p.roundTrip(ctx, writeCall, s.request(0), func(c *Client, req *request) (err error) {
+		n, err = c.exec(req)
+		return err
+	})
+	return n, err
+}
+
+// Read sends s, which must not change state, and returns all its rows. Any
+// transient failure is retried; ctx is used as in Write.
+func (p *Pool) Read(ctx context.Context, s Stmt) ([]ResultCol, [][]cdw.Datum, error) {
+	var cols []ResultCol
+	var rows [][]cdw.Datum
+	err := p.roundTrip(ctx, readCall, s.request(0), func(c *Client, req *request) (err error) {
+		cols, rows, err = c.queryAll(req)
+		return err
+	})
+	return cols, rows, err
+}
+
+// Open sends s, which must not change state, and returns a cursor over its
+// rows in batches of fetch (<= 0 selects DefaultFetchSize). The cursor pins
+// one connection until Close. Opening retries and reports like Read; the
+// fetches that follow are neither retried nor observed.
+func (p *Pool) Open(ctx context.Context, s Stmt, fetch int) (*Cursor, error) {
+	var cur *Cursor
+	err := p.roundTrip(ctx, openCall, s.request(fetch), func(c *Client, req *request) (err error) {
+		cur, err = c.query(req)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	cur.pool = p
+	return cur, nil
+}
+
+// Describe fetches table metadata ("schema.name" or "name"), retried like
+// Read under the SetContext base context.
+func (p *Pool) Describe(table string) (*TableMeta, error) {
+	var meta *TableMeta
+	err := p.roundTrip(p.context(), describeCall, request{Describe: table}, func(c *Client, req *request) (err error) {
+		meta, err = c.describe(req)
+		return err
+	})
+	return meta, err
+}
+
+// Exec is Write of SQL text under the SetContext base context. It is kept
+// for the benchmark's replay only, until that replay moves to Write.
+func (p *Pool) Exec(sql string) (int64, error) {
+	return p.Write(p.context(), Stmt{SQL: sql})
+}
+
+// QueryAll is Read of SQL text under the SetContext base context. It is
+// kept for the benchmark's replay only, until that replay moves to Read.
+func (p *Pool) QueryAll(sql string) ([]ResultCol, [][]cdw.Datum, error) {
+	return p.Read(p.context(), Stmt{SQL: sql})
+}
+
+// SetContext sets the base context of Exec, QueryAll and Describe: their
+// retries stop once it is canceled. Call it before the pool is shared. It
+// is kept for the benchmark's replay only, until that replay passes its
+// context to Write and Read.
+func (p *Pool) SetContext(ctx context.Context) { p.ctx = ctx }
+
+func (p *Pool) context() context.Context {
+	if p.ctx == nil {
+		// A pool used without SetContext (tests, standalone tools) falls
+		// back to an unbounded context; node I/O passes its own context to
+		// Write, Read and Open.
+		return context.Background() //nolint:ctxbg // context-free wrappers' fallback, not node-owned I/O
+	}
+	return p.ctx
+}
+
+// roundTrip borrows a connection, sends req on it through fn, and returns
+// it — Put discards it if fn broke it — unless k pins it to the cursor fn
+// opened. With a retrier configured, transient transport failures are
+// retried on a fresh connection under k's contract. Remote engine errors
+// are never retried, so legacy per-tuple error semantics are preserved.
+func (p *Pool) roundTrip(ctx context.Context, k call, req request, fn func(*Client, *request) error) error {
+	start := time.Now()
+	job := obs.JobFrom(ctx)
+	tc := job.ChildContext()
+	req.TraceID, req.SpanID, req.Sampled = tc.TraceID, tc.SpanID, tc.Sampled
+	var engineNS int64
 	attempt := func() error {
 		c, err := p.Get()
 		if err != nil {
 			return err
 		}
-		err = fn(c)
-		p.Put(c)
+		err = fn(c, &req)
+		engineNS = c.lastEngineNS
+		if err != nil || !k.pin {
+			p.Put(c)
+		}
 		return err
 	}
-	if r := p.retrier(); r != nil {
+	var err error
+	if r := p.cfg.Retrier; r != nil {
 		base := r.Retryable
 		if base == nil {
 			base = retrier.IsTransient
 		}
 		rr := *r
 		rr.Retryable = func(err error) bool {
-			return base(err) && (idempotent || NotSent(err))
+			return base(err) && (k.idempotent || NotSent(err))
 		}
-		return rr.Do(p.context(), "cdw."+op, attempt)
+		err = rr.Do(ctx, k.retryOp, attempt)
+	} else {
+		err = attempt()
 	}
-	return attempt()
-}
-
-// Exec borrows a connection and runs a statement.
-func (p *Pool) Exec(sql string) (int64, error) {
-	return p.ExecT(sql, obs.TraceContext{})
-}
-
-// ExecT is Exec with a trace context propagated to the CDW server and
-// reported to the pool's trace hook.
-func (p *Pool) ExecT(sql string, tc obs.TraceContext) (int64, error) {
-	return p.exec(request{SQL: sql}, tc)
-}
-
-// ExecRangeT is ExecT for a range template (sqlxlate.RangeStmt.Template)
-// bound to rows lo..hi. The server parses each template once per
-// connection; the statement it runs is the one SQL(lo, hi) would print.
-func (p *Pool) ExecRangeT(tmpl string, lo, hi int64, tc obs.TraceContext) (int64, error) {
-	return p.exec(request{SQL: tmpl, Range: true, Lo: lo, Hi: hi}, tc)
-}
-
-func (p *Pool) exec(req request, tc obs.TraceContext) (int64, error) {
-	start := time.Now()
-	var n int64
-	var engineNS int64
-	err := p.roundTrip("exec", false, func(c *Client) error {
-		var cerr error
-		n, cerr = c.exec(req, tc)
-		engineNS = c.EngineNanos()
-		return cerr
-	})
-	p.observe("exec", start, err)
-	p.traceObserve("exec", tc, start, engineNS, err)
-	if err != nil {
-		return 0, err
+	if p.cfg.Observer != nil {
+		p.cfg.Observer(RoundTrip{Op: k.op, Job: job, Start: start, Dur: time.Since(start), EngineNS: engineNS, Err: err})
 	}
-	return n, nil
-}
-
-// Describe borrows a connection and fetches table metadata.
-func (p *Pool) Describe(table string) (*TableMeta, error) {
-	start := time.Now()
-	var meta *TableMeta
-	err := p.roundTrip("describe", true, func(c *Client) error {
-		var cerr error
-		meta, cerr = c.Describe(table)
-		return cerr
-	})
-	p.observe("describe", start, err)
-	if err != nil {
-		return nil, err
-	}
-	return meta, nil
-}
-
-// QueryAll borrows a connection and materializes a query result.
-func (p *Pool) QueryAll(sql string) ([]ResultCol, [][]cdw.Datum, error) {
-	return p.QueryAllT(sql, obs.TraceContext{})
-}
-
-// QueryAllT is QueryAll with a trace context propagated to the CDW server and
-// reported to the pool's trace hook.
-func (p *Pool) QueryAllT(sql string, tc obs.TraceContext) ([]ResultCol, [][]cdw.Datum, error) {
-	return p.queryAll(request{SQL: sql}, tc)
-}
-
-// QueryAllRangeT is QueryAllT for a range template bound to rows lo..hi
-// (see ExecRangeT).
-func (p *Pool) QueryAllRangeT(tmpl string, lo, hi int64, tc obs.TraceContext) ([]ResultCol, [][]cdw.Datum, error) {
-	return p.queryAll(request{SQL: tmpl, Range: true, Lo: lo, Hi: hi}, tc)
-}
-
-func (p *Pool) queryAll(req request, tc obs.TraceContext) ([]ResultCol, [][]cdw.Datum, error) {
-	start := time.Now()
-	var cols []ResultCol
-	var rows [][]cdw.Datum
-	var engineNS int64
-	err := p.roundTrip("query", true, func(c *Client) error {
-		var cerr error
-		cols, rows, cerr = c.queryAll(req, tc)
-		engineNS = c.EngineNanos()
-		return cerr
-	})
-	p.observe("query", start, err)
-	p.traceObserve("query", tc, start, engineNS, err)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cols, rows, nil
+	return err
 }

@@ -256,7 +256,7 @@ func TestPoolDiscardsPoisonedConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Poison the connection with an injected transport fault.
-	c1.SetFaultHook(func(op string) error { return fmt.Errorf("injected transport fault") })
+	c1.faultHook = func(op string) error { return fmt.Errorf("injected transport fault") }
 	if _, err := c1.Exec("SELECT 1"); err == nil {
 		t.Fatal("faulted round trip should error")
 	}
@@ -286,24 +286,24 @@ func TestPoolDiscardsPoisonedConnection(t *testing.T) {
 // fresh connection.
 func TestPoolRetriesTransientFaults(t *testing.T) {
 	_, addr := startServer(t)
-	p := NewPool(addr, 2)
-	defer p.Close()
-
 	var mu sync.Mutex
 	faults := 0
-	p.SetFaultHook(func(op string) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if op == "query" && faults == 0 {
-			faults++
-			return &faultErr{}
-		}
-		return nil
+	p := NewPoolWith(addr, 2, PoolConfig{
+		FaultHook: func(op string) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if op == "query" && faults == 0 {
+				faults++
+				return &faultErr{}
+			}
+			return nil
+		},
+		Retrier: &retrier.Retrier{
+			Policy: retrier.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond},
+		},
 	})
-	p.SetRetrier(&retrier.Retrier{
-		Policy: retrier.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-	})
-	if _, err := p.Exec("CREATE TABLE rt (a BIGINT)"); err != nil {
+	defer p.Close()
+	if _, err := p.Write(t.Context(), Stmt{SQL: "CREATE TABLE rt (a BIGINT)"}); err != nil {
 		t.Fatalf("retried exec failed: %v", err)
 	}
 	mu.Lock()
@@ -317,14 +317,13 @@ func TestPoolRetriesTransientFaults(t *testing.T) {
 // immediately (per-tuple error semantics depend on it).
 func TestPoolDoesNotRetryEngineErrors(t *testing.T) {
 	_, addr := startServer(t)
-	p := NewPool(addr, 1)
-	defer p.Close()
 	attempts := 0
-	p.SetRetrier(&retrier.Retrier{
+	p := NewPoolWith(addr, 1, PoolConfig{Retrier: &retrier.Retrier{
 		Policy:  retrier.Policy{MaxAttempts: 5, BaseDelay: time.Millisecond},
 		Observe: func(string, int, time.Duration, error) { attempts++ },
-	})
-	if _, err := p.Exec("SELECT * FROM no_such_table"); err == nil {
+	}})
+	defer p.Close()
+	if _, err := p.Write(t.Context(), Stmt{SQL: "SELECT * FROM no_such_table"}); err == nil {
 		t.Fatal("engine error expected")
 	}
 	if attempts != 0 {
@@ -361,7 +360,7 @@ func TestClientTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetTimeout(50 * time.Millisecond)
+	c.timeout = 50 * time.Millisecond
 	start := time.Now()
 	_, err = c.Exec("SELECT 1")
 	if err == nil {
@@ -412,15 +411,16 @@ func startSilentServer(t *testing.T) string {
 // (possibly non-idempotent) Exec — a retry would double-apply DML.
 func TestPoolDoesNotRetryExecAfterSend(t *testing.T) {
 	addr := startSilentServer(t)
-	p := NewPool(addr, 1)
-	defer p.Close()
-	p.SetTimeout(30 * time.Millisecond)
 	retries := 0
-	p.SetRetrier(&retrier.Retrier{
-		Policy:  retrier.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond},
-		Observe: func(string, int, time.Duration, error) { retries++ },
+	p := NewPoolWith(addr, 1, PoolConfig{
+		Timeout: 30 * time.Millisecond,
+		Retrier: &retrier.Retrier{
+			Policy:  retrier.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond},
+			Observe: func(string, int, time.Duration, error) { retries++ },
+		},
 	})
-	_, err := p.Exec("INSERT INTO t VALUES (1)")
+	defer p.Close()
+	_, err := p.Write(t.Context(), Stmt{SQL: "INSERT INTO t VALUES (1)"})
 	if err == nil {
 		t.Fatal("timeout expected")
 	}
@@ -440,15 +440,16 @@ func TestPoolDoesNotRetryExecAfterSend(t *testing.T) {
 // for read-only round trips (QueryAll, Describe), which are safe to re-run.
 func TestPoolRetriesIdempotentAfterSend(t *testing.T) {
 	addr := startSilentServer(t)
-	p := NewPool(addr, 1)
-	defer p.Close()
-	p.SetTimeout(30 * time.Millisecond)
 	retries := 0
-	p.SetRetrier(&retrier.Retrier{
-		Policy:  retrier.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond},
-		Observe: func(string, int, time.Duration, error) { retries++ },
+	p := NewPoolWith(addr, 1, PoolConfig{
+		Timeout: 30 * time.Millisecond,
+		Retrier: &retrier.Retrier{
+			Policy:  retrier.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond},
+			Observe: func(string, int, time.Duration, error) { retries++ },
+		},
 	})
-	if _, _, err := p.QueryAll("SELECT 1"); err == nil {
+	defer p.Close()
+	if _, _, err := p.Read(t.Context(), Stmt{SQL: "SELECT 1"}); err == nil {
 		t.Fatal("timeout expected")
 	}
 	if retries == 0 {
@@ -481,7 +482,7 @@ func TestPoolGetWokenByDiscard(t *testing.T) {
 	// Let the goroutine reach the blocking select, then poison c1 so Put
 	// discards it instead of recycling.
 	time.Sleep(20 * time.Millisecond)
-	c1.SetFaultHook(func(op string) error { return fmt.Errorf("poison") })
+	c1.faultHook = func(op string) error { return fmt.Errorf("poison") }
 	if _, err := c1.Exec("SELECT 1"); err == nil {
 		t.Fatal("faulted round trip should error")
 	}
@@ -506,7 +507,7 @@ func TestNotSentClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetFaultHook(func(op string) error { return &faultErr{} })
+	c.faultHook = func(op string) error { return &faultErr{} }
 	_, err = c.Exec("SELECT 1")
 	if err == nil {
 		t.Fatal("fault expected")
@@ -542,9 +543,6 @@ func TestTracePropagationAndEngineNanos(t *testing.T) {
 	}
 	defer srv.Close()
 
-	p := NewPool(addr, 1)
-	defer p.Close()
-
 	type hookCall struct {
 		op       string
 		tc       obs.TraceContext
@@ -552,21 +550,26 @@ func TestTracePropagationAndEngineNanos(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var calls []hookCall
-	p.SetTraceHook(func(op string, tc obs.TraceContext, _ time.Time, _ time.Duration, engineNS int64, err error) {
+	p := NewPoolWith(addr, 1, PoolConfig{Observer: func(rt RoundTrip) {
+		if rt.Job == nil {
+			return // an untraced round trip records no span
+		}
 		mu.Lock()
-		calls = append(calls, hookCall{op, tc, engineNS})
+		calls = append(calls, hookCall{rt.Op, rt.Job.ChildContext(), rt.EngineNS})
 		mu.Unlock()
-	})
+	}})
+	defer p.Close()
 
 	tc := obs.TraceContext{TraceID: 0xBEEF, SpanID: 0x12, Sampled: true}
-	if _, err := p.ExecT("CREATE TABLE tt (a BIGINT)", tc); err != nil {
+	ctx := obs.WithJob(t.Context(), obs.NewJobTrace("t", 0, "", tc))
+	if _, err := p.Write(ctx, Stmt{SQL: "CREATE TABLE tt (a BIGINT)"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.QueryAllT("SELECT a FROM tt", tc); err != nil {
+	if _, _, err := p.Read(ctx, Stmt{SQL: "SELECT a FROM tt"}); err != nil {
 		t.Fatal(err)
 	}
-	// Untraced calls must not reach the trace hook.
-	if _, err := p.Exec("INSERT INTO tt VALUES (7)"); err != nil {
+	// An untraced call reaches the observer with no job, so it records no span.
+	if _, err := p.Write(t.Context(), Stmt{SQL: "INSERT INTO tt VALUES (7)"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -604,5 +607,103 @@ func TestTracePropagationAndEngineNanos(t *testing.T) {
 		if e.Type != "cdw_request" {
 			t.Errorf("event type %q", e.Type)
 		}
+	}
+}
+
+// TestPoolRoundTripAllocBound gates the allocations of one traced Write and
+// one traced Read of a two-row result through a one-connection pool, server
+// side included. The bounds are what the same traced round trips cost
+// through ExecT and QueryAllT, the per-call trace-context methods Write and
+// Read replaced (29 and 55, go1.24 linux/amd64, with and without -race):
+// carrying the trace in the context must not cost a context.WithValue or a
+// closure per call.
+func TestPoolRoundTripAllocBound(t *testing.T) {
+	_, addr := startServer(t)
+	p := NewPoolWith(addr, 1, PoolConfig{Observer: func(RoundTrip) {}})
+	defer p.Close()
+	ctx := obs.WithJob(t.Context(), obs.NewJobTrace("t", 0, "", obs.TraceContext{TraceID: 0xBEEF, SpanID: 0x12, Sampled: true}))
+	for _, sql := range []string{"CREATE TABLE a (k BIGINT, v VARCHAR(8))", "INSERT INTO a VALUES (1, 'x'), (2, 'y')"} {
+		if _, err := p.Write(ctx, Stmt{SQL: sql}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write := testing.AllocsPerRun(200, func() {
+		if _, err := p.Write(ctx, Stmt{SQL: "UPDATE a SET v = 'z' WHERE k = 1"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	read := testing.AllocsPerRun(200, func() {
+		if _, _, err := p.Read(ctx, Stmt{SQL: "SELECT k, v FROM a"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs per round trip: write %v, read %v", write, read)
+	if write > 29 {
+		t.Errorf("traced Write allocates %v times, bound 29", write)
+	}
+	if read > 55 {
+		t.Errorf("traced Read allocates %v times, bound 55", read)
+	}
+}
+
+// TestPoolOpenPinsAndReleases opens a cursor through the pool: the open is
+// one observed query, the cursor pins the pool's only connection until
+// Close, and a cursor closed with rows unread discards its connection
+// instead of fetching the rest.
+func TestPoolOpenPinsAndReleases(t *testing.T) {
+	_, addr := startServer(t)
+	var ops []string
+	p := NewPoolWith(addr, 1, PoolConfig{Observer: func(rt RoundTrip) { ops = append(ops, rt.Op) }})
+	defer p.Close()
+	for _, sql := range []string{"CREATE TABLE t (a BIGINT)", "INSERT INTO t VALUES (1), (2), (3)"} {
+		if _, err := p.Write(t.Context(), Stmt{SQL: sql}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ops = nil
+
+	cur, err := p.Open(t.Context(), Stmt{SQL: "SELECT a FROM t ORDER BY a"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := cur.client
+	if rows, ok, err := cur.NextBatch(); err != nil || !ok || len(rows) != 1 {
+		t.Fatalf("first batch: %v %v %v", rows, ok, err)
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ops) != "[query]" {
+		t.Errorf("observed ops %v, want one query for the open", ops)
+	}
+	c, err := p.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c == pinned {
+		t.Error("a connection closed with rows unread was recycled")
+	}
+	p.Put(c)
+
+	// A cursor read to the end hands a reusable connection back.
+	cur, err = p.Open(t.Context(), Stmt{SQL: "SELECT a FROM t"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned = cur.client
+	for {
+		_, ok, err := cur.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	cur.Close()
+	if c, _ := p.Get(); c != pinned {
+		t.Error("a fully read cursor's connection was not recycled")
+	} else {
+		p.Put(c)
 	}
 }

@@ -6,11 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"etlvirt/internal/cdw"
 	"etlvirt/internal/cloudstore"
-	"etlvirt/internal/obs"
 )
 
 // stageRows creates table name (__seq BIGINT, v BIGINT) holding rows
@@ -40,7 +38,7 @@ func sumRange(name string) string {
 
 func queryRange(t *testing.T, p *Pool, tmpl string, lo, hi int64) (count, sum int64) {
 	t.Helper()
-	_, rows, err := p.QueryAllRangeT(tmpl, lo, hi, obs.TraceContext{})
+	_, rows, err := p.Read(t.Context(), Range(tmpl, lo, hi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +81,11 @@ func TestTemplateCacheBound(t *testing.T) {
 // as plain SQL is a syntax error, and the connection survives it.
 func TestRangeTemplateRoundTrip(t *testing.T) {
 	eng, addr := startServer(t)
-	p := NewPool(addr, 1)
+	var ops []string
+	p := NewPoolWith(addr, 1, PoolConfig{Observer: func(rt RoundTrip) { ops = append(ops, rt.Op) }})
 	defer p.Close()
 	stageRows(t, p, "st", 100, 1)
-	var ops []string
-	p.SetObserver(func(op string, _ time.Duration, _ error) { ops = append(ops, op) })
+	ops = nil
 
 	before := eng.StmtCount()
 	for _, r := range [][2]int64{{1, 10}, {5, 5}, {90, 200}, {7, 3}} {
@@ -101,7 +99,7 @@ func TestRangeTemplateRoundTrip(t *testing.T) {
 			t.Errorf("range %v: count %d sum %d, want %d %d", r, n, sum, wantN, wantSum)
 		}
 	}
-	n, err := p.ExecRangeT("DELETE FROM st s WHERE s.__seq BETWEEN :__lo AND :__hi", 11, 20, obs.TraceContext{})
+	n, err := p.Write(t.Context(), Range("DELETE FROM st s WHERE s.__seq BETWEEN :__lo AND :__hi", 11, 20))
 	if err != nil || n != 10 {
 		t.Errorf("range delete: %d rows, %v", n, err)
 	}
@@ -135,7 +133,7 @@ func TestTemplateSurvivesDDL(t *testing.T) {
 	if _, err := p.Exec("DROP TABLE st"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.QueryAllRangeT(sumRange("st"), 1, 10, obs.TraceContext{}); err == nil {
+	if _, _, err := p.Read(t.Context(), Range(sumRange("st"), 1, 10)); err == nil {
 		t.Error("template ran against a dropped table")
 	}
 	if _, err := p.Exec("CREATE TABLE st (v BIGINT, w VARCHAR(5), __seq BIGINT)"); err != nil {
@@ -165,7 +163,7 @@ func TestRangeTemplatesConcurrentConnections(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				lo := int64(g*25 + i + 1)
 				hi := lo + int64(i)
-				_, rows, err := p.QueryAllRangeT(sumRange("st"), lo, hi, obs.TraceContext{})
+				_, rows, err := p.Read(t.Context(), Range(sumRange("st"), lo, hi))
 				if err != nil {
 					t.Error(err)
 					return
@@ -177,7 +175,7 @@ func TestRangeTemplatesConcurrentConnections(t *testing.T) {
 				if got := rows[0][1].I; got != want {
 					t.Errorf("range %d..%d: sum %d, want %d", lo, hi, got, want)
 				}
-				if _, err := p.ExecRangeT("UPDATE st s SET v = v WHERE s.__seq BETWEEN :__lo AND :__hi", lo, hi, obs.TraceContext{}); err != nil {
+				if _, err := p.Write(t.Context(), Range("UPDATE st s SET v = v WHERE s.__seq BETWEEN :__lo AND :__hi", lo, hi)); err != nil {
 					t.Error(err)
 					return
 				}

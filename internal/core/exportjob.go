@@ -32,8 +32,7 @@ type exportJob struct {
 	done bool
 	err  error
 
-	client     *cdwnet.Client
-	cursorDone chan struct{} // closed when runCursor has released the cursor
+	cursorDone chan struct{} // closed when runCursor has closed the cursor
 	rowsOut    atomic.Int64  // rows encoded for the client, observable lock-free
 	batches    atomic.Int64  // result batches fetched by the TDFCursor
 	started    time.Time
@@ -47,29 +46,8 @@ func (n *Node) newExportJob(m *wire.BeginExport, tc obs.TraceContext) (*exportJo
 	}
 	id := n.nextJob.Add(1)
 	trace := n.tracer.StartCtx(id, "export", tc)
-	// Opening an export pins a pooled connection for the cursor's lifetime,
-	// so the pool's internal round-trip retry does not apply; re-drive the
-	// open (fresh Get + Query) under the node retry policy instead.
-	var client *cdwnet.Client
-	var cur *cdwnet.Cursor
 	openStart := time.Now()
-	err = n.retry.Do(n.ctx, "export.open", func() error {
-		c, err := n.pool.Get()
-		if err != nil {
-			return err
-		}
-		rtStart := time.Now()
-		q, err := c.QueryT(cdwSQL, n.cfg.ExportChunkRows, trace.ChildContext())
-		// The pinned connection bypasses the pool's round-trip hook; report
-		// the open ourselves so the CDW's side of it joins the trace.
-		n.traceRoundTrip("query", trace.ChildContext(), rtStart, time.Since(rtStart), c.EngineNanos(), err)
-		if err != nil {
-			n.pool.Put(c) // discards if the fault poisoned it
-			return err
-		}
-		client, cur = c, q
-		return nil
-	})
+	cur, err := n.pool.Open(obs.WithJob(n.ctx, trace), cdwnet.Stmt{SQL: cdwSQL}, n.cfg.ExportChunkRows)
 	trace.Span("export_open", "tdfcursor", openStart, 0, 0, err)
 	if err != nil {
 		n.tracer.Finish(id)
@@ -83,7 +61,6 @@ func (n *Node) newExportJob(m *wire.BeginExport, tc obs.TraceContext) (*exportJo
 		format:     m.Format,
 		delim:      m.Delim,
 		buf:        make(map[uint64]*exportBatch),
-		client:     client,
 		cursorDone: make(chan struct{}),
 		started:    time.Now(),
 		trace:      trace,
@@ -111,7 +88,7 @@ type exportBatch struct {
 // exportPrefetch of them ahead of consumption.
 func (j *exportJob) runCursor(cur *cdwnet.Cursor) {
 	defer func() {
-		_ = cur.Close() // drain so the pooled connection is reusable
+		_ = cur.Close() // hands the connection back; unread rows discard it
 		close(j.cursorDone)
 	}()
 	nm := j.node.nm
@@ -208,16 +185,15 @@ func (j *exportJob) encodeBatch(seq uint64, b *exportBatch) (*wire.ExportChunk, 
 	}, nil
 }
 
-// finish releases the CDW connection and files a report.
+// finish stops the TDFCursor and files a report.
 func (j *exportJob) finish() {
 	j.mu.Lock()
 	j.done = true
 	j.cond.Broadcast()
 	j.mu.Unlock()
-	// Wait for the TDFCursor to drain the cursor (it may still be mid-fetch
-	// if the client abandoned the export early), then return the connection.
+	// Wait for the TDFCursor to close the cursor (it may still be mid-fetch
+	// if the client abandoned the export early).
 	<-j.cursorDone
-	j.node.pool.Put(j.client)
 	r := JobReport{
 		JobID:        j.id,
 		Export:       true,

@@ -108,7 +108,10 @@ type importJob struct {
 	drain       sync.Once // pipeline teardown
 	finishSeq   sync.Once // report filing + table cleanup
 
-	trace  *obs.JobTrace
+	trace *obs.JobTrace
+	// ctx is the node lifetime carrying trace: every CDW round trip of the
+	// job runs under it.
+	ctx    context.Context
 	watch  stopwatch
 	report JobReport
 }
@@ -141,7 +144,8 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 	j.watch.start = time.Now()
 	n.nm.jobsStarted.Inc()
 	j.trace = n.tracer.StartCtx(id, "import "+j.targets, tc)
-	j.lane = newStagingLane(n, j.trace, j.stage, stageDDL,
+	j.ctx = obs.WithJob(n.ctx, j.trace)
+	j.lane = newStagingLane(j.ctx, n, j.stage, stageDDL,
 		fmt.Sprintf("%s%d/", uploadPrefix, id), "copy", "stage")
 	n.events.Add(obs.Event{
 		Type: "job_start", Job: id, TraceID: j.traceID(),
@@ -220,7 +224,7 @@ func (j *importJob) prepareTables() error {
 			return err
 		}
 		for _, s := range []string{dropIfExists(et), ddl} {
-			if _, err := j.node.pool.ExecT(s, j.trace.ChildContext()); err != nil {
+			if _, err := j.node.pool.Write(j.ctx, cdwnet.Stmt{SQL: s}); err != nil {
 				return err
 			}
 		}
@@ -458,7 +462,7 @@ func (j *importJob) finishAcquisition() (*wire.AcquireDone, error) {
 	j.mu.Lock()
 	dataErrs := j.dataErrors
 	j.mu.Unlock()
-	if err := recordDataErrors(j.node, j.etName, j.trace.ChildContext(), dataErrs); err != nil {
+	if err := recordDataErrors(j.ctx, j.node, j.etName, dataErrs); err != nil {
 		return nil, err
 	}
 	j.watch.acqTo = time.Now()
@@ -524,32 +528,31 @@ func errorRow(lo, hi int64, code int, field, msg string) []sqlparse.Expr {
 	}
 }
 
-// recordError inserts one entry into an error table. Shared by the discrete
-// import path and the streaming path. tc ties the insert's CDW round trip to
-// the owning job's trace; a zero context records untraced.
-func recordError(n *Node, table sqlparse.TableName, tc obs.TraceContext, lo, hi int64, code int, field, msg string) error {
-	return insertErrorRows(n, table, tc, [][]sqlparse.Expr{errorRow(lo, hi, code, field, msg)})
+// recordError inserts one entry into an error table under the owning job's
+// ctx. Shared by the discrete import path and the streaming path.
+func recordError(ctx context.Context, n *Node, table sqlparse.TableName, lo, hi int64, code int, field, msg string) error {
+	return insertErrorRows(ctx, n, table, [][]sqlparse.Expr{errorRow(lo, hi, code, field, msg)})
 }
 
 // recordDataErrors inserts acquisition data errors into an error table.
-func recordDataErrors(n *Node, table sqlparse.TableName, tc obs.TraceContext, errs []convert.DataError) error {
+func recordDataErrors(ctx context.Context, n *Node, table sqlparse.TableName, errs []convert.DataError) error {
 	rows := make([][]sqlparse.Expr, len(errs))
 	for i, de := range errs {
 		rows[i] = errorRow(de.Row, de.Row, de.Code, de.Field, de.Msg)
 	}
-	return insertErrorRows(n, table, tc, rows)
+	return insertErrorRows(ctx, n, table, rows)
 }
 
 // insertErrorRows writes error-table tuples in multi-row INSERTs of
 // errInsertBatch, one round trip per batch.
-func insertErrorRows(n *Node, table sqlparse.TableName, tc obs.TraceContext, rows [][]sqlparse.Expr) error {
+func insertErrorRows(ctx context.Context, n *Node, table sqlparse.TableName, rows [][]sqlparse.Expr) error {
 	for len(rows) > 0 {
 		take := min(len(rows), errInsertBatch)
 		sql, err := sqlparse.Print(&sqlparse.InsertStmt{Table: table, Rows: rows[:take]}, sqlparse.DialectCDW)
 		if err != nil {
 			return err
 		}
-		if _, err := n.pool.ExecT(sql, tc); err != nil {
+		if _, err := n.pool.Write(ctx, cdwnet.Stmt{SQL: sql}); err != nil {
 			return err
 		}
 		rows = rows[take:]
@@ -662,7 +665,7 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 			if err != nil {
 				return 0, err
 			}
-			_, rows, err := j.node.pool.QueryAllRangeT(tmpl, lo, hi, j.trace.ChildContext())
+			_, rows, err := j.node.pool.Read(j.ctx, cdwnet.Range(tmpl, lo, hi))
 			if err != nil {
 				return 0, err
 			}
@@ -685,7 +688,7 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		a1, err := j.node.pool.ExecRangeT(tmpl, lo, hi, j.trace.ChildContext())
+		a1, err := j.node.pool.Write(j.ctx, cdwnet.Range(tmpl, lo, hi))
 		if err != nil {
 			return 0, err
 		}
@@ -699,7 +702,7 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		a2, err := j.node.pool.ExecRangeT(tmpl2, lo, hi, j.trace.ChildContext())
+		a2, err := j.node.pool.Write(j.ctx, cdwnet.Range(tmpl2, lo, hi))
 		if err != nil {
 			return 0, err
 		}
@@ -739,7 +742,7 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 		if table.Name == "" {
 			return nil // job declared no error table; drop silently like the legacy tools
 		}
-		return recordError(j.node, table, j.trace.ChildContext(), lo, hi, c.Code, c.Field, msg)
+		return recordError(j.ctx, j.node, table, lo, hi, c.Code, c.Field, msg)
 	}
 
 	cfg := j.node.errhandleConfig(int(j.req.MaxErrors), int(j.req.MaxRetries), j.trace, "beta",
@@ -820,7 +823,7 @@ func (j *importJob) locate(probe *sqlxlate.RangeStmt, lo, hi int64) ([]int64, er
 	if err != nil {
 		return nil, err
 	}
-	_, rows, err := j.node.pool.QueryAllRangeT(tmpl, lo, hi, j.trace.ChildContext())
+	_, rows, err := j.node.pool.Read(j.ctx, cdwnet.Range(tmpl, lo, hi))
 	if err != nil {
 		return nil, err
 	}
@@ -855,7 +858,7 @@ func (j *importJob) probeRow(dml *sqlxlate.DML, seq int64) error {
 	}
 	sql := fmt.Sprintf("SELECT %s FROM %s s WHERE s.%s = %d",
 		strings.Join(items, ", "), j.stage.String(), sqlxlate.SeqColumn, seq)
-	if _, _, err := j.node.pool.QueryAllT(sql, j.trace.ChildContext()); err != nil {
+	if _, _, err := j.node.pool.Read(j.ctx, cdwnet.Stmt{SQL: sql}); err != nil {
 		if _, ok := err.(*cdw.Error); ok {
 			return err
 		}
@@ -875,7 +878,7 @@ func (j *importJob) probeField(dml *sqlxlate.DML, seq int64) string {
 		}
 		sql := fmt.Sprintf("SELECT %s FROM %s s WHERE s.%s = %d",
 			txt, j.stage.String(), sqlxlate.SeqColumn, seq)
-		if _, _, err := j.node.pool.QueryAllT(sql, j.trace.ChildContext()); err != nil {
+		if _, _, err := j.node.pool.Read(j.ctx, cdwnet.Stmt{SQL: sql}); err != nil {
 			if fields := sqlxlate.StageFields(e, "s"); len(fields) > 0 {
 				return fields[0]
 			}
@@ -890,7 +893,7 @@ func (j *importJob) probeField(dml *sqlxlate.DML, seq int64) string {
 func (j *importJob) stagedTupleSuffix(seq int64) string {
 	sel := fmt.Sprintf("SELECT * FROM %s WHERE %s = %d",
 		j.stage.String(), sqlxlate.SeqColumn, seq)
-	_, rows, err := j.node.pool.QueryAllT(sel, j.trace.ChildContext())
+	_, rows, err := j.node.pool.Read(j.ctx, cdwnet.Stmt{SQL: sel})
 	if err != nil || len(rows) != 1 {
 		return ""
 	}

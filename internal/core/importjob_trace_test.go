@@ -19,7 +19,7 @@ import (
 func TestImportSetupFailureSettlesTrace(t *testing.T) {
 	inj := faultinject.New(1)
 	// The import's first CDW statement is the staging-table DDL; failing it
-	// fatally (not retryable) drives newImportJob down its ExecT error
+	// fatally (not retryable) drives newImportJob down its Write error
 	// return.
 	inj.SetRule("cdw.query", faultinject.Rule{Nth: []int64{1}, Class: faultinject.ClassFatal})
 	st := startStack(t, core.Config{

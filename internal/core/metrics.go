@@ -254,13 +254,6 @@ func newNodeMetrics(n *Node) *nodeMetrics {
 	n.credits.SetObserver(func(wait time.Duration, _ bool) {
 		m.creditWait.ObserveDuration(wait)
 	})
-	n.pool.SetObserver(func(_ string, d time.Duration, err error) {
-		m.cdwRequests.Inc()
-		if err != nil {
-			m.cdwErrors.Inc()
-		}
-		m.cdwReqLat.ObserveDuration(d)
-	})
 	n.retry.Observe = func(op string, retry int, delay time.Duration, err error) {
 		m.retryAttempts.Inc()
 		m.retryBackoff.ObserveDuration(delay)

@@ -218,7 +218,6 @@ func NewNode(cfg Config, store cloudstore.Store) *Node {
 	n := &Node{
 		cfg:     cfg,
 		credits: credit.NewManager(cfg.Credits, cfg.MemBudget),
-		pool:    cdwnet.NewPool(cfg.CDWAddr, cdwPoolSize),
 		store:   store,
 		loader:  cloudstore.NewBulkLoader(store, cloudstore.LoaderConfig{PutTimeout: cfg.PutTimeout}),
 		log:     cfg.Logger,
@@ -245,58 +244,47 @@ func NewNode(cfg Config, store cloudstore.Store) *Node {
 		}.WithDefaults(),
 		Budget: n.budget,
 	}
-	n.pool.SetRetrier(n.retry)
-	n.pool.SetContext(n.ctx)
-	if cfg.CDWTimeout > 0 {
-		n.pool.SetTimeout(cfg.CDWTimeout)
-	}
+	pc := cdwnet.PoolConfig{Timeout: cfg.CDWTimeout, Retrier: n.retry, Observer: n.observeCDW}
 	if n.inj != nil {
 		inj := n.inj
-		n.pool.SetFaultHook(func(op string) error { return inj.Fault("cdw." + op) })
+		pc.FaultHook = func(op string) error { return inj.Fault("cdw." + op) }
 		inj.SetOnInject(func(op string, ferr *faultinject.Error) {
 			n.events.Add(obs.Event{Type: "fault", Msg: op, Attrs: map[string]any{
 				"class": string(ferr.Class),
 			}})
 		})
 	}
-	n.pool.SetTraceHook(n.traceRoundTrip)
+	n.pool = cdwnet.NewPoolWith(cfg.CDWAddr, cdwPoolSize, pc)
 	n.nm = newNodeMetrics(n)
 	return n
 }
 
-// traceRoundTrip turns one traced CDW round trip into two spans on the owning
-// job's timeline: the virtualizer-side round trip parented under the
-// caller's span, and a cdwd-side engine span nested inside it, so the
-// stitched timeline splits wire time from engine time across processes.
-func (n *Node) traceRoundTrip(op string, tc obs.TraceContext, start time.Time, d time.Duration, engineNS int64, err error) {
-	jobs := n.tracer.JobsByTrace(tc.TraceID)
-	if len(jobs) == 0 {
+// observeCDW is the pool's observer: every round trip feeds the CDW request
+// metrics, and one made under a job's context becomes two spans on that
+// job's timeline: the virtualizer-side round trip under the job's root, and
+// a cdwd-side engine span nested inside it, so the stitched timeline splits
+// wire time from engine time across processes.
+func (n *Node) observeCDW(rt cdwnet.RoundTrip) {
+	m := n.nm
+	m.cdwRequests.Inc()
+	if rt.Err != nil {
+		m.cdwErrors.Inc()
+	}
+	m.cdwReqLat.ObserveDuration(rt.Dur)
+	if rt.Job == nil {
 		return
 	}
-	// Several jobs can share one client trace; bucket the span under the
-	// job whose root span the caller parented it to, falling back to the
-	// first participant.
-	jt := jobs[0]
-	for _, cand := range jobs {
-		if cand.ChildContext().SpanID == tc.SpanID {
-			jt = cand
-			break
-		}
-	}
-	rt := obs.Span{ID: obs.NewSpanID(), Parent: tc.SpanID, Stage: "cdw_" + op, Worker: "cdw", Start: start, Dur: d}
-	if err != nil {
-		rt.Err = err.Error()
-	}
-	jt.Add(rt)
-	if engineNS > 0 && engineNS <= d.Nanoseconds() {
+	span := obs.Span{ID: obs.NewSpanID(), Stage: "cdw_" + rt.Op, Worker: "cdw", Start: rt.Start, Dur: rt.Dur, Err: errString(rt.Err)}
+	rt.Job.Add(span)
+	if d := rt.Dur.Nanoseconds(); rt.EngineNS > 0 && rt.EngineNS <= d {
 		// Engine time sits somewhere inside the round trip; center it so
 		// the nested span renders inside its parent without claiming
 		// per-direction wire asymmetry we cannot measure.
-		jt.Add(obs.Span{
-			ID: obs.NewSpanID(), Parent: rt.ID, Proc: "cdwd",
+		rt.Job.Add(obs.Span{
+			ID: obs.NewSpanID(), Parent: span.ID, Proc: "cdwd",
 			Stage: "engine", Worker: "engine",
-			Start: start.Add((d - time.Duration(engineNS)) / 2),
-			Dur:   time.Duration(engineNS),
+			Start: rt.Start.Add(time.Duration(d-rt.EngineNS) / 2),
+			Dur:   time.Duration(rt.EngineNS),
 		})
 	}
 }
@@ -398,13 +386,13 @@ func (n *Node) handleRunSQL(c *wire.Conn, session uint32, m *wire.RunSQL) error 
 		return c.Send(session, &wire.Failure{Code: 3706, Message: err.Error()})
 	}
 	if _, isSelect := stmt.(*sqlparse.SelectStmt); !isSelect {
-		activity, err := n.pool.Exec(cdwSQL)
+		activity, err := n.pool.Write(n.ctx, cdwnet.Stmt{SQL: cdwSQL})
 		if err != nil {
 			return sendEngineFailure(c, session, err)
 		}
 		return c.Send(session, &wire.StmtSuccess{ActivityCount: uint64(activity)})
 	}
-	cols, rows, err := n.pool.QueryAll(cdwSQL)
+	cols, rows, err := n.pool.Read(n.ctx, cdwnet.Stmt{SQL: cdwSQL})
 	if err != nil {
 		return sendEngineFailure(c, session, err)
 	}

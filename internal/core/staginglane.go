@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"etlvirt/internal/cdw"
+	"etlvirt/internal/cdwnet"
 	"etlvirt/internal/obs"
 	"etlvirt/internal/retrier"
 	"etlvirt/internal/sqlparse"
@@ -29,6 +31,8 @@ import (
 // close belong to one goroutine at a time (the import's scheduler, the
 // stream's session goroutine), so the landed log needs no lock.
 type stagingLane struct {
+	// ctx is the owning job's CDW context (obs.WithJob); trace is its job.
+	ctx    context.Context
 	node   *Node
 	trace  *obs.JobTrace
 	stage  sqlparse.TableName
@@ -53,9 +57,9 @@ type copyBatch struct {
 	rows  int64
 }
 
-func newStagingLane(n *Node, trace *obs.JobTrace, stage sqlparse.TableName, ddl, prefix, op, worker string) *stagingLane {
+func newStagingLane(ctx context.Context, n *Node, stage sqlparse.TableName, ddl, prefix, op, worker string) *stagingLane {
 	return &stagingLane{
-		node: n, trace: trace, stage: stage, ddl: ddl,
+		trace: obs.JobFrom(ctx), ctx: ctx, node: n, stage: stage, ddl: ddl,
 		prefix: prefix, op: op, worker: worker,
 		uploaded: make(map[string]int64),
 	}
@@ -71,7 +75,7 @@ func (l *stagingLane) upload(worker, name string, data []byte, rows int64) (int6
 	key := l.prefix + name
 	start := time.Now()
 	var n int64
-	err := l.node.retry.Do(l.node.ctx, "upload", func() error {
+	err := l.node.retry.Do(l.ctx, "upload", func() error {
 		var uerr error
 		n, uerr = l.node.loader.UploadBytes(data, key)
 		return uerr
@@ -106,7 +110,7 @@ func (l *stagingLane) do(fn func(attempt int) error) error {
 		return errors.As(err, &ce) && ce.Code == cdw.CodeCopyFailed
 	}
 	attempt := 0
-	return r.Do(l.node.ctx, l.op, func() error {
+	return r.Do(l.ctx, l.op, func() error {
 		attempt++
 		return fn(attempt)
 	})
@@ -115,7 +119,7 @@ func (l *stagingLane) do(fn func(attempt int) error) error {
 // exec runs one staging-table statement.
 func (l *stagingLane) exec(sql string) (int64, error) {
 	l.stmts.Add(1)
-	return l.node.pool.ExecT(sql, l.trace.ChildContext())
+	return l.node.pool.Write(l.ctx, cdwnet.Stmt{SQL: sql})
 }
 
 // recreate drops and recreates the staging table, empty.

@@ -101,7 +101,7 @@ func startLaneHost(t *testing.T) *laneHost {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lane := newStagingLane(node, nil, stage, ddl, "lane_t/", "copy", "stage")
+	lane := newStagingLane(node.ctx, node, stage, ddl, "lane_t/", "copy", "stage")
 	if err := lane.reset(); err != nil {
 		t.Fatal(err)
 	}

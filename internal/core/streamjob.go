@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"etlvirt/internal/cdw"
+	"etlvirt/internal/cdwnet"
 	"etlvirt/internal/convert"
 	"etlvirt/internal/errhandle"
 	"etlvirt/internal/obs"
@@ -109,6 +110,9 @@ type streamJob struct {
 
 	finishSeq sync.Once
 	trace     *obs.JobTrace
+	// ctx is the node lifetime carrying trace: every CDW round trip of the
+	// stream, its open included, runs under it.
+	ctx context.Context
 }
 
 // streamCommitStat is the last committed micro-batch's controller view,
@@ -137,7 +141,7 @@ func (j *streamJob) traceID() string {
 // re-opened stream resumes from where its last incarnation committed. Only a
 // fresh stream (no checkpoint row yet) recreates the error table — a resumed
 // one must keep the entries of already-committed batches.
-func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJob, error) {
+func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (j *streamJob, err error) {
 	if m.Layout == nil {
 		return nil, fmt.Errorf("stream request carries no layout")
 	}
@@ -149,7 +153,7 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 		return nil, err
 	}
 	id := n.nextJob.Add(1)
-	j := &streamJob{
+	j = &streamJob{
 		id:      id,
 		node:    n,
 		req:     m,
@@ -176,6 +180,15 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 		return nil, fmt.Errorf("stream apply DML must be an INSERT")
 	}
 	j.targets = dml.Target.String()
+	// The trace opens before the first round trip, so the open's statements
+	// join it; a failed open settles it.
+	j.trace = n.tracer.StartCtx(id, "stream "+m.Name, tc)
+	j.ctx = obs.WithJob(n.ctx, j.trace)
+	defer func() {
+		if err != nil {
+			n.tracer.Finish(id)
+		}
+	}()
 	meta, err := n.pool.Describe(dml.Target.String())
 	if err != nil {
 		return nil, fmt.Errorf("describing stream target: %w", err)
@@ -204,14 +217,14 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 	if err != nil {
 		return nil, err
 	}
-	if _, err := n.pool.Exec(ckptDDL); err != nil {
+	if _, err := n.pool.Write(j.ctx, cdwnet.Stmt{SQL: ckptDDL}); err != nil {
 		return nil, fmt.Errorf("preparing checkpoint table: %w", err)
 	}
 	selSQL, err := j.ckptSelect()
 	if err != nil {
 		return nil, err
 	}
-	_, rows, err := n.pool.QueryAll(selSQL)
+	_, rows, err := n.pool.Read(j.ctx, cdwnet.Stmt{SQL: selSQL})
 	if err != nil {
 		return nil, fmt.Errorf("reading stream checkpoint: %w", err)
 	}
@@ -225,7 +238,7 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 		if err != nil {
 			return nil, err
 		}
-		if _, err := n.pool.Exec(insSQL); err != nil {
+		if _, err := n.pool.Write(j.ctx, cdwnet.Stmt{SQL: insSQL}); err != nil {
 			return nil, fmt.Errorf("seeding stream checkpoint: %w", err)
 		}
 		if j.etName.Name != "" {
@@ -234,7 +247,7 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 				return nil, err
 			}
 			for _, s := range []string{dropIfExists(j.etName), etDDL} {
-				if _, err := n.pool.Exec(s); err != nil {
+				if _, err := n.pool.Write(j.ctx, cdwnet.Stmt{SQL: s}); err != nil {
 					return nil, fmt.Errorf("preparing stream error table: %w", err)
 				}
 			}
@@ -256,8 +269,7 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 	j.wmLive.Store(j.watermark)
 	j.hintLive.Store(int64(j.ctrl.Hint().BatchRows))
 	n.nm.streamsOpened.Inc()
-	j.trace = n.tracer.StartCtx(id, "stream "+m.Name, tc)
-	j.lane = newStagingLane(n, j.trace, stage, stageDDL, fmt.Sprintf("%sstream%d/", uploadPrefix, id), "stream_copy", "stream")
+	j.lane = newStagingLane(j.ctx, n, stage, stageDDL, fmt.Sprintf("%sstream%d/", uploadPrefix, id), "stream_copy", "stream")
 	n.events.Add(obs.Event{
 		Type: "stream_open", Job: id, TraceID: j.traceID(), Msg: m.Name,
 		Attrs: map[string]any{
@@ -476,7 +488,7 @@ func (j *streamJob) commitBatch() error {
 		}
 	}
 	if j.etName.Name != "" && len(j.dataErrs) > 0 {
-		if err := recordDataErrors(j.node, j.etName, j.trace.ChildContext(), j.dataErrs); err != nil {
+		if err := recordDataErrors(j.ctx, j.node, j.etName, j.dataErrs); err != nil {
 			return err
 		}
 		j.stmts += int64((len(j.dataErrs) + errInsertBatch - 1) / errInsertBatch)
@@ -584,7 +596,7 @@ func (j *streamJob) commitBatch() error {
 // exec runs one statement of the open commit.
 func (j *streamJob) exec(sql string) (int64, error) {
 	j.stmts++
-	return j.node.pool.ExecT(sql, j.trace.ChildContext())
+	return j.node.pool.Write(j.ctx, cdwnet.Stmt{SQL: sql})
 }
 
 // execRange runs one net-effect statement over staged images lo..hi.
@@ -594,7 +606,7 @@ func (j *streamJob) execRange(rs *sqlxlate.RangeStmt, lo, hi int64) (int64, erro
 		return 0, err
 	}
 	j.stmts++
-	return j.node.pool.ExecRangeT(tmpl, lo, hi, j.trace.ChildContext())
+	return j.node.pool.Write(j.ctx, cdwnet.Range(tmpl, lo, hi))
 }
 
 // apply commits the staged batch's net effect under the adaptive error
@@ -621,7 +633,7 @@ func (j *streamJob) apply() (int64, error) {
 			return 0, err
 		}
 		j.stmts++
-		_, rows, err := j.node.pool.QueryAllRangeT(tmpl, lo, hi, j.trace.ChildContext())
+		_, rows, err := j.node.pool.Read(j.ctx, cdwnet.Range(tmpl, lo, hi))
 		if err != nil {
 			return 0, err
 		}
@@ -654,7 +666,7 @@ func (j *streamJob) apply() (int64, error) {
 			return nil // stream declared no error table; drop like the legacy tools
 		}
 		j.stmts++
-		return recordError(j.node, j.etName, j.trace.ChildContext(), lo, hi, c.Code, c.Field, msg)
+		return recordError(j.ctx, j.node, j.etName, lo, hi, c.Code, c.Field, msg)
 	}
 
 	cfg := j.node.errhandleConfig(int(j.req.MaxErrors), 0, j.trace, "stream", nil)

@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// newRetrysafe builds the retrysafe analyzer: no CDW DML call (Exec, ExecT,
-// ExecRangeT) lexically inside a retrier.Do closure.
+// newRetrysafe builds the retrysafe analyzer: no CDW DML call (Pool.Write,
+// Pool.Exec, Client.Exec) lexically inside a retrier.Do closure.
 //
 // Invariant (§6): the DML calls may carry non-idempotent DML, so the
 // only layer allowed to retry them is the cdwnet pool itself, which
@@ -21,14 +21,14 @@ import (
 func newRetrysafe() *Analyzer {
 	return &Analyzer{
 		Name: "retrysafe",
-		Doc:  "forbid cdwnet Pool/Client Exec, ExecT and ExecRangeT lexically inside a retrier.Do closure (non-idempotent DML must not be retried)",
+		Doc:  "forbid cdwnet Pool.Write and Pool/Client Exec lexically inside a retrier.Do closure (non-idempotent DML must not be retried)",
 		Run:  runRetrysafe,
 	}
 }
 
 // dmlCalls are the cdwnet Pool and Client methods that send a statement
 // which may be DML.
-var dmlCalls = map[string]bool{"Exec": true, "ExecT": true, "ExecRangeT": true}
+var dmlCalls = map[string]bool{"Write": true, "Exec": true}
 
 func runRetrysafe(p *Pass) {
 	p.walkFiles(func(file *ast.File, n ast.Node) bool {

@@ -6,7 +6,6 @@ import (
 	"context"
 
 	"etlvirt/internal/cdwnet"
-	"etlvirt/internal/obs"
 	"etlvirt/internal/retrier"
 )
 
@@ -26,13 +25,10 @@ func retryClientExec(ctx context.Context, r *retrier.Retrier, c *cdwnet.Client) 
 	})
 }
 
-// violating: the traced and range forms send DML just as Exec does.
-func retryTracedExec(ctx context.Context, r *retrier.Retrier, p *cdwnet.Pool, tc obs.TraceContext) error {
+// violating: Write sends DML just as Exec does, SQL text or range template.
+func retryWrite(ctx context.Context, r *retrier.Retrier, p *cdwnet.Pool) error {
 	return r.Do(ctx, "dml", func() error {
-		if _, err := p.ExecT("UPDATE t SET x = x + 1", tc); err != nil { // want "Pool.ExecT inside a retrier.Do closure"
-			return err
-		}
-		_, err := p.ExecRangeT("DELETE FROM t WHERE __seq BETWEEN :__lo AND :__hi", 1, 10, tc) // want "Pool.ExecRangeT inside a retrier.Do closure"
+		_, err := p.Write(ctx, cdwnet.Range("DELETE FROM t WHERE __seq BETWEEN :__lo AND :__hi", 1, 10)) // want "Pool.Write inside a retrier.Do closure"
 		return err
 	})
 }
@@ -40,7 +36,7 @@ func retryTracedExec(ctx context.Context, r *retrier.Retrier, p *cdwnet.Pool, tc
 // conforming: idempotent reads may retry freely.
 func retryQuery(ctx context.Context, r *retrier.Retrier, p *cdwnet.Pool) error {
 	return r.Do(ctx, "probe", func() error {
-		_, _, err := p.QueryAll("SELECT 1")
+		_, _, err := p.Read(ctx, cdwnet.Stmt{SQL: "SELECT 1"})
 		return err
 	})
 }

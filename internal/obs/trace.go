@@ -183,10 +183,16 @@ func (t *JobTrace) Snapshot() TraceSnapshot {
 		snap.Sampled = t.ctx.Sampled
 	}
 	t.mu.Unlock()
-	sort.SliceStable(snap.Spans, func(i, j int) bool {
-		return snap.Spans[i].Start.Before(snap.Spans[j].Start)
-	})
+	sortByStart(snap.Spans)
 	return snap
+}
+
+// sortByStart orders spans by their wall-clock start, the clock the JSON and
+// Chrome renderings show. Ordering by the monotonic reading, which spans
+// from another process lack, can put two spans tens of ns apart in the
+// opposite order to the times rendered.
+func sortByStart(spans []Span) {
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start.UnixNano() < spans[j].Start.UnixNano() })
 }
 
 // JSON renders the snapshot as indented JSON.
@@ -470,9 +476,7 @@ func (tr *Tracer) TraceByID(traceID uint64) (TraceSnapshot, bool) {
 	if !merged.Finished {
 		merged.End = time.Time{}
 	}
-	sort.SliceStable(merged.Spans, func(i, j int) bool {
-		return merged.Spans[i].Start.Before(merged.Spans[j].Start)
-	})
+	sortByStart(merged.Spans)
 	return merged, true
 }
 

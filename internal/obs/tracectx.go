@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"strconv"
@@ -23,6 +24,20 @@ func (tc TraceContext) Valid() bool { return tc.TraceID != 0 }
 
 // String renders the trace ID the way /traces/{traceid} expects it.
 func (tc TraceContext) String() string { return FormatTraceID(tc.TraceID) }
+
+type jobKey struct{}
+
+// WithJob returns ctx carrying t: a CDW round trip made under it propagates
+// t.ChildContext() and is recorded as a span of t.
+func WithJob(ctx context.Context, t *JobTrace) context.Context {
+	return context.WithValue(ctx, jobKey{}, t)
+}
+
+// JobFrom returns the job trace ctx carries, nil when it carries none.
+func JobFrom(ctx context.Context) *JobTrace {
+	t, _ := ctx.Value(jobKey{}).(*JobTrace)
+	return t
+}
 
 // TraceContextWireSize is the encoded size of a TraceContext: trace ID and
 // parent span ID as big-endian u64s followed by one flags byte (bit 0 =
