@@ -648,7 +648,7 @@ type PoolConfig struct {
 
 // RoundTrip is what the pool's observer learns of one pooled round trip.
 type RoundTrip struct {
-	// Op is "exec" (Write), "query" (Read and Open) or "describe".
+	// Op is "exec" (Write), "query" (Read and Open) or "describe" (Meta).
 	Op string
 	// Job is the trace the call's context carried (obs.WithJob), nil if none.
 	Job *obs.JobTrace
@@ -818,15 +818,21 @@ func (p *Pool) Open(ctx context.Context, s Stmt, fetch int) (*Cursor, error) {
 	return cur, nil
 }
 
-// Describe fetches table metadata ("schema.name" or "name"), retried like
-// Read under the SetContext base context.
-func (p *Pool) Describe(table string) (*TableMeta, error) {
+// Meta fetches table metadata ("schema.name" or "name"). Any transient
+// failure is retried; ctx is used as in Write.
+func (p *Pool) Meta(ctx context.Context, table string) (*TableMeta, error) {
 	var meta *TableMeta
-	err := p.roundTrip(p.context(), describeCall, request{Describe: table}, func(c *Client, req *request) (err error) {
+	err := p.roundTrip(ctx, describeCall, request{Describe: table}, func(c *Client, req *request) (err error) {
 		meta, err = c.describe(req)
 		return err
 	})
 	return meta, err
+}
+
+// Describe is Meta under the SetContext base context. It is kept for the
+// benchmark's replay only, until that replay passes its context to Meta.
+func (p *Pool) Describe(table string) (*TableMeta, error) {
+	return p.Meta(p.context(), table)
 }
 
 // Exec is Write of SQL text under the SetContext base context. It is kept

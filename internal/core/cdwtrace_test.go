@@ -34,20 +34,45 @@ func cdwSpans(t *testing.T, node *core.Node, jobID uint64) map[string]int {
 
 // TestStreamOpenRoundTripsTraced opens and closes a fresh stream with no
 // deltas, so every CDW statement it sends is part of its open or its close.
-// The open's checkpoint DDL, checkpoint read, seed insert and error-table
-// drop and create are spans under the stream's root: one cdw_query and at
-// least four cdw_exec. A stream whose open fails leaves no live trace.
+// The open's target describe, checkpoint DDL, checkpoint read, seed insert
+// and error-table drop and create are spans under the stream's root: one
+// cdw_describe, one cdw_query and at least four cdw_exec. A keyed import's
+// describe is a span under its root too, and every round trip either job
+// counts in etlvirt_cdw_requests_total is one of its spans. A stream whose
+// open fails leaves no live trace.
 func TestStreamOpenRoundTripsTraced(t *testing.T) {
 	st := startStack(t, core.Config{})
 	mustEng(t, st.eng, accountDDL)
+	mustEng(t, st.eng, customerDDL)
+	requests := func() float64 { return metricValue(t, metricsDump(t, st.node), "etlvirt_cdw_requests_total") }
+	spanned := func(got map[string]int) float64 {
+		n := 0
+		for _, c := range got {
+			n += c
+		}
+		return float64(n)
+	}
+
+	before := requests()
 	runScript(t, st.addr, cdcScript, map[string]string{"deltas.txt": ""}, etlclient.Options{})
+	sent := requests() - before
 	jt, ok := st.node.Tracer().Get(1)
 	if !ok || jt.Label != "stream acct_cdc" {
 		t.Fatalf("job 1 is not the stream: %v", ok)
 	}
 	got := cdwSpans(t, st.node, 1)
-	if got["cdw_query"] != 1 || got["cdw_exec"] < 4 {
-		t.Errorf("stream open spans %v, want 1 cdw_query and at least 4 cdw_exec", got)
+	if got["cdw_describe"] != 1 || got["cdw_query"] != 1 || got["cdw_exec"] < 4 {
+		t.Errorf("stream open spans %v, want 1 cdw_describe, 1 cdw_query and at least 4 cdw_exec", got)
+	}
+	if spanned(got) != sent {
+		t.Errorf("the stream sent %v CDW requests and traced %v: %v", sent, spanned(got), got)
+	}
+
+	before = requests()
+	runScript(t, st.addr, example21Script(""), map[string]string{"input.txt": "1|A|2020-01-01\n"}, etlclient.Options{})
+	sent = requests() - before
+	if got = cdwSpans(t, st.node, 2); got["cdw_describe"] != 1 || spanned(got) != sent {
+		t.Errorf("keyed import spans %v for %v CDW requests, want 1 cdw_describe and one span per request", got, sent)
 	}
 
 	// The open's first statement after Describe is the checkpoint DDL;

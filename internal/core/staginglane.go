@@ -59,7 +59,7 @@ type copyBatch struct {
 
 func newStagingLane(ctx context.Context, n *Node, stage sqlparse.TableName, ddl, prefix, op, worker string) *stagingLane {
 	return &stagingLane{
-		trace: obs.JobFrom(ctx), ctx: ctx, node: n, stage: stage, ddl: ddl,
+		ctx: ctx, trace: obs.JobFrom(ctx), node: n, stage: stage, ddl: ddl,
 		prefix: prefix, op: op, worker: worker,
 		uploaded: make(map[string]int64),
 	}

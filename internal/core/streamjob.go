@@ -189,7 +189,7 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (j *stream
 			n.tracer.Finish(id)
 		}
 	}()
-	meta, err := n.pool.Describe(dml.Target.String())
+	meta, err := n.pool.Meta(j.ctx, dml.Target.String())
 	if err != nil {
 		return nil, fmt.Errorf("describing stream target: %w", err)
 	}

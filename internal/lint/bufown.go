@@ -284,7 +284,7 @@ func (op *ownPass) transfer(n ast.Node, st State, check func(ast.Node, string, .
 
 	case *ast.SendStmt:
 		op.expr(n.Chan, st, check)
-		op.handOff(n.Value, st, check, true)
+		op.handOff(n.Value, st, check)
 
 	case *ast.GoStmt:
 		// Arguments are evaluated now.
@@ -303,7 +303,7 @@ func (op *ownPass) transfer(n ast.Node, st State, check func(ast.Node, string, .
 	case *ast.ReturnStmt:
 		// Returning a value hands it to the caller.
 		for _, r := range n.Results {
-			op.handOff(r, st, check, true)
+			op.handOff(r, st, check)
 		}
 
 	case ast.Expr:
@@ -329,7 +329,7 @@ func (op *ownPass) assign(lhs, rhs ast.Expr, st State, check func(ast.Node, stri
 		op.expr(lhs, st, check)
 		if _, elem := ast.Unparen(lhs).(*ast.IndexExpr); elem && rhs != nil {
 			// A map or slice element: the container owns what is stored in it.
-			op.handOff(rhs, st, nil, false)
+			op.handOff(rhs, st, nil)
 		}
 		return
 	}
@@ -494,7 +494,7 @@ func (op *ownPass) args(call *ast.CallExpr, st State, check func(ast.Node, strin
 	}
 	for i, a := range call.Args {
 		if op.r.allArgs || i < len(params) && transfers[params[i]] {
-			op.handOff(a, st, check, true)
+			op.handOff(a, st, check)
 			continue
 		}
 		op.expr(a, st, check)
@@ -503,15 +503,16 @@ func (op *ownPass) args(call *ast.CallExpr, st State, check func(ast.Node, strin
 
 // handOff marks every tracked value inside e — directly, under a path
 // (returning j hands off j.trace), or in a composite-literal field — as
-// transferred to a new owner. With mint, an untracked path is marked too, so
-// a later use of what the caller gave away is still caught.
-func (op *ownPass) handOff(e ast.Expr, st State, check func(ast.Node, string, ...any), mint bool) {
+// transferred to a new owner. An untracked value keeps no state: a context
+// or any other value that never came from an acquisition owns nothing, so
+// using it again after the hand-off is no violation.
+func (op *ownPass) handOff(e ast.Expr, st State, check func(ast.Node, string, ...any)) {
 	if lit := compositeLit(e); lit != nil {
 		for _, el := range lit.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
 				el = kv.Value
 			}
-			op.handOff(el, st, check, mint)
+			op.handOff(el, st, check)
 		}
 		return
 	}
@@ -532,8 +533,8 @@ func (op *ownPass) handOff(e ast.Expr, st State, check func(ast.Node, string, ..
 			st[k] = Fact{Bits: resTransferred, Origin: sub.Origin}
 		}
 	}
-	if tracked || mint {
-		st[key] = Fact{Bits: resTransferred, Origin: orNode(f.Origin, e)}
+	if tracked {
+		st[key] = Fact{Bits: resTransferred, Origin: f.Origin}
 	}
 }
 

@@ -2,7 +2,10 @@
 // multi-path control flow.
 package bufown
 
-import "sync"
+import (
+	"context"
+	"sync"
+)
 
 var pool = sync.Pool{New: func() any { return make([]byte, 0, 1024) }}
 
@@ -186,4 +189,27 @@ func rangeRegistryView(reg map[int]task) int {
 		total += len(t.payload)
 	}
 	return total
+}
+
+// lane keeps the context it was built under.
+type lane struct {
+	ctx  context.Context
+	name string
+}
+
+func nameOf(ctx context.Context) string { return "" }
+
+// laneWithContext stores a context in a literal field and reads it again in
+// the same literal: a context never came from getBuf, so handing it to the
+// literal transfers nothing; clean.
+func laneWithContext(ctx context.Context) *lane {
+	return &lane{ctx: ctx, name: nameOf(ctx)}
+}
+
+// laneAfterHandOff builds the same literal after sending its buffer away:
+// the context stays clean, the buffer does not.
+func laneAfterHandOff(ctx context.Context, s *sink, n int) *lane {
+	buf := getBuf(n)
+	s.ch <- task{payload: buf, rows: n}
+	return &lane{ctx: ctx, name: nameOf(ctx) + string(buf)} // want "use of buf after its ownership was transferred"
 }

@@ -81,6 +81,9 @@ type DML struct {
 	// OrderedExprs lists the rewritten insert source expressions in VALUES
 	// order. Used to probe which expression fails for an isolated bad row.
 	OrderedExprs []sqlparse.Expr
+	// Columns is the insert's target column list, parallel to OrderedExprs;
+	// empty when the insert names none and feeds the columns by position.
+	Columns []string
 }
 
 // StageFields returns the staging-column names (input fields) referenced by
@@ -185,6 +188,7 @@ func (tr *Translator) translateInsertDML(st *sqlparse.InsertStmt) (*DML, error) 
 		Apply:        &RangeStmt{stmt: ins, lo: lo, hi: hi},
 		InsertExprs:  exprsByCol,
 		OrderedExprs: ordered,
+		Columns:      ins.Columns,
 	}, nil
 }
 
@@ -306,6 +310,7 @@ func (tr *Translator) translateUpsertDML(st *sqlparse.UpsertStmt) (*DML, error) 
 		ApplySecond:  ins.Apply,
 		InsertExprs:  ins.InsertExprs,
 		OrderedExprs: ins.OrderedExprs,
+		Columns:      ins.Columns,
 	}, nil
 }
 
@@ -392,22 +397,25 @@ func conjoin(l, r sqlparse.Expr) sqlparse.Expr {
 }
 
 // LocateQuery builds the probe the adaptive error handler sends when a range
-// of an insert DML fails (§7): one UNION ALL statement returning the __seq of
-// every staged row in the range it predicts will fail. Its branches are
+// of an insert DML fails (§7): one UNION ALL statement returning, for every
+// staged row in the range it predicts will fail, the row's __seq and a
+// branch tag. Its branches are
 //
 //	(a) rows on which a TO_DATE/TO_TIMESTAMP of the insert fails: its column
-//	    arguments are non-NULL and its TRY_ form is NULL;
-//	(b) rows whose key collides with a target row;
+//	    arguments are non-NULL and its TRY_ form is NULL (tag 0);
+//	(b) rows whose key collides with a target row (tag 1);
 //	(c) rows whose key repeats an earlier row of the range: the stage joined
-//	    to its own key projection s2 on s2.__seq < s.__seq.
+//	    to its own key projection s2 on s2.__seq < s.__seq (tag 1).
 //
 // (b) and (c) repeat once per key, in order. Every scan of the stage carries
-// the __seq range. The result is a prediction, not a verdict: a branch can
-// name a row that applies (a conversion under a CASE arm not taken, a
-// duplicate of a row that itself fails) and miss a row that does not (other
-// error classes, a NULL key in a NOT NULL column). Equality joins never
-// match a NULL, so a key with a NULL is never named: it never collides. It
-// returns nil when the insert has nothing to check.
+// the __seq range. As a prediction of failures the result is not a verdict:
+// a branch can name a row that applies (a conversion under a CASE arm not
+// taken, a duplicate of a row that itself fails) and miss a row that does
+// not (other error classes, a NULL key in a NOT NULL column). For the keys
+// it is exact: a row no tag-1 branch names collides neither with the target
+// as the probe saw it nor with an earlier row of the range. Equality joins
+// never match a NULL, so a key with a NULL is never named: it never
+// collides. It returns nil when the insert has nothing to check.
 func (tr *Translator) LocateQuery(d *DML, keys []Key) (*RangeStmt, error) {
 	for _, k := range keys {
 		if len(k.Cols) == 0 || len(k.Cols) != len(k.Exprs) {
@@ -422,12 +430,21 @@ func (tr *Translator) LocateQuery(d *DML, keys []Key) (*RangeStmt, error) {
 	inRange := func(alias string) sqlparse.Expr {
 		return &sqlparse.BetweenExpr{X: seqOf(alias), Lo: lo, Hi: hi}
 	}
-	branch := func(from sqlparse.TableExpr, where sqlparse.Expr) *sqlparse.SelectStmt {
+	scan := func(from sqlparse.TableExpr, where sqlparse.Expr) *sqlparse.SelectStmt {
 		return &sqlparse.SelectStmt{
 			Items: []sqlparse.SelectItem{{Expr: seqOf(tr.StageAlias)}},
 			From:  []sqlparse.TableExpr{from},
 			Where: conjoin(inRange(tr.StageAlias), where),
 		}
+	}
+	branch := func(from sqlparse.TableExpr, where sqlparse.Expr, key bool) *sqlparse.SelectStmt {
+		b := scan(from, where)
+		var tag int64
+		if key {
+			tag = 1
+		}
+		b.Items = append(b.Items, sqlparse.SelectItem{Expr: &sqlparse.Literal{Kind: sqlparse.LitInt, Int: tag}})
+		return b
 	}
 	var branches []*sqlparse.SelectStmt
 
@@ -453,15 +470,15 @@ func (tr *Translator) LocateQuery(d *DML, keys []Key) (*RangeStmt, error) {
 		}
 	})
 	if conv != nil {
-		branches = append(branches, branch(tr.stageRef(), conv))
+		branches = append(branches, branch(tr.stageRef(), conv, false))
 	}
 
 	for _, k := range keys {
 		// (b) collisions with the target
-		branches = append(branches, branch(tr.targetJoin(d, k.Cols, k.Exprs), nil))
+		branches = append(branches, branch(tr.targetJoin(d, k.Cols, k.Exprs), nil, true))
 
 		// (c) repeats of an earlier key in the range
-		proj := branch(tr.stageRef(), nil)
+		proj := scan(tr.stageRef(), nil)
 		var on sqlparse.Expr
 		for i, e := range k.Exprs {
 			name := fmt.Sprintf("k%d", i)
@@ -470,7 +487,7 @@ func (tr *Translator) LocateQuery(d *DML, keys []Key) (*RangeStmt, error) {
 		}
 		branches = append(branches, branch(&sqlparse.Join{Type: sqlparse.JoinInner, Left: tr.stageRef(),
 			Right: &sqlparse.SubqueryTable{Select: proj, Alias: "s2"}, On: on},
-			&sqlparse.BinaryExpr{Op: "<", L: seqOf("s2"), R: seqOf(tr.StageAlias)}))
+			&sqlparse.BinaryExpr{Op: "<", L: seqOf("s2"), R: seqOf(tr.StageAlias)}, true))
 	}
 
 	if len(branches) == 0 {

@@ -292,10 +292,10 @@ func TestLocateQuery(t *testing.T) {
 	}
 	const (
 		rng  = "s.__seq BETWEEN 11 AND 20"
-		want = "SELECT s.__seq FROM etl_stage.job1 s WHERE " + rng +
+		want = "SELECT s.__seq, 0 FROM etl_stage.job1 s WHERE " + rng +
 			" AND s.JOIN_DATE IS NOT NULL AND TRY_TO_DATE(s.JOIN_DATE, 'YYYY-MM-DD') IS NULL" +
-			" UNION ALL SELECT s.__seq FROM etl_stage.job1 s JOIN PROD.CUSTOMER t ON t.CUST_ID = TRIM(s.CUST_ID) WHERE " + rng +
-			" UNION ALL SELECT s.__seq FROM etl_stage.job1 s JOIN (SELECT s.__seq, TRIM(s.CUST_ID) AS k0 FROM etl_stage.job1 s WHERE " + rng +
+			" UNION ALL SELECT s.__seq, 1 FROM etl_stage.job1 s JOIN PROD.CUSTOMER t ON t.CUST_ID = TRIM(s.CUST_ID) WHERE " + rng +
+			" UNION ALL SELECT s.__seq, 1 FROM etl_stage.job1 s JOIN (SELECT s.__seq, TRIM(s.CUST_ID) AS k0 FROM etl_stage.job1 s WHERE " + rng +
 			") s2 ON s2.k0 = TRIM(s.CUST_ID) WHERE " + rng + " AND s2.__seq < s.__seq"
 	)
 	if sql != want {
