@@ -91,7 +91,7 @@ func (j *streamJob) status(now time.Time) StreamStatus {
 		StreamID:    j.id,
 		Name:        j.req.Name,
 		Target:      j.targets,
-		TraceID:     j.traceID(),
+		TraceID:     j.trace.TraceID(),
 		Watermark:   j.wmLive.Load(),
 		Batches:     j.batches.Load(),
 		BatchHint:   j.hintLive.Load(),
@@ -167,6 +167,7 @@ func (n *Node) ActiveJobs() []ActiveJob {
 		if j.acqDone.Load() {
 			phase = "application"
 		}
+		errsET, errsUV := j.applyErrors()
 		out = append(out, ActiveJob{
 			JobID:         j.id,
 			Kind:          "import",
@@ -185,8 +186,8 @@ func (n *Node) ActiveJobs() []ActiveJob {
 			CopyBatches:   j.batchesN.Load(),
 			CopyQueue:     j.copyQueue.Load(),
 			Statements:    j.stmts.Load(),
-			ErrorsET:      j.errsETLive.Load(),
-			ErrorsUV:      j.errsUVLive.Load(),
+			ErrorsET:      errsET,
+			ErrorsUV:      errsUV,
 		})
 	}
 	for _, j := range exports {
@@ -208,7 +209,7 @@ func (n *Node) ActiveJobs() []ActiveJob {
 			Phase:     "streaming",
 			StartedAt: j.started,
 			ElapsedMS: now.Sub(j.started).Milliseconds(),
-			ErrorsET:  j.errsET.Load(),
+			ErrorsET:  j.et.count(),
 			Deltas:    j.deltas.Load(),
 			Replayed:  j.replayed.Load(),
 			Batches:   j.batches.Load(),

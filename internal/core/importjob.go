@@ -52,8 +52,7 @@ type importJob struct {
 	req  *wire.BeginLoad
 
 	stage   sqlparse.TableName
-	etName  sqlparse.TableName
-	uvName  sqlparse.TableName
+	et, uv  *errTable
 	tr      *sqlxlate.Translator
 	conv    *convert.Converter
 	lane    *stagingLane
@@ -98,8 +97,6 @@ type importJob struct {
 	files       atomic.Int64 // files uploaded
 	upBytes     atomic.Int64
 	stmts       atomic.Int64 // application DML statements issued so far
-	errsETLive  atomic.Int64
-	errsUVLive  atomic.Int64
 	creditsHeld atomic.Int64
 	acqDone     atomic.Bool // acquisition finalized, observable lock-free
 	aborted     atomic.Bool
@@ -137,18 +134,17 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 		req:     m,
 		conv:    conv,
 		stage:   stage,
-		etName:  sqlparse.ParseTableName(m.ErrTableET),
-		uvName:  sqlparse.ParseTableName(m.ErrTableUV),
 		targets: target.String(),
 	}
 	j.watch.start = time.Now()
 	n.nm.jobsStarted.Inc()
 	j.trace = n.tracer.StartCtx(id, "import "+j.targets, tc)
 	j.ctx = obs.WithJob(n.ctx, j.trace)
+	j.et, j.uv = newErrTable(j.ctx, n, m.ErrTableET), newErrTable(j.ctx, n, m.ErrTableUV)
 	j.lane = newStagingLane(j.ctx, n, j.stage, stageDDL,
 		fmt.Sprintf("%s%d/", uploadPrefix, id), "copy", "stage")
 	n.events.Add(obs.Event{
-		Type: "job_start", Job: id, TraceID: j.traceID(),
+		Type: "job_start", Job: id, TraceID: j.trace.TraceID(),
 		Msg: "import " + j.targets,
 	})
 	setupStart := time.Now()
@@ -161,7 +157,7 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 
 	if err := j.prepareTables(); err != nil {
 		n.events.Add(obs.Event{
-			Type: "job_fail", Job: id, TraceID: j.traceID(),
+			Type: "job_fail", Job: id, TraceID: j.trace.TraceID(),
 			Msg: "preparing job tables", Attrs: map[string]any{"err": err.Error()},
 		})
 		// The job trace is already open; settle it or the span leaks and
@@ -215,21 +211,10 @@ func (j *importJob) prepareTables() error {
 	if err := j.lane.recreate(); err != nil {
 		return err
 	}
-	for _, et := range []sqlparse.TableName{j.etName, j.uvName} {
-		if et.Name == "" {
-			continue
-		}
-		ddl, err := sqlxlate.ErrorTableDDL(et)
-		if err != nil {
-			return err
-		}
-		for _, s := range []string{dropIfExists(et), ddl} {
-			if _, err := j.node.pool.Write(j.ctx, cdwnet.Stmt{SQL: s}); err != nil {
-				return err
-			}
-		}
+	if err := j.et.recreate(); err != nil {
+		return err
 	}
-	return nil
+	return j.uv.recreate()
 }
 
 func dropIfExists(tn sqlparse.TableName) string {
@@ -261,15 +246,6 @@ func (j *importJob) failed() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.failure
-}
-
-// traceID renders the job's distributed trace ID for event records.
-func (j *importJob) traceID() string {
-	tc := j.trace.Context()
-	if !tc.Valid() {
-		return ""
-	}
-	return obs.FormatTraceID(tc.TraceID)
 }
 
 // handleChunk is called by a session goroutine: the chunk has already been
@@ -462,7 +438,12 @@ func (j *importJob) finishAcquisition() (*wire.AcquireDone, error) {
 	j.mu.Lock()
 	dataErrs := j.dataErrors
 	j.mu.Unlock()
-	if err := recordDataErrors(j.ctx, j.node, j.etName, dataErrs); err != nil {
+	for _, de := range dataErrs {
+		if err := j.et.add(de.Row, de.Row, de.Code, de.Field, de.Msg); err != nil {
+			return nil, err
+		}
+	}
+	if err := j.et.flush(); err != nil {
 		return nil, err
 	}
 	j.watch.acqTo = time.Now()
@@ -510,55 +491,6 @@ func (j *importJob) abort() {
 	j.acquireMu.Unlock()
 	j.node.log.Warn("import job aborted by client disconnect", "job", j.id)
 	j.finish()
-}
-
-// errInsertBatch is how many error rows one INSERT into an error table
-// carries: large enough that error-heavy jobs don't serialize thousands of
-// pool round trips, small enough to keep statements readable in traces.
-const errInsertBatch = 100
-
-// errorRow builds one error-table tuple.
-func errorRow(lo, hi int64, code int, field, msg string) []sqlparse.Expr {
-	return []sqlparse.Expr{
-		&sqlparse.Literal{Kind: sqlparse.LitInt, Int: lo},
-		&sqlparse.Literal{Kind: sqlparse.LitInt, Int: hi},
-		&sqlparse.Literal{Kind: sqlparse.LitInt, Int: int64(code)},
-		&sqlparse.Literal{Kind: sqlparse.LitString, Str: field},
-		&sqlparse.Literal{Kind: sqlparse.LitString, Str: msg},
-	}
-}
-
-// recordError inserts one entry into an error table under the owning job's
-// ctx. The streaming path records each ET row this way; an import collects
-// its rows and writes them with insertErrorRows.
-func recordError(ctx context.Context, n *Node, table sqlparse.TableName, lo, hi int64, code int, field, msg string) error {
-	return insertErrorRows(ctx, n, table, [][]sqlparse.Expr{errorRow(lo, hi, code, field, msg)})
-}
-
-// recordDataErrors inserts acquisition data errors into an error table.
-func recordDataErrors(ctx context.Context, n *Node, table sqlparse.TableName, errs []convert.DataError) error {
-	rows := make([][]sqlparse.Expr, len(errs))
-	for i, de := range errs {
-		rows[i] = errorRow(de.Row, de.Row, de.Code, de.Field, de.Msg)
-	}
-	return insertErrorRows(ctx, n, table, rows)
-}
-
-// insertErrorRows writes error-table tuples in multi-row INSERTs of
-// errInsertBatch, one round trip per batch.
-func insertErrorRows(ctx context.Context, n *Node, table sqlparse.TableName, rows [][]sqlparse.Expr) error {
-	for len(rows) > 0 {
-		take := min(len(rows), errInsertBatch)
-		sql, err := sqlparse.Print(&sqlparse.InsertStmt{Table: table, Rows: rows[:take]}, sqlparse.DialectCDW)
-		if err != nil {
-			return err
-		}
-		if _, err := n.pool.Write(ctx, cdwnet.Stmt{SQL: sql}); err != nil {
-			return err
-		}
-		rows = rows[take:]
-	}
-	return nil
 }
 
 // classifyCDWError maps an apply-phase failure onto the adaptive error
@@ -714,54 +646,26 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 	}
 
 	nm := j.node.nm
-	var errsET, errsUV int64
-	// Error rows are buffered per table in record order. A table's buffer
-	// goes in one INSERT when it holds errInsertBatch rows, the rest when the
-	// run ends: one statement per errInsertBatch errors, not one per error,
-	// and never more than that many rows held per table.
-	type errTable struct {
-		name sqlparse.TableName
-		rows [][]sqlparse.Expr
-	}
-	et, uv := &errTable{name: j.etName}, &errTable{name: j.uvName}
-	flush := func(t *errTable) error {
-		rows := t.rows
-		t.rows = t.rows[:0]
-		if t.name.Name == "" {
-			return nil // job declared no error table; drop silently like the legacy tools
-		}
-		return insertErrorRows(j.ctx, j.node, t.name, rows)
-	}
 	record := func(lo, hi int64, c errhandle.Classified) error {
-		t := et
-		msg := c.Msg
 		switch {
 		case c.Code == errhandle.CodeMaxErrors:
-			msg = fmt.Sprintf("Max number of errors reached during DML on %s, row numbers: (%d, %d)", j.targets, lo, hi)
-			errsET++
-			j.errsETLive.Add(1)
 			nm.errorsET.Inc()
+			return j.et.add(lo, hi, c.Code, c.Field,
+				fmt.Sprintf("Max number of errors reached during DML on %s, row numbers: (%d, %d)", j.targets, lo, hi))
 		case c.Unique:
-			t = uv
-			msg = fmt.Sprintf("%s during DML on %s, row number: %d%s", c.Msg, j.targets, lo, j.stagedTupleSuffix(lo))
-			errsUV++
-			j.errsUVLive.Add(1)
 			nm.errorsUV.Inc()
+			return j.uv.add(lo, hi, c.Code, c.Field,
+				fmt.Sprintf("%s during DML on %s, row number: %d%s", c.Msg, j.targets, lo, j.stagedTupleSuffix(lo)))
 		default:
 			if c.Field == "" && lo == hi {
 				// isolate the offending input field by probing each insert
 				// expression against the single staged row
 				c.Field = j.probeField(dml, lo)
 			}
-			msg = fmt.Sprintf("%s during DML on %s, row number: %d", c.Msg, j.targets, lo)
-			errsET++
-			j.errsETLive.Add(1)
 			nm.errorsET.Inc()
+			return j.et.add(lo, hi, c.Code, c.Field,
+				fmt.Sprintf("%s during DML on %s, row number: %d", c.Msg, j.targets, lo))
 		}
-		if t.rows = append(t.rows, errorRow(lo, hi, c.Code, c.Field, msg)); len(t.rows) == errInsertBatch {
-			return flush(t)
-		}
-		return nil
 	}
 
 	cfg := j.node.errhandleConfig(int(j.req.MaxErrors), int(j.req.MaxRetries), j.trace, "beta",
@@ -776,8 +680,8 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 	// closed pool.
 	applyStart := time.Now()
 	runErr := h.Run(j.node.ctx, 1, maxSeq)
-	for _, t := range []*errTable{et, uv} {
-		if err := flush(t); err != nil && runErr == nil {
+	for _, t := range []*errTable{j.et, j.uv} {
+		if err := t.flush(); err != nil && runErr == nil {
 			runErr = err
 		}
 	}
@@ -792,6 +696,7 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 	}
 	j.watch.appTo = time.Now()
 
+	errsET, errsUV := j.applyErrors()
 	res := &wire.ApplyResult{JobID: j.id, ErrorsET: uint64(errsET), ErrorsUV: uint64(errsUV)}
 	switch dml.Kind {
 	case sqlxlate.DMLInsert:
@@ -819,6 +724,17 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 	j.report.ErrorsET = errsET
 	j.report.ErrorsUV = errsUV
 	return res, nil
+}
+
+// applyErrors returns how many ET and UV rows the apply phase recorded. The
+// ET table also holds the acquisition rejects, which an import reports as
+// DataErrors; all of them are recorded before acqDone is set, and the
+// slice never grows again.
+func (j *importJob) applyErrors() (et, uv int64) {
+	if !j.acqDone.Load() {
+		return 0, 0
+	}
+	return j.et.count() - int64(len(j.dataErrors)), j.uv.count()
 }
 
 // keyVerdict is what a located split's probe settled about the insert's
@@ -1091,7 +1007,7 @@ func (j *importJob) finish() *JobReport {
 			j.node.nm.jobsCompleted.Inc()
 		}
 		j.node.events.Add(obs.Event{
-			Type: evType, Job: j.id, TraceID: j.traceID(), Msg: "import " + j.targets,
+			Type: evType, Job: j.id, TraceID: j.trace.TraceID(), Msg: "import " + j.targets,
 			Attrs: map[string]any{
 				"rows_staged": j.rowsConv.Load(),
 				"data_errors": len(j.dataErrors),

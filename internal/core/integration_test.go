@@ -35,6 +35,13 @@ type stack struct {
 
 func startStack(t *testing.T, cfg core.Config) *stack {
 	t.Helper()
+	return startStackVia(t, cfg, nil)
+}
+
+// startStackVia is startStack with the node's CDW connections passing
+// through tap, when it is not nil.
+func startStackVia(t *testing.T, cfg core.Config, tap *sqlTap) *stack {
+	t.Helper()
 	store := cloudstore.NewMemStore()
 	eng := cdw.NewEngine(store, cdw.Options{})
 	srv := cdwnet.NewServer(eng)
@@ -45,6 +52,9 @@ func startStack(t *testing.T, cfg core.Config) *stack {
 	t.Cleanup(func() { srv.Close() })
 
 	cfg.CDWAddr = cdwAddr
+	if tap != nil {
+		cfg.CDWAddr = tap.listen(t, cdwAddr)
+	}
 	node := core.NewNode(cfg, store)
 	addr, err := node.Listen("127.0.0.1:0")
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -141,6 +142,13 @@ func (tp *sqlTap) forward(dst, src net.Conn) {
 			return
 		}
 	}
+}
+
+// snapshot returns the SQL of every request so far, in arrival order.
+func (tp *sqlTap) snapshot() []string {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	return slices.Clone(tp.sql)
 }
 
 // count returns how many requests began with prefix.

@@ -48,7 +48,7 @@ type streamJob struct {
 	req  *wire.BeginStream
 
 	ckpt    sqlparse.TableName // durable watermark table (shared, one row per stream)
-	etName  sqlparse.TableName
+	et      *errTable
 	tr      *sqlxlate.Translator
 	conv    *convert.Converter
 	ne      *sqlxlate.NetEffect
@@ -69,7 +69,7 @@ type streamJob struct {
 	csv              []byte //etlvirt:owns
 	rows             int    // rows staged this batch
 	dels             int    // delete images staged this batch
-	stmts            int64  // CDW statements the open commit issued outside the lane
+	stmts            int64  // CDW statements the open commit issued outside the lane and error table
 	dataErrs         []convert.DataError
 	batchLo, batchHi int64 // fresh delta range buffered; batchLo == 0 means empty
 	batchBytes       int
@@ -104,7 +104,6 @@ type streamJob struct {
 	inserted atomic.Int64
 	updated  atomic.Int64
 	deleted  atomic.Int64
-	errsET   atomic.Int64
 	wmLive   atomic.Int64
 	hintLive atomic.Int64
 
@@ -125,15 +124,6 @@ type streamCommitStat struct {
 	action   string
 	dominant string
 	stages   map[string]time.Duration
-}
-
-// traceID renders the stream's distributed trace ID for event records.
-func (j *streamJob) traceID() string {
-	tc := j.trace.Context()
-	if !tc.Valid() {
-		return ""
-	}
-	return obs.FormatTraceID(tc.TraceID)
 }
 
 // newStreamJob opens (or resumes) a stream. The stream's name is its durable
@@ -159,7 +149,6 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (j *stream
 		req:     m,
 		conv:    conv,
 		ckpt:    sqlparse.TableName{Schema: stagingSchema, Name: "stream_checkpoints"},
-		etName:  sqlparse.ParseTableName(m.ErrTableET),
 		started: time.Now(),
 	}
 	stage := sqlparse.TableName{Schema: stagingSchema, Name: fmt.Sprintf("stream_%d", id)}
@@ -184,6 +173,7 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (j *stream
 	// join it; a failed open settles it.
 	j.trace = n.tracer.StartCtx(id, "stream "+m.Name, tc)
 	j.ctx = obs.WithJob(n.ctx, j.trace)
+	j.et = newErrTable(j.ctx, n, m.ErrTableET)
 	defer func() {
 		if err != nil {
 			n.tracer.Finish(id)
@@ -241,16 +231,8 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (j *stream
 		if _, err := n.pool.Write(j.ctx, cdwnet.Stmt{SQL: insSQL}); err != nil {
 			return nil, fmt.Errorf("seeding stream checkpoint: %w", err)
 		}
-		if j.etName.Name != "" {
-			etDDL, err := sqlxlate.ErrorTableDDL(j.etName)
-			if err != nil {
-				return nil, err
-			}
-			for _, s := range []string{dropIfExists(j.etName), etDDL} {
-				if _, err := n.pool.Write(j.ctx, cdwnet.Stmt{SQL: s}); err != nil {
-					return nil, fmt.Errorf("preparing stream error table: %w", err)
-				}
-			}
+		if err := j.et.recreate(); err != nil {
+			return nil, fmt.Errorf("preparing stream error table: %w", err)
 		}
 	} else {
 		j.watermark = rows[0][0].I
@@ -271,7 +253,7 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (j *stream
 	n.nm.streamsOpened.Inc()
 	j.lane = newStagingLane(j.ctx, n, stage, stageDDL, fmt.Sprintf("%sstream%d/", uploadPrefix, id), "stream_copy", "stream")
 	n.events.Add(obs.Event{
-		Type: "stream_open", Job: id, TraceID: j.traceID(), Msg: m.Name,
+		Type: "stream_open", Job: id, TraceID: j.trace.TraceID(), Msg: m.Name,
 		Attrs: map[string]any{
 			"target":    j.targets,
 			"watermark": j.watermark,
@@ -472,34 +454,29 @@ func (j *streamJob) commitBatch() error {
 	lo, hi := j.batchLo, j.batchHi
 	rows := j.rows
 	commitStart := j.batchStart
-	laneStmts := j.lane.stmts.Load()
+	laneStmts, etStmts := j.lane.stmts.Load(), j.et.stmts
 	if err := j.stageBatch(); err != nil {
 		return err
 	}
 
 	// Idempotent error recording: a crashed attempt may have recorded rows
 	// for sequences the watermark never covered; wipe them before this
-	// attempt re-records.
+	// attempt re-records. The batch's rows are all written before the
+	// watermark moves.
 	applyStart := time.Now()
-	if j.etName.Name != "" {
-		del := fmt.Sprintf("DELETE FROM %s WHERE SEQNO_END > %d", j.etName.String(), j.watermark)
-		if _, err := j.exec(del); err != nil {
-			return fmt.Errorf("clearing uncommitted error rows: %w", err)
-		}
+	if err := j.et.clearAbove(j.watermark); err != nil {
+		return fmt.Errorf("clearing uncommitted error rows: %w", err)
 	}
-	if j.etName.Name != "" && len(j.dataErrs) > 0 {
-		if err := recordDataErrors(j.ctx, j.node, j.etName, j.dataErrs); err != nil {
+	for _, de := range j.dataErrs {
+		if err := j.et.add(de.Row, de.Row, de.Code, de.Field, de.Msg); err != nil {
 			return err
 		}
-		j.stmts += int64((len(j.dataErrs) + errInsertBatch - 1) / errInsertBatch)
 	}
-	j.errsET.Add(int64(len(j.dataErrs)))
-	for range j.dataErrs {
-		nm.errorsET.Inc()
-	}
-
 	located, err := j.apply()
 	if err != nil {
+		return err
+	}
+	if err := j.et.flush(); err != nil {
 		return err
 	}
 	j.stageAcc.Apply += time.Since(applyStart)
@@ -513,10 +490,11 @@ func (j *streamJob) commitBatch() error {
 	if err != nil {
 		return err
 	}
-	if _, err := j.exec(updSQL); err != nil {
+	j.stmts++
+	if _, err := j.node.pool.Write(j.ctx, cdwnet.Stmt{SQL: updSQL}); err != nil {
 		return fmt.Errorf("advancing stream watermark: %w", err)
 	}
-	stmts := j.stmts + j.lane.stmts.Load() - laneStmts
+	stmts := j.stmts + j.lane.stmts.Load() - laneStmts + j.et.stmts - etStmts
 	j.watermark = hi
 	j.stageAcc.Checkpoint += time.Since(ckptStart)
 	j.trace.Span("checkpoint", "stream", ckptStart, 0, 0, nil)
@@ -567,7 +545,7 @@ func (j *streamJob) commitBatch() error {
 	}
 	j.statMu.Unlock()
 	j.node.events.Add(obs.Event{
-		Type: "batch_commit", Job: j.id, TraceID: j.traceID(), Msg: j.req.Name,
+		Type: "batch_commit", Job: j.id, TraceID: j.trace.TraceID(), Msg: j.req.Name,
 		Attrs: map[string]any{
 			"lo": lo, "hi": hi, "rows": rows, "bytes": j.batchBytes,
 			"latency_ms": lat.Milliseconds(), "dominant": d.Dominant,
@@ -591,12 +569,6 @@ func (j *streamJob) commitBatch() error {
 	j.oldestLiveNs.Store(0)
 	j.batchNo++
 	return nil
-}
-
-// exec runs one statement of the open commit.
-func (j *streamJob) exec(sql string) (int64, error) {
-	j.stmts++
-	return j.node.pool.Write(j.ctx, cdwnet.Stmt{SQL: sql})
 }
 
 // execRange runs one net-effect statement over staged images lo..hi.
@@ -654,19 +626,12 @@ func (j *streamJob) apply() (int64, error) {
 	}
 
 	record := func(lo, hi int64, c errhandle.Classified) error {
-		msg := c.Msg
+		msg := fmt.Sprintf("%s during stream apply on %s, row number: %d", c.Msg, j.targets, lo)
 		if c.Code == errhandle.CodeMaxErrors {
 			msg = fmt.Sprintf("Max number of errors reached during stream apply on %s, row numbers: (%d, %d)", j.targets, lo, hi)
-		} else {
-			msg = fmt.Sprintf("%s during stream apply on %s, row number: %d", c.Msg, j.targets, lo)
 		}
-		j.errsET.Add(1)
 		nm.errorsET.Inc()
-		if j.etName.Name == "" {
-			return nil // stream declared no error table; drop like the legacy tools
-		}
-		j.stmts++
-		return recordError(j.ctx, j.node, j.etName, lo, hi, c.Code, c.Field, msg)
+		return j.et.add(lo, hi, c.Code, c.Field, msg)
 	}
 
 	cfg := j.node.errhandleConfig(int(j.req.MaxErrors), 0, j.trace, "stream", nil)
@@ -825,11 +790,11 @@ func (j *streamJob) finishStream() (*wire.StreamDone, error) {
 		Inserted:  uint64(j.inserted.Load()),
 		Updated:   uint64(j.updated.Load()),
 		Deleted:   uint64(j.deleted.Load()),
-		ErrorsET:  uint64(j.errsET.Load()),
+		ErrorsET:  uint64(j.et.count()),
 		Replayed:  uint64(j.replayed.Load()),
 	}
 	j.node.events.Add(obs.Event{
-		Type: "stream_finish", Job: j.id, TraceID: j.traceID(), Msg: j.req.Name,
+		Type: "stream_finish", Job: j.id, TraceID: j.trace.TraceID(), Msg: j.req.Name,
 		Attrs: map[string]any{
 			"watermark": j.watermark,
 			"batches":   j.batches.Load(),
@@ -846,7 +811,7 @@ func (j *streamJob) abort() {
 	j.oldestLiveNs.Store(0)
 	j.node.nm.streamsAborted.Inc()
 	j.node.events.Add(obs.Event{
-		Type: "stream_abort", Job: j.id, TraceID: j.traceID(), Msg: j.req.Name,
+		Type: "stream_abort", Job: j.id, TraceID: j.trace.TraceID(), Msg: j.req.Name,
 		Attrs: map[string]any{"watermark": j.watermark},
 	})
 	j.node.log.Warn("stream aborted by client disconnect", "stream", j.id,

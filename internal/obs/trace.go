@@ -67,6 +67,16 @@ func (t *JobTrace) Context() TraceContext {
 	return t.ctx
 }
 
+// TraceID renders the trace ID for event records; "" when the job has no
+// distributed trace.
+func (t *JobTrace) TraceID() string {
+	tc := t.Context()
+	if !tc.Valid() {
+		return ""
+	}
+	return FormatTraceID(tc.TraceID)
+}
+
 // ChildContext is the context to propagate on outbound calls made on behalf
 // of this job: same trace, parented under the job's root span.
 func (t *JobTrace) ChildContext() TraceContext {
