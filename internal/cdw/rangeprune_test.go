@@ -331,9 +331,9 @@ func TestRangePruneShapes(t *testing.T) {
 }
 
 // TestRangePruneProbesScanOneRow: the per-error probes the import job issues
-// against one staged tuple — probeRow/probeField's qualified s.__seq = N and
-// stagedTupleSuffix's unqualified __seq = N — copy one row out of a
-// 1 000-row stage, not the stage.
+// against one staged tuple — diagnoseRow's and exprFailure's qualified
+// s.__seq = N, the first reading the tuple too — copy one row out of a
+// 1 000-row stage, not the stage. So does the unqualified __seq = N form.
 func TestRangePruneProbesScanOneRow(t *testing.T) {
 	e := newTestEngine(t)
 	mustExec(t, e, "CREATE TABLE etl_stage.job1 (__seq BIGINT NOT NULL, CUST_ID VARCHAR(5), JOIN_DATE VARCHAR(10))")
@@ -345,6 +345,7 @@ func TestRangePruneProbesScanOneRow(t *testing.T) {
 	for _, sql := range []string{
 		"SELECT TRIM(s.CUST_ID), TO_DATE(s.JOIN_DATE, 'YYYY-MM-DD') FROM etl_stage.job1 s WHERE s.__seq = 500",
 		"SELECT TO_DATE(s.JOIN_DATE, 'YYYY-MM-DD') FROM etl_stage.job1 s WHERE s.__seq = 500",
+		"SELECT TRIM(s.CUST_ID), CAST(TRIM(s.CUST_ID) AS VARCHAR(5)), s.* FROM etl_stage.job1 s WHERE s.__seq = 500",
 		"SELECT * FROM etl_stage.job1 WHERE __seq = 500",
 	} {
 		before := e.RowsScanned()
@@ -450,5 +451,56 @@ func TestLocateProbeScanBound(t *testing.T) {
 	t.Logf("probe scanned %d rows at 1000 staged rows, %d at 10000", small, large)
 	if float64(large) > 1.1*float64(small) {
 		t.Errorf("probe scanned %d rows at 10000 staged rows vs %d at 1000, want <= 1.1x", large, small)
+	}
+}
+
+// TestKeyCheckScanBound: the key check (sqlxlate.KeyCheckQuery) of a target
+// with two keys, over a 10-row range, copies what the range holds for each
+// of its four scalar subqueries plus the target for each join, not the
+// stage: over a 10 000-row stage it scans at most 1.1x the rows it scans
+// over a 1 000-row stage, so range pruning reaches every subquery. It
+// counts the range's one repeated k and its one v that collides with the
+// target.
+func TestKeyCheckScanBound(t *testing.T) {
+	const (
+		rng   = "s.__seq BETWEEN 501 AND 510"
+		k     = "CAST(s.k AS INTEGER)"
+		check = "SELECT (SELECT COUNT(*) FROM (SELECT 1 AS one FROM stage s WHERE " + rng +
+			" GROUP BY " + k + " HAVING COUNT(*) > 1 AND " + k + " IS NOT NULL) d)" +
+			" + (SELECT COUNT(*) FROM stage s JOIN tgt t ON t.k = " + k + " WHERE " + rng + ")" +
+			" + (SELECT COUNT(*) FROM (SELECT 1 AS one FROM stage s WHERE " + rng +
+			" GROUP BY s.v HAVING COUNT(*) > 1 AND s.v IS NOT NULL) d)" +
+			" + (SELECT COUNT(*) FROM stage s JOIN tgt t ON t.v = s.v WHERE " + rng + ")"
+	)
+	measure := func(stageRows int) int64 {
+		e := newTestEngine(t)
+		mustExec(t, e, "CREATE TABLE tgt (k INTEGER NOT NULL, v VARCHAR(8), PRIMARY KEY (k), UNIQUE (v))")
+		mustExec(t, e, "CREATE TABLE stage (__seq BIGINT NOT NULL, k VARCHAR(8), v VARCHAR(10))")
+		var tv, sv []string
+		for i := 0; i < 100; i++ {
+			tv = append(tv, fmt.Sprintf("(%d, 't%d')", 10000+i, i))
+		}
+		for i := 1; i <= stageRows; i++ {
+			k, v := fmt.Sprint(i), fmt.Sprintf("v%d", i)
+			switch i {
+			case 505:
+				v = "t42" // in tgt
+			case 507:
+				k = "502"
+			}
+			sv = append(sv, fmt.Sprintf("(%d, '%s', '%s')", i, k, v))
+		}
+		mustExec(t, e, "INSERT INTO tgt VALUES "+strings.Join(tv, ", "))
+		mustExec(t, e, "INSERT INTO stage VALUES "+strings.Join(sv, ", "))
+		before := e.RowsScanned()
+		if got := q(t, e, check); got[0][0].I != 2 {
+			t.Errorf("key check over %d staged rows counted %d, want 2", stageRows, got[0][0].I)
+		}
+		return e.RowsScanned() - before
+	}
+	small, large := measure(1000), measure(10000)
+	t.Logf("key check scanned %d rows at 1000 staged rows, %d at 10000", small, large)
+	if float64(large) > 1.1*float64(small) {
+		t.Errorf("key check scanned %d rows at 10000 staged rows vs %d at 1000, want <= 1.1x", large, small)
 	}
 }

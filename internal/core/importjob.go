@@ -564,12 +564,8 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 
 	// Uniqueness emulation (§7): the CDW does not enforce the target's
 	// primary key or UNIQUE constraints, so collisions must be detected with
-	// queries, two per key.
-	type dupCheck struct {
-		q     *sqlxlate.RangeStmt
-		intra bool // repeats within the range; a single row cannot repeat itself
-	}
-	var checks []dupCheck
+	// a query, one per range for all keys.
+	var check *sqlxlate.RangeStmt
 	var keys []sqlxlate.Key
 	var meta *cdwnet.TableMeta
 	if dml.Kind == sqlxlate.DMLInsert {
@@ -579,43 +575,32 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 		if keys, err = uniqueKeys(dml, meta); err != nil {
 			return nil, err
 		}
-		for _, k := range keys {
-			intraQ, targetQ, err := j.tr.DupCheckQueries(dml, k.Cols, k.Exprs)
-			if err != nil {
-				return nil, err
-			}
-			checks = append(checks, dupCheck{intraQ, true}, dupCheck{targetQ, false})
+		if check, err = j.tr.KeyCheckQuery(dml, keys); err != nil {
+			return nil, err
 		}
 	}
 
 	var upsertUpdated, upsertInserted int64
 	var probed keyVerdict
+	var diagnosed rowDiagnosis // the last row a key check sent to diagnoseRow
 	apply := func(ctx context.Context, lo, hi int64) (int64, error) {
-		for _, c := range checks {
-			if c.intra && lo == hi || probed.settles(lo, hi) {
-				continue
+		if check != nil && !probed.settles(lo, hi) {
+			rows, err := j.readRange(check, lo, hi)
+			if err == nil && len(rows) == 1 && rows[0][0].I > 0 {
+				err = &cdw.Error{Code: cdw.CodeUniqueness, Msg: "duplicate unique key value"}
 			}
-			tmpl, err := c.q.Template()
-			if err != nil {
-				return 0, err
-			}
-			_, rows, err := j.node.pool.Read(j.ctx, cdwnet.Range(tmpl, lo, hi))
-			if err != nil {
-				return 0, err
-			}
-			if len(rows) == 1 && rows[0][0].I > 0 {
+			if _, data := err.(*cdw.Error); data && lo == hi {
 				// Legacy precedence: a tuple whose transformation, column
-				// cast or NOT NULL test fails is an ET error even if its key
-				// also collides, because the legacy engine checks those
-				// before its keys. For an isolated tuple, probe them first
-				// and surface their error instead of the collision.
-				if lo == hi {
-					if perr := j.probeRow(dml, meta, lo); perr != nil {
-						return 0, perr
-					}
+				// cast or NOT NULL test fails is an ET error even if its
+				// key also collides, because the legacy engine checks those
+				// before its keys. For an isolated tuple whose check fires
+				// or raises, surface that failure instead.
+				if diagnosed = j.diagnoseRow(dml, meta, lo); diagnosed.err != nil {
+					return 0, diagnosed.err
 				}
-				return 0, &cdw.Error{Code: cdw.CodeUniqueness,
-					Msg: "duplicate unique key value"}
+			}
+			if err != nil {
+				return 0, err
 			}
 		}
 		tmpl, err := dml.Apply.Template()
@@ -653,14 +638,23 @@ func (j *importJob) applyDML(m *wire.ApplyDML) (*wire.ApplyResult, error) {
 			return j.et.add(lo, hi, c.Code, c.Field,
 				fmt.Sprintf("Max number of errors reached during DML on %s, row numbers: (%d, %d)", j.targets, lo, hi))
 		case c.Unique:
+			// Only a key check reports a collision, and on a single row it
+			// has diagnosed the row and read its tuple.
+			var tuple string
+			if diagnosed.seq == lo {
+				tuple = diagnosed.tuple
+			}
 			nm.errorsUV.Inc()
 			return j.uv.add(lo, hi, c.Code, c.Field,
-				fmt.Sprintf("%s during DML on %s, row number: %d%s", c.Msg, j.targets, lo, j.stagedTupleSuffix(lo)))
+				fmt.Sprintf("%s during DML on %s, row number: %d%s", c.Msg, j.targets, lo, tuple))
 		default:
-			if c.Field == "" && lo == hi {
+			if c.Field == "" && lo == hi && (diagnosed.seq != lo || diagnosed.err == nil) {
 				// isolate the offending input field by probing each insert
-				// expression against the single staged row
-				c.Field = j.probeField(dml, lo)
+				// expression against the single staged row, unless this
+				// failure is what the row's diagnosis found
+				if ce := j.exprFailure(dml, lo); ce != nil {
+					c.Field = ce.Field
+				}
 			}
 			nm.errorsET.Inc()
 			return j.et.add(lo, hi, c.Code, c.Field,
@@ -786,11 +780,7 @@ func (j *importJob) locator(dml *sqlxlate.DML, keys []sqlxlate.Key, kv *keyVerdi
 // locate runs the probe over rows lo..hi and returns the sorted, distinct
 // __seq values it names, and among them those a key branch named.
 func (j *importJob) locate(probe *sqlxlate.RangeStmt, lo, hi int64) (seqs, keyNamed []int64, err error) {
-	tmpl, err := probe.Template()
-	if err != nil {
-		return nil, nil, err
-	}
-	_, rows, err := j.node.pool.Read(j.ctx, cdwnet.Range(tmpl, lo, hi))
+	rows, err := j.readRange(probe, lo, hi)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -813,121 +803,140 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// probeRow checks the single staged row seq the way the legacy engine
+// readRange sends rs over rows lo..hi and returns its rows.
+func (j *importJob) readRange(rs *sqlxlate.RangeStmt, lo, hi int64) ([][]cdw.Datum, error) {
+	tmpl, err := rs.Template()
+	if err != nil {
+		return nil, err
+	}
+	_, rows, err := j.node.pool.Read(j.ctx, cdwnet.Range(tmpl, lo, hi))
+	return rows, err
+}
+
+// rowDiagnosis is what diagnoseRow found on staged row seq: the legacy
+// engine's first failure on it, nil if none, and the row rendered for a UV
+// message, empty if it could not be read.
+type rowDiagnosis struct {
+	seq   int64
+	err   *cdw.Error
+	tuple string
+}
+
+// diagnoseRow checks the single staged row seq the way the legacy engine
 // checks a row before its keys: it evaluates every insert expression, casts
-// each value to its target column's type, then tests the NOT NULL columns,
-// and returns the first error that raises. One statement does the first
-// two steps; a second one, sent only when that fails, tells a failing
-// expression from a failing cast, and a failing cast names its column as
-// the insert would.
-func (j *importJob) probeRow(dml *sqlxlate.DML, meta *cdwnet.TableMeta, seq int64) error {
-	ords := make([]int, len(dml.OrderedExprs)) // target column of each value, -1 if none
-	var exprs, casts []string
-	for i, e := range dml.OrderedExprs {
-		ords[i] = i
-		if len(dml.Columns) > 0 {
-			if i >= len(dml.Columns) {
-				return nil // a value past the column list feeds no column
-			}
-			ords[i] = slices.IndexFunc(meta.Columns, func(c cdwnet.ResultCol) bool {
-				return strings.EqualFold(c.Name, dml.Columns[i])
-			})
-		}
-		txt, err := sqlparse.PrintExpr(e, sqlparse.DialectCDW)
-		if err != nil || ords[i] < 0 || ords[i] >= len(meta.Columns) {
-			return nil
-		}
-		exprs = append(exprs, txt)
-		cast, err := sqlparse.PrintExpr(&sqlparse.CastExpr{X: e, Type: typeName(meta.Columns[ords[i]].Type)}, sqlparse.DialectCDW)
-		if err != nil {
-			return nil
-		}
-		casts = append(casts, cast)
-	}
-	// read keeps the engine's error only: after a transport failure the
-	// collision stands, as it did before the probe.
-	read := func(items ...string) ([]cdw.Datum, *cdw.Error) {
-		sql := fmt.Sprintf("SELECT %s FROM %s s WHERE s.%s = %d",
-			strings.Join(items, ", "), j.stage.String(), sqlxlate.SeqColumn, seq)
-		_, rows, err := j.node.pool.Read(j.ctx, cdwnet.Stmt{SQL: sql})
-		if ce, ok := err.(*cdw.Error); ok {
-			return nil, ce
-		}
-		if err != nil || len(rows) != 1 {
-			return nil, nil
-		}
-		return rows[0], nil
-	}
-	vals, ce := read(append(exprs, casts...)...)
+// each value to its target column's type, then tests the NOT NULL columns.
+// One SELECT reads the expressions, the casts and the staged tuple, and the
+// NOT NULL test runs on what it returns. Only when that SELECT fails, each
+// expression is sent alone in VALUES order, then each cast, and the first
+// that fails is the row's error; a failing cast names its column as the
+// insert would. The tuple renders the row for UV messages, matching the
+// legacy habit of recording the violating tuple itself (Figure 5c). When a
+// value feeds no column there is nothing to check first, and the row is
+// only read.
+func (j *importJob) diagnoseRow(dml *sqlxlate.DML, meta *cdwnet.TableMeta, seq int64) rowDiagnosis {
+	d := rowDiagnosis{seq: seq}
+	exprs, casts, ords := rowChecks(dml, meta)
+	vals, ce := j.readRow(seq, append(append(exprs, casts...), "s.*")...)
 	if ce != nil {
-		if _, ce := read(exprs...); ce != nil {
-			return ce
+		if d.err = j.exprFailure(dml, seq); d.err != nil {
+			return d
 		}
 		for i, c := range casts {
-			if _, ce := read(c); ce != nil {
+			if _, ce := j.readRow(seq, c); ce != nil {
 				if ce.Field == "" {
 					ce.Field = meta.Columns[ords[i]].Name
 				}
-				return ce
+				d.err = ce
+				return d
 			}
 		}
 	}
-	if len(vals) != 2*len(exprs) {
-		return nil
+	n := len(exprs) + len(casts)
+	if len(vals) <= n {
+		return d // after a transport failure the collision stands, without its tuple
 	}
-	fed := make(map[int]cdw.Datum, len(casts))
-	for i, ord := range ords {
-		fed[ord] = vals[len(exprs)+i]
+	parts := make([]string, len(vals)-n-1)
+	for i, v := range vals[n+1:] { // skip __seq
+		parts[i] = v.Render()
 	}
+	d.tuple = ", tuple: " + strings.Join(parts, "|")
 	for ord, c := range meta.Columns {
-		if ord >= len(meta.NotNull) || !meta.NotNull[ord] {
+		if len(exprs) == 0 || ord >= len(meta.NotNull) || !meta.NotNull[ord] {
 			continue
 		}
-		v, ok := fed[ord]
-		if ok && v.IsNull() || !ok && (ord >= len(meta.Defaults) || meta.Defaults[ord] == "") {
-			return &cdw.Error{Code: cdw.CodeNotNull, Field: c.Name,
+		i := slices.Index(ords, ord)
+		if i >= 0 && vals[len(exprs)+i].IsNull() || i < 0 && (ord >= len(meta.Defaults) || meta.Defaults[ord] == "") {
+			d.err = &cdw.Error{Code: cdw.CodeNotNull, Field: c.Name,
 				Msg: fmt.Sprintf("NULL value in NOT NULL column %s", c.Name)}
+			break
 		}
 	}
-	return nil
+	return d
 }
 
-// probeField evaluates each rewritten insert expression against the single
-// staged row seq to discover which input field a conversion error comes
-// from — the CDW reports expression failures without field attribution, so
-// the virtualizer reconstructs it (ERRFIELD in Figure 5).
-func (j *importJob) probeField(dml *sqlxlate.DML, seq int64) string {
+// rowChecks prints, for each insert value in VALUES order, its expression
+// and its cast to the type of the target column it feeds, and gives that
+// column's ordinal. All three are nil when a value feeds no column or does
+// not print.
+func rowChecks(dml *sqlxlate.DML, meta *cdwnet.TableMeta) (exprs, casts []string, ords []int) {
+	for i, e := range dml.OrderedExprs {
+		ord := i
+		if len(dml.Columns) > 0 {
+			ord = -1 // a value past the column list feeds no column
+			if i < len(dml.Columns) {
+				ord = slices.IndexFunc(meta.Columns, func(c cdwnet.ResultCol) bool {
+					return strings.EqualFold(c.Name, dml.Columns[i])
+				})
+			}
+		}
+		if ord < 0 || ord >= len(meta.Columns) {
+			return nil, nil, nil
+		}
+		txt, err := sqlparse.PrintExpr(e, sqlparse.DialectCDW)
+		cast, cerr := sqlparse.PrintExpr(&sqlparse.CastExpr{X: e, Type: typeName(meta.Columns[ord].Type)}, sqlparse.DialectCDW)
+		if err != nil || cerr != nil {
+			return nil, nil, nil
+		}
+		exprs, casts, ords = append(exprs, txt), append(casts, cast), append(ords, ord)
+	}
+	return exprs, casts, ords
+}
+
+// exprFailure sends each insert expression alone against the staged row
+// seq, in VALUES order, and returns the first one's error, naming the first
+// input field it reads: the CDW reports expression failures without field
+// attribution, so the virtualizer reconstructs it (ERRFIELD in Figure 5).
+// It returns nil when every expression evaluates.
+func (j *importJob) exprFailure(dml *sqlxlate.DML, seq int64) *cdw.Error {
 	for _, e := range dml.OrderedExprs {
 		txt, err := sqlparse.PrintExpr(e, sqlparse.DialectCDW)
 		if err != nil {
 			continue
 		}
-		sql := fmt.Sprintf("SELECT %s FROM %s s WHERE s.%s = %d",
-			txt, j.stage.String(), sqlxlate.SeqColumn, seq)
-		if _, _, err := j.node.pool.Read(j.ctx, cdwnet.Stmt{SQL: sql}); err != nil {
+		if _, ce := j.readRow(seq, txt); ce != nil {
 			if fields := sqlxlate.StageFields(e, "s"); len(fields) > 0 {
-				return fields[0]
+				ce.Field = fields[0]
 			}
-			return ""
+			return ce
 		}
 	}
-	return ""
+	return nil
 }
 
-// stagedTupleSuffix renders the staged tuple for UV error messages, matching
-// the legacy habit of recording the violating tuple itself (Figure 5c).
-func (j *importJob) stagedTupleSuffix(seq int64) string {
-	sel := fmt.Sprintf("SELECT * FROM %s WHERE %s = %d",
-		j.stage.String(), sqlxlate.SeqColumn, seq)
-	_, rows, err := j.node.pool.Read(j.ctx, cdwnet.Stmt{SQL: sel})
+// readRow selects items from the single staged row seq. It keeps the
+// engine's error only: after a transport failure it returns neither a row
+// nor an error.
+func (j *importJob) readRow(seq int64, items ...string) ([]cdw.Datum, *cdw.Error) {
+	sql := fmt.Sprintf("SELECT %s FROM %s s WHERE s.%s = %d",
+		strings.Join(items, ", "), j.stage.String(), sqlxlate.SeqColumn, seq)
+	_, rows, err := j.node.pool.Read(j.ctx, cdwnet.Stmt{SQL: sql})
+	if ce, ok := err.(*cdw.Error); ok {
+		return nil, ce
+	}
 	if err != nil || len(rows) != 1 {
-		return ""
+		return nil, nil
 	}
-	var parts []string
-	for _, d := range rows[0][1:] { // skip __seq
-		parts = append(parts, d.Render())
-	}
-	return ", tuple: " + strings.Join(parts, "|")
+	return rows[0], nil
 }
 
 // uniqueKeys resolves the insert expressions feeding each uniqueness

@@ -168,10 +168,11 @@ func (tp *sqlTap) count(prefix string) int {
 // without fault injection. Figure 5's import fails on rows 1..5, and the
 // probe names rows 2 and 3 for their dates and row 4 for repeating row 1's
 // key. The probe settles the key checks of every row it did not name for a
-// key, so rows 1, 2, 3 and 5 apply without a collision query, and the job's
-// ET and UV rows go in one INSERT per table at the end of apply. The
-// handler's attempts are the same as before: only statements around them
-// go.
+// key, so rows 1, 2, 3 and 5 apply without a key check, and the job's ET
+// and UV rows go in one INSERT per table at the end of apply. Row 4 sends
+// one key check, and its diagnosis reads the staged tuple for its UV
+// message in the same SELECT. The handler's attempts are the same as
+// before: only statements around them go.
 func TestLocatedSplitStatementBudget(t *testing.T) {
 	store := cloudstore.NewMemStore()
 	eng := cdw.NewEngine(store, cdw.Options{})
@@ -197,8 +198,10 @@ func TestLocatedSplitStatementBudget(t *testing.T) {
 		t.Fatalf("outcome %+v, want 2 inserted, 2 ET, 1 UV", ir)
 	}
 	// Before the probe settled the key checks there were 30: collision
-	// queries on rows 1, 2, 3 and 5, and one INSERT per ET row.
-	const want = 25
+	// queries on rows 1, 2, 3 and 5, and one INSERT per ET row. Then 25,
+	// until row 4's precedence probe and its tuple's SELECT became one
+	// diagnosis.
+	const want = 24
 	if got := eng.StmtCount() - before; got != want {
 		t.Errorf("the import executed %d CDW statements, want %d", got, want)
 	}

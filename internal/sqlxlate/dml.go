@@ -133,14 +133,19 @@ func (tr *Translator) TranslateDML(legacySQL string) (*DML, error) {
 
 // rangePredicate builds s.__seq BETWEEN lo AND hi with mutable bounds.
 func (tr *Translator) rangePredicate() (sqlparse.Expr, *sqlparse.Literal, *sqlparse.Literal) {
-	lo := &sqlparse.Literal{Kind: sqlparse.LitInt}
-	hi := &sqlparse.Literal{Kind: sqlparse.LitInt}
-	pred := &sqlparse.BetweenExpr{
-		X:  &sqlparse.ColRef{Qualifier: tr.StageAlias, Name: SeqColumn},
-		Lo: lo,
-		Hi: hi,
-	}
-	return pred, lo, hi
+	lo, hi := rangeBounds()
+	return tr.seqBetween(lo, hi), lo, hi
+}
+
+// rangeBounds returns a fresh pair of mutable range bounds.
+func rangeBounds() (lo, hi *sqlparse.Literal) {
+	return &sqlparse.Literal{Kind: sqlparse.LitInt}, &sqlparse.Literal{Kind: sqlparse.LitInt}
+}
+
+// seqBetween builds s.__seq BETWEEN lo AND hi. A statement that scans the
+// stage more than once shares one pair of bounds between its scans.
+func (tr *Translator) seqBetween(lo, hi *sqlparse.Literal) sqlparse.Expr {
+	return &sqlparse.BetweenExpr{X: &sqlparse.ColRef{Qualifier: tr.StageAlias, Name: SeqColumn}, Lo: lo, Hi: hi}
 }
 
 func (tr *Translator) stageRef() *sqlparse.TableRef {
@@ -322,60 +327,89 @@ type Key struct {
 	Exprs []sqlparse.Expr
 }
 
-// DupCheckQueries builds the uniqueness-emulation queries for one key of an
-// insert DML (§7): intra-range duplicates among the rows being inserted, and
-// collisions between those rows and the target table. keyExprs are the
-// rewritten source expressions feeding the key columns (parallel to
-// keyCols). Both queries return the number of violations in the __seq
-// range. A key with a NULL in any column never collides: the join leaves it
-// out, and the intra-range query drops its group.
+// DupCheckQueries builds the two counts KeyCheckQuery sums for one key of
+// an insert DML (§7) as two statements, which share their range bounds.
+// The import job sends KeyCheckQuery instead; this pair is kept for the
+// benchmark's layer replay only, until that replay follows the product
+// path.
 func (tr *Translator) DupCheckQueries(d *DML, keyCols []string, keyExprs []sqlparse.Expr) (intra, target *RangeStmt, err error) {
-	if len(keyCols) == 0 || len(keyCols) != len(keyExprs) {
-		return nil, nil, fmt.Errorf("sqlxlate: bad uniqueness key specification")
+	k := Key{Cols: keyCols, Exprs: keyExprs}
+	if err := checkKeys([]Key{k}); err != nil {
+		return nil, nil, err
 	}
-	countStar := func() *sqlparse.FuncCall {
-		return &sqlparse.FuncCall{Name: "COUNT", Args: []sqlparse.Expr{&sqlparse.Star{}}}
-	}
-
-	// intra: SELECT count(*) FROM (SELECT 1 AS one FROM stage s WHERE range
-	//        GROUP BY e1.. HAVING count(*) > 1 AND e1 IS NOT NULL ..) d
-	// The NULL test follows the count, so it runs only for repeated keys.
-	predI, loI, hiI := tr.rangePredicate()
-	var having sqlparse.Expr = &sqlparse.BinaryExpr{Op: ">",
-		L: countStar(),
-		R: &sqlparse.Literal{Kind: sqlparse.LitInt, Int: 1}}
-	for _, e := range keyExprs {
-		having = conjoin(having, &sqlparse.IsNullExpr{X: e, Not: true})
-	}
-	inner := &sqlparse.SelectStmt{
-		Items:   []sqlparse.SelectItem{{Expr: &sqlparse.Literal{Kind: sqlparse.LitInt, Int: 1}, Alias: "one"}},
-		From:    []sqlparse.TableExpr{tr.stageRef()},
-		Where:   predI,
-		GroupBy: keyExprs,
-		Having:  having,
-	}
-	intraSel := &sqlparse.SelectStmt{
-		Items: []sqlparse.SelectItem{{Expr: countStar()}},
-		From:  []sqlparse.TableExpr{&sqlparse.SubqueryTable{Select: inner, Alias: "d"}},
-	}
-	intra = &RangeStmt{stmt: intraSel, lo: loI, hi: hiI}
-
-	// target: SELECT count(*) FROM stage s JOIN tgt t ON t.k1 = e1 ... WHERE range
-	predT, loT, hiT := tr.rangePredicate()
-	targetSel := &sqlparse.SelectStmt{
-		Items: []sqlparse.SelectItem{{Expr: countStar()}},
-		From:  []sqlparse.TableExpr{tr.targetJoin(d, keyCols, keyExprs)},
-		Where: predT,
-	}
-	target = &RangeStmt{stmt: targetSel, lo: loT, hi: hiT}
-	return intra, target, nil
+	lo, hi := rangeBounds()
+	repeats, collisions := tr.keyCounts(d, k, lo, hi)
+	return &RangeStmt{stmt: repeats, lo: lo, hi: hi}, &RangeStmt{stmt: collisions, lo: lo, hi: hi}, nil
 }
 
-// targetJoin joins the stage to the insert's target t on its key columns.
-func (tr *Translator) targetJoin(d *DML, keyCols []string, keyExprs []sqlparse.Expr) *sqlparse.Join {
+// KeyCheckQuery builds the uniqueness emulation of an insert DML (§7): one
+// statement summing, for every key in order, its two counts over the __seq
+// range (keyCounts) as scalar subqueries. Every scan of the stage carries
+// the one range, so range pruning reaches each subquery. It returns nil
+// when there is no key.
+func (tr *Translator) KeyCheckQuery(d *DML, keys []Key) (*RangeStmt, error) {
+	if err := checkKeys(keys); err != nil || len(keys) == 0 {
+		return nil, err
+	}
+	lo, hi := rangeBounds()
+	var sum sqlparse.Expr
+	for _, k := range keys {
+		repeats, collisions := tr.keyCounts(d, k, lo, hi)
+		for _, count := range []*sqlparse.SelectStmt{repeats, collisions} {
+			sum = combine("+", sum, &sqlparse.SubqueryExpr{Sub: count})
+		}
+	}
+	return &RangeStmt{stmt: &sqlparse.SelectStmt{Items: []sqlparse.SelectItem{{Expr: sum}}}, lo: lo, hi: hi}, nil
+}
+
+// checkKeys rejects a key without columns or with an expression missing.
+func checkKeys(keys []Key) error {
+	for _, k := range keys {
+		if len(k.Cols) == 0 || len(k.Cols) != len(k.Exprs) {
+			return fmt.Errorf("sqlxlate: bad uniqueness key specification")
+		}
+	}
+	return nil
+}
+
+// keyCounts builds, for key k over rows lo..hi, the count of its values
+// that repeat within the range and the count of rows that collide with a
+// target row:
+//
+//	SELECT COUNT(*) FROM (SELECT 1 AS one FROM stage s WHERE range
+//	  GROUP BY e1.. HAVING COUNT(*) > 1 AND e1 IS NOT NULL ..) d
+//	SELECT COUNT(*) FROM stage s JOIN tgt t ON t.k1 = e1 .. WHERE range
+//
+// A key with a NULL in any column never collides: the HAVING drops its
+// group, and the join leaves it out. The NULL test follows the count, so
+// it runs only for repeated keys.
+func (tr *Translator) keyCounts(d *DML, k Key, lo, hi *sqlparse.Literal) (repeats, collisions *sqlparse.SelectStmt) {
+	countStar := []sqlparse.SelectItem{{Expr: &sqlparse.FuncCall{Name: "COUNT", Args: []sqlparse.Expr{&sqlparse.Star{}}}}}
+	var having sqlparse.Expr = &sqlparse.BinaryExpr{Op: ">",
+		L: countStar[0].Expr,
+		R: &sqlparse.Literal{Kind: sqlparse.LitInt, Int: 1}}
+	for _, e := range k.Exprs {
+		having = conjoin(having, &sqlparse.IsNullExpr{X: e, Not: true})
+	}
+	groups := &sqlparse.SelectStmt{
+		Items:   []sqlparse.SelectItem{{Expr: &sqlparse.Literal{Kind: sqlparse.LitInt, Int: 1}, Alias: "one"}},
+		From:    []sqlparse.TableExpr{tr.stageRef()},
+		Where:   tr.seqBetween(lo, hi),
+		GroupBy: k.Exprs,
+		Having:  having,
+	}
+	repeats = &sqlparse.SelectStmt{Items: countStar,
+		From: []sqlparse.TableExpr{&sqlparse.SubqueryTable{Select: groups, Alias: "d"}}}
+	collisions = &sqlparse.SelectStmt{Items: countStar,
+		From: []sqlparse.TableExpr{tr.targetJoin(d, k)}, Where: tr.seqBetween(lo, hi)}
+	return repeats, collisions
+}
+
+// targetJoin joins the stage to the insert's target t on the key columns.
+func (tr *Translator) targetJoin(d *DML, k Key) *sqlparse.Join {
 	var on sqlparse.Expr
-	for i, kc := range keyCols {
-		on = conjoin(on, &sqlparse.BinaryExpr{Op: "=", L: &sqlparse.ColRef{Qualifier: "t", Name: kc}, R: keyExprs[i]})
+	for i, kc := range k.Cols {
+		on = conjoin(on, &sqlparse.BinaryExpr{Op: "=", L: &sqlparse.ColRef{Qualifier: "t", Name: kc}, R: k.Exprs[i]})
 	}
 	return &sqlparse.Join{
 		Type:  sqlparse.JoinInner,
@@ -386,14 +420,17 @@ func (tr *Translator) targetJoin(d *DML, keyCols []string, keyExprs []sqlparse.E
 }
 
 // conjoin returns l AND r, or the other when one is nil.
-func conjoin(l, r sqlparse.Expr) sqlparse.Expr {
+func conjoin(l, r sqlparse.Expr) sqlparse.Expr { return combine("AND", l, r) }
+
+// combine returns l op r, or the other when one is nil.
+func combine(op string, l, r sqlparse.Expr) sqlparse.Expr {
 	switch {
 	case l == nil:
 		return r
 	case r == nil:
 		return l
 	}
-	return &sqlparse.BinaryExpr{Op: "AND", L: l, R: r}
+	return &sqlparse.BinaryExpr{Op: op, L: l, R: r}
 }
 
 // LocateQuery builds the probe the adaptive error handler sends when a range
@@ -417,32 +454,22 @@ func conjoin(l, r sqlparse.Expr) sqlparse.Expr {
 // never match a NULL, so a key with a NULL is never named: it never
 // collides. It returns nil when the insert has nothing to check.
 func (tr *Translator) LocateQuery(d *DML, keys []Key) (*RangeStmt, error) {
-	for _, k := range keys {
-		if len(k.Cols) == 0 || len(k.Cols) != len(k.Exprs) {
-			return nil, fmt.Errorf("sqlxlate: bad uniqueness key specification")
-		}
+	if err := checkKeys(keys); err != nil {
+		return nil, err
 	}
-	lo := &sqlparse.Literal{Kind: sqlparse.LitInt}
-	hi := &sqlparse.Literal{Kind: sqlparse.LitInt}
+	lo, hi := rangeBounds()
 	seqOf := func(alias string) *sqlparse.ColRef {
 		return &sqlparse.ColRef{Qualifier: alias, Name: SeqColumn}
-	}
-	inRange := func(alias string) sqlparse.Expr {
-		return &sqlparse.BetweenExpr{X: seqOf(alias), Lo: lo, Hi: hi}
 	}
 	scan := func(from sqlparse.TableExpr, where sqlparse.Expr) *sqlparse.SelectStmt {
 		return &sqlparse.SelectStmt{
 			Items: []sqlparse.SelectItem{{Expr: seqOf(tr.StageAlias)}},
 			From:  []sqlparse.TableExpr{from},
-			Where: conjoin(inRange(tr.StageAlias), where),
+			Where: conjoin(tr.seqBetween(lo, hi), where),
 		}
 	}
-	branch := func(from sqlparse.TableExpr, where sqlparse.Expr, key bool) *sqlparse.SelectStmt {
+	branch := func(from sqlparse.TableExpr, where sqlparse.Expr, tag int64) *sqlparse.SelectStmt {
 		b := scan(from, where)
-		var tag int64
-		if key {
-			tag = 1
-		}
 		b.Items = append(b.Items, sqlparse.SelectItem{Expr: &sqlparse.Literal{Kind: sqlparse.LitInt, Int: tag}})
 		return b
 	}
@@ -463,19 +490,15 @@ func (tr *Translator) LocateQuery(d *DML, keys []Key) (*RangeStmt, error) {
 			fails = conjoin(fails, &sqlparse.IsNullExpr{X: a, Not: true})
 		}
 		fails = conjoin(fails, &sqlparse.IsNullExpr{X: &sqlparse.FuncCall{Name: "TRY_" + fc.Name, Args: fc.Args}})
-		if conv == nil {
-			conv = fails
-		} else {
-			conv = &sqlparse.BinaryExpr{Op: "OR", L: conv, R: fails}
-		}
+		conv = combine("OR", conv, fails)
 	})
 	if conv != nil {
-		branches = append(branches, branch(tr.stageRef(), conv, false))
+		branches = append(branches, branch(tr.stageRef(), conv, 0))
 	}
 
 	for _, k := range keys {
 		// (b) collisions with the target
-		branches = append(branches, branch(tr.targetJoin(d, k.Cols, k.Exprs), nil, true))
+		branches = append(branches, branch(tr.targetJoin(d, k), nil, 1))
 
 		// (c) repeats of an earlier key in the range
 		proj := scan(tr.stageRef(), nil)
@@ -487,7 +510,7 @@ func (tr *Translator) LocateQuery(d *DML, keys []Key) (*RangeStmt, error) {
 		}
 		branches = append(branches, branch(&sqlparse.Join{Type: sqlparse.JoinInner, Left: tr.stageRef(),
 			Right: &sqlparse.SubqueryTable{Select: proj, Alias: "s2"}, On: on},
-			&sqlparse.BinaryExpr{Op: "<", L: seqOf("s2"), R: seqOf(tr.StageAlias)}, true))
+			&sqlparse.BinaryExpr{Op: "<", L: seqOf("s2"), R: seqOf(tr.StageAlias)}, 1))
 	}
 
 	if len(branches) == 0 {

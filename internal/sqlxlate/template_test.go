@@ -36,6 +36,11 @@ func TestRangeTemplateMatchesSQL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	check, err := tr.KeyCheckQuery(ins, []Key{key,
+		{Cols: []string{"CUST_NAME"}, Exprs: []sqlparse.Expr{ins.OrderedExprs[1]}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	str, delStage := streamTranslator()
 	sd, err := str.TranslateStreamDML(streamApplySQL, delStage, customerCols, []string{"CUST_ID"})
 	if err != nil {
@@ -62,6 +67,7 @@ func TestRangeTemplateMatchesSQL(t *testing.T) {
 		{"intra-range duplicate check", intra},
 		{"target duplicate check", target},
 		{"locate probe", probe},
+		{"key check", check},
 		{"stream delete", sd.Delete},
 		{"stream update", sd.Update},
 		{"stream insert", sd.Insert},

@@ -274,6 +274,53 @@ func TestDupCheckQueries(t *testing.T) {
 	}
 }
 
+// TestKeyCheckQuery: the key check sums, key by key, the range's repeated
+// key values and its collisions with the target, in one statement whose
+// scans share the range.
+func TestKeyCheckQuery(t *testing.T) {
+	tr := jobTranslator()
+	dml, err := tr.TranslateDML(`insert into PROD.CUSTOMER values (
+		trim(:CUST_ID), trim(:CUST_NAME), cast(:JOIN_DATE as DATE format 'YYYY-MM-DD'))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check, err := tr.KeyCheckQuery(dml, []Key{
+		{Cols: []string{"CUST_ID"}, Exprs: []sqlparse.Expr{dml.OrderedExprs[0]}},
+		{Cols: []string{"CUST_NAME", "JOIN_DATE"}, Exprs: dml.OrderedExprs[1:]},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql, err := check.SQL(11, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		rng   = "s.__seq BETWEEN 11 AND 20"
+		date  = "TO_DATE(s.JOIN_DATE, 'YYYY-MM-DD')"
+		stage = " FROM etl_stage.job1 s "
+		want  = "SELECT (SELECT COUNT(*) FROM (SELECT 1 AS one" + stage + "WHERE " + rng +
+			" GROUP BY TRIM(s.CUST_ID) HAVING COUNT(*) > 1 AND TRIM(s.CUST_ID) IS NOT NULL) d)" +
+			" + (SELECT COUNT(*)" + stage + "JOIN PROD.CUSTOMER t ON t.CUST_ID = TRIM(s.CUST_ID) WHERE " + rng + ")" +
+			" + (SELECT COUNT(*) FROM (SELECT 1 AS one" + stage + "WHERE " + rng +
+			" GROUP BY TRIM(s.CUST_NAME), " + date + " HAVING COUNT(*) > 1 AND TRIM(s.CUST_NAME) IS NOT NULL AND " + date + " IS NOT NULL) d)" +
+			" + (SELECT COUNT(*)" + stage + "JOIN PROD.CUSTOMER t ON t.CUST_NAME = TRIM(s.CUST_NAME) AND t.JOIN_DATE = " + date +
+			" WHERE " + rng + ")"
+	)
+	if sql != want {
+		t.Errorf("key check SQL\n got: %s\nwant: %s", sql, want)
+	}
+	if _, err := sqlparse.Parse(sql, sqlparse.DialectCDW); err != nil {
+		t.Errorf("key check unparseable: %v", err)
+	}
+	if check, err = tr.KeyCheckQuery(dml, nil); err != nil || check != nil {
+		t.Errorf("no key: %v, %v", check, err)
+	}
+	if _, err := tr.KeyCheckQuery(dml, []Key{{Cols: []string{"CUST_ID"}}}); err == nil {
+		t.Error("mismatched key spec accepted")
+	}
+}
+
 func TestLocateQuery(t *testing.T) {
 	tr := jobTranslator()
 	dml, err := tr.TranslateDML(`insert into PROD.CUSTOMER values (

@@ -176,3 +176,62 @@ insert into PREC values (:K, :N, :Q);
 		t.Errorf("scrub diverged under seed %d:\n%s", seed, rep.Diff())
 	}
 }
+
+// TestLocatedKeyErrorPrecedenceDifferential: a row whose key fails to
+// evaluate, so that its key check raises an engine error, is an ET row with
+// the legacy engine's first failure on it, not the key's error. On KE, row
+// 2's date comes before its non-numeric key in VALUES order, so the EDW
+// records the invalid date. The range's key check raises, the probe fails
+// on the same key and the range is bisected down to row 2, whose check
+// raises again. KEP's one-row import checks its only row at once, against
+// a target whose row makes the collision join evaluate the key. SEQNO and
+// ERRCODE must match the EDW's; ERRFIELD is not compared, since the two
+// sides name fields differently by design.
+func TestLocatedKeyErrorPrecedenceDifferential(t *testing.T) {
+	seed := testhost.FaultSeed(t, 1)
+	const script = `
+.logon host/user,pass;
+.layout L;
+.field D varchar(10);
+.field K varchar(5);
+.begin import tables %[1]s errortables %[1]s_ET %[1]s_UV;
+.dml label Ins;
+insert into %[1]s values (cast(:D as DATE format 'YYYY-MM-DD'), cast(:K as INTEGER));
+.import infile %[1]s.txt format vartext '|' layout L apply Ins;
+.end load;
+`
+	ddl := func(table string) string {
+		return "CREATE TABLE " + table + " (D DATE, K INTEGER NOT NULL, PRIMARY KEY (K))"
+	}
+	p := testhost.StartPair(t, testhost.Options{Seed: seed, DDL: []string{
+		ddl("KE"), ddl("KEP"), "INSERT INTO KEP VALUES (DATE '2020-01-01', 7)",
+	}})
+	var tables []scrub.Table
+	for _, tc := range []struct {
+		table, input string
+		inserted     int64
+	}{
+		{"KE", "2020-01-02|1\n2020-13-45|abc\n2020-01-03|2\n", 2},
+		{"KEP", "2020-13-45|abc\n", 0},
+	} {
+		s := fmt.Sprintf(script, tc.table)
+		in := map[string][]byte{tc.table + ".txt": []byte(tc.input)}
+		edwRes, _ := p.Run(t, p.EDWAddr, s, in)
+		virtRes, _ := p.Run(t, p.NodeAddr, s, in)
+		l, v := edwRes.Imports[0], virtRes.Imports[0]
+		if l.Inserted != tc.inserted || l.ErrorsET != 1 || l.ErrorsUV != 0 {
+			t.Errorf("%s: edw reference outcome %+v, want %d inserted, 1 ET", tc.table, l, tc.inserted)
+		}
+		if l.Inserted != v.Inserted || l.ErrorsET != v.ErrorsET || l.ErrorsUV != v.ErrorsUV {
+			t.Errorf("%s: outcomes differ (seed %d):\n edw:  %+v\n virt: %+v", tc.table, seed, l, v)
+		}
+		q := "SELECT SEQNO, ERRCODE FROM " + tc.table + "_ET"
+		if want, got := testhost.State(t, p.EDW.Engine(), q), testhost.State(t, p.CDWEng, q); strings.Join(want, ";") != strings.Join(got, ";") {
+			t.Errorf("%s: ET rows differ:\n edw:  %v\n virt: %v", tc.table, want, got)
+		}
+		tables = append(tables, scrub.Table{Name: tc.table, ErrTables: []string{tc.table + "_ET", tc.table + "_UV"}})
+	}
+	if rep := p.Scrub(t, scrub.Options{Tables: tables}); !rep.OK {
+		t.Errorf("scrub diverged under seed %d:\n%s", seed, rep.Diff())
+	}
+}
